@@ -14,7 +14,6 @@ from .calibrate import (
     CalibrationReport,
     CellParams,
     calibrate_cap,
-    calibrate_cap_exact,
     calibrate_epsilon,
     cell_parameters,
     optimal_contacts_grid,

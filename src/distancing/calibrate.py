@@ -9,15 +9,18 @@ one-line solve, guarded by an explicit re-regression.
 
 The contact cap ``N`` is set so that capped aggregate contacts hit a
 target fraction of the unconstrained aggregate.  The aggregate is a
-continuous, piecewise-linear, nondecreasing function of N; we solve by
-bisection for robustness to ties, and also ship the exact sorted solver,
-which doubles as an independent check.
+continuous, piecewise-linear, nondecreasing function of N with kinks at
+the cells' optimal contact counts, so sorting the cells locates the
+segment that contains the target and inverting that segment's line gives
+N in closed form.  A re-evaluation of the aggregate at the returned N
+guards the result.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import fsum, log
 from typing import Iterable, Mapping, Sequence
 
@@ -28,8 +31,7 @@ from .model import FirmParams, contacts_at_density
 
 logger = logging.getLogger(__name__)
 
-_BISECT_ABS_TOL = 1e-10
-_SHARE_REL_TOL = 1e-9
+_SHARE_TOL = 1e-10
 _SLOPE_TOL = 1e-9
 
 
@@ -52,8 +54,6 @@ class CalibratedModel:
     eps: float
     contact_cap: float
     industry_params: dict[str, FirmParams]
-    target_contact_share: float = 0.5
-    target_elasticity: float = 0.04
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -80,9 +80,8 @@ def cell_parameters(
     cells: Iterable[RegionCell],
     resolver: MixResolver,
     densities: Mapping[str, RegionDensity],
-    group: str = "communication",
 ) -> list[CellParams]:
-    """Join cells with industry chi and region density, dropping unusable ones.
+    """Join cells with industry communication chi and region density.
 
     Cells with zero employment, an unresolvable industry, or no density
     record cannot enter the model; the latter two are warned about.
@@ -105,7 +104,7 @@ def cell_parameters(
                 naics=cell.industry_code,
                 industry_code=mix.industry_code,
                 employment=cell.employment,
-                chi=mix.chi[group],
+                chi=mix.chi["communication"],
                 density=density.normalized_density,
             )
         )
@@ -140,16 +139,18 @@ def slope_factor(frame: Sequence[CellParams]) -> float:
     return _weighted_slope(points)
 
 
-def calibrate_epsilon(frame: Sequence[CellParams], target_elasticity: float) -> float:
+def calibrate_epsilon(
+    frame: Sequence[CellParams], target_elasticity: float, k: float
+) -> float:
     """Solve for eps so the implied-productivity regression hits the target slope.
 
-    The regressand is linear in eps, so eps = target / k.  A verification
-    re-regression with the returned eps must reproduce the target within
-    1e-9 or the calibration aborts.
+    ``k`` is the frame's :func:`slope_factor`.  The regressand is linear in
+    eps, so eps = target / k.  A verification re-regression with the
+    returned eps must reproduce the target within 1e-9 or the calibration
+    aborts.
     """
     if target_elasticity <= 0.0:
         raise CalibrationError(f"target elasticity must be positive, got {target_elasticity!r}")
-    k = slope_factor(frame)
     if k <= 0.0:
         raise CalibrationError(
             f"slope factor k={k!r} is not positive; exposure does not rise with "
@@ -186,12 +187,17 @@ def aggregate_contact_share(pairs: Sequence[tuple[float, float]], cap: float) ->
 
 
 def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> float:
-    """Bisect for the cap N with capped contacts = target share of the total.
+    """The cap N at which capped contacts are the target share of the total.
 
     ``pairs`` are (optimal contacts, employment weight).  The target must
     lie in (0, 1]; 1 means no binding cap and returns the largest optimal
-    contact count.  The bisection runs to 1e-10 on N and the returned cap
-    reproduces the target share within 1e-8 relative.
+    contact count.  With the cells sorted by optimal contacts, capped
+    contacts at a cap between two consecutive counts are ``below + N *
+    above``: the contacts of the cells under the cap plus N times the
+    weight of the rest.  The first cell whose count reaches the target ends
+    the segment that holds N, and inverting that line gives N.  The
+    returned cap must reproduce the target share within 1e-10 relative or
+    the calibration aborts.
     """
     if not 0.0 < target_share <= 1.0:
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
@@ -200,71 +206,29 @@ def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> 
     total = fsum(w * n for n, w in pairs)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot calibrate a cap")
-    hi = max(n for n, _ in pairs)
     if target_share == 1.0:
-        return hi
+        return max(n for n, _ in pairs)
     target = target_share * total
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        capped = fsum(w * min(mid, n) for n, w in pairs)
-        if capped < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_ABS_TOL:
-            mid = 0.5 * (lo + hi)
-            capped = fsum(w * min(mid, n) for n, w in pairs)
-            if abs(capped - target) <= _SHARE_REL_TOL * target:
-                break
-    cap = 0.5 * (lo + hi)
+    ordered = sorted(pairs)
+    below = [0.0, *accumulate(w * n for n, w in ordered)]
+    above = [*accumulate(w for _, w in reversed(ordered))][::-1]
+    cap = ordered[-1][0]  # reached only if rounding puts the target above every kink
+    for i, (n, _) in enumerate(ordered):
+        if below[i] + n * above[i] >= target:
+            cap = (target - below[i]) / above[i]
+            break
     achieved = aggregate_contact_share(pairs, cap)
-    if abs(achieved - target_share) > 1e-8 * target_share:
+    if abs(achieved - target_share) > _SHARE_TOL * target_share:
         raise CalibrationError(
-            f"bisection finished at share {achieved!r}, target {target_share!r}"
+            f"contact cap {cap!r} gives share {achieved!r}, target {target_share!r}"
         )
     return cap
 
 
-def calibrate_cap_exact(pairs: Sequence[tuple[float, float]], target_share: float) -> float:
-    """Exact cap from the sorted piecewise-linear aggregate (closed form).
-
-    The aggregate capped-contact function is linear between consecutive
-    distinct optimal-contact values; locate the segment containing the
-    target and invert it.  Used as an independent check on the bisection.
-    """
-    if not 0.0 < target_share <= 1.0:
-        raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
-    if not pairs:
-        raise CalibrationError("no cells to calibrate the contact cap on")
-    ordered = sorted(pairs)
-    total = fsum(w * n for n, w in ordered)
-    if total <= 0.0:
-        raise CalibrationError("total contacts are zero; cannot calibrate a cap")
-    target = target_share * total
-    below = 0.0  # contacts from cells already fully below the cap
-    weight_above = fsum(w for _, w in ordered)
-    previous = 0.0
-    index = 0
-    while index < len(ordered):
-        n = ordered[index][0]
-        # capped(cap) = below + cap * weight_above on [previous, n]
-        if below + n * weight_above >= target:
-            return (target - below) / weight_above
-        while index < len(ordered) and ordered[index][0] == n:
-            below += ordered[index][0] * ordered[index][1]
-            weight_above -= ordered[index][1]
-            index += 1
-        previous = n
-    return previous
-
-
-def industry_parameters(mixes: Iterable[IndustryMix], group: str = "communication") -> dict[str, FirmParams]:
-    """Firm parameters per industry from its exposure share in ``group``."""
+def industry_parameters(mixes: Iterable[IndustryMix]) -> dict[str, FirmParams]:
+    """Firm parameters per industry from its communication exposure share."""
     return {
-        mix.industry_code: FirmParams.from_chi(mix.chi[group])
+        mix.industry_code: FirmParams.from_chi(mix.chi["communication"])
         for mix in sorted(mixes, key=lambda m: m.industry_code)
     }
 
@@ -285,7 +249,7 @@ def run_calibration(
             raise CalibrationError(f"fixed eps must be positive, got {fixed_eps!r}")
         eps = fixed_eps
     else:
-        eps = calibrate_epsilon(frame, target_elasticity)
+        eps = calibrate_epsilon(frame, target_elasticity, k)
     nstar = optimal_contacts_grid(frame, eps)
     pairs = [
         (nstar[(c.zcta, c.naics)], c.employment)
@@ -293,13 +257,7 @@ def run_calibration(
     ]
     cap = calibrate_cap(pairs, target_contact_share)
     achieved_share = aggregate_contact_share(pairs, cap)
-    model = CalibratedModel(
-        eps=eps,
-        contact_cap=cap,
-        industry_params=industry_parameters(mixes),
-        target_contact_share=target_contact_share,
-        target_elasticity=target_elasticity,
-    )
+    model = CalibratedModel(eps=eps, contact_cap=cap, industry_params=industry_parameters(mixes))
     report = CalibrationReport(
         eps=eps,
         contact_cap=cap,

@@ -12,7 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass
-from math import fsum, log
+from math import log
 from pathlib import Path
 from typing import Sequence
 
@@ -195,8 +195,9 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
 def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
-    total = fsum(c.employment for c in frame)
-    mean_chi = fsum(c.employment * c.chi for c in frame) / total
+    sums = geo.weighted_sums(("all", c.employment, c.employment * c.chi) for c in frame)
+    employment, weighted_chi = sums["all"]
+    mean_chi = weighted_chi / employment
     if mean_chi <= 0.0:
         logger.warning("mean communication share is zero; fig2 curves skipped")
         return
@@ -295,8 +296,12 @@ def read_region_groups(path) -> dict[str, str]:
 
 
 def _pct(fraction: float) -> float:
-    """Report layer only: subsidies become percentages at one decimal."""
-    return round(100.0 * fraction, 1)
+    """Report layer only: subsidies become percentages at one decimal.
+
+    A subsidy lies in [0, 1), so the report stays in [0, 100): values that
+    would round up to 100.0 print as 99.9.
+    """
+    return min(round(100.0 * fraction, 1), 99.9)
 
 
 def _output_dir(cfg: RunConfig) -> Path:
@@ -363,7 +368,6 @@ def _write_calibration(out: Path, report: calibrate.CalibrationReport, stamp: st
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--output-dir", dest="output_dir", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker cap (results never depend on it)")
     for key in ("occupations", "matrix", "cbp", "density", "national-sizes",
                 "exclusions", "region-groups", "industry-names"):
         parser.add_argument(f"--{key}", dest=key.replace("-", "_"), help=f"{key} CSV path")
@@ -428,7 +432,7 @@ _OVERRIDE_KEYS = (
     "occupations", "matrix", "cbp", "density", "national_sizes", "exclusions",
     "region_groups", "industry_names", "output_dir", "cutoff", "face_to_face_level",
     "proximity_level", "contact_share", "elasticity", "fixed_eps", "telecom_cost",
-    "open_bin_mean", "lenient", "employment_density", "threads",
+    "open_bin_mean", "lenient", "employment_density",
 )
 
 

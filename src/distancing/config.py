@@ -3,7 +3,7 @@
 A run is archivable as a single config file.  Flags win over file values.
 The config hash written into output headers covers only the semantic
 fields (inputs, thresholds, targets) so reruns into a different output
-directory or with a different worker cap still produce identical bytes.
+directory still produce identical bytes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ _PATH_KEYS = (
     "industry_names",
 )
 
-# Fields that affect results, in hash order.  output_dir and threads are
-# excluded on purpose: neither changes a single output byte.
+# Fields that affect results, in hash order.  output_dir is excluded on
+# purpose: it changes no output byte.
 _HASH_KEYS = _PATH_KEYS + (
     "cutoff",
     "face_to_face_level",
@@ -44,7 +44,6 @@ _HASH_KEYS = _PATH_KEYS + (
     "open_bin_mean",
     "lenient",
     "employment_density",
-    "seed",
 )
 
 
@@ -71,8 +70,6 @@ class RunConfig:
     open_bin_mean: float = 1500.0
     lenient: bool = False
     employment_density: bool = False  # use employment/km2 instead of population/km2
-    seed: int = 0  # reserved; the pipeline is deterministic
-    threads: int = 1
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -121,7 +118,7 @@ def _coerce(key: str, raw: str):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in ("face_to_face_level", "proximity_level", "seed", "threads"):
+    if key in ("face_to_face_level", "proximity_level"):
         try:
             return int(raw)
         except ValueError:
@@ -148,8 +145,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"telecom_cost must be positive, got {cfg.telecom_cost!r}")
     if cfg.open_bin_mean <= 0.0:
         raise ConfigError(f"open_bin_mean must be positive, got {cfg.open_bin_mean!r}")
-    if cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads!r}")
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
         if value is not None and not Path(value).is_file():

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from math import fsum
 from typing import Iterable, Mapping, Sequence
 
 from .calibrate import CalibratedModel, CellParams
 from .errors import CalibrationError
+from .geo import weighted_sums
 from .model import (
     FirmParams,
     Intervention,
@@ -64,6 +64,7 @@ def compute_subsidies(
     regime the firm would pick; the subsidy itself always prices the
     face-to-face (distanced) response.
     """
+    intervention = None if telecom_cost is None else Intervention(model.contact_cap, telecom_cost)
     results = []
     for cell in frame:
         params = model.industry_params.get(cell.industry_code)
@@ -73,10 +74,8 @@ def compute_subsidies(
         ratio = min(1.0, model.contact_cap / nstar)
         subsidy = compensating_subsidy(ratio, params)
         regime = None
-        if telecom_cost is not None:
-            regime, _ = preferred_regime(
-                Intervention(model.contact_cap, telecom_cost), cell.density, model.eps, params
-            )
+        if intervention is not None:
+            regime, _ = preferred_regime(intervention, cell.density, model.eps, params)
         results.append(
             SubsidyResult(
                 zcta=cell.zcta,
@@ -91,25 +90,23 @@ def compute_subsidies(
     return results
 
 
-def _weighted_rows(groups: Mapping[str, list[SubsidyResult]]) -> list[AggRow]:
-    rows = []
-    for key in sorted(groups):
-        members = groups[key]
-        employment = fsum(r.employment for r in members)
-        if employment <= 0.0:
-            continue
-        subsidy = fsum(r.subsidy * r.employment for r in members) / employment
-        rows.append(AggRow(key=key, subsidy=subsidy, employment=employment))
+def _weighted_rows(keyed: Iterable[tuple[str, SubsidyResult]]) -> list[AggRow]:
+    """Employment-weighted subsidy per key, most affected first, ties by key."""
+    sums = weighted_sums((key, r.employment, r.subsidy * r.employment) for key, r in keyed)
+    rows = [
+        AggRow(key=key, subsidy=weighted / employment, employment=employment)
+        for key, (employment, weighted) in sums.items()
+        if employment > 0.0
+    ]
+    rows.sort(key=lambda row: (-row.subsidy, row.key))
     return rows
 
 
 def _overall(results: Sequence[SubsidyResult]) -> AggRow:
-    ordered = sorted(results, key=lambda r: (r.zcta, r.industry_code))
-    employment = fsum(r.employment for r in ordered)
-    if employment <= 0.0:
+    rows = _weighted_rows(("ALL", r) for r in results)
+    if not rows:
         raise CalibrationError("no employment in the subsidy results")
-    subsidy = fsum(r.subsidy * r.employment for r in ordered) / employment
-    return AggRow(key="ALL", subsidy=subsidy, employment=employment)
+    return rows[0]
 
 
 def sector_table(results: Sequence[SubsidyResult]) -> tuple[list[AggRow], AggRow]:
@@ -118,11 +115,7 @@ def sector_table(results: Sequence[SubsidyResult]) -> tuple[list[AggRow], AggRow
     Ties break by industry code; the overall employment-weighted average
     is returned separately (reports append it as a final row).
     """
-    groups: dict[str, list[SubsidyResult]] = {}
-    for r in sorted(results, key=lambda r: (r.industry_code, r.zcta)):
-        groups.setdefault(r.industry_code, []).append(r)
-    rows = _weighted_rows(groups)
-    rows.sort(key=lambda row: (-row.subsidy, row.key))
+    rows = _weighted_rows((r.industry_code, r) for r in results)
     return rows, _overall(results)
 
 
@@ -137,21 +130,13 @@ def location_table(
     per named region; grouping entries that match no result are warned
     about.
     """
-    groups: dict[str, list[SubsidyResult]] = {}
-    ordered = sorted(results, key=lambda r: (r.zcta, r.industry_code))
     if grouping is None:
-        for r in ordered:
-            groups.setdefault(r.zcta, []).append(r)
+        rows = _weighted_rows((r.zcta, r) for r in results)
     else:
         present = {r.zcta for r in results}
         for zcta in sorted(set(grouping) - present):
             logger.warning("region grouping lists %s, which has no results", zcta)
-        for r in ordered:
-            name = grouping.get(r.zcta)
-            if name is not None:
-                groups.setdefault(name, []).append(r)
-    rows = _weighted_rows(groups)
-    rows.sort(key=lambda row: (-row.subsidy, row.key))
+        rows = _weighted_rows((grouping[r.zcta], r) for r in results if r.zcta in grouping)
     return rows, _overall(results)
 
 

@@ -8,6 +8,7 @@ shortest round-trip form), so identical runs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -59,10 +60,14 @@ def _cell(value):
 
 
 def parse_float(raw: str, *, path, field: str) -> float:
+    """A finite float; ``path`` should name the file and row."""
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise IngestionError(f"{path}: field {field!r}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise IngestionError(f"{path}: field {field!r}: not a finite number: {raw!r}")
+    return value
 
 
 def parse_int(raw: str, *, path, field: str) -> int:

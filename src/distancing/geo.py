@@ -7,9 +7,10 @@ plant size of the classes the cell does not report.  Population densities
 are normalized so their employment-weighted national mean is one, which
 is the unit the cost model expects.
 
-All aggregation here iterates in sorted (zcta, industry) order and
-accumulates with ``math.fsum`` (exact compensated summation), so results
-are bit-stable across runs regardless of input row order.
+Group totals go through :func:`weighted_sums`, which adds with
+``math.fsum``.  That sum is correctly rounded (Shewchuk 1997), so its
+result does not depend on the order of the terms, and totals are
+bit-stable regardless of input row order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 from math import fsum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -104,11 +106,12 @@ class NationalSizeDistribution:
             fieldnames, ["naics", "size_bin", "establishments", "employment"], path=path
         )
         table: dict[str, dict[str, tuple[float, float]]] = {}
-        for row in rows:
+        for i, row in enumerate(rows, start=1):
             naics = row["naics"].strip()
             size_bin = row["size_bin"].strip()
-            est = csvio.parse_float(row["establishments"], path=path, field="establishments")
-            emp = csvio.parse_float(row["employment"], path=path, field="employment")
+            where = f"{path} row {i}"
+            est = csvio.parse_float(row["establishments"], path=where, field="establishments")
+            emp = csvio.parse_float(row["employment"], path=where, field="employment")
             table.setdefault(naics, {})[size_bin] = (est, emp)
         return cls(table)
 
@@ -232,22 +235,29 @@ def build_cells(
     return cells, dropped
 
 
+def weighted_sums(items: Iterable[tuple]) -> dict:
+    """Per-key totals of ``(key, weight, weighted value, ...)`` tuples.
+
+    Returns ``{key: (total weight, total of each weighted value...)}`` with
+    the keys in sorted order.  Every total is a ``math.fsum``, so it does
+    not depend on the order of ``items``.
+    """
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(item[0], []).append(item)
+    return {key: tuple(map(fsum, islice(zip(*groups[key]), 1, None))) for key in sorted(groups)}
+
+
 def region_employment(cells: Iterable[RegionCell]) -> dict[str, float]:
     """Total estimated employment per ZCTA."""
-    ordered = sorted(cells, key=lambda c: (c.zcta, c.industry_code))
-    totals: dict[str, list[float]] = {}
-    for cell in ordered:
-        totals.setdefault(cell.zcta, []).append(cell.employment)
-    return {zcta: fsum(values) for zcta, values in totals.items()}
+    sums = weighted_sums((cell.zcta, cell.employment) for cell in cells)
+    return {zcta: employment for zcta, (employment,) in sums.items()}
 
 
 def industry_totals(cells: Iterable[RegionCell]) -> dict[str, float]:
     """Total estimated employment per industry code (as ingested)."""
-    ordered = sorted(cells, key=lambda c: (c.industry_code, c.zcta))
-    totals: dict[str, list[float]] = {}
-    for cell in ordered:
-        totals.setdefault(cell.industry_code, []).append(cell.employment)
-    return {code: fsum(values) for code, values in totals.items()}
+    sums = weighted_sums((cell.industry_code, cell.employment) for cell in cells)
+    return {code: employment for code, (employment,) in sums.items()}
 
 
 def normalize_density(
@@ -313,19 +323,16 @@ def regional_exposure(
     omitted.  Output is invariant to splitting a cell into same-industry
     parts with the same total employment.
     """
-    ordered = sorted(cells, key=lambda c: (c.zcta, c.industry_code))
-    numerators: dict[str, dict[str, list[float]]] = {}
-    denominators: dict[str, list[float]] = {}
+    items = []
     skipped: list[tuple[str, str]] = []
-    for cell in ordered:
+    for cell in cells:
         mix = resolver.resolve(cell.industry_code)
         if mix is None:
             skipped.append((cell.zcta, cell.industry_code))
             continue
-        region = numerators.setdefault(cell.zcta, {group: [] for group in GROUPS})
-        for group in GROUPS:
-            region[group].append(cell.employment * mix.chi[group])
-        denominators.setdefault(cell.zcta, []).append(cell.employment)
+        items.append(
+            (cell.zcta, cell.employment, *(cell.employment * mix.chi[g] for g in GROUPS))
+        )
 
     if skipped:
         codes = sorted({code for _, code in skipped})
@@ -335,11 +342,10 @@ def regional_exposure(
         )
 
     exposures: dict[str, RegionExposure] = {}
-    for zcta in sorted(denominators):
-        employment = fsum(denominators[zcta])
+    for zcta, (employment, *weighted) in weighted_sums(items).items():
         if employment <= 0.0:
             continue
-        shares = {group: fsum(numerators[zcta][group]) / employment for group in GROUPS}
+        shares = {group: total / employment for group, total in zip(GROUPS, weighted)}
         exposures[zcta] = RegionExposure(zcta=zcta, shares=shares, employment=employment)
     return exposures, skipped
 
@@ -459,17 +465,23 @@ def read_cbp_csv(path: str | Path) -> list[CbpRow]:
 
 
 def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
-    """Read ``zcta,population,land_area_km2`` records."""
+    """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once."""
     fieldnames, rows = csvio.read_rows(path)
     csvio.require_fields(fieldnames, ["zcta", "population", "land_area_km2"], path=path)
-    return [
-        (
-            row["zcta"].strip(),
-            csvio.parse_float(row["population"], path=f"{path} row {i}", field="population"),
-            csvio.parse_float(row["land_area_km2"], path=f"{path} row {i}", field="land_area_km2"),
-        )
-        for i, row in enumerate(rows, start=1)
-    ]
+    records = []
+    first_row: dict[str, int] = {}
+    for i, row in enumerate(rows, start=1):
+        where = f"{path} row {i}"
+        zcta = row["zcta"].strip()
+        if zcta in first_row:
+            raise IngestionError(f"{where}: zcta {zcta!r} already given at row {first_row[zcta]}")
+        first_row[zcta] = i
+        records.append((
+            zcta,
+            csvio.parse_float(row["population"], path=where, field="population"),
+            csvio.parse_float(row["land_area_km2"], path=where, field="land_area_km2"),
+        ))
+    return records
 
 
 def write_location_index_csv(

@@ -50,9 +50,6 @@ class MixBuildReport:
     unknown_socs: list[str] = field(default_factory=list)
     skipped_industries: list[str] = field(default_factory=list)
 
-    def by_code(self) -> dict[str, IndustryMix]:
-        return {mix.industry_code: mix for mix in self.mixes}
-
 
 def build_mix(
     matrix_rows: Iterable[tuple[str, str, float]],
@@ -97,7 +94,12 @@ def build_mix(
                 if occ_flags.group(group):
                     members.append(shares[soc])
             chi[group] = fsum(members)
-        assert abs(fsum(shares.values()) - 1.0) <= _SHARE_TOL
+        share_sum = fsum(shares.values())
+        if not abs(share_sum - 1.0) <= _SHARE_TOL:
+            raise IngestionError(
+                f"industry {industry_code!r}: occupation shares sum to {share_sum!r}, "
+                "not 1; is an employment value non-finite?"
+            )
         report.mixes.append(
             IndustryMix(
                 industry_code=industry_code,

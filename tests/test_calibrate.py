@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distancing import calibrate
 from distancing.calibrate import (
     CellParams,
     aggregate_contact_share,
     calibrate_cap,
-    calibrate_cap_exact,
     calibrate_epsilon,
     cell_parameters,
     optimal_contacts_grid,
@@ -26,6 +28,24 @@ def cell(zcta, naics, code, w, chi, d):
     return CellParams(zcta, naics, code, w, chi, d)
 
 
+def solve_eps(frame, target):
+    return calibrate_epsilon(frame, target, slope_factor(frame))
+
+
+def bisect_cap(pairs, target_share):
+    """Reference solver: bisect the capped-contacts equation to float resolution."""
+    target = target_share * math.fsum(w * n for n, w in pairs)
+    lo, hi = 0.0, max(n for n, _ in pairs)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if math.fsum(w * min(mid, n) for n, w in pairs) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
 def constant_chi_frame(chi=0.4):
     return [
         cell("a", "441", "44", 10.0, chi, 0.5),
@@ -38,7 +58,7 @@ def constant_chi_frame(chi=0.4):
 class TestEpsilon:
     def test_constant_chi_scales_target(self):
         # with constant chi the regression moment k equals chi exactly
-        eps = calibrate_epsilon(constant_chi_frame(0.4), 0.04)
+        eps = solve_eps(constant_chi_frame(0.4), 0.04)
         assert eps == pytest.approx(0.1, abs=1e-9)
         # oracle: numpy weighted polyfit reproduces the target slope
         frame = constant_chi_frame(0.4)
@@ -53,7 +73,7 @@ class TestEpsilon:
             cell("a", "x", "x", 1.0, 1.0 - 1e-12, 0.5),
             cell("b", "x", "x", 1.0, 1.0 - 1e-12, 2.0),
         ]
-        assert calibrate_epsilon(frame, 0.04) == pytest.approx(0.04, rel=1e-9)
+        assert solve_eps(frame, 0.04) == pytest.approx(0.04, rel=1e-9)
 
     def test_doubling_target_doubles_eps(self):
         rng = np.random.default_rng(61)
@@ -62,14 +82,12 @@ class TestEpsilon:
                  float(rng.uniform(0.1, 10)))
             for i in range(30)
         ]
-        assert calibrate_epsilon(frame, 0.08) == pytest.approx(
-            2.0 * calibrate_epsilon(frame, 0.04), rel=1e-12
-        )
+        assert solve_eps(frame, 0.08) == pytest.approx(2.0 * solve_eps(frame, 0.04), rel=1e-12)
 
     def test_single_density_rejected(self):
         frame = [cell("a", "x", "x", 1.0, 0.4, 2.0), cell("b", "x", "x", 1.0, 0.4, 2.0)]
         with pytest.raises(CalibrationError):
-            calibrate_epsilon(frame, 0.04)
+            solve_eps(frame, 0.04)
 
     def test_nonpositive_moment_rejected(self):
         # exposure collapses with density above the mean: k < 0, no
@@ -77,7 +95,7 @@ class TestEpsilon:
         frame = [cell("a", "x", "x", 1.0, 0.9, 1.1), cell("b", "y", "y", 1.0, 0.0, 7.0)]
         assert slope_factor(frame) < 0
         with pytest.raises(CalibrationError):
-            calibrate_epsilon(frame, 0.04)
+            solve_eps(frame, 0.04)
 
 
 class TestContactsGrid:
@@ -107,20 +125,15 @@ class TestContactsGrid:
 
 class TestCap:
     def test_two_cell_hand_solution(self):
-        pairs = [(2.0, 1.0), (4.0, 1.0)]
-        assert calibrate_cap(pairs, 0.5) == pytest.approx(1.5, abs=1e-8)
-        assert calibrate_cap_exact(pairs, 0.5) == pytest.approx(1.5, abs=1e-12)
+        assert calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 0.5) == pytest.approx(1.5, abs=1e-12)
 
     def test_target_one_returns_max(self):
-        pairs = [(2.0, 1.0), (4.0, 1.0)]
-        assert calibrate_cap(pairs, 1.0) == 4.0
-        assert calibrate_cap_exact(pairs, 1.0) == pytest.approx(4.0)
+        assert calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 1.0) == 4.0
 
     def test_equal_contacts_proportional_cap(self):
         pairs = [(3.0, 5.0), (3.0, 2.0), (3.0, 11.0)]
         for share in (0.25, 0.5, 0.8):
-            assert calibrate_cap(pairs, share) == pytest.approx(3.0 * share, abs=1e-8)
-            assert calibrate_cap_exact(pairs, share) == pytest.approx(3.0 * share)
+            assert calibrate_cap(pairs, share) == pytest.approx(3.0 * share, rel=1e-12)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
@@ -140,10 +153,8 @@ class TestCap:
             pairs += [pairs[0], pairs[-1]]
             share = float(rng.uniform(0.05, 0.99))
             cap = calibrate_cap(pairs, share)
-            exact = calibrate_cap_exact(pairs, share)
-            assert cap == pytest.approx(exact, abs=1e-7, rel=1e-7)
-            achieved = aggregate_contact_share(pairs, cap)
-            assert achieved == pytest.approx(share, rel=1e-8)
+            assert cap == pytest.approx(bisect_cap(pairs, share), abs=1e-7, rel=1e-7)
+            assert aggregate_contact_share(pairs, cap) == pytest.approx(share, rel=1e-12)
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(73)
@@ -159,7 +170,32 @@ class TestCap:
     def test_tiny_contacts_still_hit_relative_tolerance(self):
         pairs = [(1e-3, 1.0), (2e-3, 3.0), (5e-4, 2.0)]
         cap = calibrate_cap(pairs, 0.5)
-        assert aggregate_contact_share(pairs, cap) == pytest.approx(0.5, rel=1e-8)
+        assert aggregate_contact_share(pairs, cap) == pytest.approx(0.5, rel=1e-12)
+
+
+# (optimal contacts, employment) pairs over the span the benchmark's cells
+# cover, with repeats drawn in to exercise ties
+_PAIRS = st.lists(
+    st.tuples(st.floats(0.01, 30.0), st.floats(0.1, 1000.0)), min_size=1, max_size=40
+).flatmap(
+    lambda pairs: st.lists(st.sampled_from(pairs), max_size=5).map(lambda ties: pairs + ties)
+)
+_SHARES = st.floats(0.01, 1.0)
+
+
+class TestCapProperties:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_PAIRS, _SHARES)
+    def test_hits_target_and_agrees_with_bisection(self, pairs, share):
+        cap = calibrate_cap(pairs, share)
+        assert aggregate_contact_share(pairs, cap) == pytest.approx(share, rel=1e-12)
+        assert cap == pytest.approx(bisect_cap(pairs, share), rel=1e-9)
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_PAIRS, _SHARES, _SHARES)
+    def test_monotone_in_target(self, pairs, a, b):
+        lo, hi = sorted((a, b))
+        assert calibrate_cap(pairs, lo) <= calibrate_cap(pairs, hi) * (1.0 + 1e-12)
 
 
 def _mix(code, comm):
@@ -199,6 +235,22 @@ class TestCellParameters:
         assert report.achieved_share == pytest.approx(0.5, rel=1e-8)
         assert report.achieved_slope == pytest.approx(0.04, abs=1e-9)
         assert not report.eps_fixed
+
+    def test_slope_factor_runs_once_per_calibration(self, monkeypatch):
+        calls = []
+        original = calibrate.slope_factor
+
+        def counting(frame):
+            calls.append(len(frame))
+            return original(frame)
+
+        monkeypatch.setattr(calibrate, "slope_factor", counting)
+        frame = constant_chi_frame(0.4)
+        run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04)
+        assert calls == [len(frame)]
+        calls.clear()
+        run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04, fixed_eps=0.02)
+        assert calls == [len(frame)]
 
     def test_fixed_eps_honored(self):
         resolver = MixResolver([_mix("44", 0.4)])

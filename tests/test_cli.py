@@ -1,12 +1,13 @@
 """Subcommand behavior: outputs, exit codes, overrides, determinism."""
 
 import csv
+import math
 import subprocess
 import sys
 
 import pytest
 
-from distancing.cli import main
+from distancing.cli import _pct, main
 from e2efixture import write_config, write_inputs
 
 
@@ -134,15 +135,21 @@ class TestSubsidy:
         assert len(fig2) == 100
         assert set(fig2[0]) == {"density", "distancing_ratio", "telecom_ratio", "regime"}
 
-    def test_rerun_and_thread_flag_byte_identical(self, fixture_config, tmp_path):
+    def test_rerun_and_output_dir_byte_identical(self, fixture_config, tmp_path):
         config, out = fixture_config
         main(["subsidy", "--config", str(config)])
         first = snapshot(out)
         main(["subsidy", "--config", str(config)])
         assert snapshot(out) == first
-        other = tmp_path / "out-threaded"
-        main(["subsidy", "--config", str(config), "--output-dir", str(other), "--threads", "4"])
+        other = tmp_path / "out-other"
+        main(["subsidy", "--config", str(config), "--output-dir", str(other)])
         assert snapshot(other) == first
+
+    def test_report_percent_stays_below_100(self):
+        assert _pct(math.nextafter(1.0, 0.0)) == 99.9
+        assert _pct(0.99949) == 99.9
+        assert _pct(0.12345) == 12.3
+        assert _pct(0.0) == 0.0
 
     def test_region_grouping_table(self, fixture_config, tmp_path):
         config, out = fixture_config
@@ -260,6 +267,26 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as excinfo:
             main(["index", "--frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_removed_knobs_are_usage_errors(self, fixture_config):
+        config, _ = fixture_config
+        with pytest.raises(SystemExit) as excinfo:
+            main(["subsidy", "--config", str(config), "--threads", "4"])
+        assert excinfo.value.code == 2
+        for line in ("threads = 4", "seed = 0"):
+            extra = config.with_name(f"extra-{line.split()[0]}.cfg")
+            extra.write_text(config.read_text() + line + "\n")
+            assert main(["subsidy", "--config", str(extra)]) == 2
+
+    def test_nan_density_is_data_error_with_file_and_row(self, fixture_config, capsys):
+        config, _ = fixture_config
+        density = config.with_name("density.csv")
+        header, first, *rest = density.read_text().splitlines()
+        zcta, _, area = first.split(",")
+        density.write_text("\n".join([header, f"{zcta},nan,{area}", *rest]) + "\n")
+        assert main(["subsidy", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "density.csv row 1" in err and "population" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

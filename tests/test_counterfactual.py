@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from distancing.calibrate import CalibratedModel, CellParams
@@ -152,6 +154,50 @@ class TestTables:
         _, tight_all = sector_table(tight)
         _, loose_all = sector_table(loose)
         assert loose_all.subsidy <= tight_all.subsidy + 1e-15
+
+
+_RESULTS = st.lists(
+    st.builds(
+        SubsidyResult,
+        zcta=st.sampled_from(["z1", "z2", "z3", "z4"]),
+        industry_code=st.sampled_from(["31", "44", "62"]),
+        nstar=st.just(2.0),
+        cap_ratio=st.just(0.5),
+        subsidy=st.floats(0.0, 0.99),
+        employment=st.floats(0.1, 1e4),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _assert_rows_close(split, whole):
+    assert sorted(row.key for row in split) == sorted(row.key for row in whole)
+    expected = {row.key: row for row in whole}
+    for row in split:
+        assert row.subsidy == pytest.approx(expected[row.key].subsidy, rel=1e-12, abs=1e-12)
+        assert row.employment == pytest.approx(expected[row.key].employment, rel=1e-12)
+
+
+class TestTableProperties:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_RESULTS, st.data())
+    def test_splitting_a_cell_leaves_rows_unchanged(self, results, data):
+        i = data.draw(st.integers(0, len(results) - 1))
+        part = results[i].employment * data.draw(st.floats(0.01, 0.99))
+        r = results[i]
+        halves = [
+            SubsidyResult(r.zcta, r.industry_code, r.nstar, r.cap_ratio, r.subsidy, part),
+            SubsidyResult(r.zcta, r.industry_code, r.nstar, r.cap_ratio, r.subsidy,
+                          r.employment - part),
+        ]
+        split = results[:i] + halves + results[i + 1:]
+        grouping = {"z1": "metro", "z2": "metro", "z3": "rest"}
+        for table, args in ((sector_table, ()), (location_table, ()),
+                            (location_table, (grouping,))):
+            split_rows, split_all = table(split, *args)
+            rows, overall = table(results, *args)
+            _assert_rows_close(split_rows + [split_all], rows + [overall])
 
 
 class TestCostCurves:

@@ -16,6 +16,7 @@ from distancing.geo import (
     impute_suppressed,
     lowess_curve,
     normalize_density,
+    read_density_csv,
     region_employment,
     regional_exposure,
 )
@@ -202,6 +203,12 @@ class TestDensity:
     def test_no_overlapping_employment_raises(self):
         with pytest.raises(IngestionError):
             normalize_density([("a", 10.0, 1.0)], {"b": 3.0})
+
+    def test_duplicate_zcta_names_both_rows(self, tmp_path):
+        path = tmp_path / "density.csv"
+        path.write_text("zcta,population,land_area_km2\na,10,1\nb,20,1\na,30,1\n")
+        with pytest.raises(IngestionError, match=r"row 3: zcta 'a' already given at row 1"):
+            read_density_csv(path)
 
 
 def _mix(code, chi_comm, chi_presence=0.0):

@@ -95,6 +95,11 @@ class TestBuildMix:
         with pytest.raises(IngestionError):
             build_mix([("44", "41-2031", -1.0)], FLAGS)
 
+    def test_non_finite_employment_names_industry(self):
+        rows = [("44", "41-2031", 1.0), ("44", "43-9061", float("nan"))]
+        with pytest.raises(IngestionError, match="'44'"):
+            build_mix(rows, FLAGS)
+
     def test_shares_sum_to_one(self):
         rows = [("44", s, w) for s, w in [("41-2031", 1.7), ("43-9061", 2.9), ("29-1141", 0.4)]]
         mix = build_mix(rows, FLAGS).mixes[0]
