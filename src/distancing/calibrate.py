@@ -12,8 +12,8 @@ target fraction of the unconstrained aggregate.  The aggregate is a
 continuous, piecewise-linear, nondecreasing function of N with kinks at
 the cells' optimal contact counts, so sorting the cells locates the
 segment that contains the target and inverting that segment's line gives
-N in closed form.  A re-evaluation of the aggregate at the returned N
-guards the result.
+N in closed form.  ``run_calibration`` re-evaluates the aggregate at the
+returned N once: that value guards the result and is the reported share.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> 
     contacts at a cap between two consecutive counts are ``below + N *
     above``: the contacts of the cells under the cap plus N times the
     weight of the rest.  The first cell whose count reaches the target ends
-    the segment that holds N, and inverting that line gives N.  The
-    returned cap must reproduce the target share within 1e-10 relative or
-    the calibration aborts.
+    the segment that holds N, and inverting that line gives N.
+    :func:`run_calibration` checks that the cap reproduces the target share
+    within 1e-10 relative.
     """
     if not 0.0 < target_share <= 1.0:
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
@@ -212,17 +212,10 @@ def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> 
     ordered = sorted(pairs)
     below = [0.0, *accumulate(w * n for n, w in ordered)]
     above = [*accumulate(w for _, w in reversed(ordered))][::-1]
-    cap = ordered[-1][0]  # reached only if rounding puts the target above every kink
     for i, (n, _) in enumerate(ordered):
         if below[i] + n * above[i] >= target:
-            cap = (target - below[i]) / above[i]
-            break
-    achieved = aggregate_contact_share(pairs, cap)
-    if abs(achieved - target_share) > _SHARE_TOL * target_share:
-        raise CalibrationError(
-            f"contact cap {cap!r} gives share {achieved!r}, target {target_share!r}"
-        )
-    return cap
+            return (target - below[i]) / above[i]
+    return ordered[-1][0]  # reached only if rounding puts the target above every kink
 
 
 def industry_parameters(mixes: Iterable[IndustryMix]) -> dict[str, FirmParams]:
@@ -257,6 +250,11 @@ def run_calibration(
     ]
     cap = calibrate_cap(pairs, target_contact_share)
     achieved_share = aggregate_contact_share(pairs, cap)
+    if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:
+        raise CalibrationError(
+            f"contact cap {cap!r} gives share {achieved_share!r}, "
+            f"target {target_contact_share!r}"
+        )
     model = CalibratedModel(eps=eps, contact_cap=cap, industry_params=industry_parameters(mixes))
     report = CalibrationReport(
         eps=eps,

@@ -16,8 +16,6 @@ from math import log
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__, calibrate, counterfactual, csvio, geo, industries, occupations
 from .config import (
     DEFAULT_EXCLUSIONS,
@@ -206,6 +204,8 @@ def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
     if dmax <= dmin:
         logger.warning("degenerate density range; fig2 curves skipped")
         return
+    import numpy as np  # only the fig2 writers and lowess load numpy
+
     grid = np.geomspace(dmin, dmax, 100)
     curves = counterfactual.cost_ratio_curves(
         FirmParams.from_chi(mean_chi), grid, model.contact_cap, telecom_cost, model.eps
@@ -238,6 +238,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     if not 0.0 < args.dmin < args.dmax:
         raise ConfigError("need 0 < dmin < dmax")
     params = FirmParams.from_chi(args.chi)
+    import numpy as np
+
     grid = np.geomspace(args.dmin, args.dmax, args.points)
     curves = counterfactual.cost_ratio_curves(params, grid, args.cap, args.telecom, args.eps)
     stamp = (
@@ -289,10 +291,16 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def read_region_groups(path) -> dict[str, str]:
-    """Read a ``zcta,region`` membership file for named-region aggregation."""
+    """Read a ``zcta,region`` membership file; a ZCTA may appear once."""
     fieldnames, rows = csvio.read_rows(path)
     csvio.require_fields(fieldnames, ["zcta", "region"], path=path)
-    return {row["zcta"].strip(): row["region"].strip() for row in rows}
+    groups: dict[str, str] = {}
+    first_row: dict[str, int] = {}
+    for i, row in enumerate(rows, start=1):
+        zcta = row["zcta"].strip()
+        csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
+        groups[zcta] = row["region"].strip()
+    return groups
 
 
 def _pct(fraction: float) -> float:

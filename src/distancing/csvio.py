@@ -10,22 +10,59 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IngestionError
 
 
-def read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    """Read a CSV, skipping leading ``#`` comment lines.
+def read_records(
+    path: str | Path, required: Sequence[str] = ()
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Open a CSV for streaming: its header and an iterator over its rows.
 
-    Returns (fieldnames, rows as dicts of strings).
+    Lines starting with ``#`` and blank lines are skipped.  The header is
+    read at once: an empty file, a repeated column name or a missing
+    ``required`` column raises :class:`IngestionError` here.  The iterator yields ``(row number,
+    fields)`` with data rows numbered from 1, and raises on a row with
+    fewer fields than the header; extra trailing fields are ignored by
+    the callers.
     """
+    records = _records(path, required)
+    return next(records), records
+
+
+def _records(path, required):
     with open(path, newline="", encoding="utf-8") as fh:
-        data = (line for line in fh if not line.startswith("#"))
-        reader = csv.DictReader(data)
-        if reader.fieldnames is None:
+        reader = csv.reader(line for line in fh if not line.startswith("#"))
+        header = next((fields for fields in reader if fields), None)
+        if header is None:
             raise IngestionError(f"{path}: empty file, expected a CSV header")
-        return list(reader.fieldnames), list(reader)
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise IngestionError(f"{path}: repeated column names: {', '.join(repeated)}")
+        require_fields(header, required, path=path)
+        yield header
+        width = len(header)
+        number = 0
+        for fields in reader:
+            if not fields:
+                continue
+            number += 1
+            if len(fields) < width:
+                raise IngestionError(
+                    f"{path} row {number}: expected {width} fields, got {len(fields)}"
+                )
+            yield number, fields
+
+
+def read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
+    """Read a whole CSV as (fieldnames, rows as dicts of strings).
+
+    Comments, blank lines and short rows are handled as in
+    :func:`read_records`.
+    """
+    header, records = read_records(path)
+    return header, [dict(zip(header, fields)) for _, fields in records]
 
 
 def write_rows(
@@ -81,3 +118,10 @@ def require_fields(fieldnames: Sequence[str], required: Sequence[str], *, path) 
     missing = [name for name in required if name not in fieldnames]
     if missing:
         raise IngestionError(f"{path}: missing required columns: {', '.join(missing)}")
+
+
+def require_unique(seen: dict, key, row: int, *, path, field: str) -> None:
+    """Record ``key`` as given at data row ``row``; raise if an earlier row gave it."""
+    earlier = seen.setdefault(key, row)
+    if earlier != row:
+        raise IngestionError(f"{path} row {row}: {field} {key!r} already given at row {earlier}")

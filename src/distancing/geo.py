@@ -7,6 +7,11 @@ plant size of the classes the cell does not report.  Population densities
 are normalized so their employment-weighted national mean is one, which
 is the unit the cost model expects.
 
+The establishment file is the largest input, so its reader streams plain
+``(zcta, naics, size_bin, establishments, suppressed)`` tuples with no
+per-row object, and the national size distribution memoizes its mean
+plant sizes, which every suppressed cell of an industry asks for again.
+
 Group totals go through :func:`weighted_sums`, which adds with
 ``math.fsum``.  That sum is correctly rounded (Shewchuk 1997), so its
 result does not depend on the order of the terms, and totals are
@@ -17,17 +22,19 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from math import fsum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import csvio
 from .errors import IngestionError
-from .industries import GROUPS, MixResolver
+from .industries import GROUPS, IndustryMix, MixResolver
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -48,9 +55,11 @@ OPEN_BIN = "1000+"
 DEFAULT_OPEN_BIN_MEAN = 1500.0
 
 
-@dataclass(frozen=True)
-class CbpRow:
-    """One establishment-count record: a size bin or a suppressed batch."""
+class CbpRow(NamedTuple):
+    """One establishment-count record: a size bin or a suppressed batch.
+
+    :func:`read_cbp_csv` returns plain tuples in this field order.
+    """
 
     zcta: str
     naics: str
@@ -93,11 +102,13 @@ class NationalSizeDistribution:
     """National establishment counts and employment by size bin per NAICS.
 
     Lookups fall back to ancestor codes (one digit truncated at a time)
-    when the exact industry is absent.
+    when the exact industry is absent.  The table is fixed at construction,
+    so mean sizes are memoized per (industry, excluded bins).
     """
 
     def __init__(self, table: Mapping[str, Mapping[str, tuple[float, float]]]):
         self._table = {code: dict(bins) for code, bins in table.items()}
+        self._mean_sizes: dict[tuple[str, frozenset[str]], float | None] = {}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
@@ -106,9 +117,13 @@ class NationalSizeDistribution:
             fieldnames, ["naics", "size_bin", "establishments", "employment"], path=path
         )
         table: dict[str, dict[str, tuple[float, float]]] = {}
+        first_row: dict[tuple[str, str], int] = {}
         for i, row in enumerate(rows, start=1):
             naics = row["naics"].strip()
             size_bin = row["size_bin"].strip()
+            csvio.require_unique(
+                first_row, (naics, size_bin), i, path=path, field="naics/size_bin"
+            )
             where = f"{path} row {i}"
             est = csvio.parse_float(row["establishments"], path=where, field="establishments")
             emp = csvio.parse_float(row["employment"], path=where, field="employment")
@@ -129,10 +144,15 @@ class NationalSizeDistribution:
         Falls back to the mean over all bins when the complement is empty,
         and to None when no distribution covers the industry at all.
         """
+        key = (naics, frozenset(exclude_bins))
+        if key not in self._mean_sizes:
+            self._mean_sizes[key] = self._mean_size(naics, key[1])
+        return self._mean_sizes[key]
+
+    def _mean_size(self, naics: str, excluded: frozenset[str]) -> float | None:
         bins = self.resolve(naics)
         if bins is None:
             return None
-        excluded = set(exclude_bins)
         usable = {b: v for b, v in bins.items() if b not in excluded}
         est = fsum(v[0] for b, v in sorted(usable.items()))
         emp = fsum(v[1] for b, v in sorted(usable.items()))
@@ -203,26 +223,32 @@ def build_cells(
 ) -> tuple[list[RegionCell], list[tuple[str, str, str]]]:
     """Aggregate establishment rows into per-(zcta, naics) employment cells.
 
+    ``rows`` are :class:`CbpRow` or plain tuples in its field order.
     Returns the cells sorted by (zcta, naics) and a list of dropped cells
     as (zcta, naics, reason).
     """
-    grouped: dict[tuple[str, str], dict[str, int]] = {}
+    grouped: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
     suppressed: dict[tuple[str, str], int] = {}
-    for row in rows:
-        key = (row.zcta, row.naics)
-        if row.suppressed:
-            suppressed[key] = suppressed.get(key, 0) + row.establishments
-            grouped.setdefault(key, {})
-            continue
-        bins = grouped.setdefault(key, {})
-        bins[row.size_bin] = bins.get(row.size_bin, 0) + row.establishments
+    for zcta, naics, size_bin, establishments, is_suppressed in rows:
+        key = (zcta, naics)
+        bins = grouped[key]
+        if is_suppressed:
+            suppressed[key] = suppressed.get(key, 0) + establishments
+        else:
+            bins[size_bin] = bins.get(size_bin, 0) + establishments
 
     cells: list[RegionCell] = []
     dropped: list[tuple[str, str, str]] = []
+    # bin midpoints per industry: the open bin's value depends on the industry only
+    industry_midpoints: dict[str, dict[str, float]] = {}
     for key in sorted(grouped):
         zcta, naics = key
-        midpoints = dict(DEFAULT_BIN_MIDPOINTS)
-        midpoints[OPEN_BIN] = national.open_bin_mean(naics, default=open_bin_mean)
+        midpoints = industry_midpoints.get(naics)
+        if midpoints is None:
+            midpoints = industry_midpoints[naics] = {
+                **DEFAULT_BIN_MIDPOINTS,
+                OPEN_BIN: national.open_bin_mean(naics, default=open_bin_mean),
+            }
         try:
             employment, imputed_fraction = impute_suppressed(
                 grouped[key], suppressed.get(key, 0), naics, national, midpoints
@@ -325,10 +351,15 @@ def regional_exposure(
     """
     items = []
     skipped: list[tuple[str, str]] = []
+    mixes: dict[str, IndustryMix | None] = {}  # each code resolves once
     for cell in cells:
-        mix = resolver.resolve(cell.industry_code)
+        code = cell.industry_code
+        if code in mixes:
+            mix = mixes[code]
+        else:
+            mix = mixes[code] = resolver.resolve(code)
         if mix is None:
-            skipped.append((cell.zcta, cell.industry_code))
+            skipped.append((cell.zcta, code))
             continue
         items.append(
             (cell.zcta, cell.employment, *(cell.employment * mix.chi[g] for g in GROUPS))
@@ -375,6 +406,8 @@ def lowess_curve(
 
     Requires at least 10 points and bandwidth in (0, 1].
     """
+    import numpy as np  # only the smoothing needs numpy; keep it off the import path
+
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     n = xs.size
@@ -430,6 +463,8 @@ def lowess_curve(
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
+    import numpy as np
+
     total = weights.sum()
     if total <= 0.0:
         return float(values.mean())
@@ -441,26 +476,36 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def read_cbp_csv(path: str | Path) -> list[CbpRow]:
-    """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag."""
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["zcta", "naics", "size_bin", "establishments"], path=path)
+def read_cbp_csv(path: str | Path) -> list[tuple[str, str, str, int, bool]]:
+    """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag.
+
+    Returns plain tuples in :class:`CbpRow` field order.  The flag is an
+    integer (nonzero means suppressed) or empty.
+    """
+    columns = ("zcta", "naics", "size_bin", "establishments")
+    header, records = csvio.read_records(path, columns)
+    zcta_col, naics_col, bin_col, count_col = map(header.index, columns)
+    flag_col = header.index("suppressed") if "suppressed" in header else None
     out = []
-    for i, row in enumerate(rows, start=1):
-        where = f"{path} row {i}"
-        raw_flag = (row.get("suppressed") or "").strip()
-        flag = bool(csvio.parse_int(raw_flag, path=where, field="suppressed")) if raw_flag else False
-        out.append(
-            CbpRow(
-                zcta=row["zcta"].strip(),
-                naics=row["naics"].strip(),
-                size_bin=(row.get("size_bin") or "").strip(),
-                establishments=csvio.parse_int(
-                    row["establishments"], path=where, field="establishments"
-                ),
-                suppressed=flag,
-            )
-        )
+    for i, fields in records:
+        raw_flag = fields[flag_col].strip() if flag_col is not None else ""
+        try:
+            flag = int(raw_flag) != 0 if raw_flag else False
+            establishments = int(fields[count_col])
+        except ValueError:
+            # parse again through csvio for its error text, naming the file and row
+            where = f"{path} row {i}"
+            if raw_flag:
+                csvio.parse_int(raw_flag, path=where, field="suppressed")
+            csvio.parse_int(fields[count_col], path=where, field="establishments")
+            raise
+        out.append((
+            fields[zcta_col].strip(),
+            fields[naics_col].strip(),
+            fields[bin_col].strip(),
+            establishments,
+            flag,
+        ))
     return out
 
 
@@ -473,9 +518,7 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
     for i, row in enumerate(rows, start=1):
         where = f"{path} row {i}"
         zcta = row["zcta"].strip()
-        if zcta in first_row:
-            raise IngestionError(f"{where}: zcta {zcta!r} already given at row {first_row[zcta]}")
-        first_row[zcta] = i
+        csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
         records.append((
             zcta,
             csvio.parse_float(row["population"], path=where, field="population"),

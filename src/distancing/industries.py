@@ -215,10 +215,16 @@ def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
 
 
 def read_names_csv(path: str | Path) -> dict[str, str]:
-    """Read an ``industry_code,name`` concordance."""
+    """Read an ``industry_code,name`` concordance; a code may appear once."""
     fieldnames, rows = csvio.read_rows(path)
     csvio.require_fields(fieldnames, ["industry_code", "name"], path=path)
-    return {row["industry_code"].strip(): row["name"].strip() for row in rows}
+    names: dict[str, str] = {}
+    first_row: dict[str, int] = {}
+    for i, row in enumerate(rows, start=1):
+        code = row["industry_code"].strip()
+        csvio.require_unique(first_row, code, i, path=path, field="industry_code")
+        names[code] = row["name"].strip()
+    return names
 
 
 def read_exclusions(path: str | Path) -> list[str]:

@@ -252,6 +252,29 @@ class TestCellParameters:
         run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04, fixed_eps=0.02)
         assert calls == [len(frame)]
 
+    def test_one_contact_share_pass_per_calibration(self, monkeypatch):
+        calls = []
+        original = calibrate.aggregate_contact_share
+
+        def counting(pairs, cap):
+            calls.append(cap)
+            return original(pairs, cap)
+
+        monkeypatch.setattr(calibrate, "aggregate_contact_share", counting)
+        frame = constant_chi_frame(0.4)
+        model, report = run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04)
+        assert calls == [model.contact_cap]
+        assert report.achieved_share == original(
+            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.chi)),
+              c.employment) for c in frame],
+            model.contact_cap,
+        )
+
+    def test_cap_missing_the_target_share_aborts(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "aggregate_contact_share", lambda pairs, cap: 0.5 + 1e-9)
+        with pytest.raises(CalibrationError, match="gives share"):
+            run_calibration(constant_chi_frame(0.4), [_mix("44", 0.4)], 0.5, 0.04)
+
     def test_fixed_eps_honored(self):
         resolver = MixResolver([_mix("44", 0.4)])
         densities = {z: _density(z, d) for z, d in [("a", 0.5), ("b", 2.0)]}

@@ -2,13 +2,18 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from distancing.cli import _pct, main
+from distancing.cli import _pct, main, read_region_groups
+from distancing.errors import IngestionError
 from e2efixture import write_config, write_inputs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -179,6 +184,12 @@ class TestSubsidy:
         # the hospital cell's 172.5 jobs never enter the 10001 total
         assert float(locations["10001"]["employment"]) == pytest.approx(90.0)
 
+    def test_duplicate_region_zcta_names_both_rows(self, tmp_path):
+        groups = tmp_path / "regions.csv"
+        groups.write_text("zcta,region\n10001,metro\n10002,metro\n10001,rest\n")
+        with pytest.raises(IngestionError, match=r"row 3: zcta '10001' already given at row 1"):
+            read_region_groups(groups)
+
     def test_telecom_flag_fills_column(self, fixture_config):
         config, out = fixture_config
         assert main(["subsidy", "--config", str(config), "--telecom-cost", "1.5"]) == 0
@@ -208,15 +219,20 @@ class TestFig2Command:
         assert rc == 2
 
 
+def write_location_index(source):
+    """A 15-row location index, enough points for the smoother."""
+    lines = ["zcta,density,share_teamwork,share_customer,share_communication,"
+             "share_presence,employment"]
+    for i in range(15):
+        d = 0.25 * (i + 1)
+        lines.append(f"z{i:02d},{d},0.1,{0.02 * i},{0.02 * i + 0.1},0.3,{10 + i}")
+    source.write_text("\n".join(lines) + "\n")
+
+
 class TestLowessCommand:
     def test_smooths_location_index(self, tmp_path):
         source = tmp_path / "location-index.csv"
-        lines = ["zcta,density,share_teamwork,share_customer,share_communication,"
-                 "share_presence,employment"]
-        for i in range(15):
-            d = 0.25 * (i + 1)
-            lines.append(f"z{i:02d},{d},0.1,{0.02 * i},{0.02 * i + 0.1},0.3,{10 + i}")
-        source.write_text("\n".join(lines) + "\n")
+        write_location_index(source)
         out = tmp_path / "out"
         rc = main(["lowess", "--input", str(source), "--output-dir", str(out),
                    "--bandwidth", "0.6"])
@@ -288,6 +304,15 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert "density.csv row 1" in err and "population" in err
 
+    def test_short_cbp_row_is_data_error_with_file_and_row(self, fixture_config, capsys):
+        config, _ = fixture_config
+        cbp = config.with_name("cbp.csv")
+        rows = cbp.read_text().splitlines()
+        cbp.write_text("\n".join([*rows, "00502"]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"cbp.csv row {len(rows)}: expected 5 fields, got 1" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "distancing", "--version"],
@@ -295,3 +320,45 @@ class TestErrorContract:
         )
         assert proc.returncode == 0
         assert "distancing 0.1.0" in proc.stdout
+
+
+def _imported_modules(args, cwd):
+    """Run ``python -X importtime -m distancing ARGS``; its exit code and imported modules."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "distancing", *args],
+        capture_output=True, text=True, cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, modules
+
+
+class TestImportCost:
+    """numpy loads only where it is used: the lowess smoother and the fig2 writers."""
+
+    def test_version_and_index_run_without_numpy(self, fixture_config):
+        config, out = fixture_config
+        code, modules = _imported_modules(["--version"], out.parent)
+        assert code == 0 and "distancing.cli" in modules
+        assert "numpy" not in modules
+        code, modules = _imported_modules(["index", "--config", str(config)], out.parent)
+        assert code == 0 and (out / "location-index.csv").is_file()
+        assert "numpy" not in modules
+
+    def test_numpy_commands_still_run(self, fixture_config, tmp_path):
+        config, out = fixture_config
+        source = tmp_path / "location-index.csv"
+        write_location_index(source)
+        for args in (
+            ["lowess", "--config", str(config), "--input", str(source)],
+            ["subsidy", "--config", str(config)],
+            ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1", "--output-dir", str(out)],
+        ):
+            code, modules = _imported_modules(args, out.parent)
+            assert code == 0, args
+            assert "numpy" in modules, args
+        assert (out / "location-lowess.csv").is_file() and (out / "fig2.csv").is_file()

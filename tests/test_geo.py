@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
+    DEFAULT_OPEN_BIN_MEAN,
+    OPEN_BIN,
     CbpRow,
     NationalSizeDistribution,
     RegionCell,
@@ -16,6 +20,7 @@ from distancing.geo import (
     impute_suppressed,
     lowess_curve,
     normalize_density,
+    read_cbp_csv,
     read_density_csv,
     region_employment,
     regional_exposure,
@@ -170,6 +175,152 @@ class TestBuildCells:
         assert cells[0].employment == 69.0
         assert cells[1].employment == pytest.approx(22.3125)
         assert dropped == [("10009", "99999", dropped[0][2])]
+
+
+# A national table with an open-bin mean for one sector and a sparse
+# detailed code under another, so cells resolve at different levels.
+_NATIONAL_TABLE = {
+    "44": {"1-4": (100, 250), "5-9": (50, 350), "10-19": (20, 290), "20-49": (10, 345),
+           OPEN_BIN: (2, 3100)},
+    "4412": {"1-4": (30, 80), "50-99": (4, 300)},
+    "31": {"1-4": (10, 25), "5-9": (10, 400), "100-249": (3, 520)},
+}
+_CBP_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["10001", "10002", "10003"]),
+        st.sampled_from(["441100", "441200", "311811", "31", "99999"]),
+        st.sampled_from([*DEFAULT_BIN_MIDPOINTS, OPEN_BIN]),
+        st.integers(0, 30),
+        st.booleans(),
+    ).map(lambda r: (r[0], r[1], "" if r[4] else r[2], r[3], r[4])),
+    max_size=60,
+)
+
+
+def reference_cells(rows, open_bin_mean):
+    """Each cell on its own, with a fresh (never cached) national table."""
+    known, suppressed = {}, {}
+    for zcta, naics, size_bin, count, is_suppressed in rows:
+        bins = known.setdefault((zcta, naics), {})
+        if is_suppressed:
+            suppressed[(zcta, naics)] = suppressed.get((zcta, naics), 0) + count
+        else:
+            bins[size_bin] = bins.get(size_bin, 0) + count
+    cells, dropped = [], []
+    for zcta, naics in sorted(known):
+        national = NationalSizeDistribution(_NATIONAL_TABLE)
+        midpoints = dict(DEFAULT_BIN_MIDPOINTS)
+        midpoints[OPEN_BIN] = national.open_bin_mean(naics, default=open_bin_mean)
+        try:
+            cells.append((zcta, naics, *impute_suppressed(
+                known[(zcta, naics)], suppressed.get((zcta, naics), 0), naics, national,
+                midpoints,
+            )))
+        except IngestionError as exc:
+            dropped.append((zcta, naics, str(exc)))
+    return cells, dropped
+
+
+class TestBuildCellsProperties:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_CBP_ROWS, st.sampled_from([DEFAULT_OPEN_BIN_MEAN, 900.0]), st.randoms())
+    def test_order_free_and_equal_to_uncached_reference(self, rows, open_bin_mean, rnd):
+        national = NationalSizeDistribution(_NATIONAL_TABLE)
+        cells, dropped = build_cells(rows, national, open_bin_mean)
+        got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
+        assert (got, dropped) == reference_cells(rows, open_bin_mean)
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        # the same (now warm) table and a fresh one give the same bits
+        for table in (national, NationalSizeDistribution(_NATIONAL_TABLE)):
+            again, again_dropped = build_cells(shuffled, table, open_bin_mean)
+            assert [
+                (c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in again
+            ] == got
+            assert again_dropped == dropped
+
+
+class TestCbpCsv:
+    HEADER = "zcta,naics,size_bin,establishments,suppressed\n"
+
+    def test_reads_plain_tuples_skipping_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "cbp.csv"
+        path.write_text(
+            "# provenance\n" + self.HEADER
+            + "10001, 441100 ,1-4,3,0\n\n# note\n10001,441100,,2,1\n10002,311811,5-9,1,\n"
+        )
+        assert read_cbp_csv(path) == [
+            ("10001", "441100", "1-4", 3, False),
+            ("10001", "441100", "", 2, True),
+            ("10002", "311811", "5-9", 1, False),
+        ]
+
+    def test_flag_column_is_optional(self, tmp_path):
+        path = tmp_path / "cbp.csv"
+        path.write_text("zcta,naics,size_bin,establishments\n10001,441100,1-4,3\n")
+        assert read_cbp_csv(path) == [("10001", "441100", "1-4", 3, False)]
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("10002,311811,5-9,x,0", "row 2: field 'establishments': not an integer: 'x'"),
+            ("10002,311811,5-9,1,yes", "row 2: field 'suppressed': not an integer: 'yes'"),
+            # the flag is parsed first, as before
+            ("10002,311811,,x,y", "row 2: field 'suppressed': not an integer: 'y'"),
+        ],
+    )
+    def test_bad_value_names_data_row_after_comments(self, tmp_path, bad_row, message):
+        path = tmp_path / "cbp.csv"
+        path.write_text(
+            "# provenance\n" + self.HEADER + "10001,441100,1-4,3,0\n\n# note\n\n"
+            + bad_row + "\n"
+        )
+        with pytest.raises(IngestionError) as excinfo:
+            read_cbp_csv(path)
+        assert str(excinfo.value) == f"{path} {message}"
+
+    def test_short_row_names_row_and_field_counts(self, tmp_path):
+        path = tmp_path / "cbp.csv"
+        path.write_text(self.HEADER + "10001,441100,1-4,3,0\n# note\n00502\n")
+        with pytest.raises(IngestionError) as excinfo:
+            read_cbp_csv(path)
+        assert str(excinfo.value) == f"{path} row 2: expected 5 fields, got 1"
+
+    def test_header_errors(self, tmp_path):
+        path = tmp_path / "cbp.csv"
+        path.write_text("# only a comment\n\n")
+        with pytest.raises(IngestionError, match="empty file"):
+            read_cbp_csv(path)
+        path.write_text("zcta,naics,size_bin\n10001,441100,1-4\n")
+        with pytest.raises(IngestionError, match="missing required columns: establishments"):
+            read_cbp_csv(path)
+        path.write_text(self.HEADER.replace("suppressed", "naics") + "10001,441100,1-4,3,0\n")
+        with pytest.raises(IngestionError, match="repeated column names: naics"):
+            read_cbp_csv(path)
+
+
+class TestNationalSizes:
+    def test_mean_size_memo_returns_the_computed_value(self):
+        warm = NationalSizeDistribution(_NATIONAL_TABLE)
+        for naics, exclude in [("441200", ["1-4"]), ("441200", ("1-4",)), ("311811", []),
+                               ("441100", ["1-4", "5-9", "10-19", "20-49", OPEN_BIN]),
+                               ("99999", [])]:
+            assert warm.mean_size(naics, exclude) == warm.mean_size(naics, iter(exclude))
+            assert warm.mean_size(naics, exclude) == (
+                NationalSizeDistribution(_NATIONAL_TABLE).mean_size(naics, exclude)
+            )
+        assert warm.mean_size("99999") is None
+
+    def test_duplicate_bin_names_both_rows(self, tmp_path):
+        path = tmp_path / "national.csv"
+        path.write_text(
+            "naics,size_bin,establishments,employment\n"
+            "31,1-4,10,25\n31,5-9,10,40\n31,1-4,20,60\n"
+        )
+        with pytest.raises(
+            IngestionError, match=r"row 3: naics/size_bin \('31', '1-4'\) already given at row 1"
+        ):
+            NationalSizeDistribution.from_csv(path)
 
 
 class TestDensity:

@@ -13,6 +13,7 @@ from distancing.industries import (
     rank_industries,
     read_exclusions,
     read_matrix_csv,
+    read_names_csv,
     write_industry_index_csv,
 )
 from distancing.occupations import ExposureFlags
@@ -187,6 +188,14 @@ class TestCsv:
         path = tmp_path / "matrix.csv"
         path.write_text("industry_code,soc_code,employment\n44,41-2031,600\n")
         assert read_matrix_csv(path) == [("44", "41-2031", 600.0)]
+
+    def test_duplicate_name_code_names_both_rows(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text("industry_code,name\n44,Retail\n31,Manufacturing\n44,Shops\n")
+        with pytest.raises(
+            IngestionError, match=r"row 3: industry_code '44' already given at row 1"
+        ):
+            read_names_csv(path)
 
     def test_exclusions_file(self, tmp_path):
         path = tmp_path / "excl.txt"
