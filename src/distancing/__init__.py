@@ -26,6 +26,7 @@ from .counterfactual import (
     compute_subsidies,
     cost_ratio_curves,
     location_table,
+    overall,
     sector_table,
 )
 from .errors import (
@@ -39,7 +40,6 @@ from .errors import (
 from .geo import (
     NationalSizeDistribution,
     RegionCell,
-    RegionDensity,
     RegionExposure,
     build_cells,
     estimate_cell_employment,

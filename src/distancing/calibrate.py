@@ -25,8 +25,8 @@ from math import fsum, log
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CalibrationError
-from .geo import RegionCell, RegionDensity
-from .industries import IndustryMix, MixResolver
+from .geo import RegionCell
+from .industries import MixResolver
 from .model import FirmParams, contacts_at_density
 
 logger = logging.getLogger(__name__)
@@ -37,23 +37,25 @@ _SLOPE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class CellParams:
-    """Everything the model needs about one (region, industry) cell."""
+    """Everything the model needs about one (region, industry) cell.
+
+    ``industry_code`` is the resolved industry and ``params`` its firm
+    parameters, one object shared by every cell of that industry.
+    """
 
     zcta: str
-    naics: str
     industry_code: str
     employment: float
-    chi: float
+    params: FirmParams
     density: float
 
 
 @dataclass
 class CalibratedModel:
-    """Calibration output: the global parameters plus per-industry firm params."""
+    """Calibration output: the global parameters; firm parameters live on the cells."""
 
     eps: float
     contact_cap: float
-    industry_params: dict[str, FirmParams]
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -79,35 +81,36 @@ class CalibrationReport:
 def cell_parameters(
     cells: Iterable[RegionCell],
     resolver: MixResolver,
-    densities: Mapping[str, RegionDensity],
+    densities: Mapping[str, float],
 ) -> list[CellParams]:
-    """Join cells with industry communication chi and region density.
+    """Join cells with their industry's firm parameters and region density.
 
-    Cells with zero employment, an unresolvable industry, or no density
-    record cannot enter the model; the latter two are warned about.
+    ``densities`` maps zcta to normalized density.  Cells with zero
+    employment, an unresolvable industry (left in the resolver's
+    ``unresolved``), or no density record cannot enter the model; missing
+    densities are warned about.  Each industry's :class:`FirmParams` is
+    built once, from its communication share, and shared by its cells.
+    The frame keeps the order of ``cells`` (``build_cells`` sorts them by
+    zcta and code): every total computed from the frame is an ``fsum`` or
+    goes through a sort, so no output byte depends on that order.
     """
     frame: list[CellParams] = []
     missing_density: set[str] = set()
-    for cell in sorted(cells, key=lambda c: (c.zcta, c.industry_code)):
+    params: dict[str, FirmParams] = {}
+    for cell in cells:
         if cell.employment <= 0.0:
             continue
         mix = resolver.resolve(cell.industry_code)
         if mix is None:
-            continue  # resolver records and reports unresolved codes
+            continue
         density = densities.get(cell.zcta)
         if density is None:
             missing_density.add(cell.zcta)
             continue
-        frame.append(
-            CellParams(
-                zcta=cell.zcta,
-                naics=cell.industry_code,
-                industry_code=mix.industry_code,
-                employment=cell.employment,
-                chi=mix.chi["communication"],
-                density=density.normalized_density,
-            )
-        )
+        code = mix.industry_code
+        if code not in params:
+            params[code] = FirmParams.from_chi(mix.chi["communication"])
+        frame.append(CellParams(cell.zcta, code, cell.employment, params[code], density))
     if missing_density:
         logger.warning(
             "%d regions lack density records; their cells were skipped: %s",
@@ -135,7 +138,7 @@ def _weighted_slope(points: Sequence[tuple[float, float, float]]) -> float:
 
 def slope_factor(frame: Sequence[CellParams]) -> float:
     """The data moment k: regression slope of chi*ln(d) on ln(d), weighted."""
-    points = [(c.employment, log(c.density), c.chi * log(c.density)) for c in frame]
+    points = [(c.employment, log(c.density), c.params.chi * log(c.density)) for c in frame]
     return _weighted_slope(points)
 
 
@@ -157,7 +160,7 @@ def calibrate_epsilon(
             "density in this data, so no positive eps can match the target"
         )
     eps = target_elasticity / k
-    check = [(c.employment, log(c.density), eps * c.chi * log(c.density)) for c in frame]
+    check = [(c.employment, log(c.density), eps * c.params.chi * log(c.density)) for c in frame]
     achieved = _weighted_slope(check)
     if abs(achieved - target_elasticity) > _SLOPE_TOL:
         raise CalibrationError(
@@ -167,14 +170,9 @@ def calibrate_epsilon(
     return eps
 
 
-def optimal_contacts_grid(
-    frame: Sequence[CellParams], eps: float
-) -> dict[tuple[str, str], float]:
-    """Optimal contacts per (zcta, naics) cell at the calibrated elasticity."""
-    return {
-        (c.zcta, c.naics): contacts_at_density(c.density, eps, FirmParams.from_chi(c.chi))
-        for c in frame
-    }
+def optimal_contacts_grid(frame: Sequence[CellParams], eps: float) -> list[float]:
+    """Optimal contacts of each frame cell, in frame order, at elasticity ``eps``."""
+    return [contacts_at_density(c.density, eps, c.params) for c in frame]
 
 
 def aggregate_contact_share(pairs: Sequence[tuple[float, float]], cap: float) -> float:
@@ -218,17 +216,8 @@ def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> 
     return ordered[-1][0]  # reached only if rounding puts the target above every kink
 
 
-def industry_parameters(mixes: Iterable[IndustryMix]) -> dict[str, FirmParams]:
-    """Firm parameters per industry from its communication exposure share."""
-    return {
-        mix.industry_code: FirmParams.from_chi(mix.chi["communication"])
-        for mix in sorted(mixes, key=lambda m: m.industry_code)
-    }
-
-
 def run_calibration(
     frame: Sequence[CellParams],
-    mixes: Iterable[IndustryMix],
     target_contact_share: float = 0.5,
     target_elasticity: float = 0.04,
     fixed_eps: float | None = None,
@@ -243,11 +232,7 @@ def run_calibration(
         eps = fixed_eps
     else:
         eps = calibrate_epsilon(frame, target_elasticity, k)
-    nstar = optimal_contacts_grid(frame, eps)
-    pairs = [
-        (nstar[(c.zcta, c.naics)], c.employment)
-        for c in frame
-    ]
+    pairs = list(zip(optimal_contacts_grid(frame, eps), (c.employment for c in frame)))
     cap = calibrate_cap(pairs, target_contact_share)
     achieved_share = aggregate_contact_share(pairs, cap)
     if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:
@@ -255,7 +240,7 @@ def run_calibration(
             f"contact cap {cap!r} gives share {achieved_share!r}, "
             f"target {target_contact_share!r}"
         )
-    model = CalibratedModel(eps=eps, contact_cap=cap, industry_params=industry_parameters(mixes))
+    model = CalibratedModel(eps=eps, contact_cap=cap)
     report = CalibrationReport(
         eps=eps,
         contact_cap=cap,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import log
 from pathlib import Path
 from typing import Sequence
@@ -51,7 +51,7 @@ class IndexStage:
 @dataclass
 class GeoStage:
     cells: list[geo.RegionCell]
-    densities: dict[str, geo.RegionDensity]
+    densities: dict[str, float]  # zcta -> normalized density
     resolver: industries.MixResolver
     exposures: dict[str, geo.RegionExposure]
 
@@ -85,8 +85,7 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     records = geo.read_density_csv(cfg.density)
     if cfg.employment_density:
         records = [(zcta, weights.get(zcta, 0.0), area) for zcta, _, area in records]
-    density_rows = geo.normalize_density(records, weights)
-    densities = {d.zcta: d for d in density_rows}
+    densities = geo.normalize_density(records, weights)
     resolver = industries.MixResolver(index.mixes)
     exposures, _ = geo.regional_exposure(cells, resolver)
     return GeoStage(cells, densities, resolver, exposures)
@@ -95,13 +94,16 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
 def _drop_excluded_cells(
     cells: list[geo.RegionCell], exclusions: Sequence[str]
 ) -> list[geo.RegionCell]:
-    """Exclusion codes act as sector prefixes on raw establishment codes."""
+    """Exclusion codes act as sector prefixes on raw establishment codes.
+
+    A range code such as ``44-45`` also matches every sector in its range.
+    """
     if not exclusions:
         return cells
-    kept = [
-        cell for cell in cells
-        if not any(cell.industry_code.startswith(code) for code in exclusions)
-    ]
+    prefixes = tuple(
+        prefix for code in exclusions for prefix in (code, *industries._range_aliases(code))
+    )
+    kept = [cell for cell in cells if not cell.industry_code.startswith(prefixes)]
     dropped = len(cells) - len(kept)
     if dropped:
         logger.info("excluded sectors removed %d establishment cells", dropped)
@@ -109,12 +111,11 @@ def _drop_excluded_cells(
 
 
 def run_calibration_stage(
-    cfg: RunConfig, index: IndexStage, geo_stage: GeoStage
+    cfg: RunConfig, geo_stage: GeoStage
 ) -> tuple[calibrate.CalibratedModel, calibrate.CalibrationReport, list[calibrate.CellParams]]:
     frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
     model, report = calibrate.run_calibration(
         frame,
-        index.mixes,
         target_contact_share=cfg.contact_share,
         target_elasticity=cfg.elasticity,
         fixed_eps=cfg.fixed_eps,
@@ -149,7 +150,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
-    _, report, _ = run_calibration_stage(cfg, index, geo_stage)
+    _, report, _ = run_calibration_stage(cfg, geo_stage)
     _write_calibration(out, report, stamp)
     return 0
 
@@ -159,19 +160,20 @@ def cmd_subsidy(cfg: RunConfig) -> int:
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
-    model, report, frame = run_calibration_stage(cfg, index, geo_stage)
+    model, report, frame = run_calibration_stage(cfg, geo_stage)
     _write_calibration(out, report, stamp)
 
     results = counterfactual.compute_subsidies(model, frame, telecom_cost=cfg.telecom_cost)
-    sector_rows, overall = counterfactual.sector_table(results)
+    average = counterfactual.overall(results)
     csvio.write_rows(
         out / "sector-subsidy.csv",
         ["industry", "wage_subsidy_pct", "employment_thousands"],
-        [[r.key, _pct(r.subsidy), r.employment / 1000.0] for r in sector_rows]
-        + [["Average", _pct(overall.subsidy), overall.employment / 1000.0]],
+        [[r.key, _pct(r.subsidy), r.employment / 1000.0]
+         for r in counterfactual.sector_table(results)]
+        + [["Average", _pct(average.subsidy), average.employment / 1000.0]],
         comment=stamp,
     )
-    location_rows, _ = counterfactual.location_table(results)
+    location_rows = counterfactual.location_table(results)
     csvio.write_rows(
         out / "location-subsidy.csv",
         ["zcta", "wage_subsidy_pct", "employment"],
@@ -180,7 +182,7 @@ def cmd_subsidy(cfg: RunConfig) -> int:
     )
     if cfg.region_groups:
         grouping = read_region_groups(cfg.region_groups)
-        region_rows, _ = counterfactual.location_table(results, grouping)
+        region_rows = counterfactual.location_table(results, grouping)
         csvio.write_rows(
             out / "region-subsidy.csv",
             ["region", "wage_subsidy_pct", "employment"],
@@ -193,7 +195,7 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
 def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
-    sums = geo.weighted_sums(("all", c.employment, c.employment * c.chi) for c in frame)
+    sums = geo.weighted_sums(("all", c.employment, c.employment * c.params.chi) for c in frame)
     employment, weighted_chi = sums["all"]
     mean_chi = weighted_chi / employment
     if mean_chi <= 0.0:
@@ -436,12 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "occupations", "matrix", "cbp", "density", "national_sizes", "exclusions",
-    "region_groups", "industry_names", "output_dir", "cutoff", "face_to_face_level",
-    "proximity_level", "contact_share", "elasticity", "fixed_eps", "telecom_cost",
-    "open_bin_mean", "lenient", "employment_density",
-)
+_OVERRIDE_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

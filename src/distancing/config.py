@@ -4,6 +4,9 @@ A run is archivable as a single config file.  Flags win over file values.
 The config hash written into output headers covers only the semantic
 fields (inputs, thresholds, targets) so reruns into a different output
 directory still produce identical bytes.
+
+Relative input paths, in the file or in flags, resolve against the
+working directory of the run, not against the config file's directory.
 """
 
 from __future__ import annotations
@@ -31,21 +34,6 @@ _PATH_KEYS = (
     "industry_names",
 )
 
-# Fields that affect results, in hash order.  output_dir is excluded on
-# purpose: it changes no output byte.
-_HASH_KEYS = _PATH_KEYS + (
-    "cutoff",
-    "face_to_face_level",
-    "proximity_level",
-    "contact_share",
-    "elasticity",
-    "fixed_eps",
-    "telecom_cost",
-    "open_bin_mean",
-    "lenient",
-    "employment_density",
-)
-
 
 @dataclass
 class RunConfig:
@@ -70,6 +58,11 @@ class RunConfig:
     open_bin_mean: float = 1500.0
     lenient: bool = False
     employment_density: bool = False  # use employment/km2 instead of population/km2
+
+
+# Fields that affect results, in declaration (hash) order.  output_dir is
+# excluded on purpose: it changes no output byte.
+_HASH_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output_dir")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:

@@ -1,10 +1,11 @@
 """Apply the calibrated contact cap and compute compensating wage subsidies.
 
 Each (region, industry) cell gets the subsidy that would offset its cost
-increase under the cap, then cells are aggregated to employment-weighted
-sector and location tables.  The telecom fallback never enters the
-subsidy numbers; it only appears in the cost-ratio curves, where the two
-regimes are compared across densities.
+increase under the cap, priced with the firm parameters the cell carries,
+then cells are aggregated to employment-weighted sector and location
+tables and one overall average (:func:`overall`).  The telecom fallback
+never enters the subsidy numbers; it only appears in the cost-ratio
+curves, where the two regimes are compared across densities.
 """
 
 from __future__ import annotations
@@ -67,15 +68,12 @@ def compute_subsidies(
     intervention = None if telecom_cost is None else Intervention(model.contact_cap, telecom_cost)
     results = []
     for cell in frame:
-        params = model.industry_params.get(cell.industry_code)
-        if params is None:
-            params = FirmParams.from_chi(cell.chi)
-        nstar = contacts_at_density(cell.density, model.eps, params)
+        nstar = contacts_at_density(cell.density, model.eps, cell.params)
         ratio = min(1.0, model.contact_cap / nstar)
-        subsidy = compensating_subsidy(ratio, params)
+        subsidy = compensating_subsidy(ratio, cell.params)
         regime = None
         if intervention is not None:
-            regime, _ = preferred_regime(intervention, cell.density, model.eps, params)
+            regime, _ = preferred_regime(intervention, cell.density, model.eps, cell.params)
         results.append(
             SubsidyResult(
                 zcta=cell.zcta,
@@ -102,27 +100,29 @@ def _weighted_rows(keyed: Iterable[tuple[str, SubsidyResult]]) -> list[AggRow]:
     return rows
 
 
-def _overall(results: Sequence[SubsidyResult]) -> AggRow:
+def overall(results: Sequence[SubsidyResult]) -> AggRow:
+    """The employment-weighted subsidy over all cells (key ``ALL``).
+
+    Reports append it to the sector table as the average row.
+    """
     rows = _weighted_rows(("ALL", r) for r in results)
     if not rows:
         raise CalibrationError("no employment in the subsidy results")
     return rows[0]
 
 
-def sector_table(results: Sequence[SubsidyResult]) -> tuple[list[AggRow], AggRow]:
+def sector_table(results: Sequence[SubsidyResult]) -> list[AggRow]:
     """Employment-weighted subsidy per industry, most affected first.
 
-    Ties break by industry code; the overall employment-weighted average
-    is returned separately (reports append it as a final row).
+    Ties break by industry code.
     """
-    rows = _weighted_rows((r.industry_code, r) for r in results)
-    return rows, _overall(results)
+    return _weighted_rows((r.industry_code, r) for r in results)
 
 
 def location_table(
     results: Sequence[SubsidyResult],
     grouping: Mapping[str, str] | None = None,
-) -> tuple[list[AggRow], AggRow]:
+) -> list[AggRow]:
     """Employment-weighted subsidy per region.
 
     Without a grouping, regions are individual ZCTAs.  With a grouping
@@ -131,13 +131,11 @@ def location_table(
     about.
     """
     if grouping is None:
-        rows = _weighted_rows((r.zcta, r) for r in results)
-    else:
-        present = {r.zcta for r in results}
-        for zcta in sorted(set(grouping) - present):
-            logger.warning("region grouping lists %s, which has no results", zcta)
-        rows = _weighted_rows((grouping[r.zcta], r) for r in results if r.zcta in grouping)
-    return rows, _overall(results)
+        return _weighted_rows((r.zcta, r) for r in results)
+    present = {r.zcta for r in results}
+    for zcta in sorted(set(grouping) - present):
+        logger.warning("region grouping lists %s, which has no results", zcta)
+    return _weighted_rows((grouping[r.zcta], r) for r in results if r.zcta in grouping)
 
 
 @dataclass

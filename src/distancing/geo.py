@@ -5,7 +5,8 @@ employment is estimated with bin midpoints.  Cells whose size classes are
 partly withheld get those establishments imputed at the national mean
 plant size of the classes the cell does not report.  Population densities
 are normalized so their employment-weighted national mean is one, which
-is the unit the cost model expects.
+is the unit the cost model expects; they travel as one plain float per
+ZCTA.
 
 The establishment file is the largest input, so its reader streams plain
 ``(zcta, naics, size_bin, establishments, suppressed)`` tuples with no
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from . import csvio
 from .errors import IngestionError
-from .industries import GROUPS, IndustryMix, MixResolver
+from .industries import GROUPS, MixResolver
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,17 +86,6 @@ class RegionCell:
                 f"imputed_fraction {self.imputed_fraction!r} outside [0, 1] "
                 f"in cell {self.zcta}/{self.industry_code}"
             )
-
-
-@dataclass
-class RegionDensity:
-    """A ZCTA's population density, raw and normalized to the weighted mean."""
-
-    zcta: str
-    population: float
-    land_area_km2: float
-    raw_density: float
-    normalized_density: float
 
 
 class NationalSizeDistribution:
@@ -289,15 +279,16 @@ def industry_totals(cells: Iterable[RegionCell]) -> dict[str, float]:
 def normalize_density(
     records: Iterable[tuple[str, float, float]],
     weights: Mapping[str, float],
-) -> list[RegionDensity]:
-    """Normalize population densities by their employment-weighted mean.
+) -> dict[str, float]:
+    """Population densities divided by their employment-weighted mean.
 
     ``records`` are (zcta, population, land_area_km2); ``weights`` maps
-    zcta to employment.  Regions with nonpositive land area or density are
-    dropped with a warning: they cannot enter the model.  After the call,
-    the employment-weighted mean of normalized densities is 1.
+    zcta to employment.  Returns ``{zcta: normalized density}`` with the
+    keys in sorted order.  Regions with nonpositive land area or density
+    are dropped with a warning: they cannot enter the model.  The
+    employment-weighted mean of the returned densities is 1.
     """
-    raw: dict[str, tuple[float, float, float]] = {}
+    raw: dict[str, float] = {}
     for zcta, population, area in records:
         if area <= 0.0:
             logger.warning("region %s has nonpositive land area; dropped", zcta)
@@ -306,10 +297,10 @@ def normalize_density(
         if density <= 0.0:
             logger.warning("region %s has zero population density; dropped", zcta)
             continue
-        raw[zcta] = (population, area, density)
+        raw[zcta] = density
 
     weighted = [
-        (weights[zcta] * raw[zcta][2], weights[zcta])
+        (weights[zcta] * raw[zcta], weights[zcta])
         for zcta in sorted(raw)
         if weights.get(zcta, 0.0) > 0.0
     ]
@@ -317,17 +308,7 @@ def normalize_density(
     if total_weight <= 0.0:
         raise IngestionError("no employment overlaps the density data; cannot normalize")
     mean = fsum(wd for wd, _ in weighted) / total_weight
-
-    return [
-        RegionDensity(
-            zcta=zcta,
-            population=raw[zcta][0],
-            land_area_km2=raw[zcta][1],
-            raw_density=raw[zcta][2],
-            normalized_density=raw[zcta][2] / mean,
-        )
-        for zcta in sorted(raw)
-    ]
+    return {zcta: raw[zcta] / mean for zcta in sorted(raw)}
 
 
 @dataclass
@@ -345,21 +326,17 @@ def regional_exposure(
     """Per-ZCTA exposure shares: employment-weighted industry chi values.
 
     Cells whose industry cannot be resolved to a mix are skipped with a
-    warning and reported; regions with zero resolvable employment are
-    omitted.  Output is invariant to splitting a cell into same-industry
-    parts with the same total employment.
+    warning and returned as (zcta, code) pairs; regions with zero
+    resolvable employment are omitted.  The resolver walks each code once.
+    Output is invariant to splitting a cell into same-industry parts with
+    the same total employment.
     """
     items = []
     skipped: list[tuple[str, str]] = []
-    mixes: dict[str, IndustryMix | None] = {}  # each code resolves once
     for cell in cells:
-        code = cell.industry_code
-        if code in mixes:
-            mix = mixes[code]
-        else:
-            mix = mixes[code] = resolver.resolve(code)
+        mix = resolver.resolve(cell.industry_code)
         if mix is None:
-            skipped.append((cell.zcta, code))
+            skipped.append((cell.zcta, cell.industry_code))
             continue
         items.append(
             (cell.zcta, cell.employment, *(cell.employment * mix.chi[g] for g in GROUPS))
@@ -530,10 +507,14 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
 def write_location_index_csv(
     path: str | Path,
     exposures: Mapping[str, RegionExposure],
-    densities: Mapping[str, RegionDensity],
+    densities: Mapping[str, float],
     comment: str | None = None,
 ) -> None:
-    """Write the per-location exposure table (one row per ZCTA with density)."""
+    """Write the per-location exposure table (one row per ZCTA with density).
+
+    ``densities`` maps zcta to normalized density, as
+    :func:`normalize_density` returns it.
+    """
     rows = []
     for zcta in sorted(exposures):
         if zcta not in densities:
@@ -543,7 +524,7 @@ def write_location_index_csv(
         rows.append(
             [
                 zcta,
-                densities[zcta].normalized_density,
+                densities[zcta],
                 exposure.shares["teamwork"],
                 exposure.shares["customer"],
                 exposure.shares["communication"],

@@ -158,7 +158,10 @@ class MixResolver:
     the mixes were built on, so lookups truncate the code one digit at a
     time until something matches.  Sector codes written as ranges
     (``44-45``, ``31-33``) are expanded so any code in the range resolves
-    to them.  Fallbacks and failures are recorded for reporting.
+    to them.  Codes resolved through an ancestor are recorded in
+    ``fallbacks`` (code -> industry) and codes that match nothing in
+    ``unresolved``.  The mixes are fixed at construction, so each code
+    walks the hierarchy once and later lookups are memoized.
     """
 
     def __init__(self, mixes: Iterable[IndustryMix]):
@@ -167,15 +170,22 @@ class MixResolver:
             self._by_code[mix.industry_code] = mix
             for alias in _range_aliases(mix.industry_code):
                 self._by_code.setdefault(alias, mix)
+        self._resolved: dict[str, IndustryMix | None] = {}
         self.fallbacks: dict[str, str] = {}
         self.unresolved: set[str] = set()
 
     def resolve(self, code: str) -> IndustryMix | None:
+        """The mix of ``code`` or of its nearest ancestor; None if none matches."""
+        if code not in self._resolved:
+            self._resolved[code] = self._walk(code)
+        return self._resolved[code]
+
+    def _walk(self, code: str) -> IndustryMix | None:
         probe = code
         while len(probe) >= 2:
             mix = self._by_code.get(probe)
             if mix is not None:
-                if probe != code and code not in self.fallbacks:
+                if probe != code:
                     self.fallbacks[code] = mix.industry_code
                     logger.debug("code %s resolved via ancestor %s", code, mix.industry_code)
                 return mix

@@ -27,7 +27,7 @@ from distancing.calibrate import (
 )
 from distancing.cli import main, run_geo_stage, run_index_stage
 from distancing.config import resolve_config
-from distancing.counterfactual import compute_subsidies, location_table, sector_table
+from distancing.counterfactual import compute_subsidies, location_table, overall, sector_table
 from distancing.geo import industry_totals, lowess_curve
 from distancing.model import (
     FirmParams,
@@ -107,10 +107,10 @@ def test_criterion_3_calibration_fixtures():
         assert abs(cap - 1.5) <= 1e-8
 
         frame = [
-            CellParams("a", "n", "n", 10.0, 0.4, 0.5),
-            CellParams("b", "n", "n", 20.0, 0.4, 1.0),
-            CellParams("c", "n", "n", 15.0, 0.4, 2.0),
-            CellParams("d", "n", "n", 5.0, 0.4, 8.0),
+            CellParams("a", "n", 10.0, FirmParams.from_chi(0.4), 0.5),
+            CellParams("b", "n", 20.0, FirmParams.from_chi(0.4), 1.0),
+            CellParams("c", "n", 15.0, FirmParams.from_chi(0.4), 2.0),
+            CellParams("d", "n", 5.0, FirmParams.from_chi(0.4), 8.0),
         ]
         eps = calibrate_epsilon(frame, 0.04, slope_factor(frame))
         assert abs(eps - 0.1) <= 1e-9
@@ -165,7 +165,7 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
         stage = run_index_stage(cfg)
         geo_stage = run_geo_stage(cfg, stage)
         frame = cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
-        model, _ = run_calibration(frame, stage.mixes, 0.5, 0.04)
+        model, _ = run_calibration(frame, 0.5, 0.04)
         results = compute_subsidies(model, frame)
         assert len(results) == len(expected["subsidies"])
         # fixture cells are unique per (zcta, sector), so the resolved code
@@ -176,13 +176,13 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
             assert abs(r.subsidy - expected["subsidies"][(r.zcta, naics)]) <= 1e-9
             assert abs(r.nstar - expected["nstar"][(r.zcta, naics)]) <= 1e-9
 
-        sector_rows, overall = sector_table(results)
+        sector_rows = sector_table(results)
         for row in sector_rows:
             hand_subsidy, hand_emp = expected["sector_rows"][row.key]
             assert abs(row.subsidy - hand_subsidy) <= 1e-9
             assert abs(row.employment - hand_emp) <= 1e-9
-        assert abs(overall.subsidy - expected["overall"][0]) <= 1e-9
-        location_rows, _ = location_table(results)
+        assert abs(overall(results).subsidy - expected["overall"][0]) <= 1e-9
+        location_rows = location_table(results)
         for row in location_rows:
             hand_subsidy, hand_emp = expected["location_rows"][row.key]
             assert abs(row.subsidy - hand_subsidy) <= 1e-9

@@ -19,13 +19,13 @@ from distancing.calibrate import (
     slope_factor,
 )
 from distancing.errors import CalibrationError
-from distancing.geo import RegionCell, RegionDensity
+from distancing.geo import RegionCell
 from distancing.industries import IndustryMix, MixResolver
 from distancing.model import FirmParams, contacts_at_density
 
 
-def cell(zcta, naics, code, w, chi, d):
-    return CellParams(zcta, naics, code, w, chi, d)
+def cell(zcta, code, w, chi, d):
+    return CellParams(zcta, code, w, FirmParams.from_chi(chi), d)
 
 
 def solve_eps(frame, target):
@@ -48,10 +48,10 @@ def bisect_cap(pairs, target_share):
 
 def constant_chi_frame(chi=0.4):
     return [
-        cell("a", "441", "44", 10.0, chi, 0.5),
-        cell("b", "441", "44", 20.0, chi, 1.0),
-        cell("c", "441", "44", 15.0, chi, 2.0),
-        cell("d", "441", "44", 5.0, chi, 8.0),
+        cell("a", "44", 10.0, chi, 0.5),
+        cell("b", "44", 20.0, chi, 1.0),
+        cell("c", "44", 15.0, chi, 2.0),
+        cell("d", "44", 5.0, chi, 8.0),
     ]
 
 
@@ -63,36 +63,36 @@ class TestEpsilon:
         # oracle: numpy weighted polyfit reproduces the target slope
         frame = constant_chi_frame(0.4)
         x = np.array([math.log(c.density) for c in frame])
-        z = eps * np.array([c.chi for c in frame]) * x
+        z = eps * np.array([c.params.chi for c in frame]) * x
         w = np.array([c.employment for c in frame])
         slope = np.polyfit(x, z, 1, w=np.sqrt(w))[0]
         assert slope == pytest.approx(0.04, abs=1e-9)
 
     def test_chi_one_limit(self):
         frame = [
-            cell("a", "x", "x", 1.0, 1.0 - 1e-12, 0.5),
-            cell("b", "x", "x", 1.0, 1.0 - 1e-12, 2.0),
+            cell("a", "x", 1.0, 1.0 - 1e-12, 0.5),
+            cell("b", "x", 1.0, 1.0 - 1e-12, 2.0),
         ]
         assert solve_eps(frame, 0.04) == pytest.approx(0.04, rel=1e-9)
 
     def test_doubling_target_doubles_eps(self):
         rng = np.random.default_rng(61)
         frame = [
-            cell(f"z{i}", "n", "n", float(rng.uniform(1, 50)), float(rng.uniform(0.1, 0.9)),
+            cell(f"z{i}", "n", float(rng.uniform(1, 50)), float(rng.uniform(0.1, 0.9)),
                  float(rng.uniform(0.1, 10)))
             for i in range(30)
         ]
         assert solve_eps(frame, 0.08) == pytest.approx(2.0 * solve_eps(frame, 0.04), rel=1e-12)
 
     def test_single_density_rejected(self):
-        frame = [cell("a", "x", "x", 1.0, 0.4, 2.0), cell("b", "x", "x", 1.0, 0.4, 2.0)]
+        frame = [cell("a", "x", 1.0, 0.4, 2.0), cell("b", "x", 1.0, 0.4, 2.0)]
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
 
     def test_nonpositive_moment_rejected(self):
         # exposure collapses with density above the mean: k < 0, no
         # positive eps can match the target
-        frame = [cell("a", "x", "x", 1.0, 0.9, 1.1), cell("b", "y", "y", 1.0, 0.0, 7.0)]
+        frame = [cell("a", "x", 1.0, 0.9, 1.1), cell("b", "y", 1.0, 0.0, 7.0)]
         assert slope_factor(frame) < 0
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
@@ -100,27 +100,28 @@ class TestEpsilon:
 
 class TestContactsGrid:
     def test_unit_density_everywhere(self):
-        frame = [cell("a", "x", "x", 1.0, 0.3, 1.0), cell("b", "y", "y", 2.0, 0.6, 1.0)]
+        frame = [cell("a", "x", 1.0, 0.3, 1.0), cell("b", "y", 2.0, 0.6, 1.0)]
         grid = optimal_contacts_grid(frame, 0.1)
-        assert all(v == 1.0 for v in grid.values())
+        assert grid == [1.0, 1.0]
 
     def test_exponent_identity(self):
         eps, chi = 0.25, 0.2
         d = math.exp(1.0 / (eps * (1.0 - chi)))
-        grid = optimal_contacts_grid([cell("a", "x", "x", 1.0, chi, d)], eps)
-        assert grid[("a", "x")] == pytest.approx(math.e, rel=1e-12)
+        grid = optimal_contacts_grid([cell("a", "x", 1.0, chi, d)], eps)
+        assert grid[0] == pytest.approx(math.e, rel=1e-12)
 
     def test_matches_model_per_cell(self):
         rng = np.random.default_rng(67)
         frame = [
-            cell(f"z{i}", f"n{i}", f"n{i}", 1.0, float(rng.uniform(0, 0.9)),
+            cell(f"z{i}", f"n{i}", 1.0, float(rng.uniform(0, 0.9)),
                  float(rng.uniform(0.05, 20)))
             for i in range(50)
         ]
         grid = optimal_contacts_grid(frame, 0.07)
-        for c in frame:
-            expected = contacts_at_density(c.density, 0.07, FirmParams.from_chi(c.chi))
-            assert grid[(c.zcta, c.naics)] == pytest.approx(expected, rel=1e-12)
+        assert len(grid) == len(frame)
+        for c, n in zip(frame, grid):
+            expected = contacts_at_density(c.density, 0.07, FirmParams.from_chi(c.params.chi))
+            assert n == pytest.approx(expected, rel=1e-12)
 
 
 class TestCap:
@@ -205,14 +206,10 @@ def _mix(code, comm):
     )
 
 
-def _density(zcta, normalized):
-    return RegionDensity(zcta, 0.0, 1.0, normalized, normalized)
-
-
 class TestCellParameters:
     def test_join_and_skips(self):
         resolver = MixResolver([_mix("44", 0.6)])
-        densities = {"z1": _density("z1", 2.0)}
+        densities = {"z1": 2.0}
         cells = [
             RegionCell("z1", "441100", 10.0),
             RegionCell("z1", "441100x", 0.0),  # zero employment: dropped silently
@@ -222,15 +219,33 @@ class TestCellParameters:
         frame = cell_parameters(cells, resolver, densities)
         assert len(frame) == 1
         row = frame[0]
-        assert (row.zcta, row.naics, row.industry_code) == ("z1", "441100", "44")
-        assert row.chi == 0.6 and row.density == 2.0
+        assert (row.zcta, row.industry_code) == ("z1", "44")
+        assert row.params.chi == 0.6 and row.density == 2.0
+
+    def test_one_params_object_per_industry_in_input_order(self):
+        resolver = MixResolver([_mix("44", 0.6), _mix("31", 0.2)])
+        densities = {"z1": 2.0, "z2": 0.5}
+        cells = [  # deliberately not in (zcta, code) order
+            RegionCell("z2", "441100", 5.0),
+            RegionCell("z1", "311111", 3.0),
+            RegionCell("z1", "445110", 7.0),
+            RegionCell("z2", "31", 1.0),
+        ]
+        frame = cell_parameters(cells, resolver, densities)
+        assert [(c.zcta, c.industry_code, c.employment) for c in frame] == [
+            ("z2", "44", 5.0), ("z1", "31", 3.0), ("z1", "44", 7.0), ("z2", "31", 1.0),
+        ]
+        assert frame[0].params is frame[2].params
+        assert frame[1].params is frame[3].params
+        assert frame[0].params == FirmParams.from_chi(0.6)
+        assert frame[1].params == FirmParams.from_chi(0.2)
 
     def test_run_calibration_end_to_end(self):
         resolver = MixResolver([_mix("44", 0.4)])
-        densities = {z: _density(z, d) for z, d in [("a", 0.5), ("b", 1.0), ("c", 2.0)]}
+        densities = {z: d for z, d in [("a", 0.5), ("b", 1.0), ("c", 2.0)]}
         cells = [RegionCell(z, "441100", 10.0) for z in ("a", "b", "c")]
         frame = cell_parameters(cells, resolver, densities)
-        model, report = run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04)
+        model, report = run_calibration(frame, 0.5, 0.04)
         assert model.eps == pytest.approx(0.1, abs=1e-9)
         assert report.achieved_share == pytest.approx(0.5, rel=1e-8)
         assert report.achieved_slope == pytest.approx(0.04, abs=1e-9)
@@ -246,10 +261,10 @@ class TestCellParameters:
 
         monkeypatch.setattr(calibrate, "slope_factor", counting)
         frame = constant_chi_frame(0.4)
-        run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04)
+        run_calibration(frame, 0.5, 0.04)
         assert calls == [len(frame)]
         calls.clear()
-        run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04, fixed_eps=0.02)
+        run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
         assert calls == [len(frame)]
 
     def test_one_contact_share_pass_per_calibration(self, monkeypatch):
@@ -262,10 +277,10 @@ class TestCellParameters:
 
         monkeypatch.setattr(calibrate, "aggregate_contact_share", counting)
         frame = constant_chi_frame(0.4)
-        model, report = run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04)
+        model, report = run_calibration(frame, 0.5, 0.04)
         assert calls == [model.contact_cap]
         assert report.achieved_share == original(
-            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.chi)),
+            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.params.chi)),
               c.employment) for c in frame],
             model.contact_cap,
         )
@@ -273,14 +288,14 @@ class TestCellParameters:
     def test_cap_missing_the_target_share_aborts(self, monkeypatch):
         monkeypatch.setattr(calibrate, "aggregate_contact_share", lambda pairs, cap: 0.5 + 1e-9)
         with pytest.raises(CalibrationError, match="gives share"):
-            run_calibration(constant_chi_frame(0.4), [_mix("44", 0.4)], 0.5, 0.04)
+            run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
 
     def test_fixed_eps_honored(self):
         resolver = MixResolver([_mix("44", 0.4)])
-        densities = {z: _density(z, d) for z, d in [("a", 0.5), ("b", 2.0)]}
+        densities = {z: d for z, d in [("a", 0.5), ("b", 2.0)]}
         cells = [RegionCell(z, "441100", 10.0) for z in ("a", "b")]
         frame = cell_parameters(cells, resolver, densities)
-        model, report = run_calibration(frame, [_mix("44", 0.4)], 0.5, 0.04, fixed_eps=0.02)
+        model, report = run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
         assert model.eps == 0.02
         assert report.eps_fixed
         assert report.notes  # records the slope mismatch

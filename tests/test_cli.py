@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from distancing.cli import _pct, main, read_region_groups
+from distancing.cli import _drop_excluded_cells, _pct, main, read_region_groups
+from distancing.config import RunConfig, config_hash
 from distancing.errors import IngestionError
+from distancing.geo import RegionCell
 from e2efixture import write_config, write_inputs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +186,12 @@ class TestSubsidy:
         # the hospital cell's 172.5 jobs never enter the 10001 total
         assert float(locations["10001"]["employment"]) == pytest.approx(90.0)
 
+    def test_range_exclusion_drops_every_sector_in_the_range(self):
+        codes = ["441100", "451110", "461000", "622110", "621111", "311111"]
+        cells = [RegionCell("10001", code, 10.0) for code in codes]
+        kept = _drop_excluded_cells(cells, ["44-45", "622"])
+        assert [cell.industry_code for cell in kept] == ["461000", "621111", "311111"]
+
     def test_duplicate_region_zcta_names_both_rows(self, tmp_path):
         groups = tmp_path / "regions.csv"
         groups.write_text("zcta,region\n10001,metro\n10002,metro\n10001,rest\n")
@@ -320,6 +328,28 @@ class TestErrorContract:
         )
         assert proc.returncode == 0
         assert "distancing 0.1.0" in proc.stdout
+
+
+class TestConfig:
+    def test_default_config_hash_is_pinned(self):
+        # every output's provenance line carries this hash
+        assert config_hash(RunConfig()) == "dcfe423929d3"
+
+    def test_relative_paths_resolve_against_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        paths = write_inputs(tmp_path / "in")
+        lines = [f"{key} = {os.path.relpath(value, tmp_path)}" for key, value in paths.items()]
+        config = tmp_path / "in" / "run.cfg"
+        config.write_text("\n".join(lines + ["output_dir = out"]) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["index", "--config", str(config)]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["index", "--config", str(config)]) == 2
+        assert os.path.join("in", "occupations.csv") in capsys.readouterr().err
 
 
 def _imported_modules(args, cwd):

@@ -14,6 +14,7 @@ from distancing.counterfactual import (
     compute_subsidies,
     cost_ratio_curves,
     location_table,
+    overall,
     sector_table,
 )
 from distancing.model import (
@@ -24,42 +25,37 @@ from distancing.model import (
 )
 
 
-def model_with(eps=0.1, cap=1.0, chis=None):
-    chis = chis or {"44": 0.5}
-    return CalibratedModel(
-        eps=eps,
-        contact_cap=cap,
-        industry_params={code: FirmParams.from_chi(c) for code, c in chis.items()},
-    )
+def model_with(eps=0.1, cap=1.0):
+    return CalibratedModel(eps=eps, contact_cap=cap)
 
 
 def cell(zcta, code, w, chi, d):
-    return CellParams(zcta, code, code, w, chi, d)
+    return CellParams(zcta, code, w, FirmParams.from_chi(chi), d)
 
 
 class TestComputeSubsidies:
     def test_zero_chi_cell_gets_zero(self):
-        m = model_with(chis={"31": 0.0})
+        m = model_with()
         (r,) = compute_subsidies(m, [cell("z", "31", 10.0, 0.0, 25.0)])
         assert r.subsidy == 0.0
 
     def test_half_cap_two_thirds_end_to_end(self):
         # density such that n* = 2 at eps=0.5, chi=0.5; cap 1 halves contacts
         d = 2.0 ** (1.0 / 0.25)
-        m = model_with(eps=0.5, cap=1.0, chis={"44": 0.5})
+        m = model_with(eps=0.5, cap=1.0)
         (r,) = compute_subsidies(m, [cell("z", "44", 10.0, 0.5, d)])
         assert r.nstar == pytest.approx(2.0, rel=1e-12)
         assert r.cap_ratio == pytest.approx(0.5, rel=1e-12)
         assert r.subsidy == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_unconstrained_low_density_cell(self):
-        m = model_with(eps=0.1, cap=1.0, chis={"44": 0.5})
+        m = model_with(eps=0.1, cap=1.0)
         (r,) = compute_subsidies(m, [cell("z", "44", 10.0, 0.5, 1.0)])
         assert r.cap_ratio == 1.0
         assert r.subsidy == 0.0
 
     def test_regime_annotation_only_with_telecom(self):
-        m = model_with(eps=0.5, cap=1.0, chis={"44": 0.5})
+        m = model_with(eps=0.5, cap=1.0)
         frame = [cell("z", "44", 10.0, 0.5, 16.0)]
         (plain,) = compute_subsidies(m, frame)
         assert plain.regime is None
@@ -71,11 +67,11 @@ class TestComputeSubsidies:
 class TestTables:
     def test_single_cell_tables(self):
         results = [SubsidyResult("z", "44", 2.0, 0.5, 0.25, 10.0)]
-        sectors, overall = sector_table(results)
+        sectors = sector_table(results)
         assert len(sectors) == 1
         assert sectors[0].subsidy == 0.25
-        assert overall.subsidy == 0.25
-        locations, _ = location_table(results)
+        assert overall(results).subsidy == 0.25
+        locations = location_table(results)
         assert locations[0].key == "z" and locations[0].subsidy == 0.25
 
     def test_two_sector_hand_weights(self):
@@ -84,11 +80,11 @@ class TestTables:
             SubsidyResult("b", "44", 2.0, 0.5, 0.10, 10.0),
             SubsidyResult("a", "31", 2.0, 1.0, 0.00, 60.0),
         ]
-        sectors, overall = sector_table(results)
+        sectors = sector_table(results)
         by_code = {row.key: row for row in sectors}
         assert by_code["44"].subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 40)
         assert by_code["31"].subsidy == 0.0
-        assert overall.subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 100)
+        assert overall(results).subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 100)
         # most affected first
         assert [row.key for row in sectors] == ["44", "31"]
 
@@ -101,10 +97,13 @@ class TestTables:
             )
             for i in range(60)
         ]
-        _, a = sector_table(results)
-        _, b = location_table(results)
-        assert a.subsidy == pytest.approx(b.subsidy, abs=1e-12)
-        assert a.employment == pytest.approx(b.employment, abs=1e-9)
+        # each table's rows average back to the one overall row
+        total = overall(results)
+        for rows in (sector_table(results), location_table(results)):
+            employment = math.fsum(row.employment for row in rows)
+            average = math.fsum(row.subsidy * row.employment for row in rows) / employment
+            assert average == pytest.approx(total.subsidy, abs=1e-12)
+            assert employment == pytest.approx(total.employment, abs=1e-9)
 
     def test_weighted_average_brackets(self):
         rng = np.random.default_rng(83)
@@ -113,10 +112,10 @@ class TestTables:
                           float(rng.uniform(1, 50)))
             for i in range(25)
         ]
-        rows, overall = sector_table(results)
+        rows = sector_table(results)
         lo = min(r.subsidy for r in results)
         hi = max(r.subsidy for r in results)
-        for row in rows + [overall]:
+        for row in rows + [overall(results)]:
             assert lo - 1e-12 <= row.subsidy <= hi + 1e-12
 
     def test_grouping_aggregates_named_regions(self, caplog):
@@ -126,7 +125,7 @@ class TestTables:
             SubsidyResult("z3", "44", 2.0, 0.5, 0.9, 5.0),
         ]
         with caplog.at_level("WARNING"):
-            rows, _ = location_table(results, {"z1": "metro", "z2": "metro", "z9": "ghost"})
+            rows = location_table(results, {"z1": "metro", "z2": "metro", "z9": "ghost"})
         assert len(rows) == 1
         assert rows[0].key == "metro"
         assert rows[0].subsidy == pytest.approx((0.2 * 10 + 0.4 * 30) / 40)
@@ -136,8 +135,8 @@ class TestTables:
         results = [
             SubsidyResult(f"z{i}", "44", 2.0, 0.5, 0.37, float(1 + i)) for i in range(6)
         ]
-        plain, _ = location_table(results)
-        grouped, _ = location_table(results, {f"z{i}": "all" for i in range(6)})
+        plain = location_table(results)
+        grouped = location_table(results, {f"z{i}": "all" for i in range(6)})
         assert all(row.subsidy == pytest.approx(0.37) for row in plain)
         assert grouped[0].subsidy == pytest.approx(0.37)
 
@@ -151,8 +150,8 @@ class TestTables:
         loose = compute_subsidies(model_with(eps=0.3, cap=1.2), frame)
         for a, b in zip(tight, loose):
             assert b.subsidy <= a.subsidy + 1e-15
-        _, tight_all = sector_table(tight)
-        _, loose_all = sector_table(loose)
+        tight_all = overall(tight)
+        loose_all = overall(loose)
         assert loose_all.subsidy <= tight_all.subsidy + 1e-15
 
 
@@ -195,9 +194,8 @@ class TestTableProperties:
         grouping = {"z1": "metro", "z2": "metro", "z3": "rest"}
         for table, args in ((sector_table, ()), (location_table, ()),
                             (location_table, (grouping,))):
-            split_rows, split_all = table(split, *args)
-            rows, overall = table(results, *args)
-            _assert_rows_close(split_rows + [split_all], rows + [overall])
+            _assert_rows_close(table(split, *args), table(results, *args))
+        _assert_rows_close([overall(split)], [overall(results)])
 
 
 class TestCostCurves:

@@ -325,15 +325,17 @@ class TestNationalSizes:
 
 class TestDensity:
     def test_single_region_normalizes_to_one(self):
-        (d,) = normalize_density([("z", 100.0, 10.0)], {"z": 5.0})
-        assert d.normalized_density == pytest.approx(1.0)
+        assert normalize_density([("z", 100.0, 10.0)], {"z": 5.0}) == {
+            "z": pytest.approx(1.0)
+        }
 
     def test_two_equal_regions(self):
         out = normalize_density(
             [("a", 100.0, 10.0), ("b", 300.0, 10.0)], {"a": 7.0, "b": 7.0}
         )
-        assert out[0].normalized_density == pytest.approx(0.5)
-        assert out[1].normalized_density == pytest.approx(1.5)
+        assert list(out) == ["a", "b"]
+        assert out["a"] == pytest.approx(0.5)
+        assert out["b"] == pytest.approx(1.5)
 
     def test_weighted_mean_is_one(self):
         rng = np.random.default_rng(43)
@@ -341,15 +343,15 @@ class TestDensity:
                    for i in range(40)]
         weights = {f"z{i}": float(rng.uniform(0.1, 100)) for i in range(40)}
         out = normalize_density(records, weights)
-        mean = sum(weights[d.zcta] * d.normalized_density for d in out) / sum(
-            weights[d.zcta] for d in out
+        mean = sum(weights[zcta] * d for zcta, d in out.items()) / sum(
+            weights[zcta] for zcta in out
         )
         assert mean == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_area_dropped(self, caplog):
         with caplog.at_level("WARNING"):
             out = normalize_density([("a", 10.0, 0.0), ("b", 10.0, 1.0)], {"a": 1.0, "b": 1.0})
-        assert [d.zcta for d in out] == ["b"]
+        assert list(out) == ["b"]
 
     def test_no_overlapping_employment_raises(self):
         with pytest.raises(IngestionError):

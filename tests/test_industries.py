@@ -182,6 +182,36 @@ class TestResolver:
         assert resolver.resolve("99999") is None
         assert "99999" in resolver.unresolved
 
+    def test_each_code_walks_once(self):
+        mixes = [mix_with("44-45", 0.6), mix_with("4451", 0.9), mix_with("31", 0.1)]
+        codes = ["445110", "453110", "99999", "4451", "311111", "44", "99"] * 3
+
+        class CountingDict(dict):
+            probes = 0
+
+            def get(self, key, default=None):
+                CountingDict.probes += 1
+                return super().get(key, default)
+
+        resolver = MixResolver(mixes)
+        resolver._by_code = CountingDict(resolver._by_code)
+        first = [resolver.resolve(code) for code in codes[:7]]
+        probes = CountingDict.probes
+        assert [resolver.resolve(code) for code in codes] == first * 3
+        assert CountingDict.probes == probes  # repeats never walk again
+
+        # the same records as walking every code on a fresh resolver
+        fallbacks, unresolved = {}, set()
+        for code in codes:
+            fresh = MixResolver(mixes)
+            assert fresh.resolve(code) is resolver.resolve(code)
+            fallbacks.update(fresh.fallbacks)
+            unresolved |= fresh.unresolved
+        assert resolver.fallbacks == fallbacks == {
+            "445110": "4451", "453110": "44-45", "311111": "31",
+        }
+        assert resolver.unresolved == unresolved == {"99999", "99"}
+
 
 class TestCsv:
     def test_matrix_round_trip(self, tmp_path):
