@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 from .calibrate import (
     CalibratedModel,
     CalibrationReport,
-    CellParams,
+    CellFrame,
+    CellRow,
     calibrate_cap,
     calibrate_epsilon,
     cell_parameters,
@@ -22,7 +23,6 @@ from .calibrate import (
 from .counterfactual import (
     AggRow,
     CostCurves,
-    SubsidyResult,
     compute_subsidies,
     cost_ratio_curves,
     location_table,
@@ -54,6 +54,7 @@ from .industries import (
     MixResolver,
     build_mix,
     exclude_sectors,
+    exclusion_prefixes,
     rank_industries,
 )
 from .model import (

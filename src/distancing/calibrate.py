@@ -14,20 +14,28 @@ the cells' optimal contact counts, so sorting the cells locates the
 segment that contains the target and inverting that segment's line gives
 N in closed form.  ``run_calibration`` re-evaluates the aggregate at the
 returned N once: that value guards the result and is the reported share.
+
+The cells travel as one :class:`CellFrame`, a column per field, so both
+solves are array expressions over the frame.  Every total is a
+``math.fsum`` and the cap's running sums add left to right in sorted
+order, so no result depends on the order of the cells.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from itertools import accumulate
-from math import fsum, log
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from itertools import repeat
+from math import fsum
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CalibrationError
 from .geo import RegionCell
 from .industries import MixResolver
-from .model import FirmParams, contacts_at_density
+from .model import FirmParams, Regime, contacts_at_density
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -35,19 +43,60 @@ _SHARE_TOL = 1e-10
 _SLOPE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CellParams:
-    """Everything the model needs about one (region, industry) cell.
-
-    ``industry_code`` is the resolved industry and ``params`` its firm
-    parameters, one object shared by every cell of that industry.
-    """
+class CellRow(NamedTuple):
+    """One row of a :class:`CellFrame`, as iteration yields it."""
 
     zcta: str
     industry_code: str
     employment: float
-    params: FirmParams
+    chi: float
+    gamma: float
     density: float
+    nstar: float | None
+    cap_ratio: float | None
+    subsidy: float | None
+    regime: Regime | None
+
+
+@dataclass(frozen=True, eq=False)
+class CellFrame:
+    """The (region, industry) cells the model prices, one column per field.
+
+    ``industry_code`` is each cell's resolved industry and ``chi``/``gamma``
+    its firm parameters; the numeric columns are float64 arrays, the two
+    code columns lists of strings.  :func:`cell_parameters` fills the first
+    six; :func:`~distancing.counterfactual.compute_subsidies` returns a copy
+    with the outcome columns too: optimal contacts, cap over optimal contacts
+    (1 where the cap does not bind), the subsidy, and the regime each firm
+    picks (an object array of :class:`Regime`, or None without telecom).
+    ``len()`` counts rows and iteration yields :class:`CellRow` tuples.
+    """
+
+    zcta: list[str]
+    industry_code: list[str]
+    employment: np.ndarray
+    chi: np.ndarray
+    gamma: np.ndarray
+    density: np.ndarray
+    nstar: np.ndarray | None = None
+    cap_ratio: np.ndarray | None = None
+    subsidy: np.ndarray | None = None
+    regime: np.ndarray | None = None
+
+    @property
+    def params(self) -> FirmParams:
+        """Every row's firm parameters as one array-valued :class:`FirmParams`."""
+        return FirmParams(self.chi, self.gamma)
+
+    def __len__(self) -> int:
+        return len(self.zcta)
+
+    def __iter__(self) -> Iterator[CellRow]:
+        columns = [self.zcta, self.industry_code] + [
+            repeat(None) if column is None else column.tolist()
+            for column in (getattr(self, f.name) for f in fields(self)[2:])
+        ]
+        return map(CellRow._make, zip(*columns))
 
 
 @dataclass
@@ -82,69 +131,82 @@ def cell_parameters(
     cells: Iterable[RegionCell],
     resolver: MixResolver,
     densities: Mapping[str, float],
-) -> list[CellParams]:
+) -> CellFrame:
     """Join cells with their industry's firm parameters and region density.
 
     ``densities`` maps zcta to normalized density.  Cells with zero
     employment, an unresolvable industry (left in the resolver's
-    ``unresolved``), or no density record cannot enter the model; missing
-    densities are warned about.  Each industry's :class:`FirmParams` is
-    built once, from its communication share, and shared by its cells.
+    ``unresolved``), or no density record cannot enter the model; the
+    unresolved codes and the regions without density are warned about.
     The frame keeps the order of ``cells`` (``build_cells`` sorts them by
     zcta and code): every total computed from the frame is an ``fsum`` or
     goes through a sort, so no output byte depends on that order.
     """
-    frame: list[CellParams] = []
+    import numpy as np
+
+    zctas: list[str] = []
+    codes: list[str] = []
+    employment: list[float] = []
+    chi: list[float] = []
+    density: list[float] = []
+    unresolved: list[str] = []
     missing_density: set[str] = set()
-    params: dict[str, FirmParams] = {}
     for cell in cells:
         if cell.employment <= 0.0:
             continue
         mix = resolver.resolve(cell.industry_code)
         if mix is None:
+            unresolved.append(cell.industry_code)
             continue
-        density = densities.get(cell.zcta)
-        if density is None:
+        d = densities.get(cell.zcta)
+        if d is None:
             missing_density.add(cell.zcta)
             continue
-        code = mix.industry_code
-        if code not in params:
-            params[code] = FirmParams.from_chi(mix.chi["communication"])
-        frame.append(CellParams(cell.zcta, code, cell.employment, params[code], density))
+        zctas.append(cell.zcta)
+        codes.append(mix.industry_code)
+        employment.append(cell.employment)
+        chi.append(mix.chi["communication"])
+        density.append(d)
+    if unresolved:
+        logger.warning(
+            "%d cells skipped: no industry mix for codes %s",
+            len(unresolved), ", ".join(sorted(set(unresolved))),
+        )
     if missing_density:
         logger.warning(
             "%d regions lack density records; their cells were skipped: %s",
             len(missing_density), ", ".join(sorted(missing_density)),
         )
-    return frame
+    params = FirmParams.from_chi(np.array(chi, dtype=float))
+    return CellFrame(
+        zctas, codes, np.array(employment, dtype=float), params.chi, params.gamma,
+        np.array(density, dtype=float),
+    )
 
 
-def _weighted_slope(points: Sequence[tuple[float, float, float]]) -> float:
-    """Weighted least-squares slope of z on x with intercept.
-
-    ``points`` are (weight, x, z) triples.
-    """
-    total = fsum(w for w, _, _ in points)
+def _weighted_slope(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> float:
+    """Weighted least-squares slope of z on x with intercept, weights ``w``."""
+    total = fsum(w.tolist())
     if total <= 0.0:
         raise CalibrationError("total weight is zero; cannot regress")
-    xbar = fsum(w * x for w, x, _ in points) / total
-    zbar = fsum(w * z for w, _, z in points) / total
-    sxx = fsum(w * (x - xbar) ** 2 for w, x, _ in points)
+    xbar = fsum((w * x).tolist()) / total
+    zbar = fsum((w * z).tolist()) / total
+    sxx = fsum((w * (x - xbar) ** 2).tolist())
     if sxx <= 0.0:
         raise CalibrationError("at least two distinct densities are required")
-    sxz = fsum(w * (x - xbar) * (z - zbar) for w, x, z in points)
+    sxz = fsum((w * (x - xbar) * (z - zbar)).tolist())
     return sxz / sxx
 
 
-def slope_factor(frame: Sequence[CellParams]) -> float:
+def slope_factor(frame: CellFrame) -> float:
     """The data moment k: regression slope of chi*ln(d) on ln(d), weighted."""
-    points = [(c.employment, log(c.density), c.params.chi * log(c.density)) for c in frame]
-    return _weighted_slope(points)
+    import numpy as np
+
+    x = np.log(frame.density)
+    return _weighted_slope(frame.employment, x, frame.chi * x)
 
 
-def calibrate_epsilon(
-    frame: Sequence[CellParams], target_elasticity: float, k: float
-) -> float:
+def calibrate_epsilon(frame: CellFrame, target_elasticity: float, k: float) -> float:
     """Solve for eps so the implied-productivity regression hits the target slope.
 
     ``k`` is the frame's :func:`slope_factor`.  The regressand is linear in
@@ -152,6 +214,8 @@ def calibrate_epsilon(
     returned eps must reproduce the target within 1e-9 or the calibration
     aborts.
     """
+    import numpy as np
+
     if target_elasticity <= 0.0:
         raise CalibrationError(f"target elasticity must be positive, got {target_elasticity!r}")
     if k <= 0.0:
@@ -160,8 +224,8 @@ def calibrate_epsilon(
             "density in this data, so no positive eps can match the target"
         )
     eps = target_elasticity / k
-    check = [(c.employment, log(c.density), eps * c.params.chi * log(c.density)) for c in frame]
-    achieved = _weighted_slope(check)
+    x = np.log(frame.density)
+    achieved = _weighted_slope(frame.employment, x, eps * frame.chi * x)
     if abs(achieved - target_elasticity) > _SLOPE_TOL:
         raise CalibrationError(
             f"verification regression slope {achieved!r} misses target "
@@ -170,59 +234,82 @@ def calibrate_epsilon(
     return eps
 
 
-def optimal_contacts_grid(frame: Sequence[CellParams], eps: float) -> list[float]:
+def optimal_contacts_grid(frame: CellFrame, eps: float) -> np.ndarray:
     """Optimal contacts of each frame cell, in frame order, at elasticity ``eps``."""
-    return [contacts_at_density(c.density, eps, c.params) for c in frame]
+    return contacts_at_density(frame.density, eps, frame.params)
 
 
-def aggregate_contact_share(pairs: Sequence[tuple[float, float]], cap: float) -> float:
-    """Capped aggregate contacts as a fraction of the unconstrained aggregate."""
-    total = fsum(w * n for n, w in pairs)
+def _pair_columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The contacts and weight columns of (contacts, weight) rows."""
+    import numpy as np
+
+    rows = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    return rows[:, 0], rows[:, 1]
+
+
+def aggregate_contact_share(pairs, cap: float) -> float:
+    """Capped aggregate contacts as a fraction of the unconstrained aggregate.
+
+    ``pairs`` are (optimal contacts, employment weight) rows: a sequence of
+    pairs or an (n, 2) array.
+    """
+    import numpy as np
+
+    contacts, weights = _pair_columns(pairs)
+    total = fsum((weights * contacts).tolist())
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot compute a share")
-    capped = fsum(w * min(cap, n) for n, w in pairs)
+    capped = fsum((weights * np.minimum(cap, contacts)).tolist())
     return capped / total
 
 
-def calibrate_cap(pairs: Sequence[tuple[float, float]], target_share: float) -> float:
+def calibrate_cap(pairs, target_share: float) -> float:
     """The cap N at which capped contacts are the target share of the total.
 
-    ``pairs`` are (optimal contacts, employment weight).  The target must
-    lie in (0, 1]; 1 means no binding cap and returns the largest optimal
-    contact count.  With the cells sorted by optimal contacts, capped
-    contacts at a cap between two consecutive counts are ``below + N *
-    above``: the contacts of the cells under the cap plus N times the
-    weight of the rest.  The first cell whose count reaches the target ends
-    the segment that holds N, and inverting that line gives N.
+    ``pairs`` are (optimal contacts, employment weight) rows, a sequence of
+    pairs or an (n, 2) array.  The target must lie in (0, 1]; 1 means no
+    binding cap and returns the largest optimal contact count.  With the
+    cells sorted by optimal contacts, capped contacts at a cap between two
+    consecutive counts are ``below + N * above``: the contacts of the cells
+    under the cap plus N times the weight of the rest.  Both are running
+    sums, added left to right.  The first cell whose count reaches the
+    target ends the segment that holds N, and inverting that line gives N.
     :func:`run_calibration` checks that the cap reproduces the target share
     within 1e-10 relative.
     """
+    import numpy as np
+
     if not 0.0 < target_share <= 1.0:
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
-    if not pairs:
+    contacts, weights = _pair_columns(pairs)
+    if not contacts.size:
         raise CalibrationError("no cells to calibrate the contact cap on")
-    total = fsum(w * n for n, w in pairs)
+    total = fsum((weights * contacts).tolist())
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot calibrate a cap")
     if target_share == 1.0:
-        return max(n for n, _ in pairs)
+        return float(contacts.max())
     target = target_share * total
-    ordered = sorted(pairs)
-    below = [0.0, *accumulate(w * n for n, w in ordered)]
-    above = [*accumulate(w for _, w in reversed(ordered))][::-1]
-    for i, (n, _) in enumerate(ordered):
-        if below[i] + n * above[i] >= target:
-            return (target - below[i]) / above[i]
-    return ordered[-1][0]  # reached only if rounding puts the target above every kink
+    order = np.lexsort((weights, contacts))
+    contacts, weights = contacts[order], weights[order]
+    below = np.concatenate(([0.0], np.cumsum(weights * contacts)[:-1]))
+    above = np.cumsum(weights[::-1])[::-1]
+    reached = np.flatnonzero(below + contacts * above >= target)
+    if not reached.size:
+        return float(contacts[-1])  # only if rounding puts the target above every kink
+    i = reached[0]
+    return float((target - below[i]) / above[i])
 
 
 def run_calibration(
-    frame: Sequence[CellParams],
+    frame: CellFrame,
     target_contact_share: float = 0.5,
     target_elasticity: float = 0.04,
     fixed_eps: float | None = None,
 ) -> tuple[CalibratedModel, CalibrationReport]:
     """Full calibration: eps (solved or fixed), contact grid, contact cap."""
+    import numpy as np
+
     if not frame:
         raise CalibrationError("no usable cells; calibration is impossible")
     k = slope_factor(frame)
@@ -232,7 +319,7 @@ def run_calibration(
         eps = fixed_eps
     else:
         eps = calibrate_epsilon(frame, target_elasticity, k)
-    pairs = list(zip(optimal_contacts_grid(frame, eps), (c.employment for c in frame)))
+    pairs = np.column_stack((optimal_contacts_grid(frame, eps), frame.employment))
     cap = calibrate_cap(pairs, target_contact_share)
     achieved_share = aggregate_contact_share(pairs, cap)
     if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:

@@ -12,7 +12,7 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass, fields
-from math import log
+from math import fsum, log
 from pathlib import Path
 from typing import Sequence
 
@@ -53,7 +53,6 @@ class GeoStage:
     cells: list[geo.RegionCell]
     densities: dict[str, float]  # zcta -> normalized density
     resolver: industries.MixResolver
-    exposures: dict[str, geo.RegionExposure]
 
 
 def run_index_stage(cfg: RunConfig) -> IndexStage:
@@ -86,23 +85,16 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     if cfg.employment_density:
         records = [(zcta, weights.get(zcta, 0.0), area) for zcta, _, area in records]
     densities = geo.normalize_density(records, weights)
-    resolver = industries.MixResolver(index.mixes)
-    exposures, _ = geo.regional_exposure(cells, resolver)
-    return GeoStage(cells, densities, resolver, exposures)
+    return GeoStage(cells, densities, industries.MixResolver(index.mixes))
 
 
 def _drop_excluded_cells(
     cells: list[geo.RegionCell], exclusions: Sequence[str]
 ) -> list[geo.RegionCell]:
-    """Exclusion codes act as sector prefixes on raw establishment codes.
-
-    A range code such as ``44-45`` also matches every sector in its range.
-    """
+    """Drop the establishment cells that :func:`industries.exclusion_prefixes` excludes."""
     if not exclusions:
         return cells
-    prefixes = tuple(
-        prefix for code in exclusions for prefix in (code, *industries._range_aliases(code))
-    )
+    prefixes = industries.exclusion_prefixes(exclusions)
     kept = [cell for cell in cells if not cell.industry_code.startswith(prefixes)]
     dropped = len(cells) - len(kept)
     if dropped:
@@ -112,7 +104,7 @@ def _drop_excluded_cells(
 
 def run_calibration_stage(
     cfg: RunConfig, geo_stage: GeoStage
-) -> tuple[calibrate.CalibratedModel, calibrate.CalibrationReport, list[calibrate.CellParams]]:
+) -> tuple[calibrate.CalibratedModel, calibrate.CalibrationReport, calibrate.CellFrame]:
     frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
     model, report = calibrate.run_calibration(
         frame,
@@ -137,8 +129,9 @@ def cmd_index(cfg: RunConfig) -> int:
     _write_reconciliation(out / "reconciliation.txt", index, stamp)
     if cfg.cbp and cfg.density and cfg.national_sizes:
         geo_stage = run_geo_stage(cfg, index)
+        exposures, _ = geo.regional_exposure(geo_stage.cells, geo_stage.resolver)
         geo.write_location_index_csv(
-            out / "location-index.csv", geo_stage.exposures, geo_stage.densities, stamp
+            out / "location-index.csv", exposures, geo_stage.densities, stamp
         )
     else:
         logger.info("no establishment/density inputs configured; location index skipped")
@@ -195,19 +188,17 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
 def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
-    sums = geo.weighted_sums(("all", c.employment, c.employment * c.params.chi) for c in frame)
-    employment, weighted_chi = sums["all"]
-    mean_chi = weighted_chi / employment
+    import numpy as np
+
+    mean_chi = fsum((frame.employment * frame.chi).tolist()) / fsum(frame.employment.tolist())
     if mean_chi <= 0.0:
         logger.warning("mean communication share is zero; fig2 curves skipped")
         return
-    dmin = min(c.density for c in frame)
-    dmax = max(c.density for c in frame)
+    dmin = float(frame.density.min())
+    dmax = float(frame.density.max())
     if dmax <= dmin:
         logger.warning("degenerate density range; fig2 curves skipped")
         return
-    import numpy as np  # only the fig2 writers and lowess load numpy
-
     grid = np.geomspace(dmin, dmax, 100)
     curves = counterfactual.cost_ratio_curves(
         FirmParams.from_chi(mean_chi), grid, model.contact_cap, telecom_cost, model.eps

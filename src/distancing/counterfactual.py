@@ -1,20 +1,24 @@
 """Apply the calibrated contact cap and compute compensating wage subsidies.
 
 Each (region, industry) cell gets the subsidy that would offset its cost
-increase under the cap, priced with the firm parameters the cell carries,
-then cells are aggregated to employment-weighted sector and location
-tables and one overall average (:func:`overall`).  The telecom fallback
-never enters the subsidy numbers; it only appears in the cost-ratio
-curves, where the two regimes are compared across densities.
+increase under the cap.  The whole :class:`~distancing.calibrate.CellFrame`
+is priced at once: every closed form runs once, over the frame's columns.
+Cells are then aggregated to employment-weighted sector and location
+tables and one overall average (:func:`overall`).  Every total is an
+exact ``fsum``; group totals go through :func:`~distancing.geo.weighted_sums`.
+The telecom fallback never enters the subsidy numbers; it only picks each
+cell's regime and appears in the cost-ratio curves, where the two regimes
+are compared across densities.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from math import fsum
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .calibrate import CalibratedModel, CellParams
+from .calibrate import CalibratedModel, CellFrame
 from .errors import CalibrationError
 from .geo import weighted_sums
 from .model import (
@@ -28,20 +32,10 @@ from .model import (
     telecom_cost_ratio,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class SubsidyResult:
-    """Outcome for one (zcta, industry) cell under the calibrated cap."""
-
-    zcta: str
-    industry_code: str
-    nstar: float
-    cap_ratio: float  # min(1, cap / nstar); 1 means the cap does not bind
-    subsidy: float
-    employment: float
-    regime: Regime | None = None
 
 
 @dataclass
@@ -55,72 +49,72 @@ class AggRow:
 
 def compute_subsidies(
     model: CalibratedModel,
-    frame: Sequence[CellParams],
+    frame: CellFrame,
     telecom_cost: float | None = None,
-) -> list[SubsidyResult]:
+) -> CellFrame:
     """Per-cell compensating subsidies at the calibrated cap.
 
-    Cells with chi = 0 have nothing to disrupt and get subsidy 0.  When
-    ``telecom_cost`` is given, each cell is additionally annotated with the
-    regime the firm would pick; the subsidy itself always prices the
-    face-to-face (distanced) response.
+    Returns a copy of ``frame`` with its ``nstar``, ``cap_ratio``,
+    ``subsidy`` and ``regime`` columns filled.  Cells with chi = 0 have
+    nothing to disrupt and get subsidy 0.  When ``telecom_cost`` is given,
+    each cell is additionally annotated with the regime the firm would
+    pick; the subsidy itself always prices the face-to-face (distanced)
+    response.
     """
-    intervention = None if telecom_cost is None else Intervention(model.contact_cap, telecom_cost)
-    results = []
-    for cell in frame:
-        nstar = contacts_at_density(cell.density, model.eps, cell.params)
-        ratio = min(1.0, model.contact_cap / nstar)
-        subsidy = compensating_subsidy(ratio, cell.params)
-        regime = None
-        if intervention is not None:
-            regime, _ = preferred_regime(intervention, cell.density, model.eps, cell.params)
-        results.append(
-            SubsidyResult(
-                zcta=cell.zcta,
-                industry_code=cell.industry_code,
-                nstar=nstar,
-                cap_ratio=ratio,
-                subsidy=subsidy,
-                employment=cell.employment,
-                regime=regime,
-            )
-        )
-    return results
+    import numpy as np
+
+    params = frame.params
+    nstar = contacts_at_density(frame.density, model.eps, params)
+    cap_ratio = np.minimum(1.0, model.contact_cap / nstar)
+    regime = None
+    if telecom_cost is not None:
+        intervention = Intervention(model.contact_cap, telecom_cost)
+        regime, _ = preferred_regime(intervention, frame.density, model.eps, params)
+    return replace(
+        frame,
+        nstar=nstar,
+        cap_ratio=cap_ratio,
+        subsidy=compensating_subsidy(cap_ratio, params),
+        regime=regime,
+    )
 
 
-def _weighted_rows(keyed: Iterable[tuple[str, SubsidyResult]]) -> list[AggRow]:
+def _weighted_rows(
+    keys: Iterable[str], employment: np.ndarray, subsidy: np.ndarray
+) -> list[AggRow]:
     """Employment-weighted subsidy per key, most affected first, ties by key."""
-    sums = weighted_sums((key, r.employment, r.subsidy * r.employment) for key, r in keyed)
+    sums = weighted_sums(zip(keys, employment.tolist(), (subsidy * employment).tolist()))
     rows = [
-        AggRow(key=key, subsidy=weighted / employment, employment=employment)
-        for key, (employment, weighted) in sums.items()
-        if employment > 0.0
+        AggRow(key=key, subsidy=weighted / total, employment=total)
+        for key, (total, weighted) in sums.items()
+        if total > 0.0
     ]
     rows.sort(key=lambda row: (-row.subsidy, row.key))
     return rows
 
 
-def overall(results: Sequence[SubsidyResult]) -> AggRow:
+def overall(results: CellFrame) -> AggRow:
     """The employment-weighted subsidy over all cells (key ``ALL``).
 
     Reports append it to the sector table as the average row.
     """
-    rows = _weighted_rows(("ALL", r) for r in results)
-    if not rows:
+    employment = fsum(results.employment.tolist())
+    if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
-    return rows[0]
+    weighted = fsum((results.subsidy * results.employment).tolist())
+    return AggRow(key="ALL", subsidy=weighted / employment, employment=employment)
 
 
-def sector_table(results: Sequence[SubsidyResult]) -> list[AggRow]:
+def sector_table(results: CellFrame) -> list[AggRow]:
     """Employment-weighted subsidy per industry, most affected first.
 
     Ties break by industry code.
     """
-    return _weighted_rows((r.industry_code, r) for r in results)
+    return _weighted_rows(results.industry_code, results.employment, results.subsidy)
 
 
 def location_table(
-    results: Sequence[SubsidyResult],
+    results: CellFrame,
     grouping: Mapping[str, str] | None = None,
 ) -> list[AggRow]:
     """Employment-weighted subsidy per region.
@@ -131,11 +125,15 @@ def location_table(
     about.
     """
     if grouping is None:
-        return _weighted_rows((r.zcta, r) for r in results)
-    present = {r.zcta for r in results}
-    for zcta in sorted(set(grouping) - present):
+        return _weighted_rows(results.zcta, results.employment, results.subsidy)
+    for zcta in sorted(set(grouping).difference(results.zcta)):
         logger.warning("region grouping lists %s, which has no results", zcta)
-    return _weighted_rows((grouping[r.zcta], r) for r in results if r.zcta in grouping)
+    members = [i for i, zcta in enumerate(results.zcta) if zcta in grouping]
+    return _weighted_rows(
+        [grouping[results.zcta[i]] for i in members],
+        results.employment[members],
+        results.subsidy[members],
+    )
 
 
 @dataclass

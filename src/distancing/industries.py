@@ -134,20 +134,34 @@ def rank_industries(
     return ordered[:k], ordered[max(len(ordered) - k, 0):]
 
 
+def exclusion_prefixes(exclusions: Iterable[str]) -> tuple[str, ...]:
+    """The code prefixes that an exclusion list removes.
+
+    This is the one exclusion rule, for industry mixes and establishment
+    cells alike: an entry removes every code that starts with it, and a
+    range entry such as ``44-45`` also every code that starts with one of
+    the sectors in its range.
+    """
+    return tuple(prefix for code in exclusions for prefix in (code, *_range_aliases(code)))
+
+
 def exclude_sectors(
     mixes: Sequence[IndustryMix], exclusions: Iterable[str]
 ) -> tuple[list[IndustryMix], list[str]]:
-    """Drop industries whose code exactly matches an exclusion entry.
+    """Drop the industries that :func:`exclusion_prefixes` excludes.
 
-    Returns the kept mixes and the exclusion codes that actually matched;
-    codes with no match are warned about, not errors.
+    Returns the kept mixes and the exclusion codes that matched at least
+    one industry, sorted; codes with no match are warned about, not errors.
     """
-    exclusion_set = set(exclusions)
-    present = {mix.industry_code for mix in mixes}
-    for code in sorted(exclusion_set - present):
-        logger.warning("exclusion code %s matches no industry", code)
-    kept = [mix for mix in mixes if mix.industry_code not in exclusion_set]
-    removed = sorted(exclusion_set & present)
+    removed = []
+    for code in sorted(set(exclusions)):
+        prefixes = exclusion_prefixes([code])
+        if any(mix.industry_code.startswith(prefixes) for mix in mixes):
+            removed.append(code)
+        else:
+            logger.warning("exclusion code %s matches no industry", code)
+    prefixes = exclusion_prefixes(removed)
+    kept = [mix for mix in mixes if not mix.industry_code.startswith(prefixes)]
     return kept, removed
 
 

@@ -9,14 +9,19 @@ finer division of labor and cheaper production.  Minimizing over ``n``
 for the contact count and the unit cost, and those forms extend to
 density-dependent contact costs, contact caps, and a telecom fallback.
 
-Everything here is a pure, stateless scalar function, safe to call from
-any number of threads.  Aggregation and data handling live elsewhere.
+Every closed form is one pure, stateless function of plain floats or of
+numpy arrays, which broadcast elementwise so a whole frame of cells is
+priced in one call.  Domain checks cover every element and name the first
+bad value.  A call on floats never touches numpy (this module does not
+import it), so it returns exactly what float arithmetic gives.
+Aggregation and data handling live elsewhere.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -40,12 +45,52 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 
 
+def _is_array(value) -> bool:
+    """Whether ``value`` is a numpy array; an array exists only once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
+
+
+def _select(mask, then, otherwise):
+    """``then`` where ``mask`` holds, else ``otherwise``: a conditional or ``numpy.where``."""
+    if _is_array(mask):
+        return sys.modules["numpy"].where(mask, then, otherwise)
+    return then if mask else otherwise
+
+
+def _first_violation(ok, *values):
+    """None if ``ok`` holds everywhere, else ``values`` at the first element where it fails."""
+    if not _is_array(ok):
+        return None if ok else values
+    np = sys.modules["numpy"]
+    bad = np.flatnonzero(~ok)
+    if bad.size == 0:
+        return None
+    i = bad[0]
+    return tuple(
+        float(np.broadcast_to(v, ok.shape).flat[i]) if _is_array(v) else v for v in values
+    )
+
+
+def _power(base, exponent):
+    """``base ** exponent``, with ``inf`` where the result overflows a double."""
+    if _is_array(base) or _is_array(exponent):
+        np = sys.modules["numpy"]
+        with np.errstate(over="ignore"):
+            return np.power(base, exponent)
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class FirmParams:
     """Communication cost share ``chi`` and specialization benefit ``gamma``.
 
     The two are tied by ``chi = gamma / (1 + gamma)``; build instances via
     :meth:`from_chi` or :meth:`from_gamma` so the identity always holds.
+    Both are floats for one firm or equal-shape arrays for many.
     ``chi == 0`` (``gamma == 0``) is the degenerate no-communication firm:
     it is accepted so aggregation code can treat such industries uniformly,
     but the unit-cost functions reject it.
@@ -55,29 +100,38 @@ class FirmParams:
     gamma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.chi) or not 0.0 <= self.chi < 1.0:
-            raise DomainError(f"chi must lie in [0, 1), got {self.chi!r}")
-        if not math.isfinite(self.gamma) or self.gamma < 0.0:
-            raise DomainError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if abs(self.chi - self.gamma / (1.0 + self.gamma)) > _IDENTITY_TOL:
+        _require_chi(self.chi)
+        _require_gamma(self.gamma)
+        implied = self.gamma / (1.0 + self.gamma)
+        bad = _first_violation(abs(self.chi - implied) <= _IDENTITY_TOL, self.chi, implied)
+        if bad is not None:
             raise DomainError(
-                f"inconsistent parameters: chi={self.chi!r} but "
-                f"gamma/(1+gamma)={self.gamma / (1.0 + self.gamma)!r}"
+                f"inconsistent parameters: chi={bad[0]!r} but gamma/(1+gamma)={bad[1]!r}"
             )
 
     @classmethod
     def from_chi(cls, chi: float) -> "FirmParams":
         """Build from the communication cost share, ``0 <= chi < 1``."""
-        if not math.isfinite(chi) or not 0.0 <= chi < 1.0:
-            raise DomainError(f"chi must lie in [0, 1), got {chi!r}")
+        _require_chi(chi)
         return cls(chi=chi, gamma=chi / (1.0 - chi))
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "FirmParams":
         """Build from the division-of-labor benefit, ``gamma >= 0``."""
-        if not math.isfinite(gamma) or gamma < 0.0:
-            raise DomainError(f"gamma must be finite and >= 0, got {gamma!r}")
+        _require_gamma(gamma)
         return cls(chi=gamma / (1.0 + gamma), gamma=gamma)
+
+
+def _require_chi(chi) -> None:
+    bad = _first_violation((chi >= 0.0) & (chi < 1.0), chi)
+    if bad is not None:
+        raise DomainError(f"chi must lie in [0, 1), got {bad[0]!r}")
+
+
+def _require_gamma(gamma) -> None:
+    bad = _first_violation((gamma >= 0.0) & (gamma < math.inf), gamma)
+    if bad is not None:
+        raise DomainError(f"gamma must be finite and >= 0, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -105,9 +159,19 @@ class Regime(enum.Enum):
     TELECOM = "telecom"
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
+def _require_positive(name: str, value) -> None:
+    if _is_array(value):
+        ok = (value > 0.0) & (value < math.inf)
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0
+    bad = _first_violation(ok, value)
+    if bad is not None:
+        raise DomainError(f"{name} must be a positive finite real, got {bad[0]!r}")
+
+
+def _require_communication(params: FirmParams, message: str) -> None:
+    if _first_violation(params.chi > 0.0) is not None:
+        raise DomainError(message)
 
 
 def optimal_contacts(tau: float, params: FirmParams) -> float:
@@ -127,8 +191,7 @@ def unit_cost(tau: float, params: FirmParams) -> float:
     ``optimal_contacts(tau)``.  Requires ``chi > 0``.
     """
     _require_positive("tau", tau)
-    if params.chi <= 0.0:
-        raise DomainError("unit_cost is undefined for chi = 0 (no communication)")
+    _require_communication(params, "unit_cost is undefined for chi = 0 (no communication)")
     return tau**params.chi / params.chi
 
 
@@ -147,8 +210,7 @@ def unit_cost_at_density(d: float, eps: float, params: FirmParams) -> float:
     """Unit cost at density ``d``: ``d**(-eps*chi) / chi``, decreasing in ``d``."""
     _require_positive("d", d)
     _require_positive("eps", eps)
-    if params.chi <= 0.0:
-        raise DomainError("unit_cost_at_density is undefined for chi = 0")
+    _require_communication(params, "unit_cost_at_density is undefined for chi = 0")
     return d ** (-eps * params.chi) / params.chi
 
 
@@ -164,14 +226,13 @@ def distancing_cost_ratio(cap_ratio: float, params: FirmParams) -> float:
     range (tiny cap, huge gamma) the ratio is reported as ``inf``.
     """
     _require_positive("cap_ratio", cap_ratio)
-    if cap_ratio >= 1.0:
-        return 1.0
     x = cap_ratio
-    try:
-        penalty = x ** (-params.gamma)
-    except OverflowError:
-        return math.inf
-    return params.chi * x + (1.0 - params.chi) * penalty
+    penalty = _power(x, -params.gamma)
+    return _select(x >= 1.0, 1.0, params.chi * x + (1.0 - params.chi) * penalty)
+
+
+def _telecom_ratio(T: float, d: float, eps: float, params: FirmParams) -> float:
+    return _power(T * _power(d, eps), params.chi)
 
 
 def telecom_cost_ratio(T: float, d: float, eps: float, params: FirmParams) -> float:
@@ -189,15 +250,16 @@ def telecom_cost_ratio(T: float, d: float, eps: float, params: FirmParams) -> fl
     _require_positive("T", T)
     _require_positive("d", d)
     _require_positive("eps", eps)
-    face_to_face = d ** (-eps)
-    if T < face_to_face:
+    bad = _first_violation(T >= _power(d, -eps), T, d, eps)
+    if bad is not None:
+        T, d, eps = bad
         raise DomainError(
             f"telecom cost {T!r} is below the face-to-face contact cost "
-            f"{face_to_face!r} at density {d!r}; the firm would already "
+            f"{_power(d, -eps)!r} at density {d!r}; the firm would already "
             "telecommute",
             code="telecom_below_face_to_face_cost",
         )
-    return (T * d**eps) ** params.chi
+    return _telecom_ratio(T, d, eps, params)
 
 
 def preferred_regime(
@@ -208,18 +270,22 @@ def preferred_regime(
     Unconstrained (ratio exactly 1) when optimal contacts already fit under
     the cap.  Otherwise the cheaper of capped face-to-face and telecom;
     telecom is considered only when available and valid at this density.
-    Ties go to face-to-face.
+    Ties go to face-to-face.  For arrays the regimes come back as an
+    object array of :class:`Regime` members.
     """
+    cap = intervention.contact_cap
     nstar = contacts_at_density(d, eps, params)
-    if nstar <= intervention.contact_cap:
-        return Regime.UNCONSTRAINED, 1.0
-    dist = distancing_cost_ratio(intervention.contact_cap / nstar, params)
+    binds = nstar > cap
+    # cap over max(nstar, cap): exactly 1, so a ratio of exactly 1, where the cap does not bind
+    ratio = distancing_cost_ratio(cap / _select(binds, nstar, cap), params)
+    regime = _select(binds, Regime.DISTANCED, Regime.UNCONSTRAINED)
     T = intervention.telecom_cost
-    if T is not None and T >= d ** (-eps):
-        tele = telecom_cost_ratio(T, d, eps, params)
-        if tele < dist:
-            return Regime.TELECOM, tele
-    return Regime.DISTANCED, dist
+    if T is not None:
+        tele = _telecom_ratio(T, d, eps, params)
+        online = binds & (T >= _power(d, -eps)) & (tele < ratio)
+        regime = _select(online, Regime.TELECOM, regime)
+        ratio = _select(online, tele, ratio)
+    return regime, ratio
 
 
 def compensating_subsidy(cap_ratio: float, params: FirmParams) -> float:
@@ -237,15 +303,14 @@ def compensating_subsidy(cap_ratio: float, params: FirmParams) -> float:
     double is returned to keep the value strictly below 1.
     """
     _require_positive("cap_ratio", cap_ratio)
-    if cap_ratio >= 1.0:
-        return 0.0
-    x = cap_ratio
+    binds = cap_ratio < 1.0
+    x = _select(binds, cap_ratio, 1.0)
     denom = 1.0 - params.chi * x
-    if denom <= 0.0:
-        # Unreachable for chi < 1 and x < 1; guarded so a bad caller gets a
-        # typed error instead of a negative-denominator surprise.
-        raise DomainError(f"chi * cap_ratio = {params.chi * x!r} >= 1")
+    # Unreachable for chi < 1 and x < 1; guarded so a bad caller gets a
+    # typed error instead of a negative-denominator surprise.
+    bad = _first_violation(denom > 0.0, params.chi * x)
+    if bad is not None:
+        raise DomainError(f"chi * cap_ratio = {bad[0]!r} >= 1")
     value = 1.0 - (1.0 - params.chi) / denom * x**params.gamma
-    if value >= 1.0:
-        value = math.nextafter(1.0, 0.0)
-    return value
+    value = _select(value >= 1.0, math.nextafter(1.0, 0.0), value)
+    return _select(binds, value, 0.0)

@@ -18,7 +18,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from distancing.calibrate import (
-    CellParams,
     calibrate_cap,
     calibrate_epsilon,
     cell_parameters,
@@ -38,6 +37,7 @@ from distancing.model import (
 )
 
 import e2efixture
+from frames import frame_of
 from test_geo import oracle_lowess
 
 
@@ -106,12 +106,12 @@ def test_criterion_3_calibration_fixtures():
         cap = calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 0.5)
         assert abs(cap - 1.5) <= 1e-8
 
-        frame = [
-            CellParams("a", "n", 10.0, FirmParams.from_chi(0.4), 0.5),
-            CellParams("b", "n", 20.0, FirmParams.from_chi(0.4), 1.0),
-            CellParams("c", "n", 15.0, FirmParams.from_chi(0.4), 2.0),
-            CellParams("d", "n", 5.0, FirmParams.from_chi(0.4), 8.0),
-        ]
+        frame = frame_of([
+            ("a", "n", 10.0, 0.4, 0.5),
+            ("b", "n", 20.0, 0.4, 1.0),
+            ("c", "n", 15.0, 0.4, 2.0),
+            ("d", "n", 5.0, 0.4, 8.0),
+        ])
         eps = calibrate_epsilon(frame, 0.04, slope_factor(frame))
         assert abs(eps - 0.1) <= 1e-9
         x = np.array([math.log(c.density) for c in frame])

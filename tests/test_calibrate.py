@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from distancing import calibrate
 from distancing.calibrate import (
-    CellParams,
     aggregate_contact_share,
     calibrate_cap,
     calibrate_epsilon,
@@ -23,9 +22,11 @@ from distancing.geo import RegionCell
 from distancing.industries import IndustryMix, MixResolver
 from distancing.model import FirmParams, contacts_at_density
 
+from frames import frame_of
+
 
 def cell(zcta, code, w, chi, d):
-    return CellParams(zcta, code, w, FirmParams.from_chi(chi), d)
+    return (zcta, code, w, chi, d)
 
 
 def solve_eps(frame, target):
@@ -47,12 +48,12 @@ def bisect_cap(pairs, target_share):
 
 
 def constant_chi_frame(chi=0.4):
-    return [
+    return frame_of([
         cell("a", "44", 10.0, chi, 0.5),
         cell("b", "44", 20.0, chi, 1.0),
         cell("c", "44", 15.0, chi, 2.0),
         cell("d", "44", 5.0, chi, 8.0),
-    ]
+    ])
 
 
 class TestEpsilon:
@@ -63,36 +64,36 @@ class TestEpsilon:
         # oracle: numpy weighted polyfit reproduces the target slope
         frame = constant_chi_frame(0.4)
         x = np.array([math.log(c.density) for c in frame])
-        z = eps * np.array([c.params.chi for c in frame]) * x
+        z = eps * np.array([c.chi for c in frame]) * x
         w = np.array([c.employment for c in frame])
         slope = np.polyfit(x, z, 1, w=np.sqrt(w))[0]
         assert slope == pytest.approx(0.04, abs=1e-9)
 
     def test_chi_one_limit(self):
-        frame = [
+        frame = frame_of([
             cell("a", "x", 1.0, 1.0 - 1e-12, 0.5),
             cell("b", "x", 1.0, 1.0 - 1e-12, 2.0),
-        ]
+        ])
         assert solve_eps(frame, 0.04) == pytest.approx(0.04, rel=1e-9)
 
     def test_doubling_target_doubles_eps(self):
         rng = np.random.default_rng(61)
-        frame = [
+        frame = frame_of([
             cell(f"z{i}", "n", float(rng.uniform(1, 50)), float(rng.uniform(0.1, 0.9)),
                  float(rng.uniform(0.1, 10)))
             for i in range(30)
-        ]
+        ])
         assert solve_eps(frame, 0.08) == pytest.approx(2.0 * solve_eps(frame, 0.04), rel=1e-12)
 
     def test_single_density_rejected(self):
-        frame = [cell("a", "x", 1.0, 0.4, 2.0), cell("b", "x", 1.0, 0.4, 2.0)]
+        frame = frame_of([cell("a", "x", 1.0, 0.4, 2.0), cell("b", "x", 1.0, 0.4, 2.0)])
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
 
     def test_nonpositive_moment_rejected(self):
         # exposure collapses with density above the mean: k < 0, no
         # positive eps can match the target
-        frame = [cell("a", "x", 1.0, 0.9, 1.1), cell("b", "y", 1.0, 0.0, 7.0)]
+        frame = frame_of([cell("a", "x", 1.0, 0.9, 1.1), cell("b", "y", 1.0, 0.0, 7.0)])
         assert slope_factor(frame) < 0
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
@@ -100,27 +101,27 @@ class TestEpsilon:
 
 class TestContactsGrid:
     def test_unit_density_everywhere(self):
-        frame = [cell("a", "x", 1.0, 0.3, 1.0), cell("b", "y", 2.0, 0.6, 1.0)]
+        frame = frame_of([cell("a", "x", 1.0, 0.3, 1.0), cell("b", "y", 2.0, 0.6, 1.0)])
         grid = optimal_contacts_grid(frame, 0.1)
-        assert grid == [1.0, 1.0]
+        assert grid.tolist() == [1.0, 1.0]
 
     def test_exponent_identity(self):
         eps, chi = 0.25, 0.2
         d = math.exp(1.0 / (eps * (1.0 - chi)))
-        grid = optimal_contacts_grid([cell("a", "x", 1.0, chi, d)], eps)
+        grid = optimal_contacts_grid(frame_of([cell("a", "x", 1.0, chi, d)]), eps)
         assert grid[0] == pytest.approx(math.e, rel=1e-12)
 
     def test_matches_model_per_cell(self):
         rng = np.random.default_rng(67)
-        frame = [
+        frame = frame_of([
             cell(f"z{i}", f"n{i}", 1.0, float(rng.uniform(0, 0.9)),
                  float(rng.uniform(0.05, 20)))
             for i in range(50)
-        ]
+        ])
         grid = optimal_contacts_grid(frame, 0.07)
         assert len(grid) == len(frame)
         for c, n in zip(frame, grid):
-            expected = contacts_at_density(c.density, 0.07, FirmParams.from_chi(c.params.chi))
+            expected = contacts_at_density(c.density, 0.07, FirmParams.from_chi(c.chi))
             assert n == pytest.approx(expected, rel=1e-12)
 
 
@@ -218,9 +219,24 @@ class TestCellParameters:
         ]
         frame = cell_parameters(cells, resolver, densities)
         assert len(frame) == 1
-        row = frame[0]
+        (row,) = frame
         assert (row.zcta, row.industry_code) == ("z1", "44")
-        assert row.params.chi == 0.6 and row.density == 2.0
+        assert row.chi == 0.6 and row.density == 2.0
+
+    def test_unresolved_codes_warned_once_in_sorted_order(self, caplog):
+        resolver = MixResolver([_mix("44", 0.6)])
+        cells = [
+            RegionCell("z1", "99999", 5.0),
+            RegionCell("z1", "441100", 10.0),
+            RegionCell("z2", "88888", 1.0),
+            RegionCell("z2", "99999", 2.0),
+        ]
+        with caplog.at_level("WARNING"):
+            frame = cell_parameters(cells, resolver, {"z1": 1.0, "z2": 2.0})
+        assert [(c.zcta, c.industry_code) for c in frame] == [("z1", "44")]
+        warnings = [r.getMessage() for r in caplog.records if "no industry mix" in r.getMessage()]
+        assert warnings == ["3 cells skipped: no industry mix for codes 88888, 99999"]
+        assert resolver.unresolved == {"88888", "99999"}
 
     def test_one_params_object_per_industry_in_input_order(self):
         resolver = MixResolver([_mix("44", 0.6), _mix("31", 0.2)])
@@ -235,10 +251,11 @@ class TestCellParameters:
         assert [(c.zcta, c.industry_code, c.employment) for c in frame] == [
             ("z2", "44", 5.0), ("z1", "31", 3.0), ("z1", "44", 7.0), ("z2", "31", 1.0),
         ]
-        assert frame[0].params is frame[2].params
-        assert frame[1].params is frame[3].params
-        assert frame[0].params == FirmParams.from_chi(0.6)
-        assert frame[1].params == FirmParams.from_chi(0.2)
+        rows = list(frame)
+        assert (rows[0].chi, rows[0].gamma) == (rows[2].chi, rows[2].gamma)
+        assert (rows[1].chi, rows[1].gamma) == (rows[3].chi, rows[3].gamma)
+        assert FirmParams(rows[0].chi, rows[0].gamma) == FirmParams.from_chi(0.6)
+        assert FirmParams(rows[1].chi, rows[1].gamma) == FirmParams.from_chi(0.2)
 
     def test_run_calibration_end_to_end(self):
         resolver = MixResolver([_mix("44", 0.4)])
@@ -280,7 +297,7 @@ class TestCellParameters:
         model, report = run_calibration(frame, 0.5, 0.04)
         assert calls == [model.contact_cap]
         assert report.achieved_share == original(
-            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.params.chi)),
+            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.chi)),
               c.employment) for c in frame],
             model.contact_cap,
         )

@@ -192,6 +192,20 @@ class TestSubsidy:
         kept = _drop_excluded_cells(cells, ["44-45", "622"])
         assert [cell.industry_code for cell in kept] == ["461000", "621111", "311111"]
 
+    def test_sector_prefix_exclusion_drops_industries_and_cells_alike(
+        self, fixture_config, tmp_path, caplog
+    ):
+        config, out = fixture_config
+        (tmp_path / "in" / "exclusions.txt").write_text("6\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert main(["index", "--config", str(config)]) == 0
+            assert main(["subsidy", "--config", str(config)]) == 0
+        assert "excluded_sectors: 6\n" in (out / "reconciliation.txt").read_text()
+        assert {r["industry_code"] for r in read_csv(out / "industry-index.csv")} == {"31", "44"}
+        sectors = {r["industry"] for r in read_csv(out / "sector-subsidy.csv")}
+        assert sectors == {"31", "44", "Average"}
+        assert not any("matches no industry" in r.message for r in caplog.records)
+
     def test_duplicate_region_zcta_names_both_rows(self, tmp_path):
         groups = tmp_path / "regions.csv"
         groups.write_text("zcta,region\n10001,metro\n10002,metro\n10001,rest\n")
@@ -324,7 +338,7 @@ class TestErrorContract:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "distancing", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0
         assert "distancing 0.1.0" in proc.stdout
@@ -368,7 +382,7 @@ def _imported_modules(args, cwd):
 
 
 class TestImportCost:
-    """numpy loads only where it is used: the lowess smoother and the fig2 writers."""
+    """numpy loads only where it is used: calibration, subsidies, lowess and fig2."""
 
     def test_version_and_index_run_without_numpy(self, fixture_config):
         config, out = fixture_config
@@ -385,6 +399,7 @@ class TestImportCost:
         write_location_index(source)
         for args in (
             ["lowess", "--config", str(config), "--input", str(source)],
+            ["calibrate", "--config", str(config)],
             ["subsidy", "--config", str(config)],
             ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1", "--output-dir", str(out)],
         ):

@@ -150,6 +150,20 @@ class TestExclusions:
         kept, removed = exclude_sectors(mixes, [])
         assert kept == mixes and removed == []
 
+    def test_sector_prefix_removes_every_industry_under_it(self, caplog):
+        mixes = [mix_with("621", 0.4), mix_with("622", 0.5), mix_with("44", 0.6)]
+        with caplog.at_level("WARNING"):
+            kept, removed = exclude_sectors(mixes, ["62"])
+        assert [m.industry_code for m in kept] == ["44"]
+        assert removed == ["62"]
+        assert not any("matches no industry" in r.message for r in caplog.records)
+
+    def test_range_entry_removes_the_range_and_its_sectors(self):
+        mixes = [mix_with("44-45", 0.6), mix_with("452", 0.3), mix_with("31-33", 0.2)]
+        kept, removed = exclude_sectors(mixes, ["44-45", "99"])
+        assert [m.industry_code for m in kept] == ["31-33"]
+        assert removed == ["44-45"]
+
     def test_absent_code_warns_not_raises(self, caplog):
         mixes = [mix_with("44", 0.6)]
         with caplog.at_level("WARNING"):

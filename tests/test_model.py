@@ -6,6 +6,7 @@ evaluation, and brute-force grid scans.
 """
 
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -333,3 +334,142 @@ class TestCompensatingSubsidy:
         p = FirmParams.from_gamma(0.0)
         for x in (0.1, 0.5, 0.9):
             assert compensating_subsidy(x, p) == 0.0
+
+
+# Every closed form takes floats or arrays.  The edge cases below run on a
+# float, a 1-element array and a 3-element array whose middle element is
+# the edge value (the others are ordinary).
+FORMS = ("float", "one", "three")
+
+
+def shaped(form, value, ordinary):
+    if form == "float":
+        return value
+    if form == "one":
+        return np.array([value])
+    return np.array([ordinary, value, ordinary])
+
+
+def edge(form, result):
+    """The result at the edge element."""
+    return result if form == "float" else result[0 if form == "one" else 1]
+
+
+def _error(call):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    return str(excinfo.value), excinfo.value.code
+
+
+_HALF = FirmParams.from_chi(0.5)
+
+# (label, call taking the shaped value, ordinary value, bad value)
+_BAD_INPUTS = [
+    ("tau zero", lambda v: optimal_contacts(v, _HALF), 0.25, 0.0),
+    ("tau nan", lambda v: unit_cost(v, _HALF), 0.25, float("nan")),
+    ("density negative", lambda v: contacts_at_density(v, 0.1, _HALF), 2.0, -1.0),
+    ("density inf", lambda v: unit_cost_at_density(v, 0.1, _HALF), 2.0, float("inf")),
+    ("eps zero", lambda v: contacts_at_density(2.0, v, _HALF), 0.1, 0.0),
+    ("cap ratio zero", lambda v: distancing_cost_ratio(v, _HALF), 0.5, 0.0),
+    ("cap ratio negative", lambda v: compensating_subsidy(v, _HALF), 0.5, -0.5),
+    ("chi one", FirmParams.from_chi, 0.4, 1.0),
+    ("chi nan", FirmParams.from_chi, 0.4, float("nan")),
+    ("gamma negative", FirmParams.from_gamma, 1.0, -0.5),
+    ("gamma inf", FirmParams.from_gamma, 1.0, float("inf")),
+    ("chi zero in unit cost", lambda v: unit_cost(0.5, FirmParams.from_chi(v)), 0.4, 0.0),
+    ("chi zero in density cost",
+     lambda v: unit_cost_at_density(2.0, 0.1, FirmParams.from_chi(v)), 0.4, 0.0),
+    ("telecom below face-to-face",
+     lambda v: telecom_cost_ratio(0.5, v, 0.9, _HALF), 4.0, 0.2),
+]
+
+
+class TestArrayForms:
+    @pytest.mark.parametrize("form", FORMS)
+    @pytest.mark.parametrize(
+        "call,ordinary,bad", [case[1:] for case in _BAD_INPUTS], ids=[c[0] for c in _BAD_INPUTS]
+    )
+    def test_bad_element_raises_the_scalar_error(self, form, call, ordinary, bad):
+        assert _error(lambda: call(shaped(form, bad, ordinary))) == _error(lambda: call(bad))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_inconsistent_pair_raises_the_scalar_error(self, form):
+        chi, gamma = shaped(form, 0.3, 0.5), shaped(form, 7.0, 1.0)
+        assert _error(lambda: FirmParams(chi, gamma)) == _error(lambda: FirmParams(0.3, 7.0))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_penalty_overflow_gives_inf(self, form):
+        p = FirmParams.from_gamma(1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = distancing_cost_ratio(shaped(form, 1e-300, 0.5), p)
+        assert edge(form, ratio) == math.inf
+        if form == "three":
+            assert ratio[0] == ratio[2] == distancing_cost_ratio(0.5, p) < math.inf
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_subsidy_stays_below_one(self, form):
+        p = FirmParams.from_chi(0.9)
+        subsidy = compensating_subsidy(shaped(form, 1e-300, 0.5), p)
+        assert edge(form, subsidy) == math.nextafter(1.0, 0.0)
+        assert np.all(np.asarray(subsidy) < 1.0)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_unconstrained_edge_is_exact(self, form):
+        p = FirmParams.from_chi(0.37)
+        x = shaped(form, 1.0, 0.5)
+        assert edge(form, distancing_cost_ratio(x, p)) == 1.0
+        assert edge(form, compensating_subsidy(x, p)) == 0.0
+        assert edge(form, compensating_subsidy(shaped(form, 3.0, 0.5), p)) == 0.0
+
+    def test_arrays_match_scalar_calls_elementwise(self):
+        rng = np.random.default_rng(17)
+        d = rng.uniform(0.05, 40.0, 200)
+        chi = rng.uniform(0.0, 0.95, 200)
+        x = rng.uniform(0.01, 1.5, 200)
+        p = FirmParams.from_chi(chi)
+        scalar = [FirmParams.from_chi(float(c)) for c in chi]
+        intervention = Intervention(1.1, 1.3)
+        regimes, ratios = preferred_regime(intervention, d, 0.3, p)
+        columns = {
+            "contacts": contacts_at_density(d, 0.3, p),
+            "ratio": distancing_cost_ratio(x, p),
+            "subsidy": compensating_subsidy(x, p),
+        }
+        for i, q in enumerate(scalar):
+            di, xi = float(d[i]), float(x[i])
+            expected = {
+                "contacts": contacts_at_density(di, 0.3, q),
+                "ratio": distancing_cost_ratio(xi, q),
+                "subsidy": compensating_subsidy(xi, q),
+            }
+            for name, value in expected.items():
+                assert columns[name][i] == pytest.approx(value, rel=1e-13, abs=0.0)
+            regime, ratio = preferred_regime(intervention, di, 0.3, q)
+            assert regimes[i] is regime
+            assert ratios[i] == pytest.approx(ratio, rel=1e-13)
+
+    def test_scalar_calls_return_the_plain_float_formulas(self):
+        # the float path is untouched by numpy: these are the formulas as
+        # written, evaluated with Python floats, compared bit for bit
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            chi = float(rng.uniform(0.01, 0.95))
+            d, eps = float(rng.uniform(0.05, 40.0)), float(rng.uniform(0.005, 0.8))
+            x, tau = float(rng.uniform(0.01, 0.99)), float(rng.uniform(1e-3, 10.0))
+            p = FirmParams.from_chi(chi)
+            gamma = chi / (1.0 - chi)
+            T = d ** (-eps) * 1.5
+            pairs = [
+                (optimal_contacts(tau, p), tau ** (-1.0 / (1.0 + gamma))),
+                (unit_cost(tau, p), tau**chi / chi),
+                (contacts_at_density(d, eps, p), d ** (eps * (1.0 - chi))),
+                (unit_cost_at_density(d, eps, p), d ** (-eps * chi) / chi),
+                (distancing_cost_ratio(x, p), chi * x + (1.0 - chi) * x ** (-gamma)),
+                (telecom_cost_ratio(T, d, eps, p), (T * d**eps) ** chi),
+                (compensating_subsidy(x, p), min(1.0 - (1.0 - chi) / (1.0 - chi * x) * x**gamma,
+                                                 math.nextafter(1.0, 0.0))),
+            ]
+            for got, want in pairs:
+                assert type(got) is float and got == want
+            assert (p.chi, p.gamma) == (chi, gamma)
