@@ -38,15 +38,15 @@ from .errors import (
     IngestionError,
 )
 from .geo import (
+    CbpColumns,
+    Cells,
+    Coded,
     NationalSizeDistribution,
-    RegionCell,
-    RegionExposure,
     build_cells,
-    estimate_cell_employment,
-    impute_suppressed,
+    location_exposure,
     lowess_curve,
     normalize_density,
-    regional_exposure,
+    read_cbp_csv,
 )
 from .industries import (
     GROUPS,

@@ -24,13 +24,12 @@ order, so no result depends on the order of the cells.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
-from itertools import repeat
+from dataclasses import dataclass, field
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import CalibrationError
-from .geo import RegionCell
+from .geo import Cells, Coded, Columns
 from .industries import MixResolver
 from .model import FirmParams, Regime, contacts_at_density
 
@@ -59,21 +58,21 @@ class CellRow(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class CellFrame:
+class CellFrame(Columns):
     """The (region, industry) cells the model prices, one column per field.
 
     ``industry_code`` is each cell's resolved industry and ``chi``/``gamma``
     its firm parameters; the numeric columns are float64 arrays, the two
-    code columns lists of strings.  :func:`cell_parameters` fills the first
-    six; :func:`~distancing.counterfactual.compute_subsidies` returns a copy
-    with the outcome columns too: optimal contacts, cap over optimal contacts
-    (1 where the cap does not bind), the subsidy, and the regime each firm
-    picks (an object array of :class:`Regime`, or None without telecom).
-    ``len()`` counts rows and iteration yields :class:`CellRow` tuples.
+    code columns :class:`~distancing.geo.Coded`.  :func:`cell_parameters`
+    fills the first six; :func:`~distancing.counterfactual.compute_subsidies`
+    returns a copy with the outcome columns too: optimal contacts, cap over
+    optimal contacts (1 where the cap does not bind), the subsidy, and the
+    regime each firm picks (an object array of :class:`Regime`, or None
+    without telecom).  Iteration yields :class:`CellRow` tuples.
     """
 
-    zcta: list[str]
-    industry_code: list[str]
+    zcta: Coded
+    industry_code: Coded
     employment: np.ndarray
     chi: np.ndarray
     gamma: np.ndarray
@@ -83,20 +82,12 @@ class CellFrame:
     subsidy: np.ndarray | None = None
     regime: np.ndarray | None = None
 
+    _row = CellRow._make
+
     @property
     def params(self) -> FirmParams:
         """Every row's firm parameters as one array-valued :class:`FirmParams`."""
         return FirmParams(self.chi, self.gamma)
-
-    def __len__(self) -> int:
-        return len(self.zcta)
-
-    def __iter__(self) -> Iterator[CellRow]:
-        columns = [self.zcta, self.industry_code] + [
-            repeat(None) if column is None else column.tolist()
-            for column in (getattr(self, f.name) for f in fields(self)[2:])
-        ]
-        return map(CellRow._make, zip(*columns))
 
 
 @dataclass
@@ -128,7 +119,7 @@ class CalibrationReport:
 
 
 def cell_parameters(
-    cells: Iterable[RegionCell],
+    cells: Cells,
     resolver: MixResolver,
     densities: Mapping[str, float],
 ) -> CellFrame:
@@ -138,49 +129,46 @@ def cell_parameters(
     employment, an unresolvable industry (left in the resolver's
     ``unresolved``), or no density record cannot enter the model; the
     unresolved codes and the regions without density are warned about.
-    The frame keeps the order of ``cells`` (``build_cells`` sorts them by
-    zcta and code): every total computed from the frame is an ``fsum`` or
-    goes through a sort, so no output byte depends on that order.
+    Each code is resolved once.  The frame keeps the order of ``cells``
+    (``build_cells`` sorts them by zcta and code): every total computed
+    from the frame is an ``fsum`` or goes through a sort, so no output
+    byte depends on that order.
     """
     import numpy as np
 
-    zctas: list[str] = []
-    codes: list[str] = []
-    employment: list[float] = []
-    chi: list[float] = []
-    density: list[float] = []
-    unresolved: list[str] = []
-    missing_density: set[str] = set()
-    for cell in cells:
-        if cell.employment <= 0.0:
-            continue
-        mix = resolver.resolve(cell.industry_code)
-        if mix is None:
-            unresolved.append(cell.industry_code)
-            continue
-        d = densities.get(cell.zcta)
-        if d is None:
-            missing_density.add(cell.zcta)
-            continue
-        zctas.append(cell.zcta)
-        codes.append(mix.industry_code)
-        employment.append(cell.employment)
-        chi.append(mix.chi["communication"])
-        density.append(d)
-    if unresolved:
+    codes, zctas = cells.industry_code, cells.zcta
+    employed = cells.employment > 0.0
+    used = np.unique(codes.codes[employed]).tolist()
+    mixes = [resolver.resolve(codes.labels[code]) for code in used]
+    industries = sorted({mix.industry_code for mix in mixes if mix is not None})
+    industry_of = np.full(len(codes.labels), -1)
+    chi_of = np.zeros(len(codes.labels))
+    for code, mix in zip(used, mixes):
+        if mix is not None:
+            industry_of[code] = industries.index(mix.industry_code)
+            chi_of[code] = mix.chi["communication"]
+    industry = industry_of[codes.codes]
+    unresolved = employed & (industry < 0)
+    if unresolved.any():
         logger.warning(
             "%d cells skipped: no industry mix for codes %s",
-            len(unresolved), ", ".join(sorted(set(unresolved))),
+            int(unresolved.sum()),
+            ", ".join(codes.labels[c] for c in np.unique(codes.codes[unresolved]).tolist()),
         )
-    if missing_density:
+    density = np.array([densities.get(zcta, np.nan) for zcta in zctas.labels])[zctas.codes]
+    resolved = employed & ~unresolved
+    missing = resolved & np.isnan(density)
+    if missing.any():
+        regions = np.unique(zctas.codes[missing]).tolist()
         logger.warning(
             "%d regions lack density records; their cells were skipped: %s",
-            len(missing_density), ", ".join(sorted(missing_density)),
+            len(regions), ", ".join(zctas.labels[z] for z in regions),
         )
-    params = FirmParams.from_chi(np.array(chi, dtype=float))
+    keep = resolved & ~missing
+    params = FirmParams.from_chi(chi_of[codes.codes[keep]])
     return CellFrame(
-        zctas, codes, np.array(employment, dtype=float), params.chi, params.gamma,
-        np.array(density, dtype=float),
+        zctas[keep], Coded(industries, industry[keep]), cells.employment[keep], params.chi,
+        params.gamma, density[keep],
     )
 
 

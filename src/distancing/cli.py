@@ -50,7 +50,7 @@ class IndexStage:
 
 @dataclass
 class GeoStage:
-    cells: list[geo.RegionCell]
+    cells: geo.Cells
     densities: dict[str, float]  # zcta -> normalized density
     resolver: industries.MixResolver
 
@@ -76,7 +76,11 @@ def run_index_stage(cfg: RunConfig) -> IndexStage:
 
 
 def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
+    """Establishment cells and normalized densities.  Every cell left after the
+    exclusions weights the density mean, cells of codes no mix covers too."""
     require(cfg, "cbp", "density", "national_sizes")
+    import numpy  # noqa: F401  (the stage works on numpy columns from the read on)
+
     national = geo.NationalSizeDistribution.from_csv(cfg.national_sizes)
     cells, _ = geo.build_cells(geo.read_cbp_csv(cfg.cbp), national, cfg.open_bin_mean)
     cells = _drop_excluded_cells(cells, index.exclusions)
@@ -88,18 +92,20 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     return GeoStage(cells, densities, industries.MixResolver(index.mixes))
 
 
-def _drop_excluded_cells(
-    cells: list[geo.RegionCell], exclusions: Sequence[str]
-) -> list[geo.RegionCell]:
+def _drop_excluded_cells(cells: geo.Cells, exclusions: Sequence[str]) -> geo.Cells:
     """Drop the establishment cells that :func:`industries.exclusion_prefixes` excludes."""
     if not exclusions:
         return cells
+    import numpy as np
+
     prefixes = industries.exclusion_prefixes(exclusions)
-    kept = [cell for cell in cells if not cell.industry_code.startswith(prefixes)]
-    dropped = len(cells) - len(kept)
-    if dropped:
-        logger.info("excluded sectors removed %d establishment cells", dropped)
-    return kept
+    codes = cells.industry_code
+    excluded = np.array([code.startswith(prefixes) for code in codes.labels], dtype=bool)
+    dropped = excluded[codes.codes]
+    if not dropped.any():
+        return cells
+    logger.info("excluded sectors removed %d establishment cells", int(dropped.sum()))
+    return cells.take(~dropped)
 
 
 def run_calibration_stage(
@@ -129,7 +135,9 @@ def cmd_index(cfg: RunConfig) -> int:
     _write_reconciliation(out / "reconciliation.txt", index, stamp)
     if cfg.cbp and cfg.density and cfg.national_sizes:
         geo_stage = run_geo_stage(cfg, index)
-        exposures, _ = geo.regional_exposure(geo_stage.cells, geo_stage.resolver)
+        frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver,
+                                          geo_stage.densities)
+        exposures = geo.location_exposure(frame, index.mixes)
         geo.write_location_index_csv(
             out / "location-index.csv", exposures, geo_stage.densities, stamp
         )
@@ -254,10 +262,7 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"location index not found: {source} (run 'index' first or pass --input)")
     if not 0.0 < args.bandwidth <= 1.0:
         raise ConfigError(f"--bandwidth must lie in (0, 1], got {args.bandwidth}")
-    fieldnames, rows = csvio.read_rows(source)
-    csvio.require_fields(
-        fieldnames, ["density", "employment"] + [f"share_{g}" for g in GROUPS], path=source
-    )
+    _, rows = csvio.read_rows(source, ["density", "employment", *(f"share_{g}" for g in GROUPS)])
     x = [log(float(row["density"])) for row in rows]
     weights = [float(row["employment"]) for row in rows]
     curves = {}
@@ -285,8 +290,7 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def read_region_groups(path) -> dict[str, str]:
     """Read a ``zcta,region`` membership file; a ZCTA may appear once."""
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["zcta", "region"], path=path)
+    _, rows = csvio.read_rows(path, ["zcta", "region"])
     groups: dict[str, str] = {}
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -326,28 +330,12 @@ def _write_reconciliation(path: Path, index: IndexStage, stamp: str) -> None:
 
 
 def _write_calibration(out: Path, report: calibrate.CalibrationReport, stamp: str) -> None:
-    csvio.write_rows(
-        out / "calibration.csv",
-        [
-            "eps",
-            "contact_cap",
-            "slope_factor",
-            "achieved_slope",
-            "achieved_share",
-            "cells",
-            "eps_fixed",
-        ],
-        [[
-            report.eps,
-            report.contact_cap,
-            report.slope_factor,
-            report.achieved_slope,
-            report.achieved_share,
-            report.n_cells,
-            report.eps_fixed,
-        ]],
-        comment=stamp,
-    )
+    columns = {"eps": report.eps, "contact_cap": report.contact_cap,
+               "slope_factor": report.slope_factor, "achieved_slope": report.achieved_slope,
+               "achieved_share": report.achieved_share, "cells": report.n_cells,
+               "eps_fixed": report.eps_fixed}
+    csvio.write_rows(out / "calibration.csv", list(columns), [list(columns.values())],
+                     comment=stamp)
     lines = [
         f"# {stamp}",
         f"eps: {report.eps!r}" + (" (fixed)" if report.eps_fixed else " (calibrated)"),

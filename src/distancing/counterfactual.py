@@ -5,7 +5,7 @@ increase under the cap.  The whole :class:`~distancing.calibrate.CellFrame`
 is priced at once: every closed form runs once, over the frame's columns.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is an
-exact ``fsum``; group totals go through :func:`~distancing.geo.weighted_sums`.
+exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
 are compared across densities.
@@ -16,11 +16,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from math import fsum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .calibrate import CalibratedModel, CellFrame
 from .errors import CalibrationError
-from .geo import weighted_sums
+from .geo import Coded, group_totals
 from .model import (
     FirmParams,
     Intervention,
@@ -79,14 +79,12 @@ def compute_subsidies(
     )
 
 
-def _weighted_rows(
-    keys: Iterable[str], employment: np.ndarray, subsidy: np.ndarray
-) -> list[AggRow]:
+def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> list[AggRow]:
     """Employment-weighted subsidy per key, most affected first, ties by key."""
-    sums = weighted_sums(zip(keys, employment.tolist(), (subsidy * employment).tolist()))
+    labels, (totals, weighted) = group_totals(keys, employment, subsidy * employment)
     rows = [
-        AggRow(key=key, subsidy=weighted / total, employment=total)
-        for key, (total, weighted) in sums.items()
+        AggRow(key=key, subsidy=w / total, employment=total)
+        for key, total, w in zip(labels, totals, weighted)
         if total > 0.0
     ]
     rows.sort(key=lambda row: (-row.subsidy, row.key))
@@ -124,15 +122,19 @@ def location_table(
     per named region; grouping entries that match no result are warned
     about.
     """
+    import numpy as np
+
+    zctas = results.zcta
     if grouping is None:
-        return _weighted_rows(results.zcta, results.employment, results.subsidy)
-    for zcta in sorted(set(grouping).difference(results.zcta)):
+        return _weighted_rows(zctas, results.employment, results.subsidy)
+    present = [zctas.labels[z] for z in np.unique(zctas.codes).tolist()]
+    for zcta in sorted(set(grouping).difference(present)):
         logger.warning("region grouping lists %s, which has no results", zcta)
-    members = [i for i, zcta in enumerate(results.zcta) if zcta in grouping]
+    # one region label per ZCTA label; the "" of non-members never enters a total
+    regions = Coded.of(grouping.get(zcta, "") for zcta in zctas.labels)
+    members = np.array([zcta in grouping for zcta in zctas.labels], dtype=bool)[zctas.codes]
     return _weighted_rows(
-        [grouping[results.zcta[i]] for i in members],
-        results.employment[members],
-        results.subsidy[members],
+        regions[zctas.codes[members]], results.employment[members], results.subsidy[members]
     )
 
 

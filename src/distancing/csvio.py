@@ -20,6 +20,8 @@ def read_records(
 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """Open a CSV for streaming: its header and an iterator over its rows.
 
+    The file is UTF-8; a leading byte-order mark is dropped, and a byte
+    that is not UTF-8 raises :class:`IngestionError` naming the row.
     Lines starting with ``#`` and blank lines are skipped.  The header is
     read at once: an empty file, a repeated column name or a missing
     ``required`` column raises :class:`IngestionError` here.  The iterator yields ``(row number,
@@ -32,36 +34,59 @@ def read_records(
 
 
 def _records(path, required):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next((fields for fields in reader if fields), None)
-        if header is None:
-            raise IngestionError(f"{path}: empty file, expected a CSV header")
-        repeated = sorted({name for name in header if header.count(name) > 1})
-        if repeated:
-            raise IngestionError(f"{path}: repeated column names: {', '.join(repeated)}")
-        require_fields(header, required, path=path)
-        yield header
-        width = len(header)
-        number = 0
-        for fields in reader:
-            if not fields:
-                continue
-            number += 1
-            if len(fields) < width:
-                raise IngestionError(
-                    f"{path} row {number}: expected {width} fields, got {len(fields)}"
+        try:
+            header = next((fields for fields in reader if fields), None)
+            if header is None:
+                raise IngestionError(f"{path}: empty file, expected a CSV header")
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:
+                raise IngestionError(f"{path}: repeated column names: {', '.join(repeated)}")
+            missing = [name for name in required if name not in header]
+            if missing:
+                raise IngestionError(f"{path}: missing required columns: {', '.join(missing)}")
+            yield header
+            width = len(header)
+            number = 0
+            for fields in reader:
+                if not fields:
+                    continue
+                number += 1
+                if len(fields) < width:
+                    raise IngestionError(
+                        f"{path} row {number}: expected {width} fields, got {len(fields)}"
+                    )
+                yield number, fields
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> IngestionError:
+    """Name the first row that is not UTF-8 (0: the header), found again in the
+    raw bytes: the text layer decodes ahead of the parser."""
+    number = -1
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                text = line.decode("utf-8-sig" if number < 0 else "utf-8")
+            except UnicodeDecodeError as exc:
+                return IngestionError(
+                    f"{path} row {max(number + 1, 0)}: not UTF-8: byte {line[exc.start]:#04x}"
                 )
-            yield number, fields
+            number += not text.startswith("#") and bool(text.strip("\r\n"))
+    return IngestionError(f"{path}: not UTF-8")
 
 
-def read_rows(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
+def read_rows(
+    path: str | Path, required: Sequence[str] = ()
+) -> tuple[list[str], list[dict[str, str]]]:
     """Read a whole CSV as (fieldnames, rows as dicts of strings).
 
-    Comments, blank lines and short rows are handled as in
+    The header, comments, blank lines and short rows are handled as in
     :func:`read_records`.
     """
-    header, records = read_records(path)
+    header, records = read_records(path, required)
     return header, [dict(zip(header, fields)) for _, fields in records]
 
 
@@ -112,12 +137,6 @@ def parse_int(raw: str, *, path, field: str) -> int:
         return int(raw)
     except (TypeError, ValueError):
         raise IngestionError(f"{path}: field {field!r}: not an integer: {raw!r}") from None
-
-
-def require_fields(fieldnames: Sequence[str], required: Sequence[str], *, path) -> None:
-    missing = [name for name in required if name not in fieldnames]
-    if missing:
-        raise IngestionError(f"{path}: missing required columns: {', '.join(missing)}")
 
 
 def require_unique(seen: dict, key, row: int, *, path, field: str) -> None:

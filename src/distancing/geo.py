@@ -4,35 +4,31 @@ Establishment counts come in employment-size bins per (ZCTA, NAICS) cell;
 employment is estimated with bin midpoints.  Cells whose size classes are
 partly withheld get those establishments imputed at the national mean
 plant size of the classes the cell does not report.  Population densities
-are normalized so their employment-weighted national mean is one, which
-is the unit the cost model expects; they travel as one plain float per
-ZCTA.
+are normalized so their employment-weighted national mean is one, the
+unit the cost model expects; they travel as one plain float per ZCTA.
 
-The establishment file is the largest input, so its reader streams plain
-``(zcta, naics, size_bin, establishments, suppressed)`` tuples with no
-per-row object, and the national size distribution memoizes its mean
-plant sizes, which every suppressed cell of an industry asks for again.
-
-Group totals go through :func:`weighted_sums`, which adds with
-``math.fsum``.  That sum is correctly rounded (Shewchuk 1997), so its
-result does not depend on the order of the terms, and totals are
-bit-stable regardless of input row order.
+The establishment file is the largest input, so nothing here keeps an
+object per record or per cell: the reader interns ZCTA, NAICS and size
+bin labels into :class:`Coded` integer columns as it streams, and
+:func:`build_cells` prices whole columns with numpy (imported by the
+functions that use it, so importing the package does not load it).
+Group totals are ``math.fsum`` sums (:func:`group_totals`), correctly
+rounded (Shewchuk 1997), so no total depends on the input row order.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, fields
+from itertools import repeat
 from math import fsum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import csvio
 from .errors import IngestionError
-from .industries import GROUPS, MixResolver
+from .industries import GROUPS, IndustryMix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,36 +52,93 @@ OPEN_BIN = "1000+"
 DEFAULT_OPEN_BIN_MEAN = 1500.0
 
 
-class CbpRow(NamedTuple):
-    """One establishment-count record: a size bin or a suppressed batch.
+@dataclass(frozen=True, eq=False)
+class Coded:
+    """A string column as integer codes into its sorted distinct labels.
 
-    :func:`read_cbp_csv` returns plain tuples in this field order.
+    Sorting by code sorts by label; a selection keeps every label.
     """
 
-    zcta: str
-    naics: str
-    size_bin: str
-    establishments: int
-    suppressed: bool = False
+    labels: list[str]
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, values: Iterable[str]) -> Coded:
+        index: dict[str, int] = {}
+        codes = [index.setdefault(value, len(index)) for value in values]
+        return cls.from_codes(list(index), codes)
+
+    @classmethod
+    def from_codes(cls, labels: list[str], codes) -> Coded:
+        """Recode ``codes``, given into ``labels`` in any order, into sorted labels."""
+        import numpy as np
+
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return cls([labels[i] for i in order], rank[np.asarray(codes, dtype=np.int64)])
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index) -> Coded:
+        return Coded(self.labels, self.codes[index])
+
+    def tolist(self) -> list[str]:
+        return list(map(self.labels.__getitem__, self.codes.tolist()))
 
 
-@dataclass
-class RegionCell:
-    """Estimated employment of one industry in one ZCTA."""
+class Columns:
+    """``len()``, iteration (rows made by ``_row``) and row selection for a
+    dataclass of equal-length columns: arrays, :class:`Coded` or None."""
 
+    _row: Callable
+
+    def _columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self._columns()[0])
+
+    def __iter__(self) -> Iterator:
+        columns = [repeat(None) if c is None else c.tolist() for c in self._columns()]
+        return map(self._row, zip(*columns))
+
+    def take(self, index):
+        """The rows that ``index`` (a boolean mask or positions) selects."""
+        return type(self)(*(None if c is None else c[index] for c in self._columns()))
+
+
+@dataclass(frozen=True, eq=False)
+class CbpColumns(Columns):
+    """Establishment-count records (a size bin or a suppressed batch each), in file order."""
+
+    zcta: Coded
+    naics: Coded
+    size_bin: Coded
+    establishments: np.ndarray  # int64
+    suppressed: np.ndarray  # bool
+
+    _row = tuple
+
+
+class Cell(NamedTuple):
     zcta: str
     industry_code: str
     employment: float
-    imputed_fraction: float = 0.0
+    imputed_fraction: float
 
-    def __post_init__(self):
-        if self.employment < 0:
-            raise IngestionError(f"negative employment in cell {self.zcta}/{self.industry_code}")
-        if not 0.0 <= self.imputed_fraction <= 1.0:
-            raise IngestionError(
-                f"imputed_fraction {self.imputed_fraction!r} outside [0, 1] "
-                f"in cell {self.zcta}/{self.industry_code}"
-            )
+
+@dataclass(frozen=True, eq=False)
+class Cells(Columns):
+    """Estimated employment per (ZCTA, NAICS code as ingested) cell."""
+
+    zcta: Coded
+    industry_code: Coded
+    employment: np.ndarray
+    imputed_fraction: np.ndarray
+
+    _row = Cell._make
 
 
 class NationalSizeDistribution:
@@ -93,19 +146,19 @@ class NationalSizeDistribution:
 
     Lookups fall back to ancestor codes (one digit truncated at a time)
     when the exact industry is absent.  The table is fixed at construction,
-    so mean sizes are memoized per (industry, excluded bins).
+    so each code's covering distribution and each (distribution, excluded
+    bins) mean size are memoized.
     """
 
     def __init__(self, table: Mapping[str, Mapping[str, tuple[float, float]]]):
         self._table = {code: dict(bins) for code, bins in table.items()}
+        self._covering: dict[str, str | None] = {}
         self._mean_sizes: dict[tuple[str, frozenset[str]], float | None] = {}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
-        fieldnames, rows = csvio.read_rows(path)
-        csvio.require_fields(
-            fieldnames, ["naics", "size_bin", "establishments", "employment"], path=path
-        )
+        """Read national totals; counts are nonnegative, and 0 plants employ no one."""
+        _, rows = csvio.read_rows(path, ["naics", "size_bin", "establishments", "employment"])
         table: dict[str, dict[str, tuple[float, float]]] = {}
         first_row: dict[tuple[str, str], int] = {}
         for i, row in enumerate(rows, start=1):
@@ -117,16 +170,22 @@ class NationalSizeDistribution:
             where = f"{path} row {i}"
             est = csvio.parse_float(row["establishments"], path=where, field="establishments")
             emp = csvio.parse_float(row["employment"], path=where, field="employment")
+            for field, value in (("establishments", est), ("employment", emp)):
+                if value < 0.0:
+                    raise IngestionError(f"{where}: field {field!r}: negative: {value!r}")
+            if est == 0.0 and emp > 0.0:
+                raise IngestionError(f"{where}: field 'employment': {emp!r} workers in 0 "
+                                     "establishments")
             table.setdefault(naics, {})[size_bin] = (est, emp)
         return cls(table)
 
-    def resolve(self, naics: str) -> dict[str, tuple[float, float]] | None:
-        probe = naics
-        while len(probe) >= 2:
-            if probe in self._table:
-                return self._table[probe]
-            probe = probe[:-1]
-        return None
+    def _covering_code(self, naics: str) -> str | None:
+        if naics not in self._covering:
+            probe = naics
+            while len(probe) >= 2 and probe not in self._table:
+                probe = probe[:-1]
+            self._covering[naics] = probe if len(probe) >= 2 else None
+        return self._covering[naics]
 
     def mean_size(self, naics: str, exclude_bins: Iterable[str] = ()) -> float | None:
         """Mean plant size over the bins NOT in ``exclude_bins``.
@@ -134,146 +193,118 @@ class NationalSizeDistribution:
         Falls back to the mean over all bins when the complement is empty,
         and to None when no distribution covers the industry at all.
         """
-        key = (naics, frozenset(exclude_bins))
+        code = self._covering_code(naics)
+        if code is None:
+            return None
+        key = (code, frozenset(exclude_bins))
         if key not in self._mean_sizes:
-            self._mean_sizes[key] = self._mean_size(naics, key[1])
+            bins = self._table[code]
+            usable = [v for b, v in bins.items() if b not in key[1]]
+            if fsum(v[0] for v in usable) <= 0.0:
+                usable = list(bins.values())
+            est = fsum(v[0] for v in usable)
+            self._mean_sizes[key] = fsum(v[1] for v in usable) / est if est > 0.0 else None
         return self._mean_sizes[key]
 
-    def _mean_size(self, naics: str, excluded: frozenset[str]) -> float | None:
-        bins = self.resolve(naics)
-        if bins is None:
-            return None
-        usable = {b: v for b, v in bins.items() if b not in excluded}
-        est = fsum(v[0] for b, v in sorted(usable.items()))
-        emp = fsum(v[1] for b, v in sorted(usable.items()))
-        if est <= 0.0:
-            est = fsum(v[0] for b, v in sorted(bins.items()))
-            emp = fsum(v[1] for b, v in sorted(bins.items()))
-        if est <= 0.0:
-            return None
-        return emp / est
-
     def open_bin_mean(self, naics: str, default: float = DEFAULT_OPEN_BIN_MEAN) -> float:
-        bins = self.resolve(naics)
-        if bins and OPEN_BIN in bins:
-            est, emp = bins[OPEN_BIN]
-            if est > 0:
-                return emp / est
-        return default
-
-
-def estimate_cell_employment(
-    size_bin_counts: Mapping[str, int], bin_midpoints: Mapping[str, float]
-) -> float:
-    """Sum of establishment counts times bin midpoints."""
-    total = []
-    for size_bin in sorted(size_bin_counts):
-        count = size_bin_counts[size_bin]
-        if count < 0:
-            raise IngestionError(f"negative establishment count in bin {size_bin!r}")
-        if size_bin not in bin_midpoints:
-            raise IngestionError(f"unknown size bin label {size_bin!r}")
-        total.append(count * bin_midpoints[size_bin])
-    return fsum(total)
-
-
-def impute_suppressed(
-    known_bins: Mapping[str, int],
-    suppressed_count: int,
-    naics: str,
-    national: NationalSizeDistribution,
-    bin_midpoints: Mapping[str, float] | None = None,
-) -> tuple[float, float]:
-    """Employment estimate for a cell with possibly-withheld size classes.
-
-    Establishments with withheld sizes are assigned the national mean plant
-    size over the size classes the cell does not report.  Returns
-    (employment, imputed_fraction).  Raises :class:`IngestionError` when
-    imputation is needed but no national distribution covers the industry
-    at any ancestor level.
-    """
-    if suppressed_count < 0:
-        raise IngestionError("suppressed establishment count cannot be negative")
-    midpoints = bin_midpoints if bin_midpoints is not None else DEFAULT_BIN_MIDPOINTS
-    known = estimate_cell_employment(known_bins, midpoints)
-    if suppressed_count == 0:
-        return known, 0.0
-    mean_size = national.mean_size(naics, exclude_bins=known_bins.keys())
-    if mean_size is None:
-        raise IngestionError(f"no national size distribution covers NAICS {naics!r}")
-    imputed = suppressed_count * mean_size
-    total = known + imputed
-    return total, (imputed / total if total > 0 else 0.0)
+        code = self._covering_code(naics)
+        est, emp = self._table[code].get(OPEN_BIN, (0.0, 0.0)) if code else (0.0, 0.0)
+        return emp / est if est > 0 else default
 
 
 def build_cells(
-    rows: Iterable[CbpRow],
+    cbp: CbpColumns,
     national: NationalSizeDistribution,
     open_bin_mean: float = DEFAULT_OPEN_BIN_MEAN,
-) -> tuple[list[RegionCell], list[tuple[str, str, str]]]:
-    """Aggregate establishment rows into per-(zcta, naics) employment cells.
+) -> tuple[Cells, list[tuple[str, str, str]]]:
+    """Aggregate establishment records into per-(zcta, naics) employment cells.
 
-    ``rows`` are :class:`CbpRow` or plain tuples in its field order.
-    Returns the cells sorted by (zcta, naics) and a list of dropped cells
-    as (zcta, naics, reason).
+    Employment is each size bin's count times its midpoint, the open bin
+    at the industry's national mean size.  Withheld (suppressed) plants
+    are imputed at the national mean size over the bins the cell does not
+    report (a reported 0 counts as reported); ``imputed_fraction`` is
+    their share.  A negative suppressed or bin count, an unknown bin label
+    or withheld plants no national distribution covers drop the cell.
+    Returns the cells sorted by (zcta, naics) and the dropped cells as
+    (zcta, naics, reason).  The closed midpoints are half-integers, so
+    their products add up exactly; the open bin and the imputation then
+    round once each, as a correctly rounded sum per cell would.
     """
-    grouped: dict[tuple[str, str], dict[str, int]] = defaultdict(dict)
-    suppressed: dict[tuple[str, str], int] = {}
-    for zcta, naics, size_bin, establishments, is_suppressed in rows:
-        key = (zcta, naics)
-        bins = grouped[key]
-        if is_suppressed:
-            suppressed[key] = suppressed.get(key, 0) + establishments
-        else:
-            bins[size_bin] = bins.get(size_bin, 0) + establishments
+    import numpy as np
 
-    cells: list[RegionCell] = []
-    dropped: list[tuple[str, str, str]] = []
-    # bin midpoints per industry: the open bin's value depends on the industry only
-    industry_midpoints: dict[str, dict[str, float]] = {}
-    for key in sorted(grouped):
-        zcta, naics = key
-        midpoints = industry_midpoints.get(naics)
-        if midpoints is None:
-            midpoints = industry_midpoints[naics] = {
-                **DEFAULT_BIN_MIDPOINTS,
-                OPEN_BIN: national.open_bin_mean(naics, default=open_bin_mean),
-            }
-        try:
-            employment, imputed_fraction = impute_suppressed(
-                grouped[key], suppressed.get(key, 0), naics, national, midpoints
-            )
-        except IngestionError as exc:
-            logger.warning("cell %s/%s dropped: %s", zcta, naics, exc)
-            dropped.append((zcta, naics, str(exc)))
-            continue
-        cells.append(RegionCell(zcta, naics, employment, imputed_fraction))
+    zcta_labels, naics_labels, bins = cbp.zcta.labels, cbp.naics.labels, cbp.size_bin.labels
+    n_naics, n_bins = max(len(naics_labels), 1), len(bins)
+    keys, cell = np.unique(cbp.zcta.codes * n_naics + cbp.naics.codes, return_inverse=True)
+    zcta, naics = np.divmod(keys, n_naics)
+    n = len(keys)
+    withheld, reporting = cbp.suppressed, ~cbp.suppressed
+    slot = cell[reporting] * n_bins + cbp.size_bin.codes[reporting]
+    counts = np.bincount(slot, cbp.establishments[reporting], n * n_bins).reshape(n, n_bins)
+    reported = np.bincount(slot, minlength=n * n_bins).reshape(n, n_bins) > 0
+    suppressed = np.bincount(cell[withheld], cbp.establishments[withheld], n)
+
+    employment = counts @ np.array([DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
+    if OPEN_BIN in bins:
+        open_mean = np.array([national.open_bin_mean(c, open_bin_mean) for c in naics_labels])
+        employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
+    known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
+    bad_bin = reported & ((counts < 0) | np.array([b not in known for b in bins], dtype=bool))
+    bad = bad_bin.any(axis=1) | (suppressed < 0)
+
+    # one mean size per distinct (industry, reported bins); None becomes nan
+    imputing = np.flatnonzero(~bad & (suppressed > 0))
+    mask = reported[:, [bins.index(b) for b in known]][imputing] @ (1 << np.arange(len(known)))
+    pairs, pair = np.unique(naics[imputing] << len(known) | mask, return_inverse=True)
+    means = np.array([
+        national.mean_size(naics_labels[key >> len(known)],
+                           [b for j, b in enumerate(known) if key >> j & 1])
+        for key in pairs.tolist()
+    ], dtype=float)
+    mean = np.zeros(n)
+    mean[imputing] = means[pair]
+    imputed = suppressed * mean
+    total = employment + imputed
+    fraction = np.divide(imputed, total, out=np.zeros(n), where=total > 0.0)
+
+    drop = bad | np.isnan(mean)
+    dropped = []
+    for c in np.flatnonzero(drop).tolist():  # the first fault in bin-label order names it
+        j = int(np.argmax(bad_bin[c]))
+        reason = (
+            "suppressed establishment count cannot be negative" if suppressed[c] < 0
+            else f"negative establishment count in bin {bins[j]!r}" if bad[c] and counts[c, j] < 0
+            else f"unknown size bin label {bins[j]!r}" if bad[c]
+            else f"no national size distribution covers NAICS {naics_labels[naics[c]]!r}"
+        )
+        dropped.append((zcta_labels[zcta[c]], naics_labels[naics[c]], reason))
+        logger.warning("cell %s/%s dropped: %s", *dropped[-1])
+    keep = ~drop
+    cells = Cells(Coded(zcta_labels, zcta[keep]), Coded(naics_labels, naics[keep]),
+                  total[keep], fraction[keep])
     return cells, dropped
 
 
-def weighted_sums(items: Iterable[tuple]) -> dict:
-    """Per-key totals of ``(key, weight, weighted value, ...)`` tuples.
+def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
+    """The keys that occur, sorted, and per column each key's ``math.fsum`` total.
 
-    Returns ``{key: (total weight, total of each weighted value...)}`` with
-    the keys in sorted order.  Every total is a ``math.fsum``, so it does
-    not depend on the order of ``items``.
+    A correctly rounded sum does not depend on the order of the rows.
     """
-    groups: dict = {}
-    for item in items:
-        groups.setdefault(item[0], []).append(item)
-    return {key: tuple(map(fsum, islice(zip(*groups[key]), 1, None))) for key in sorted(groups)}
+    import numpy as np
+
+    order = np.argsort(keys.codes, kind="stable")
+    codes = keys.codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    bounds = [*starts.tolist(), len(codes)]
+    spans = list(zip(bounds, bounds[1:]))
+    values = (column[order].tolist() for column in columns)
+    totals = [[fsum(column[a:b]) for a, b in spans] for column in values]
+    return [keys.labels[code] for code in codes[starts].tolist()], totals
 
 
-def region_employment(cells: Iterable[RegionCell]) -> dict[str, float]:
-    """Total estimated employment per ZCTA."""
-    sums = weighted_sums((cell.zcta, cell.employment) for cell in cells)
-    return {zcta: employment for zcta, (employment,) in sums.items()}
-
-
-def industry_totals(cells: Iterable[RegionCell]) -> dict[str, float]:
-    """Total estimated employment per industry code (as ingested)."""
-    sums = weighted_sums((cell.industry_code, cell.employment) for cell in cells)
-    return {code: employment for code, (employment,) in sums.items()}
+def region_employment(cells: Cells) -> dict[str, float]:
+    """Total estimated employment per ZCTA, in sorted order."""
+    zctas, (employment,) = group_totals(cells.zcta, cells.employment)
+    return dict(zip(zctas, employment))
 
 
 def normalize_density(
@@ -286,7 +317,10 @@ def normalize_density(
     zcta to employment.  Returns ``{zcta: normalized density}`` with the
     keys in sorted order.  Regions with nonpositive land area or density
     are dropped with a warning: they cannot enter the model.  The
-    employment-weighted mean of the returned densities is 1.
+    employment-weighted mean of the returned densities is 1.  The
+    pipeline passes all measured employment as ``weights``, cells whose
+    code no industry mix covers included, though only resolved cells are
+    priced.
     """
     raw: dict[str, float] = {}
     for zcta, population, area in records:
@@ -311,51 +345,24 @@ def normalize_density(
     return {zcta: raw[zcta] / mean for zcta in sorted(raw)}
 
 
-@dataclass
-class RegionExposure:
-    """Employment-weighted occupation-group shares for one ZCTA."""
+def location_exposure(frame, mixes: Iterable[IndustryMix]) -> dict[str, tuple[float, list]]:
+    """``{zcta: (employment, employment-weighted share of each of GROUPS)}``, sorted.
 
-    zcta: str
-    shares: dict[str, float]
-    employment: float
-
-
-def regional_exposure(
-    cells: Iterable[RegionCell], resolver: MixResolver
-) -> tuple[dict[str, RegionExposure], list[tuple[str, str]]]:
-    """Per-ZCTA exposure shares: employment-weighted industry chi values.
-
-    Cells whose industry cannot be resolved to a mix are skipped with a
-    warning and returned as (zcta, code) pairs; regions with zero
-    resolvable employment are omitted.  The resolver walks each code once.
-    Output is invariant to splitting a cell into same-industry parts with
-    the same total employment.
+    ``frame`` is a :class:`~distancing.calibrate.CellFrame`, whose cells
+    all have employment, and ``mixes`` give its industries' chi values.
+    Splitting a cell into same-industry parts leaves the shares unchanged.
     """
-    items = []
-    skipped: list[tuple[str, str]] = []
-    for cell in cells:
-        mix = resolver.resolve(cell.industry_code)
-        if mix is None:
-            skipped.append((cell.zcta, cell.industry_code))
-            continue
-        items.append(
-            (cell.zcta, cell.employment, *(cell.employment * mix.chi[g] for g in GROUPS))
-        )
+    import numpy as np
 
-    if skipped:
-        codes = sorted({code for _, code in skipped})
-        logger.warning(
-            "%d cells skipped: no industry mix for codes %s",
-            len(skipped), ", ".join(codes),
-        )
-
-    exposures: dict[str, RegionExposure] = {}
-    for zcta, (employment, *weighted) in weighted_sums(items).items():
-        if employment <= 0.0:
-            continue
-        shares = {group: total / employment for group, total in zip(GROUPS, weighted)}
-        exposures[zcta] = RegionExposure(zcta=zcta, shares=shares, employment=employment)
-    return exposures, skipped
+    chi = {mix.industry_code: [mix.chi[g] for g in GROUPS] for mix in mixes}
+    by_industry = np.array([chi[code] for code in frame.industry_code.labels], dtype=float)
+    cell_chi = by_industry.reshape(-1, len(GROUPS))[frame.industry_code.codes]
+    employment = frame.employment
+    zctas, (totals, *weighted) = group_totals(
+        frame.zcta, employment, *(employment * cell_chi[:, j] for j in range(len(GROUPS)))
+    )
+    return {zcta: (total, [group[i] / total for group in weighted])
+            for i, (zcta, total) in enumerate(zip(zctas, totals))}
 
 
 # ---------------------------------------------------------------------------
@@ -453,43 +460,77 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def read_cbp_csv(path: str | Path) -> list[tuple[str, str, str, int, bool]]:
+class _BlankCode(Exception):
+    """A ZCTA or NAICS field is blank; the reader names the file and row."""
+
+
+class _Interned(dict):
+    """Raw field -> code of its stripped label, in first-seen order; a raw value is
+    stripped, and checked if ``blank`` names a field that may not be blank, once."""
+
+    def __init__(self, blank: str | None = None):
+        super().__init__()
+        self.blank = blank
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        label = raw.strip()
+        if self.blank and not label:
+            raise _BlankCode(self.blank)
+        code = self[raw] = self.labels.setdefault(label, len(self.labels))
+        return code
+
+
+class _Flags(dict):
+    """Raw ``suppressed`` field -> bool: an integer, nonzero means suppressed, or empty."""
+
+    def __missing__(self, raw: str) -> bool:
+        flag = self[raw] = int(raw) != 0 if raw.strip() else False
+        return flag
+
+
+def read_cbp_csv(path: str | Path) -> CbpColumns:
     """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag.
 
-    Returns plain tuples in :class:`CbpRow` field order.  The flag is an
-    integer (nonzero means suppressed) or empty.
+    The flag is an integer (nonzero means suppressed) or empty.  A blank
+    ZCTA or NAICS code is a data error naming the file and row.
     """
-    columns = ("zcta", "naics", "size_bin", "establishments")
-    header, records = csvio.read_records(path, columns)
-    zcta_col, naics_col, bin_col, count_col = map(header.index, columns)
+    import numpy as np
+
+    names = ("zcta", "naics", "size_bin", "establishments")
+    header, records = csvio.read_records(path, names)
+    zcta_col, naics_col, bin_col, count_col = map(header.index, names)
     flag_col = header.index("suppressed") if "suppressed" in header else None
-    out = []
-    for i, fields in records:
-        raw_flag = fields[flag_col].strip() if flag_col is not None else ""
-        try:
-            flag = int(raw_flag) != 0 if raw_flag else False
-            establishments = int(fields[count_col])
-        except ValueError:
-            # parse again through csvio for its error text, naming the file and row
-            where = f"{path} row {i}"
-            if raw_flag:
-                csvio.parse_int(raw_flag, path=where, field="suppressed")
-            csvio.parse_int(fields[count_col], path=where, field="establishments")
-            raise
-        out.append((
-            fields[zcta_col].strip(),
-            fields[naics_col].strip(),
-            fields[bin_col].strip(),
-            establishments,
-            flag,
-        ))
-    return out
+    labels = _Interned("zcta"), _Interned("naics"), _Interned()
+    zctas, naics, bins = labels
+    flags = _Flags()
+    columns = [[] for _ in range(5)]
+    add_zcta, add_naics, add_bin, add_flag, add_count = (column.append for column in columns)
+    try:
+        for i, record in records:
+            add_zcta(zctas[record[zcta_col]])
+            add_naics(naics[record[naics_col]])
+            add_bin(bins[record[bin_col]])
+            add_flag(flags[record[flag_col]] if flag_col is not None else False)
+            add_count(int(record[count_col]))
+    except _BlankCode as exc:
+        raise IngestionError(f"{path} row {i}: field {exc.args[0]!r}: blank") from None
+    except ValueError:
+        # parse again through csvio for its error text, naming the file and row
+        where = f"{path} row {i}"
+        if flag_col is not None and record[flag_col].strip():
+            csvio.parse_int(record[flag_col].strip(), path=where, field="suppressed")
+        csvio.parse_int(record[count_col], path=where, field="establishments")
+        raise
+    return CbpColumns(
+        *(Coded.from_codes(list(t.labels), codes) for t, codes in zip(labels, columns)),
+        np.array(columns[4], dtype=np.int64), np.array(columns[3], dtype=bool),
+    )
 
 
 def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
     """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once."""
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["zcta", "population", "land_area_km2"], path=path)
+    _, rows = csvio.read_rows(path, ["zcta", "population", "land_area_km2"])
     records = []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -506,43 +547,14 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
 
 def write_location_index_csv(
     path: str | Path,
-    exposures: Mapping[str, RegionExposure],
+    exposures: Mapping[str, tuple[float, Sequence[float]]],
     densities: Mapping[str, float],
     comment: str | None = None,
 ) -> None:
-    """Write the per-location exposure table (one row per ZCTA with density).
-
-    ``densities`` maps zcta to normalized density, as
-    :func:`normalize_density` returns it.
-    """
-    rows = []
-    for zcta in sorted(exposures):
-        if zcta not in densities:
-            logger.warning("region %s has no density record; omitted from location index", zcta)
-            continue
-        exposure = exposures[zcta]
-        rows.append(
-            [
-                zcta,
-                densities[zcta],
-                exposure.shares["teamwork"],
-                exposure.shares["customer"],
-                exposure.shares["communication"],
-                exposure.shares["presence"],
-                exposure.employment,
-            ]
-        )
+    """Write :func:`location_exposure`'s table with each ZCTA's normalized density."""
     csvio.write_rows(
         path,
-        [
-            "zcta",
-            "density",
-            "share_teamwork",
-            "share_customer",
-            "share_communication",
-            "share_presence",
-            "employment",
-        ],
-        rows,
+        ["zcta", "density", *(f"share_{group}" for group in GROUPS), "employment"],
+        [[z, densities[z], *shares, employment] for z, (employment, shares) in exposures.items()],
         comment=comment,
     )

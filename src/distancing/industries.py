@@ -226,8 +226,7 @@ def _range_aliases(code: str) -> list[str]:
 
 def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
     """Read ``industry_code,soc_code,employment`` records."""
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["industry_code", "soc_code", "employment"], path=path)
+    _, rows = csvio.read_rows(path, ["industry_code", "soc_code", "employment"])
     return [
         (
             row["industry_code"].strip(),
@@ -240,8 +239,7 @@ def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
 
 def read_names_csv(path: str | Path) -> dict[str, str]:
     """Read an ``industry_code,name`` concordance; a code may appear once."""
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["industry_code", "name"], path=path)
+    _, rows = csvio.read_rows(path, ["industry_code", "name"])
     names: dict[str, str] = {}
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -266,27 +264,12 @@ def write_industry_index_csv(
     path: str | Path, mixes: Sequence[IndustryMix], comment: str | None = None
 ) -> None:
     """Write the per-sector exposure table (one row per industry)."""
-    rows = [
-        [
-            mix.industry_code,
-            mix.name,
-            mix.chi["teamwork"],
-            mix.chi["customer"],
-            mix.chi["communication"],
-            mix.chi["presence"],
-        ]
-        for mix in sorted(mixes, key=lambda m: m.industry_code)
-    ]
     csvio.write_rows(
         path,
+        ["industry_code", "name", *(f"chi_{group}" for group in GROUPS)],
         [
-            "industry_code",
-            "name",
-            "chi_teamwork",
-            "chi_customer",
-            "chi_communication",
-            "chi_presence",
+            [mix.industry_code, mix.name, *(mix.chi[group] for group in GROUPS)]
+            for mix in sorted(mixes, key=lambda m: m.industry_code)
         ],
-        rows,
         comment=comment,
     )

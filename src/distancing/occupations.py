@@ -252,10 +252,10 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
     Expected header: ``soc_code,title,<task columns...>,ctx_face_to_face,
     ctx_email,ctx_letters,ctx_proximity``.  Task columns are everything
     that is not soc_code/title/ctx_*.  Empty cells mean "not measured" and
-    are left out of the profile maps.
+    are left out of the profile maps.  A malformed SOC code, score or
+    level is a data error naming the file and row.
     """
-    fieldnames, rows = csvio.read_rows(path)
-    csvio.require_fields(fieldnames, ["soc_code", "title", *_CTX_COLUMNS], path=path)
+    fieldnames, rows = csvio.read_rows(path, ["soc_code", "title", *_CTX_COLUMNS])
     task_columns = [
         name for name in fieldnames
         if name not in ("soc_code", "title") and name not in _CTX_COLUMNS
@@ -273,14 +273,16 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
             raw = (row.get(column) or "").strip()
             if raw:
                 contexts[item] = csvio.parse_int(raw, path=where, field=column)
-        profiles.append(
-            OccupationProfile(
+        try:
+            profile = OccupationProfile(
                 soc_code=row["soc_code"].strip(),
                 title=row["title"].strip(),
                 task_scores=scores,
                 context_levels=contexts,
             )
-        )
+        except IngestionError as exc:
+            raise IngestionError(f"{where}: {exc}") from None
+        profiles.append(profile)
     return profiles
 
 

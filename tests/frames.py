@@ -1,4 +1,4 @@
-"""Cell frames built from per-cell tuples, for tests that write cells by hand."""
+"""Columnar test inputs built from per-row tuples, for tests that write rows by hand."""
 
 from dataclasses import replace
 from typing import NamedTuple
@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from distancing.calibrate import CellFrame
+from distancing.geo import CbpColumns, Cells, Coded
 from distancing.model import FirmParams
 
 
@@ -24,12 +25,37 @@ def _array(values):
     return np.array(values, dtype=float)
 
 
+def _columns(rows, width):
+    return map(list, zip(*rows)) if rows else ([],) * width
+
+
+def cbp_of(rows):
+    """Establishment records from ``(zcta, naics, size_bin, establishments, suppressed)``.
+
+    ``suppressed`` may be left out (False).
+    """
+    rows = [(*row, False) if len(row) == 4 else tuple(row) for row in rows]
+    zcta, naics, size_bin, establishments, suppressed = _columns(rows, 5)
+    return CbpColumns(
+        Coded.of(zcta), Coded.of(naics), Coded.of(size_bin),
+        np.array(establishments, dtype=np.int64), np.array(suppressed, dtype=bool),
+    )
+
+
+def cells_of(rows):
+    """Employment cells from ``(zcta, industry_code, employment[, imputed_fraction])``."""
+    rows = [(*row, 0.0) if len(row) == 3 else tuple(row) for row in rows]
+    zcta, codes, employment, imputed = _columns(rows, 4)
+    return Cells(Coded.of(zcta), Coded.of(codes), _array(employment), _array(imputed))
+
+
 def frame_of(cells):
     """A frame from ``(zcta, industry_code, employment, chi, density)`` tuples."""
-    zcta, codes, employment, chi, density = map(list, zip(*cells)) if cells else ([],) * 5
+    zcta, codes, employment, chi, density = _columns(cells, 5)
     params = FirmParams.from_chi(_array(chi))
     return CellFrame(
-        zcta, codes, _array(employment), params.chi, params.gamma, _array(density)
+        Coded.of(zcta), Coded.of(codes), _array(employment), params.chi, params.gamma,
+        _array(density),
     )
 
 

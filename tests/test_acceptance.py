@@ -27,7 +27,7 @@ from distancing.calibrate import (
 from distancing.cli import main, run_geo_stage, run_index_stage
 from distancing.config import resolve_config
 from distancing.counterfactual import compute_subsidies, location_table, overall, sector_table
-from distancing.geo import industry_totals, lowess_curve
+from distancing.geo import group_totals, lowess_curve
 from distancing.model import (
     FirmParams,
     compensating_subsidy,
@@ -282,7 +282,10 @@ def test_criterion_5_full_scale_reproduction(tmp_path):
         stage = run_index_stage(cfg)
         geo_stage = run_geo_stage(cfg, stage)
         totals = {}
-        for naics, employment in industry_totals(geo_stage.cells).items():
+        codes, (employment_per_code,) = group_totals(
+            geo_stage.cells.industry_code, geo_stage.cells.employment
+        )
+        for naics, employment in zip(codes, employment_per_code):
             mix = geo_stage.resolver.resolve(naics)
             if mix is not None:
                 totals[mix.industry_code] = totals.get(mix.industry_code, 0.0) + employment

@@ -18,11 +18,10 @@ from distancing.calibrate import (
     slope_factor,
 )
 from distancing.errors import CalibrationError
-from distancing.geo import RegionCell
 from distancing.industries import IndustryMix, MixResolver
 from distancing.model import FirmParams, contacts_at_density
 
-from frames import frame_of
+from frames import cells_of, frame_of
 
 
 def cell(zcta, code, w, chi, d):
@@ -211,12 +210,12 @@ class TestCellParameters:
     def test_join_and_skips(self):
         resolver = MixResolver([_mix("44", 0.6)])
         densities = {"z1": 2.0}
-        cells = [
-            RegionCell("z1", "441100", 10.0),
-            RegionCell("z1", "441100x", 0.0),  # zero employment: dropped silently
-            RegionCell("z2", "441100", 5.0),  # no density: dropped with warning
-            RegionCell("z1", "99999", 5.0),  # unresolvable: dropped
-        ]
+        cells = cells_of([
+            ("z1", "441100", 10.0),
+            ("z1", "441100x", 0.0),  # zero employment: dropped silently
+            ("z2", "441100", 5.0),  # no density: dropped with warning
+            ("z1", "99999", 5.0),  # unresolvable: dropped
+        ])
         frame = cell_parameters(cells, resolver, densities)
         assert len(frame) == 1
         (row,) = frame
@@ -225,12 +224,12 @@ class TestCellParameters:
 
     def test_unresolved_codes_warned_once_in_sorted_order(self, caplog):
         resolver = MixResolver([_mix("44", 0.6)])
-        cells = [
-            RegionCell("z1", "99999", 5.0),
-            RegionCell("z1", "441100", 10.0),
-            RegionCell("z2", "88888", 1.0),
-            RegionCell("z2", "99999", 2.0),
-        ]
+        cells = cells_of([
+            ("z1", "99999", 5.0),
+            ("z1", "441100", 10.0),
+            ("z2", "88888", 1.0),
+            ("z2", "99999", 2.0),
+        ])
         with caplog.at_level("WARNING"):
             frame = cell_parameters(cells, resolver, {"z1": 1.0, "z2": 2.0})
         assert [(c.zcta, c.industry_code) for c in frame] == [("z1", "44")]
@@ -241,12 +240,12 @@ class TestCellParameters:
     def test_one_params_object_per_industry_in_input_order(self):
         resolver = MixResolver([_mix("44", 0.6), _mix("31", 0.2)])
         densities = {"z1": 2.0, "z2": 0.5}
-        cells = [  # deliberately not in (zcta, code) order
-            RegionCell("z2", "441100", 5.0),
-            RegionCell("z1", "311111", 3.0),
-            RegionCell("z1", "445110", 7.0),
-            RegionCell("z2", "31", 1.0),
-        ]
+        cells = cells_of([  # deliberately not in (zcta, code) order
+            ("z2", "441100", 5.0),
+            ("z1", "311111", 3.0),
+            ("z1", "445110", 7.0),
+            ("z2", "31", 1.0),
+        ])
         frame = cell_parameters(cells, resolver, densities)
         assert [(c.zcta, c.industry_code, c.employment) for c in frame] == [
             ("z2", "44", 5.0), ("z1", "31", 3.0), ("z1", "44", 7.0), ("z2", "31", 1.0),
@@ -260,7 +259,7 @@ class TestCellParameters:
     def test_run_calibration_end_to_end(self):
         resolver = MixResolver([_mix("44", 0.4)])
         densities = {z: d for z, d in [("a", 0.5), ("b", 1.0), ("c", 2.0)]}
-        cells = [RegionCell(z, "441100", 10.0) for z in ("a", "b", "c")]
+        cells = cells_of([(z, "441100", 10.0) for z in ("a", "b", "c")])
         frame = cell_parameters(cells, resolver, densities)
         model, report = run_calibration(frame, 0.5, 0.04)
         assert model.eps == pytest.approx(0.1, abs=1e-9)
@@ -310,7 +309,7 @@ class TestCellParameters:
     def test_fixed_eps_honored(self):
         resolver = MixResolver([_mix("44", 0.4)])
         densities = {z: d for z, d in [("a", 0.5), ("b", 2.0)]}
-        cells = [RegionCell(z, "441100", 10.0) for z in ("a", "b")]
+        cells = cells_of([(z, "441100", 10.0) for z in ("a", "b")])
         frame = cell_parameters(cells, resolver, densities)
         model, report = run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
         assert model.eps == 0.02

@@ -9,11 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from distancing.cli import _drop_excluded_cells, _pct, main, read_region_groups
-from distancing.config import RunConfig, config_hash
+from distancing.cli import (
+    _drop_excluded_cells,
+    _pct,
+    main,
+    read_region_groups,
+    run_geo_stage,
+    run_index_stage,
+)
+from distancing.config import RunConfig, config_hash, resolve_config
 from distancing.errors import IngestionError
-from distancing.geo import RegionCell
 from e2efixture import write_config, write_inputs
+from frames import cells_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -188,7 +195,7 @@ class TestSubsidy:
 
     def test_range_exclusion_drops_every_sector_in_the_range(self):
         codes = ["441100", "451110", "461000", "622110", "621111", "311111"]
-        cells = [RegionCell("10001", code, 10.0) for code in codes]
+        cells = cells_of([("10001", code, 10.0) for code in codes])
         kept = _drop_excluded_cells(cells, ["44-45", "622"])
         assert [cell.industry_code for cell in kept] == ["461000", "621111", "311111"]
 
@@ -217,6 +224,24 @@ class TestSubsidy:
         assert main(["subsidy", "--config", str(config), "--telecom-cost", "1.5"]) == 0
         fig2 = read_csv(out / "fig2.csv")
         assert any(row["telecom_ratio"] for row in fig2)
+
+
+class TestGeoStage:
+    def test_unresolved_code_cells_weight_the_density_mean(self, tmp_path):
+        """All measured employment weights the mean, priced later or not."""
+        paths = write_inputs(tmp_path / "in")
+        cfg = resolve_config(paths)
+        index = run_index_stage(cfg)
+        before = run_geo_stage(cfg, index)
+        cbp = Path(paths["cbp"])
+        cbp.write_text(cbp.read_text() + "10001,991111,20-49,5,0\n")  # no mix covers 99
+        after = run_geo_stage(cfg, index)
+        assert list(before.densities) == list(after.densities)
+        # the mean moves, so every normalized density moves by one common factor
+        ratios = [after.densities[z] / before.densities[z] for z in before.densities]
+        assert ratios[0] != 1.0
+        assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
+        assert after.resolver.resolve("991111") is None
 
 
 class TestFig2Command:
@@ -335,6 +360,38 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"cbp.csv row {len(rows)}: expected 5 fields, got 1" in err
 
+    def test_byte_order_mark_is_dropped(self, fixture_config, tmp_path):
+        config, out = fixture_config
+        assert main(["subsidy", "--config", str(config)]) == 0
+        plain = snapshot(out)
+        cbp = config.with_name("cbp.csv")
+        cbp.write_bytes(b"\xef\xbb\xbf" + cbp.read_bytes())
+        assert main(["subsidy", "--config", str(config)]) == 0
+        assert snapshot(out) == plain
+
+    def test_non_utf8_byte_is_data_error_with_file_and_row(self, fixture_config, capsys):
+        config, _ = fixture_config
+        density = config.with_name("density.csv")
+        lines = density.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b",", b"\xe9,", 1)  # data row 2
+        density.write_bytes(b"".join(lines))
+        assert main(["subsidy", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "density.csv row 2: not UTF-8: byte 0xe9" in err
+        assert "Traceback" not in err
+
+    def test_occupation_range_error_names_file_and_row(self, fixture_config, capsys):
+        config, _ = fixture_config
+        occupations = config.with_name("occupations.csv")
+        header, first, *rest = occupations.read_text().splitlines()
+        first = first.rsplit(",", 4)[0] + ",9,3,2,2"  # 11-1011, face_to_face level 9
+        occupations.write_text("\n".join([header, first, *rest]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            "occupations.csv row 1: 11-1011: context 'face_to_face' level 9 not in 1..5" in err
+        )
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "distancing", "--version"],
@@ -382,15 +439,13 @@ def _imported_modules(args, cwd):
 
 
 class TestImportCost:
-    """numpy loads only where it is used: calibration, subsidies, lowess and fig2."""
+    """numpy loads only where it is used: establishment cells, calibration,
+    subsidies, lowess and fig2; importing the package does not load it."""
 
-    def test_version_and_index_run_without_numpy(self, fixture_config):
-        config, out = fixture_config
+    def test_version_runs_without_numpy(self, fixture_config):
+        _, out = fixture_config
         code, modules = _imported_modules(["--version"], out.parent)
         assert code == 0 and "distancing.cli" in modules
-        assert "numpy" not in modules
-        code, modules = _imported_modules(["index", "--config", str(config)], out.parent)
-        assert code == 0 and (out / "location-index.csv").is_file()
         assert "numpy" not in modules
 
     def test_numpy_commands_still_run(self, fixture_config, tmp_path):
@@ -398,6 +453,7 @@ class TestImportCost:
         source = tmp_path / "location-index.csv"
         write_location_index(source)
         for args in (
+            ["index", "--config", str(config)],
             ["lowess", "--config", str(config), "--input", str(source)],
             ["calibrate", "--config", str(config)],
             ["subsidy", "--config", str(config)],
@@ -407,3 +463,4 @@ class TestImportCost:
             assert code == 0, args
             assert "numpy" in modules, args
         assert (out / "location-lowess.csv").is_file() and (out / "fig2.csv").is_file()
+        assert (out / "location-index.csv").is_file()

@@ -7,25 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distancing.calibrate import cell_parameters
 from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
     DEFAULT_OPEN_BIN_MEAN,
     OPEN_BIN,
-    CbpRow,
     NationalSizeDistribution,
-    RegionCell,
     build_cells,
-    estimate_cell_employment,
-    impute_suppressed,
+    location_exposure,
     lowess_curve,
     normalize_density,
     read_cbp_csv,
     read_density_csv,
     region_employment,
-    regional_exposure,
 )
 from distancing.industries import GROUPS, IndustryMix, MixResolver
+
+from frames import cbp_of, cells_of
 
 
 def oracle_lowess(x, y, w, bandwidth, grid_points=100):
@@ -81,20 +80,35 @@ def oracle_lowess(x, y, w, bandwidth, grid_points=100):
     return grid, fitted
 
 
+def cell_estimate(bins, suppressed=0, naics="441200", national=None):
+    """(employment, imputed fraction) of one cell priced by ``build_cells``.
+
+    A dropped cell raises its reason as an :class:`IngestionError`.
+    """
+    rows = [("z", naics, size_bin, count) for size_bin, count in bins.items()]
+    if suppressed or not bins:
+        rows.append(("z", naics, "", suppressed, True))
+    cells, dropped = build_cells(cbp_of(rows), national or NATIONAL)
+    if dropped:
+        raise IngestionError(dropped[0][2])
+    (cell,) = cells
+    return cell.employment, cell.imputed_fraction
+
+
 class TestCellEmployment:
     def test_single_small_establishment(self):
-        assert estimate_cell_employment({"1-4": 1}, DEFAULT_BIN_MIDPOINTS) == 2.5
+        assert cell_estimate({"1-4": 1}) == (2.5, 0.0)
 
     def test_empty_counts(self):
-        assert estimate_cell_employment({}, DEFAULT_BIN_MIDPOINTS) == 0.0
+        assert cell_estimate({}) == (0.0, 0.0)
 
     def test_hand_sum(self):
-        got = estimate_cell_employment({"1-4": 2, "5-9": 1}, {"1-4": 2.5, "5-9": 7.0})
+        got, _ = cell_estimate({"1-4": 2, "5-9": 1})
         assert got == 12.0
 
     def test_unknown_bin_named(self):
         with pytest.raises(IngestionError, match="0-3"):
-            estimate_cell_employment({"0-3": 1}, DEFAULT_BIN_MIDPOINTS)
+            cell_estimate({"0-3": 1})
 
     def test_linear_in_counts(self):
         rng = np.random.default_rng(37)
@@ -103,9 +117,8 @@ class TestCellEmployment:
             a = {b: int(rng.integers(0, 9)) for b in bins}
             b = {b_: int(rng.integers(0, 9)) for b_ in bins}
             combined = {k: a[k] + b[k] for k in bins}
-            assert estimate_cell_employment(combined, DEFAULT_BIN_MIDPOINTS) == pytest.approx(
-                estimate_cell_employment(a, DEFAULT_BIN_MIDPOINTS)
-                + estimate_cell_employment(b, DEFAULT_BIN_MIDPOINTS)
+            assert cell_estimate(combined)[0] == pytest.approx(
+                cell_estimate(a)[0] + cell_estimate(b)[0]
             )
 
 
@@ -124,57 +137,77 @@ NATIONAL = NationalSizeDistribution(
 
 class TestImputation:
     def test_no_suppression_unchanged(self):
-        emp, frac = impute_suppressed({"1-4": 4}, 0, "441200", NATIONAL)
+        emp, frac = cell_estimate({"1-4": 4}, 0, "441200")
         assert emp == 10.0 and frac == 0.0
 
     def test_suppressed_plant_gets_complement_mean(self):
         # cell reports only 1-4; national mean over the other bins is
         # (350 + 290 + 345) / (50 + 20 + 10) = 12.3125
-        emp, frac = impute_suppressed({"1-4": 4}, 1, "441200", NATIONAL)
+        emp, frac = cell_estimate({"1-4": 4}, 1, "441200")
         assert emp == pytest.approx(10.0 + 12.3125)
         assert frac == pytest.approx(12.3125 / 22.3125)
 
     def test_fixture_mean_forty(self):
         national = NationalSizeDistribution({"31": {"1-4": (5, 12.5), "20-49": (10, 400)}})
-        emp, frac = impute_suppressed({"1-4": 5}, 1, "311811", national)
+        emp, frac = cell_estimate({"1-4": 5}, 1, "311811", national)
         assert emp == pytest.approx(12.5 + 40.0)
 
     def test_never_reduces_and_never_fires_unsuppressed(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             bins = {"1-4": int(rng.integers(0, 5)), "5-9": int(rng.integers(0, 5))}
-            base, frac0 = impute_suppressed(bins, 0, "44", NATIONAL)
+            base, frac0 = cell_estimate(bins, 0, "44")
             assert frac0 == 0.0
             suppressed = int(rng.integers(1, 4))
-            more, frac = impute_suppressed(bins, suppressed, "44", NATIONAL)
+            more, frac = cell_estimate(bins, suppressed, "44")
             assert more >= base
             assert 0.0 < frac <= 1.0
 
     def test_ancestor_fallback(self):
-        emp, _ = impute_suppressed({}, 1, "445110", NATIONAL)  # resolves via "44"
+        emp, _ = cell_estimate({}, 1, "445110")  # resolves via "44"
         assert emp == pytest.approx((250 + 350 + 290 + 345) / 180.0)
 
     def test_missing_distribution_raises(self):
         with pytest.raises(IngestionError):
-            impute_suppressed({}, 1, "99999", NATIONAL)
+            cell_estimate({}, 1, "99999")
 
 
 class TestBuildCells:
     def test_cells_sorted_and_dropped_reported(self):
-        rows = [
-            CbpRow("10002", "441200", "1-4", 4),
-            CbpRow("10001", "441100", "20-49", 2),
-            CbpRow("10002", "441200", "", 1, suppressed=True),
-            CbpRow("10009", "99999", "", 2, suppressed=True),  # no national data
-        ]
+        rows = cbp_of([
+            ("10002", "441200", "1-4", 4),
+            ("10001", "441100", "20-49", 2),
+            ("10002", "441200", "", 1, True),
+            ("10009", "99999", "", 2, True),  # no national data
+        ])
         cells, dropped = build_cells(rows, NATIONAL)
         assert [(c.zcta, c.industry_code) for c in cells] == [
             ("10001", "441100"),
             ("10002", "441200"),
         ]
-        assert cells[0].employment == 69.0
-        assert cells[1].employment == pytest.approx(22.3125)
+        first, second = cells
+        assert first.employment == 69.0
+        assert second.employment == pytest.approx(22.3125)
         assert dropped == [("10009", "99999", dropped[0][2])]
+
+    def test_each_fault_drops_its_cell_with_the_first_reason(self):
+        rows = cbp_of([
+            ("z1", "441100", "5-9", -1),
+            ("z1", "441100", "1-4", -2),  # "1-4" sorts first, so it names the fault
+            ("z2", "441100", "5-9", -1),
+            ("z2", "441100", "0-3", 2),  # an unknown label sorting first names it
+            ("z3", "441100", "5-9", 1),
+            ("z3", "441100", "", -1, True),
+            ("z4", "441100", "1-4", 3),
+            ("z4", "441100", "1-4", -3),  # bin counts add up before the check
+        ])
+        cells, dropped = build_cells(rows, NATIONAL)
+        assert [(c.zcta, c.employment) for c in cells] == [("z4", 0.0)]
+        assert [reason for _, _, reason in dropped] == [
+            "negative establishment count in bin '1-4'",
+            "unknown size bin label '0-3'",
+            "suppressed establishment count cannot be negative",
+        ]
 
 
 # A national table with an open-bin mean for one sector and a sparse
@@ -185,20 +218,50 @@ _NATIONAL_TABLE = {
     "4412": {"1-4": (30, 80), "50-99": (4, 300)},
     "31": {"1-4": (10, 25), "5-9": (10, 400), "100-249": (3, 520)},
 }
+# An unknown label "0-3" and counts of -1 make cells the reference drops.
 _CBP_ROWS = st.lists(
     st.tuples(
         st.sampled_from(["10001", "10002", "10003"]),
         st.sampled_from(["441100", "441200", "311811", "31", "99999"]),
-        st.sampled_from([*DEFAULT_BIN_MIDPOINTS, OPEN_BIN]),
-        st.integers(0, 30),
+        st.sampled_from([*DEFAULT_BIN_MIDPOINTS, OPEN_BIN, "0-3"]),
+        st.integers(-1, 30),
         st.booleans(),
     ).map(lambda r: (r[0], r[1], "" if r[4] else r[2], r[3], r[4])),
     max_size=60,
 )
 
 
+def estimate_cell_employment(size_bin_counts, bin_midpoints):
+    """Sum of establishment counts times bin midpoints, one cell at a time."""
+    total = []
+    for size_bin in sorted(size_bin_counts):
+        count = size_bin_counts[size_bin]
+        if count < 0:
+            raise IngestionError(f"negative establishment count in bin {size_bin!r}")
+        if size_bin not in bin_midpoints:
+            raise IngestionError(f"unknown size bin label {size_bin!r}")
+        total.append(count * bin_midpoints[size_bin])
+    return math.fsum(total)
+
+
+def impute_suppressed(known_bins, suppressed_count, naics, national, bin_midpoints):
+    """One cell's (employment, imputed fraction): withheld plants at the complement mean."""
+    if suppressed_count < 0:
+        raise IngestionError("suppressed establishment count cannot be negative")
+    known = estimate_cell_employment(known_bins, bin_midpoints)
+    if suppressed_count == 0:
+        return known, 0.0
+    mean_size = national.mean_size(naics, exclude_bins=known_bins.keys())
+    if mean_size is None:
+        raise IngestionError(f"no national size distribution covers NAICS {naics!r}")
+    imputed = suppressed_count * mean_size
+    total = known + imputed
+    return total, (imputed / total if total > 0 else 0.0)
+
+
 def reference_cells(rows, open_bin_mean):
-    """Each cell on its own, with a fresh (never cached) national table."""
+    """Each cell on its own, with a fresh (never cached) national table:
+    dicts of bin counts, an ``fsum`` per cell, one imputation call per cell."""
     known, suppressed = {}, {}
     for zcta, naics, size_bin, count, is_suppressed in rows:
         bins = known.setdefault((zcta, naics), {})
@@ -226,14 +289,14 @@ class TestBuildCellsProperties:
     @given(_CBP_ROWS, st.sampled_from([DEFAULT_OPEN_BIN_MEAN, 900.0]), st.randoms())
     def test_order_free_and_equal_to_uncached_reference(self, rows, open_bin_mean, rnd):
         national = NationalSizeDistribution(_NATIONAL_TABLE)
-        cells, dropped = build_cells(rows, national, open_bin_mean)
+        cells, dropped = build_cells(cbp_of(rows), national, open_bin_mean)
         got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
         assert (got, dropped) == reference_cells(rows, open_bin_mean)
         shuffled = list(rows)
         rnd.shuffle(shuffled)
         # the same (now warm) table and a fresh one give the same bits
         for table in (national, NationalSizeDistribution(_NATIONAL_TABLE)):
-            again, again_dropped = build_cells(shuffled, table, open_bin_mean)
+            again, again_dropped = build_cells(cbp_of(shuffled), table, open_bin_mean)
             assert [
                 (c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in again
             ] == got
@@ -249,16 +312,31 @@ class TestCbpCsv:
             "# provenance\n" + self.HEADER
             + "10001, 441100 ,1-4,3,0\n\n# note\n10001,441100,,2,1\n10002,311811,5-9,1,\n"
         )
-        assert read_cbp_csv(path) == [
+        records = read_cbp_csv(path)
+        assert len(records) == 3
+        assert list(records) == [
             ("10001", "441100", "1-4", 3, False),
             ("10001", "441100", "", 2, True),
             ("10002", "311811", "5-9", 1, False),
         ]
+        # codes follow the sorted labels, whatever order the file gives them in
+        assert records.zcta.labels == ["10001", "10002"]
+        assert records.naics.labels == ["311811", "441100"]
+        assert records.naics.codes.tolist() == [1, 1, 0]
 
     def test_flag_column_is_optional(self, tmp_path):
         path = tmp_path / "cbp.csv"
         path.write_text("zcta,naics,size_bin,establishments\n10001,441100,1-4,3\n")
-        assert read_cbp_csv(path) == [("10001", "441100", "1-4", 3, False)]
+        assert list(read_cbp_csv(path)) == [("10001", "441100", "1-4", 3, False)]
+
+    @pytest.mark.parametrize("bad_row, field", [(" ,441100,1-4,3,0", "zcta"),
+                                                ("10002,,1-4,3,0", "naics")])
+    def test_blank_code_names_row_and_field(self, tmp_path, bad_row, field):
+        path = tmp_path / "cbp.csv"
+        path.write_text(self.HEADER + "10001,441100,1-4,3,0\n" + bad_row + "\n")
+        with pytest.raises(IngestionError) as excinfo:
+            read_cbp_csv(path)
+        assert str(excinfo.value) == f"{path} row 2: field {field!r}: blank"
 
     @pytest.mark.parametrize(
         "bad_row, message",
@@ -322,6 +400,21 @@ class TestNationalSizes:
         ):
             NationalSizeDistribution.from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("31,5-9,-1,40", "field 'establishments': negative: -1.0"),
+            ("31,5-9,10,-10", "field 'employment': negative: -10.0"),
+            ("31,5-9,0,40", "field 'employment': 40.0 workers in 0 establishments"),
+        ],
+    )
+    def test_impossible_counts_name_row_and_field(self, tmp_path, row, message):
+        path = tmp_path / "national.csv"
+        path.write_text(f"naics,size_bin,establishments,employment\n31,1-4,10,25\n{row}\n")
+        with pytest.raises(IngestionError) as excinfo:
+            NationalSizeDistribution.from_csv(path)
+        assert str(excinfo.value) == f"{path} row 2: {message}"
+
 
 class TestDensity:
     def test_single_region_normalizes_to_one(self):
@@ -378,47 +471,56 @@ def _mix(code, chi_comm, chi_presence=0.0):
     )
 
 
+def exposures_of(cells, mixes):
+    """``location_exposure`` of the frame the cells join into, every ZCTA at density 1."""
+    resolver = MixResolver(mixes)
+    frame = cell_parameters(cells, resolver, {zcta: 1.0 for zcta in cells.zcta.labels})
+    return location_exposure(frame, mixes), resolver
+
+
+COMMUNICATION = GROUPS.index("communication")
+
+
 class TestRegionalExposure:
     def test_single_industry_region(self):
-        resolver = MixResolver([_mix("44", 0.6)])
-        cells = [RegionCell("z", "441100", 50.0)]
-        exposures, skipped = regional_exposure(cells, resolver)
-        assert skipped == []
-        assert exposures["z"].shares["communication"] == pytest.approx(0.6)
+        exposures, resolver = exposures_of(cells_of([("z", "441100", 50.0)]), [_mix("44", 0.6)])
+        assert resolver.unresolved == set()
+        assert exposures["z"][1][COMMUNICATION] == pytest.approx(0.6)
 
     def test_fifty_fifty_mix(self):
-        resolver = MixResolver([_mix("44", 0.6), _mix("31", 0.2)])
-        cells = [RegionCell("z", "441100", 30.0), RegionCell("z", "311811", 30.0)]
-        exposures, _ = regional_exposure(cells, resolver)
-        assert exposures["z"].shares["communication"] == pytest.approx(0.4)
+        mixes = [_mix("44", 0.6), _mix("31", 0.2)]
+        cells = cells_of([("z", "441100", 30.0), ("z", "311811", 30.0)])
+        exposures, _ = exposures_of(cells, mixes)
+        assert exposures["z"][1][COMMUNICATION] == pytest.approx(0.4)
 
     def test_split_cell_invariance(self):
-        resolver = MixResolver([_mix("44", 0.6), _mix("31", 0.2)])
-        whole = [RegionCell("z", "441100", 30.0), RegionCell("z", "311811", 12.0)]
-        split = [
-            RegionCell("z", "441100", 11.0),
-            RegionCell("z", "441100", 19.0),
-            RegionCell("z", "311811", 12.0),
-        ]
-        a, _ = regional_exposure(whole, resolver)
-        b, _ = regional_exposure(split, resolver)
-        for g in GROUPS:
-            assert a["z"].shares[g] == pytest.approx(b["z"].shares[g], abs=1e-12)
-        assert a["z"].employment == pytest.approx(b["z"].employment, abs=1e-12)
+        mixes = [_mix("44", 0.6), _mix("31", 0.2)]
+        whole = cells_of([("z", "441100", 30.0), ("z", "311811", 12.0)])
+        split = cells_of([
+            ("z", "441100", 11.0),
+            ("z", "441100", 19.0),
+            ("z", "311811", 12.0),
+        ])
+        (a_employment, a_shares), = exposures_of(whole, mixes)[0].values()
+        (b_employment, b_shares), = exposures_of(split, mixes)[0].values()
+        for g in range(len(GROUPS)):
+            assert a_shares[g] == pytest.approx(b_shares[g], abs=1e-12)
+        assert a_employment == pytest.approx(b_employment, abs=1e-12)
 
-    def test_unresolvable_cells_skipped(self):
-        resolver = MixResolver([_mix("44", 0.6)])
-        cells = [RegionCell("z", "441100", 10.0), RegionCell("z", "99999", 99.0)]
-        exposures, skipped = regional_exposure(cells, resolver)
-        assert skipped == [("z", "99999")]
-        assert exposures["z"].employment == 10.0
+    def test_unresolvable_cells_skipped(self, caplog):
+        cells = cells_of([("z", "441100", 10.0), ("z", "99999", 99.0)])
+        with caplog.at_level("WARNING"):
+            exposures, resolver = exposures_of(cells, [_mix("44", 0.6)])
+        assert resolver.unresolved == {"99999"}
+        assert "1 cells skipped: no industry mix for codes 99999" in caplog.messages
+        assert exposures["z"][0] == 10.0
 
     def test_region_employment_totals(self):
-        cells = [
-            RegionCell("a", "441100", 10.0),
-            RegionCell("a", "311811", 5.0),
-            RegionCell("b", "441100", 1.0),
-        ]
+        cells = cells_of([
+            ("a", "441100", 10.0),
+            ("a", "311811", 5.0),
+            ("b", "441100", 1.0),
+        ])
         assert region_employment(cells) == {"a": 15.0, "b": 1.0}
 
 
