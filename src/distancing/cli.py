@@ -13,6 +13,7 @@ import logging
 import sys
 from dataclasses import dataclass, fields
 from math import fsum, log
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from .config import (
     require,
     resolve_config,
 )
-from .errors import ConfigError, DistancingError
+from .errors import ConfigError, DistancingError, IngestionError
 from .industries import GROUPS
 from .model import FirmParams
 
@@ -88,7 +89,10 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     records = geo.read_density_csv(cfg.density)
     if cfg.employment_density:
         records = [(zcta, weights.get(zcta, 0.0), area) for zcta, _, area in records]
-    densities = geo.normalize_density(records, weights)
+    try:
+        densities = geo.normalize_density(records, weights)
+    except IngestionError as exc:
+        raise IngestionError(f"{cfg.density}: {exc}") from None
     return GeoStage(cells, densities, industries.MixResolver(index.mixes))
 
 
@@ -262,22 +266,22 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"location index not found: {source} (run 'index' first or pass --input)")
     if not 0.0 < args.bandwidth <= 1.0:
         raise ConfigError(f"--bandwidth must lie in (0, 1], got {args.bandwidth}")
-    _, rows = csvio.read_rows(source, ["density", "employment", *(f"share_{g}" for g in GROUPS)])
-    x = [log(float(row["density"])) for row in rows]
-    weights = [float(row["employment"]) for row in rows]
-    curves = {}
-    grid = None
-    for group in GROUPS:
-        y = [float(row[f"share_{group}"]) for row in rows]
-        grid, curves[group] = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
+    shares = [f"share_{g}" for g in GROUPS]
+    header, blocks = csvio.read_blocks(source, ["density", "employment", *shares])
+    rows = [fields for _, block in blocks for fields in block]
+
+    def column(name: str):
+        return map(itemgetter(header.index(name)), rows)
+
+    x = list(map(log, map(float, column("density"))))
+    weights = list(map(float, column("employment")))
+    y = [list(map(float, column(share))) for share in shares]
+    grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
     stamp = _provenance(cfg) + f" bandwidth:{args.bandwidth!r}"
     csvio.write_rows(
         out / "location-lowess.csv",
         ["log_density", *GROUPS],
-        [
-            [float(grid[i])] + [float(curves[group][i]) for group in GROUPS]
-            for i in range(len(grid))
-        ],
+        [[g, *fits] for g, *fits in zip(grid.tolist(), *curves.tolist())],
         comment=stamp,
     )
     return 0

@@ -8,7 +8,8 @@ are normalized so their employment-weighted national mean is one, the
 unit the cost model expects; they travel as one plain float per ZCTA.
 
 The establishment file is the largest input, so nothing here keeps an
-object per record or per cell: the reader interns ZCTA, NAICS and size
+object per record or per cell: the reader takes each block of rows a
+field at a time into ``array`` columns, interning ZCTA, NAICS and size
 bin labels into :class:`Coded` integer columns as it streams, and
 :func:`build_cells` prices whole columns with numpy (imported by the
 functions that use it, so importing the package does not load it).
@@ -20,9 +21,11 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, fields
 from itertools import repeat
 from math import fsum
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -240,7 +243,9 @@ def build_cells(
     withheld, reporting = cbp.suppressed, ~cbp.suppressed
     slot = cell[reporting] * n_bins + cbp.size_bin.codes[reporting]
     counts = np.bincount(slot, cbp.establishments[reporting], n * n_bins).reshape(n, n_bins)
-    reported = np.bincount(slot, minlength=n * n_bins).reshape(n, n_bins) > 0
+    reported = np.zeros(n * n_bins, dtype=bool)
+    reported[slot] = True
+    reported = reported.reshape(n, n_bins)
     suppressed = np.bincount(cell[withheld], cbp.establishments[withheld], n)
 
     employment = counts @ np.array([DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
@@ -317,7 +322,8 @@ def normalize_density(
     zcta to employment.  Returns ``{zcta: normalized density}`` with the
     keys in sorted order.  Regions with nonpositive land area or density
     are dropped with a warning: they cannot enter the model.  The
-    employment-weighted mean of the returned densities is 1.  The
+    employment-weighted mean of the returned densities is 1; a mean that
+    overflows the float range raises :class:`IngestionError`.  The
     pipeline passes all measured employment as ``weights``, cells whose
     code no industry mix covers included, though only resolved cells are
     priced.
@@ -341,7 +347,13 @@ def normalize_density(
     total_weight = fsum(w for _, w in weighted)
     if total_weight <= 0.0:
         raise IngestionError("no employment overlaps the density data; cannot normalize")
-    mean = fsum(wd for wd, _ in weighted) / total_weight
+    try:
+        mean = fsum(wd for wd, _ in weighted) / total_weight
+    except OverflowError:  # fsum's partial sums left the float range
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise IngestionError("the employment-weighted mean density is not finite; "
+                             "cannot normalize")
     return {zcta: raw[zcta] / mean for zcta in sorted(raw)}
 
 
@@ -372,7 +384,7 @@ def location_exposure(frame, mixes: Iterable[IndustryMix]) -> dict[str, tuple[fl
 
 def lowess_curve(
     x: Sequence[float],
-    y: Sequence[float],
+    y: Sequence[float] | Sequence[Sequence[float]],
     weights: Sequence[float] | None = None,
     bandwidth: float = 0.5,
     grid_points: int = 100,
@@ -388,6 +400,10 @@ def lowess_curve(
     local mean, and if no observation falls strictly inside the radius the
     nearest observations are averaged by point weight.
 
+    ``y`` is one series (the fit is 1-D) or a 2-D array of series sharing
+    ``x`` and the weights (one fitted row per series).  The series share
+    each window; every row equals, bit for bit, a fit of that series alone.
+
     Requires at least 10 points and bandwidth in (0, 1].
     """
     import numpy as np  # only the smoothing needs numpy; keep it off the import path
@@ -399,7 +415,7 @@ def lowess_curve(
         raise ValueError(f"lowess needs at least 10 points, got {n}")
     if not 0.0 < bandwidth <= 1.0:
         raise ValueError(f"bandwidth must lie in (0, 1], got {bandwidth!r}")
-    if ys.size != n:
+    if ys.ndim not in (1, 2) or ys.shape[-1] != n:
         raise ValueError("x and y must have the same length")
     if weights is None:
         ws = np.ones(n)
@@ -413,15 +429,16 @@ def lowess_curve(
     if hi <= lo:
         raise ValueError("x values span zero range; nothing to smooth over")
 
+    series = ys.reshape(-1, n)
     r = min(n, max(2, int(math.ceil(bandwidth * n))))
     grid = np.linspace(lo, hi, grid_points)
-    fitted = np.empty(grid_points)
+    fitted = np.empty((len(series), grid_points))
     for j, g in enumerate(grid):
         dist = np.abs(xs - g)
         h = np.partition(dist, r - 1)[r - 1]
         if h <= 0.0:
             at = dist == 0.0
-            fitted[j] = _weighted_mean(ys[at], ws[at])
+            fitted[:, j] = [_weighted_mean(s[at], ws[at]) for s in series]
             continue
         u = dist / h
         kernel = np.where(u < 1.0, (1.0 - np.minimum(u, 1.0) ** 3) ** 3, 0.0)
@@ -429,21 +446,25 @@ def lowess_curve(
         total = omega.sum()
         if total <= 0.0:
             nearest = dist == dist.min()
-            fitted[j] = _weighted_mean(ys[nearest], ws[nearest])
+            fitted[:, j] = [_weighted_mean(s[nearest], ws[nearest]) for s in series]
             continue
         dx = xs - g
         sx = float(np.dot(omega, dx))
         sxx = float(np.dot(omega, dx * dx))
-        sy = float(np.dot(omega, ys))
-        sxy = float(np.dot(omega, dx * ys))
         var = sxx - sx * sx / total
-        if var <= 1e-12 * h * h:
-            fitted[j] = sy / total
-            continue
-        slope = (sxy - sx * sy / total) / var
-        intercept = (sy - slope * sx) / total
-        fitted[j] = intercept  # dx is centered on g, so the intercept is the value there
-    return grid, fitted
+        flat = var <= 1e-12 * h * h
+        # one 1-D dot per series, as a single-series fit makes: a matrix
+        # product may add in another order
+        for k, s in enumerate(series):
+            sy = float(np.dot(omega, s))
+            if flat:
+                fitted[k, j] = sy / total
+                continue
+            sxy = float(np.dot(omega, dx * s))
+            slope = (sxy - sx * sy / total) / var
+            # dx is centered on g, so the intercept is the value there
+            fitted[k, j] = (sy - slope * sx) / total
+    return grid, fitted if ys.ndim == 2 else fitted[0]
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
@@ -481,55 +502,84 @@ class _Interned(dict):
         return code
 
 
-class _Flags(dict):
-    """Raw ``suppressed`` field -> bool: an integer, nonzero means suppressed, or empty."""
+class _Parsed(dict):
+    """Raw field -> ``parse(raw)``, parsed once per distinct raw value."""
 
-    def __missing__(self, raw: str) -> bool:
-        flag = self[raw] = int(raw) != 0 if raw.strip() else False
-        return flag
+    def __init__(self, parse: Callable[[str], int]):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, raw: str) -> int:
+        value = self[raw] = self.parse(raw)
+        return value
+
+
+def _flag(raw: str) -> int:
+    """The ``suppressed`` field: an integer, nonzero means suppressed, or empty."""
+    return int(raw) != 0 if raw.strip() else False
 
 
 def read_cbp_csv(path: str | Path) -> CbpColumns:
     """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag.
 
     The flag is an integer (nonzero means suppressed) or empty.  A blank
-    ZCTA or NAICS code is a data error naming the file and row.
+    ZCTA or NAICS code, or a count that is not a 64-bit integer, is a data
+    error naming the file and row.  Each block of rows extends ``array``
+    columns a whole field at a time.
     """
     import numpy as np
 
     names = ("zcta", "naics", "size_bin", "establishments")
-    header, records = csvio.read_records(path, names)
-    zcta_col, naics_col, bin_col, count_col = map(header.index, names)
-    flag_col = header.index("suppressed") if "suppressed" in header else None
+    header, blocks = csvio.read_blocks(path, names)
+    fields = [*map(header.index, names)]
     labels = _Interned("zcta"), _Interned("naics"), _Interned()
-    zctas, naics, bins = labels
-    flags = _Flags()
-    columns = [[] for _ in range(5)]
-    add_zcta, add_naics, add_bin, add_flag, add_count = (column.append for column in columns)
-    try:
-        for i, record in records:
-            add_zcta(zctas[record[zcta_col]])
-            add_naics(naics[record[naics_col]])
-            add_bin(bins[record[bin_col]])
-            add_flag(flags[record[flag_col]] if flag_col is not None else False)
-            add_count(int(record[count_col]))
-    except _BlankCode as exc:
-        raise IngestionError(f"{path} row {i}: field {exc.args[0]!r}: blank") from None
-    except ValueError:
-        # parse again through csvio for its error text, naming the file and row
-        where = f"{path} row {i}"
-        if flag_col is not None and record[flag_col].strip():
-            csvio.parse_int(record[flag_col].strip(), path=where, field="suppressed")
-        csvio.parse_int(record[count_col], path=where, field="establishments")
-        raise
+    tables: list[dict] = [*labels, _Parsed(int)]
+    columns = [array("q") for _ in fields]
+    if "suppressed" in header:
+        fields.append(header.index("suppressed"))
+        tables.append(_Parsed(_flag))
+        columns.append(array("b"))
+    work = list(zip(columns, tables, map(itemgetter, fields)))
+    for first, block in blocks:
+        try:
+            for column, table, field in work:
+                column.extend(map(table.__getitem__, map(field, block)))
+        except (_BlankCode, ValueError, OverflowError):
+            _check_cbp_rows(path, first, block, fields)
+            raise
+    n = len(columns[0])
+    flags = np.frombuffer(columns[4], dtype=bool) if len(columns) > 4 else np.zeros(n, bool)
     return CbpColumns(
-        *(Coded.from_codes(list(t.labels), codes) for t, codes in zip(labels, columns)),
-        np.array(columns[4], dtype=np.int64), np.array(columns[3], dtype=bool),
+        *(Coded.from_codes(list(t.labels), np.frombuffer(c, dtype=np.int64))
+          for t, c in zip(labels, columns)),
+        np.frombuffer(columns[3], dtype=np.int64), flags,
     )
 
 
+def _check_cbp_rows(path, first: int, block: list[list[str]], fields: list[int]) -> None:
+    """Raise the first fault of a block that did not read, naming its row: each
+    row is checked in the reader's order, blank ZCTA, blank NAICS, flag, count."""
+    zcta, naics, _, count, *flag = fields
+    for i, record in enumerate(block, first):
+        where = f"{path} row {i}"
+        for name, field in (("zcta", zcta), ("naics", naics)):
+            if not record[field].strip():
+                raise IngestionError(f"{where}: field {name!r}: blank") from None
+        if flag and record[flag[0]].strip():
+            csvio.parse_int(record[flag[0]].strip(), path=where, field="suppressed")
+        value = csvio.parse_int(record[count], path=where, field="establishments")
+        if not -(1 << 63) <= value < 1 << 63:
+            raise IngestionError(
+                f"{where}: field 'establishments': not a 64-bit integer: {record[count]!r}"
+            ) from None
+
+
 def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
-    """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once."""
+    """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once.
+
+    Population and land area are finite and nonnegative; a zero leaves the
+    region to :func:`normalize_density`, which drops it with a warning.
+    """
     _, rows = csvio.read_rows(path, ["zcta", "population", "land_area_km2"])
     records = []
     first_row: dict[str, int] = {}
@@ -537,11 +587,12 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
         where = f"{path} row {i}"
         zcta = row["zcta"].strip()
         csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
-        records.append((
-            zcta,
-            csvio.parse_float(row["population"], path=where, field="population"),
-            csvio.parse_float(row["land_area_km2"], path=where, field="land_area_km2"),
-        ))
+        values = [csvio.parse_float(row[field], path=where, field=field)
+                  for field in ("population", "land_area_km2")]
+        for field, value in zip(("population", "land_area_km2"), values):
+            if value < 0.0:
+                raise IngestionError(f"{where}: field {field!r}: negative: {value!r}")
+        records.append((zcta, *values))
     return records
 
 

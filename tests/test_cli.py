@@ -360,6 +360,41 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"cbp.csv row {len(rows)}: expected 5 fields, got 1" in err
 
+    def test_establishment_count_beyond_int64_is_data_error(self, fixture_config, capsys):
+        config, _ = fixture_config
+        cbp = config.with_name("cbp.csv")
+        header, first, *rest = cbp.read_text().splitlines()
+        first = first.split(",")
+        first[3] = "99999999999999999999"
+        cbp.write_text("\n".join([header, ",".join(first), *rest]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert ("cbp.csv row 1: field 'establishments': not a 64-bit integer: "
+                "'99999999999999999999'") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("column, field", [(1, "population"), (2, "land_area_km2")])
+    def test_negative_density_field_is_data_error(self, fixture_config, capsys, column, field):
+        config, _ = fixture_config
+        density = config.with_name("density.csv")
+        header, first, *rest = density.read_text().splitlines()
+        first = first.split(",")
+        first[column] = "-" + first[column]
+        density.write_text("\n".join([header, ",".join(first), *rest]) + "\n")
+        assert main(["subsidy", "--config", str(config)]) == 1
+        assert f"density.csv row 1: field {field!r}: negative: -" in capsys.readouterr().err
+
+    def test_density_mean_overflow_names_density_file(self, fixture_config, capsys, recwarn):
+        config, _ = fixture_config
+        density = config.with_name("density.csv")
+        header, first, *rest = density.read_text().splitlines()
+        zcta, _, area = first.split(",")
+        density.write_text("\n".join([header, f"{zcta},1e308,{area}", *rest]) + "\n")
+        assert main(["subsidy", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "density.csv: the employment-weighted mean density is not finite" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_byte_order_mark_is_dropped(self, fixture_config, tmp_path):
         config, out = fixture_config
         assert main(["subsidy", "--config", str(config)]) == 0

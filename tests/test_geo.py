@@ -446,6 +446,16 @@ class TestDensity:
             out = normalize_density([("a", 10.0, 0.0), ("b", 10.0, 1.0)], {"a": 1.0, "b": 1.0})
         assert list(out) == ["b"]
 
+    @pytest.mark.parametrize("area", [
+        0.5,  # a density of inf: the weighted sum is inf
+        1.0,  # finite products whose sum leaves the float range inside fsum
+    ])
+    def test_mean_beyond_the_float_range_raises(self, area):
+        records = [("a", 1e308, area), ("b", 1e308, area), ("c", 1.0, 1.0)]
+        weights = {"a": 1.0, "b": 1.0, "c": 1.0}
+        with pytest.raises(IngestionError, match="mean density is not finite"):
+            normalize_density(records, weights)
+
     def test_no_overlapping_employment_raises(self):
         with pytest.raises(IngestionError):
             normalize_density([("a", 10.0, 1.0)], {"b": 3.0})
@@ -566,6 +576,27 @@ class TestLowess:
         assert fitted[0] == pytest.approx(2.0)
         ogrid, ofit = oracle_lowess(list(x), list(y), [1.0] * 11, 1.0)
         assert np.max(np.abs(np.asarray(ofit) - fitted)) < 1e-9
+
+    @pytest.mark.parametrize("x, w, bandwidth", [
+        # zero radius at both ends of the grid
+        ([1.0] * 6 + [2.0] * 6, None, 0.4),
+        # the zero-variance cluster of the test above, an odd number of points
+        ([1.0] * 10 + [3.0], None, 1.0),
+        # no point weight inside the left windows: the nearest points are averaged
+        (np.linspace(0.0, 9.0, 20), [0.0] * 10 + [1.0] * 10, 0.2),
+        (np.random.default_rng(61).uniform(-2, 4, 101), None, 0.3),
+    ])
+    def test_series_sharing_windows_equal_single_fits_bit_for_bit(self, x, w, bandwidth):
+        rng = np.random.default_rng(67)
+        if w is not None:
+            w = np.asarray(w)
+        ys = rng.normal(size=(4, len(x)))
+        grid, fitted = lowess_curve(x, ys, w, bandwidth=bandwidth)
+        assert fitted.shape == (4, 100)
+        for series, row in zip(ys, fitted):
+            alone_grid, alone = lowess_curve(x, series, w, bandwidth=bandwidth)
+            assert alone.shape == (100,)
+            assert np.array_equal(alone_grid, grid) and np.array_equal(alone, row)
 
     def test_grid_is_100_points_spanning_data(self):
         x = np.linspace(0, 9, 30)
