@@ -10,7 +10,6 @@ worker contacts.
 __version__ = "0.1.0"
 
 from .calibrate import (
-    CalibratedModel,
     CalibrationReport,
     CellFrame,
     CellRow,

@@ -16,9 +16,11 @@ N in closed form.  ``run_calibration`` re-evaluates the aggregate at the
 returned N once: that value guards the result and is the reported share.
 
 The cells travel as one :class:`CellFrame`, a column per field, so both
-solves are array expressions over the frame.  Every total is a
+solves are array expressions over the frame; the cap solve takes the
+contacts and employment columns as two arrays.  Every total is a
 ``math.fsum`` and the cap's running sums add left to right in sorted
-order, so no result depends on the order of the cells.
+order, so no result depends on the order of the cells.  The result is
+one :class:`CalibrationReport`: eps and the cap with their diagnostics.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class CellRow(NamedTuple):
     industry_code: str
     employment: float
     chi: float
-    gamma: float
     density: float
     nstar: float | None
     cap_ratio: float | None
@@ -61,10 +62,11 @@ class CellRow(NamedTuple):
 class CellFrame(Columns):
     """The (region, industry) cells the model prices, one column per field.
 
-    ``industry_code`` is each cell's resolved industry and ``chi``/``gamma``
-    its firm parameters; the numeric columns are float64 arrays, the two
-    code columns :class:`~distancing.geo.Coded`.  :func:`cell_parameters`
-    fills the first six; :func:`~distancing.counterfactual.compute_subsidies`
+    ``industry_code`` is each cell's resolved industry and ``chi`` its
+    communication cost share, from which :attr:`params` derives gamma; the
+    numeric columns are float64 arrays, the two code columns
+    :class:`~distancing.geo.Coded`.  :func:`cell_parameters` fills the
+    first five; :func:`~distancing.counterfactual.compute_subsidies`
     returns a copy with the outcome columns too: optimal contacts, cap over
     optimal contacts (1 where the cap does not bind), the subsidy, and the
     regime each firm picks (an object array of :class:`Regime`, or None
@@ -75,7 +77,6 @@ class CellFrame(Columns):
     industry_code: Coded
     employment: np.ndarray
     chi: np.ndarray
-    gamma: np.ndarray
     density: np.ndarray
     nstar: np.ndarray | None = None
     cap_ratio: np.ndarray | None = None
@@ -87,26 +88,12 @@ class CellFrame(Columns):
     @property
     def params(self) -> FirmParams:
         """Every row's firm parameters as one array-valued :class:`FirmParams`."""
-        return FirmParams(self.chi, self.gamma)
-
-
-@dataclass
-class CalibratedModel:
-    """Calibration output: the global parameters; firm parameters live on the cells."""
-
-    eps: float
-    contact_cap: float
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise CalibrationError(f"eps must be positive, got {self.eps!r}")
-        if self.contact_cap <= 0.0:
-            raise CalibrationError(f"contact_cap must be positive, got {self.contact_cap!r}")
+        return FirmParams.from_chi(self.chi)
 
 
 @dataclass
 class CalibrationReport:
-    """Diagnostics for the calibration run."""
+    """The calibrated eps and contact cap, with the run's diagnostics."""
 
     eps: float
     contact_cap: float
@@ -165,10 +152,9 @@ def cell_parameters(
             len(regions), ", ".join(zctas.labels[z] for z in regions),
         )
     keep = resolved & ~missing
-    params = FirmParams.from_chi(chi_of[codes.codes[keep]])
+    chi = FirmParams.from_chi(chi_of[codes.codes[keep]]).chi  # checks 0 <= chi < 1
     return CellFrame(
-        zctas[keep], Coded(industries, industry[keep]), cells.employment[keep], params.chi,
-        params.gamma, density[keep],
+        zctas[keep], Coded(industries, industry[keep]), cells.employment[keep], chi, density[keep]
     )
 
 
@@ -227,23 +213,14 @@ def optimal_contacts_grid(frame: CellFrame, eps: float) -> np.ndarray:
     return contacts_at_density(frame.density, eps, frame.params)
 
 
-def _pair_columns(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The contacts and weight columns of (contacts, weight) rows."""
-    import numpy as np
-
-    rows = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    return rows[:, 0], rows[:, 1]
-
-
-def aggregate_contact_share(pairs, cap: float) -> float:
+def aggregate_contact_share(contacts: np.ndarray, weights: np.ndarray, cap: float) -> float:
     """Capped aggregate contacts as a fraction of the unconstrained aggregate.
 
-    ``pairs`` are (optimal contacts, employment weight) rows: a sequence of
-    pairs or an (n, 2) array.
+    ``contacts`` are the cells' optimal contacts and ``weights`` their
+    employment, two float arrays of equal length.
     """
     import numpy as np
 
-    contacts, weights = _pair_columns(pairs)
     total = fsum((weights * contacts).tolist())
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot compute a share")
@@ -251,25 +228,24 @@ def aggregate_contact_share(pairs, cap: float) -> float:
     return capped / total
 
 
-def calibrate_cap(pairs, target_share: float) -> float:
+def calibrate_cap(contacts: np.ndarray, weights: np.ndarray, target_share: float) -> float:
     """The cap N at which capped contacts are the target share of the total.
 
-    ``pairs`` are (optimal contacts, employment weight) rows, a sequence of
-    pairs or an (n, 2) array.  The target must lie in (0, 1]; 1 means no
-    binding cap and returns the largest optimal contact count.  With the
-    cells sorted by optimal contacts, capped contacts at a cap between two
-    consecutive counts are ``below + N * above``: the contacts of the cells
-    under the cap plus N times the weight of the rest.  Both are running
-    sums, added left to right.  The first cell whose count reaches the
-    target ends the segment that holds N, and inverting that line gives N.
-    :func:`run_calibration` checks that the cap reproduces the target share
-    within 1e-10 relative.
+    ``contacts`` are the cells' optimal contacts and ``weights`` their
+    employment, two float arrays of equal length.  The target must lie in
+    (0, 1]; 1 means no binding cap and returns the largest optimal contact
+    count.  With the cells sorted by optimal contacts, capped contacts at a
+    cap between two consecutive counts are ``below + N * above``: the
+    contacts of the cells under the cap plus N times the weight of the rest.
+    Both are running sums, added left to right.  The first cell whose count
+    reaches the target ends the segment that holds N, and inverting that
+    line gives N.  :func:`run_calibration` checks that the cap reproduces
+    the target share within 1e-10 relative.
     """
     import numpy as np
 
     if not 0.0 < target_share <= 1.0:
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
-    contacts, weights = _pair_columns(pairs)
     if not contacts.size:
         raise CalibrationError("no cells to calibrate the contact cap on")
     total = fsum((weights * contacts).tolist())
@@ -294,10 +270,8 @@ def run_calibration(
     target_contact_share: float = 0.5,
     target_elasticity: float = 0.04,
     fixed_eps: float | None = None,
-) -> tuple[CalibratedModel, CalibrationReport]:
+) -> CalibrationReport:
     """Full calibration: eps (solved or fixed), contact grid, contact cap."""
-    import numpy as np
-
     if not frame:
         raise CalibrationError("no usable cells; calibration is impossible")
     k = slope_factor(frame)
@@ -307,15 +281,14 @@ def run_calibration(
         eps = fixed_eps
     else:
         eps = calibrate_epsilon(frame, target_elasticity, k)
-    pairs = np.column_stack((optimal_contacts_grid(frame, eps), frame.employment))
-    cap = calibrate_cap(pairs, target_contact_share)
-    achieved_share = aggregate_contact_share(pairs, cap)
+    contacts = optimal_contacts_grid(frame, eps)
+    cap = calibrate_cap(contacts, frame.employment, target_contact_share)
+    achieved_share = aggregate_contact_share(contacts, frame.employment, cap)
     if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:
         raise CalibrationError(
             f"contact cap {cap!r} gives share {achieved_share!r}, "
             f"target {target_contact_share!r}"
         )
-    model = CalibratedModel(eps=eps, contact_cap=cap)
     report = CalibrationReport(
         eps=eps,
         contact_cap=cap,
@@ -330,4 +303,4 @@ def run_calibration(
             f"eps fixed at {eps}; implied density slope {eps * k:.6g} "
             f"differs from the target {target_elasticity:.6g}"
         )
-    return model, report
+    return report

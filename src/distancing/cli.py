@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from math import fsum, log
 from operator import itemgetter
 from pathlib import Path
@@ -66,7 +66,11 @@ def run_index_stage(cfg: RunConfig) -> IndexStage:
     )
     flags = occupations.classify_all(profiles, thresholds, lenient=cfg.lenient)
     names = industries.read_names_csv(cfg.industry_names) if cfg.industry_names else None
-    report = industries.build_mix(industries.read_matrix_csv(cfg.matrix), flags, names)
+    matrix = industries.read_matrix_csv(cfg.matrix)
+    try:
+        report = industries.build_mix(matrix, flags, names)
+    except IngestionError as exc:
+        raise IngestionError(f"{cfg.matrix}: {exc}") from None
     exclusions = (
         industries.read_exclusions(cfg.exclusions)
         if cfg.exclusions is not None
@@ -114,15 +118,15 @@ def _drop_excluded_cells(cells: geo.Cells, exclusions: Sequence[str]) -> geo.Cel
 
 def run_calibration_stage(
     cfg: RunConfig, geo_stage: GeoStage
-) -> tuple[calibrate.CalibratedModel, calibrate.CalibrationReport, calibrate.CellFrame]:
+) -> tuple[calibrate.CalibrationReport, calibrate.CellFrame]:
     frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
-    model, report = calibrate.run_calibration(
+    report = calibrate.run_calibration(
         frame,
         target_contact_share=cfg.contact_share,
         target_elasticity=cfg.elasticity,
         fixed_eps=cfg.fixed_eps,
     )
-    return model, report, frame
+    return report, frame
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +159,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
-    _, report, _ = run_calibration_stage(cfg, geo_stage)
+    report, _ = run_calibration_stage(cfg, geo_stage)
     _write_calibration(out, report, stamp)
     return 0
 
@@ -165,40 +169,34 @@ def cmd_subsidy(cfg: RunConfig) -> int:
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
-    model, report, frame = run_calibration_stage(cfg, geo_stage)
+    report, frame = run_calibration_stage(cfg, geo_stage)
     _write_calibration(out, report, stamp)
 
-    results = counterfactual.compute_subsidies(model, frame, telecom_cost=cfg.telecom_cost)
-    average = counterfactual.overall(results)
-    csvio.write_rows(
-        out / "sector-subsidy.csv",
-        ["industry", "wage_subsidy_pct", "employment_thousands"],
-        [[r.key, _pct(r.subsidy), r.employment / 1000.0]
-         for r in counterfactual.sector_table(results)]
-        + [["Average", _pct(average.subsidy), average.employment / 1000.0]],
-        comment=stamp,
+    results = counterfactual.compute_subsidies(
+        frame, report.eps, report.contact_cap, telecom_cost=cfg.telecom_cost
     )
-    location_rows = counterfactual.location_table(results)
-    csvio.write_rows(
-        out / "location-subsidy.csv",
-        ["zcta", "wage_subsidy_pct", "employment"],
-        [[r.key, _pct(r.subsidy), r.employment] for r in location_rows],
-        comment=stamp,
-    )
+    average = replace(counterfactual.overall(results), key="Average")
+    tables = [
+        ("sector", "industry", "employment_thousands", 1000.0,
+         counterfactual.sector_table(results) + [average]),
+        ("location", "zcta", "employment", 1.0, counterfactual.location_table(results)),
+    ]
     if cfg.region_groups:
         grouping = read_region_groups(cfg.region_groups)
-        region_rows = counterfactual.location_table(results, grouping)
+        tables.append(("region", "region", "employment", 1.0,
+                       counterfactual.location_table(results, grouping)))
+    for name, key, employment, unit, rows in tables:
         csvio.write_rows(
-            out / "region-subsidy.csv",
-            ["region", "wage_subsidy_pct", "employment"],
-            [[r.key, _pct(r.subsidy), r.employment] for r in region_rows],
+            out / f"{name}-subsidy.csv",
+            [key, "wage_subsidy_pct", employment],
+            [[r.key, _pct(r.subsidy), r.employment / unit] for r in rows],
             comment=stamp,
         )
-    _write_fig2_from_frame(out, model, frame, cfg.telecom_cost, stamp)
+    _write_fig2_from_frame(out, report, frame, cfg.telecom_cost, stamp)
     return 0
 
 
-def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
+def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
     import numpy as np
 
@@ -213,7 +211,7 @@ def _write_fig2_from_frame(out, model, frame, telecom_cost, stamp) -> None:
         return
     grid = np.geomspace(dmin, dmax, 100)
     curves = counterfactual.cost_ratio_curves(
-        FirmParams.from_chi(mean_chi), grid, model.contact_cap, telecom_cost, model.eps
+        FirmParams.from_chi(mean_chi), grid, report.contact_cap, telecom_cost, report.eps
     )
     _write_fig2_csv(out / "fig2.csv", curves, stamp)
 

@@ -2,7 +2,8 @@
 
 Each (region, industry) cell gets the subsidy that would offset its cost
 increase under the cap.  The whole :class:`~distancing.calibrate.CellFrame`
-is priced at once: every closed form runs once, over the frame's columns.
+is priced at once, at the calibrated eps and cap: every closed form runs
+once, over the frame's columns.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is an
 exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 from math import fsum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .calibrate import CalibratedModel, CellFrame
+from .calibrate import CellFrame
 from .errors import CalibrationError
 from .geo import Coded, group_totals
 from .model import (
@@ -48,28 +49,30 @@ class AggRow:
 
 
 def compute_subsidies(
-    model: CalibratedModel,
     frame: CellFrame,
+    eps: float,
+    contact_cap: float,
     telecom_cost: float | None = None,
 ) -> CellFrame:
-    """Per-cell compensating subsidies at the calibrated cap.
+    """Per-cell compensating subsidies at elasticity ``eps`` and the contact cap.
 
     Returns a copy of ``frame`` with its ``nstar``, ``cap_ratio``,
     ``subsidy`` and ``regime`` columns filled.  Cells with chi = 0 have
     nothing to disrupt and get subsidy 0.  When ``telecom_cost`` is given,
     each cell is additionally annotated with the regime the firm would
     pick; the subsidy itself always prices the face-to-face (distanced)
-    response.
+    response.  A nonpositive eps, cap or telecom cost raises
+    :class:`~distancing.errors.DomainError`.
     """
     import numpy as np
 
+    intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
-    nstar = contacts_at_density(frame.density, model.eps, params)
-    cap_ratio = np.minimum(1.0, model.contact_cap / nstar)
+    nstar = contacts_at_density(frame.density, eps, params)
+    cap_ratio = np.minimum(1.0, contact_cap / nstar)
     regime = None
     if telecom_cost is not None:
-        intervention = Intervention(model.contact_cap, telecom_cost)
-        regime, _ = preferred_regime(intervention, frame.density, model.eps, params)
+        regime, _ = preferred_regime(intervention, frame.density, eps, params)
     return replace(
         frame,
         nstar=nstar,
@@ -196,8 +199,7 @@ def cost_ratio_curves(
     for i in range(1, len(densities)):
         if regimes[i] != regimes[i - 1]:
             crossing = _refine_switch(
-                intervention, params, eps, densities[i - 1], densities[i],
-                regimes[i - 1], regimes[i],
+                intervention, params, eps, densities[i - 1], densities[i], regimes[i - 1]
             )
             switches.append(RegimeSwitch(crossing, regimes[i - 1], regimes[i]))
     return CostCurves(densities, distancing, telecom, regimes, switches)
@@ -210,7 +212,6 @@ def _refine_switch(
     lo: float,
     hi: float,
     from_regime: Regime,
-    to_regime: Regime,
 ) -> float:
     """Bisect the density where the regime flips between two grid points."""
     for _ in range(200):

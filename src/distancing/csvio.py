@@ -153,14 +153,16 @@ def _cell(value):
     return value
 
 
-def parse_float(raw: str, *, path, field: str) -> float:
-    """A finite float; ``path`` should name the file and row."""
+def parse_float(raw: str, *, path, field: str, nonnegative: bool = False) -> float:
+    """A finite float, not below 0 with ``nonnegative``; ``path`` should name the file and row."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
         raise IngestionError(f"{path}: field {field!r}: not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise IngestionError(f"{path}: field {field!r}: not a finite number: {raw!r}")
+    if nonnegative and value < 0.0:
+        raise IngestionError(f"{path}: field {field!r}: negative: {value!r}")
     return value
 
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 
 from . import csvio
 from .errors import IngestionError
-from .industries import GROUPS, IndustryMix
+from .industries import GROUPS, IndustryMix, covering_code
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,7 +160,11 @@ class NationalSizeDistribution:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
-        """Read national totals; counts are nonnegative, and 0 plants employ no one."""
+        """Read national totals; counts are nonnegative, and 0 plants employ no one.
+
+        Each code's establishments and employment, summed over its bins,
+        must be finite, so no sum over some of its bins can overflow.
+        """
         _, rows = csvio.read_rows(path, ["naics", "size_bin", "establishments", "employment"])
         table: dict[str, dict[str, tuple[float, float]]] = {}
         first_row: dict[tuple[str, str], int] = {}
@@ -171,23 +175,23 @@ class NationalSizeDistribution:
                 first_row, (naics, size_bin), i, path=path, field="naics/size_bin"
             )
             where = f"{path} row {i}"
-            est = csvio.parse_float(row["establishments"], path=where, field="establishments")
-            emp = csvio.parse_float(row["employment"], path=where, field="employment")
-            for field, value in (("establishments", est), ("employment", emp)):
-                if value < 0.0:
-                    raise IngestionError(f"{where}: field {field!r}: negative: {value!r}")
+            est, emp = (csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
+                        for field in ("establishments", "employment"))
             if est == 0.0 and emp > 0.0:
                 raise IngestionError(f"{where}: field 'employment': {emp!r} workers in 0 "
                                      "establishments")
             table.setdefault(naics, {})[size_bin] = (est, emp)
+        for naics, bins in table.items():
+            try:
+                [fsum(column) for column in zip(*bins.values())]
+            except OverflowError:  # fsum's partial sums left the float range
+                raise IngestionError(f"{path}: naics {naics!r}: total establishments or "
+                                     "employment is beyond the float range") from None
         return cls(table)
 
     def _covering_code(self, naics: str) -> str | None:
         if naics not in self._covering:
-            probe = naics
-            while len(probe) >= 2 and probe not in self._table:
-                probe = probe[:-1]
-            self._covering[naics] = probe if len(probe) >= 2 else None
+            self._covering[naics] = covering_code(naics, self._table)
         return self._covering[naics]
 
     def mean_size(self, naics: str, exclude_bins: Iterable[str] = ()) -> float | None:
@@ -587,11 +591,8 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
         where = f"{path} row {i}"
         zcta = row["zcta"].strip()
         csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
-        values = [csvio.parse_float(row[field], path=where, field=field)
+        values = [csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
                   for field in ("population", "land_area_km2")]
-        for field, value in zip(("population", "land_area_km2"), values):
-            if value < 0.0:
-                raise IngestionError(f"{where}: field {field!r}: negative: {value!r}")
         records.append((zcta, *values))
     return records
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import fsum
+from math import fsum, inf, isfinite
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import csvio
 from .errors import IngestionError
@@ -22,8 +22,6 @@ from .occupations import ExposureFlags
 logger = logging.getLogger(__name__)
 
 GROUPS = ("teamwork", "customer", "communication", "presence")
-
-_SHARE_TOL = 1e-9
 
 
 @dataclass
@@ -60,7 +58,8 @@ def build_mix(
 
     ``matrix_rows`` are (industry_code, soc_code, employment) records;
     repeated (industry, occupation) pairs are summed.  Negative employment
-    is rejected.
+    is rejected, and so is an industry total that is not finite (a value
+    that is not, or a sum beyond the float range).
     """
     names = names or {}
     employment: dict[str, dict[str, float]] = {}
@@ -77,29 +76,23 @@ def build_mix(
     unknown: set[str] = set()
     for industry_code in sorted(employment):
         occs = employment[industry_code]
-        total = fsum(occs[soc] for soc in sorted(occs))
+        try:
+            total = fsum(occs[soc] for soc in sorted(occs))
+        except OverflowError:  # fsum's partial sums left the float range
+            total = inf
+        if not isfinite(total):
+            raise IngestionError(f"industry {industry_code!r}: total employment is not finite")
         if total <= 0.0:
             logger.warning("industry %s has zero employment; skipped", industry_code)
             report.skipped_industries.append(industry_code)
             continue
         shares = {soc: occs[soc] / total for soc in sorted(occs)}
-        chi: dict[str, float] = {}
-        for group in GROUPS:
-            members = []
-            for soc in sorted(shares):
-                occ_flags = flags.get(soc)
-                if occ_flags is None:
-                    unknown.add(soc)
-                    continue
-                if occ_flags.group(group):
-                    members.append(shares[soc])
-            chi[group] = fsum(members)
-        share_sum = fsum(shares.values())
-        if not abs(share_sum - 1.0) <= _SHARE_TOL:
-            raise IngestionError(
-                f"industry {industry_code!r}: occupation shares sum to {share_sum!r}, "
-                "not 1; is an employment value non-finite?"
-            )
+        unknown.update(soc for soc in shares if soc not in flags)
+        chi = {
+            group: fsum(share for soc, share in shares.items()
+                        if soc in flags and flags[soc].group(group))
+            for group in GROUPS
+        }
         report.mixes.append(
             IndustryMix(
                 industry_code=industry_code,
@@ -191,21 +184,26 @@ class MixResolver:
     def resolve(self, code: str) -> IndustryMix | None:
         """The mix of ``code`` or of its nearest ancestor; None if none matches."""
         if code not in self._resolved:
-            self._resolved[code] = self._walk(code)
+            probe = covering_code(code, self._by_code)
+            mix = self._resolved[code] = self._by_code.get(probe)
+            if mix is None:
+                self.unresolved.add(code)
+            elif probe != code:
+                self.fallbacks[code] = mix.industry_code
+                logger.debug("code %s resolved via ancestor %s", code, mix.industry_code)
         return self._resolved[code]
 
-    def _walk(self, code: str) -> IndustryMix | None:
-        probe = code
-        while len(probe) >= 2:
-            mix = self._by_code.get(probe)
-            if mix is not None:
-                if probe != code:
-                    self.fallbacks[code] = mix.industry_code
-                    logger.debug("code %s resolved via ancestor %s", code, mix.industry_code)
-                return mix
-            probe = probe[:-1]
-        self.unresolved.add(code)
-        return None
+
+def covering_code(code: str, table: Container[str]) -> str | None:
+    """``code`` or its nearest ancestor that ``table`` holds, None if none does.
+
+    Ancestors drop one digit from the end at a time, down to two digits.
+    """
+    while len(code) >= 2:
+        if code in table:
+            return code
+        code = code[:-1]
+    return None
 
 
 def _range_aliases(code: str) -> list[str]:
@@ -225,13 +223,14 @@ def _range_aliases(code: str) -> list[str]:
 
 
 def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
-    """Read ``industry_code,soc_code,employment`` records."""
+    """Read ``industry_code,soc_code,employment`` records; employment is nonnegative."""
     _, rows = csvio.read_rows(path, ["industry_code", "soc_code", "employment"])
     return [
         (
             row["industry_code"].strip(),
             row["soc_code"].strip(),
-            csvio.parse_float(row["employment"], path=f"{path} row {i}", field="employment"),
+            csvio.parse_float(row["employment"], path=f"{path} row {i}", field="employment",
+                              nonnegative=True),
         )
         for i, row in enumerate(rows, start=1)
     ]

@@ -119,20 +119,15 @@ class OccupationProfile:
 
 @dataclass(frozen=True)
 class ExposureFlags:
-    """The three classifications plus their communication union."""
+    """The three classifications; ``communication`` is their teamwork-or-customer union."""
 
     teamwork: bool
     customer: bool
     presence: bool
-    communication: bool
 
-    def __post_init__(self):
-        if self.communication != (self.teamwork or self.customer):
-            raise IngestionError("communication flag must equal teamwork OR customer")
-
-    @classmethod
-    def build(cls, teamwork: bool, customer: bool, presence: bool) -> "ExposureFlags":
-        return cls(teamwork, customer, presence, teamwork or customer)
+    @property
+    def communication(self) -> bool:
+        return self.teamwork or self.customer
 
     def group(self, name: str) -> bool:
         return getattr(self, name)
@@ -225,7 +220,7 @@ def classify_all(
                 if not lenient:
                     raise
                 values.append(False)
-        flags[soc] = ExposureFlags.build(*values)
+        flags[soc] = ExposureFlags(*values)
 
     counts = {
         group: sum(1 for f in flags.values() if f.group(group))
@@ -253,7 +248,8 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
     ctx_email,ctx_letters,ctx_proximity``.  Task columns are everything
     that is not soc_code/title/ctx_*.  Empty cells mean "not measured" and
     are left out of the profile maps.  A malformed SOC code, score or
-    level is a data error naming the file and row.
+    level is a data error naming the file and row; a repeated SOC code
+    names both rows.
     """
     fieldnames, rows = csvio.read_rows(path, ["soc_code", "title", *_CTX_COLUMNS])
     task_columns = [
@@ -261,6 +257,7 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
         if name not in ("soc_code", "title") and name not in _CTX_COLUMNS
     ]
     profiles = []
+    first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
         where = f"{path} row {i}"
         scores = {}
@@ -282,6 +279,7 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
             )
         except IngestionError as exc:
             raise IngestionError(f"{where}: {exc}") from None
+        csvio.require_unique(first_row, profile.soc_code, i, path=path, field="soc_code")
         profiles.append(profile)
     return profiles
 

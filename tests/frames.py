@@ -52,9 +52,8 @@ def cells_of(rows):
 def frame_of(cells):
     """A frame from ``(zcta, industry_code, employment, chi, density)`` tuples."""
     zcta, codes, employment, chi, density = _columns(cells, 5)
-    params = FirmParams.from_chi(_array(chi))
     return CellFrame(
-        Coded.of(zcta), Coded.of(codes), _array(employment), params.chi, params.gamma,
+        Coded.of(zcta), Coded.of(codes), _array(employment), FirmParams.from_chi(_array(chi)).chi,
         _array(density),
     )
 

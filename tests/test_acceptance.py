@@ -103,7 +103,7 @@ def test_criterion_2_ratio_and_subsidy_properties():
 
 def test_criterion_3_calibration_fixtures():
     with criterion("3 calibration fixtures"):
-        cap = calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 0.5)
+        cap = calibrate_cap(np.array([2.0, 4.0]), np.array([1.0, 1.0]), 0.5)
         assert abs(cap - 1.5) <= 1e-8
 
         frame = frame_of([
@@ -165,8 +165,8 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
         stage = run_index_stage(cfg)
         geo_stage = run_geo_stage(cfg, stage)
         frame = cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
-        model, _ = run_calibration(frame, 0.5, 0.04)
-        results = compute_subsidies(model, frame)
+        report = run_calibration(frame, 0.5, 0.04)
+        results = compute_subsidies(frame, report.eps, report.contact_cap)
         assert len(results) == len(expected["subsidies"])
         # fixture cells are unique per (zcta, sector), so the resolved code
         # pins down the raw establishment code

@@ -32,6 +32,12 @@ def solve_eps(frame, target):
     return calibrate_epsilon(frame, target, slope_factor(frame))
 
 
+def columns(pairs):
+    """The contacts and weight arrays of (contacts, weight) pairs."""
+    contacts, weights = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return contacts, weights
+
+
 def bisect_cap(pairs, target_share):
     """Reference solver: bisect the capped-contacts equation to float resolution."""
     target = target_share * math.fsum(w * n for n, w in pairs)
@@ -126,21 +132,23 @@ class TestContactsGrid:
 
 class TestCap:
     def test_two_cell_hand_solution(self):
-        assert calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 0.5) == pytest.approx(1.5, abs=1e-12)
+        cap = calibrate_cap(*columns([(2.0, 1.0), (4.0, 1.0)]), 0.5)
+        assert cap == pytest.approx(1.5, abs=1e-12)
 
     def test_target_one_returns_max(self):
-        assert calibrate_cap([(2.0, 1.0), (4.0, 1.0)], 1.0) == 4.0
+        assert calibrate_cap(*columns([(2.0, 1.0), (4.0, 1.0)]), 1.0) == 4.0
 
     def test_equal_contacts_proportional_cap(self):
         pairs = [(3.0, 5.0), (3.0, 2.0), (3.0, 11.0)]
         for share in (0.25, 0.5, 0.8):
-            assert calibrate_cap(pairs, share) == pytest.approx(3.0 * share, rel=1e-12)
+            cap = calibrate_cap(*columns(pairs), share)
+            assert cap == pytest.approx(3.0 * share, rel=1e-12)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_cap([(2.0, 1.0)], 0.0)
+            calibrate_cap(*columns([(2.0, 1.0)]), 0.0)
         with pytest.raises(ValueError):
-            calibrate_cap([(2.0, 1.0)], 1.5)
+            calibrate_cap(*columns([(2.0, 1.0)]), 1.5)
 
     def test_bisection_matches_exact_solver_on_random_fixtures(self):
         rng = np.random.default_rng(71)
@@ -153,9 +161,10 @@ class TestCap:
             # throw in ties to stress both solvers
             pairs += [pairs[0], pairs[-1]]
             share = float(rng.uniform(0.05, 0.99))
-            cap = calibrate_cap(pairs, share)
+            cap = calibrate_cap(*columns(pairs), share)
             assert cap == pytest.approx(bisect_cap(pairs, share), abs=1e-7, rel=1e-7)
-            assert aggregate_contact_share(pairs, cap) == pytest.approx(share, rel=1e-12)
+            share_at_cap = aggregate_contact_share(*columns(pairs), cap)
+            assert share_at_cap == pytest.approx(share, rel=1e-12)
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(73)
@@ -165,13 +174,13 @@ class TestCap:
                 for _ in range(15)
             ]
             shares = sorted(rng.uniform(0.05, 1.0, 5))
-            caps = [calibrate_cap(pairs, float(s)) for s in shares]
+            caps = [calibrate_cap(*columns(pairs), float(s)) for s in shares]
             assert all(a <= b + 1e-12 for a, b in zip(caps, caps[1:]))
 
     def test_tiny_contacts_still_hit_relative_tolerance(self):
         pairs = [(1e-3, 1.0), (2e-3, 3.0), (5e-4, 2.0)]
-        cap = calibrate_cap(pairs, 0.5)
-        assert aggregate_contact_share(pairs, cap) == pytest.approx(0.5, rel=1e-12)
+        cap = calibrate_cap(*columns(pairs), 0.5)
+        assert aggregate_contact_share(*columns(pairs), cap) == pytest.approx(0.5, rel=1e-12)
 
 
 # (optimal contacts, employment) pairs over the span the benchmark's cells
@@ -188,15 +197,18 @@ class TestCapProperties:
     @settings(deadline=None, derandomize=True, database=None)
     @given(_PAIRS, _SHARES)
     def test_hits_target_and_agrees_with_bisection(self, pairs, share):
-        cap = calibrate_cap(pairs, share)
-        assert aggregate_contact_share(pairs, cap) == pytest.approx(share, rel=1e-12)
+        cap = calibrate_cap(*columns(pairs), share)
+        assert aggregate_contact_share(*columns(pairs), cap) == pytest.approx(share, rel=1e-12)
         assert cap == pytest.approx(bisect_cap(pairs, share), rel=1e-9)
 
     @settings(deadline=None, derandomize=True, database=None)
     @given(_PAIRS, _SHARES, _SHARES)
     def test_monotone_in_target(self, pairs, a, b):
         lo, hi = sorted((a, b))
-        assert calibrate_cap(pairs, lo) <= calibrate_cap(pairs, hi) * (1.0 + 1e-12)
+        contacts, weights = columns(pairs)
+        assert calibrate_cap(contacts, weights, lo) <= calibrate_cap(contacts, weights, hi) * (
+            1.0 + 1e-12
+        )
 
 
 def _mix(code, comm):
@@ -250,19 +262,19 @@ class TestCellParameters:
         assert [(c.zcta, c.industry_code, c.employment) for c in frame] == [
             ("z2", "44", 5.0), ("z1", "31", 3.0), ("z1", "44", 7.0), ("z2", "31", 1.0),
         ]
-        rows = list(frame)
-        assert (rows[0].chi, rows[0].gamma) == (rows[2].chi, rows[2].gamma)
-        assert (rows[1].chi, rows[1].gamma) == (rows[3].chi, rows[3].gamma)
-        assert FirmParams(rows[0].chi, rows[0].gamma) == FirmParams.from_chi(0.6)
-        assert FirmParams(rows[1].chi, rows[1].gamma) == FirmParams.from_chi(0.2)
+        chi, gamma = frame.params.chi.tolist(), frame.params.gamma.tolist()
+        assert (chi[0], gamma[0]) == (chi[2], gamma[2])
+        assert (chi[1], gamma[1]) == (chi[3], gamma[3])
+        assert FirmParams(chi[0], gamma[0]) == FirmParams.from_chi(0.6)
+        assert FirmParams(chi[1], gamma[1]) == FirmParams.from_chi(0.2)
 
     def test_run_calibration_end_to_end(self):
         resolver = MixResolver([_mix("44", 0.4)])
         densities = {z: d for z, d in [("a", 0.5), ("b", 1.0), ("c", 2.0)]}
         cells = cells_of([(z, "441100", 10.0) for z in ("a", "b", "c")])
         frame = cell_parameters(cells, resolver, densities)
-        model, report = run_calibration(frame, 0.5, 0.04)
-        assert model.eps == pytest.approx(0.1, abs=1e-9)
+        report = run_calibration(frame, 0.5, 0.04)
+        assert report.eps == pytest.approx(0.1, abs=1e-9)
         assert report.achieved_share == pytest.approx(0.5, rel=1e-8)
         assert report.achieved_slope == pytest.approx(0.04, abs=1e-9)
         assert not report.eps_fixed
@@ -287,22 +299,24 @@ class TestCellParameters:
         calls = []
         original = calibrate.aggregate_contact_share
 
-        def counting(pairs, cap):
+        def counting(contacts, weights, cap):
             calls.append(cap)
-            return original(pairs, cap)
+            return original(contacts, weights, cap)
 
         monkeypatch.setattr(calibrate, "aggregate_contact_share", counting)
         frame = constant_chi_frame(0.4)
-        model, report = run_calibration(frame, 0.5, 0.04)
-        assert calls == [model.contact_cap]
+        report = run_calibration(frame, 0.5, 0.04)
+        assert calls == [report.contact_cap]
         assert report.achieved_share == original(
-            [(contacts_at_density(c.density, model.eps, FirmParams.from_chi(c.chi)),
-              c.employment) for c in frame],
-            model.contact_cap,
+            *columns([(contacts_at_density(c.density, report.eps, FirmParams.from_chi(c.chi)),
+                       c.employment) for c in frame]),
+            report.contact_cap,
         )
 
     def test_cap_missing_the_target_share_aborts(self, monkeypatch):
-        monkeypatch.setattr(calibrate, "aggregate_contact_share", lambda pairs, cap: 0.5 + 1e-9)
+        monkeypatch.setattr(
+            calibrate, "aggregate_contact_share", lambda contacts, weights, cap: 0.5 + 1e-9
+        )
         with pytest.raises(CalibrationError, match="gives share"):
             run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
 
@@ -311,7 +325,7 @@ class TestCellParameters:
         densities = {z: d for z, d in [("a", 0.5), ("b", 2.0)]}
         cells = cells_of([(z, "441100", 10.0) for z in ("a", "b")])
         frame = cell_parameters(cells, resolver, densities)
-        model, report = run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
-        assert model.eps == 0.02
+        report = run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
+        assert report.eps == 0.02
         assert report.eps_fixed
         assert report.notes  # records the slope mismatch

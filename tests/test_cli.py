@@ -427,6 +427,55 @@ class TestErrorContract:
             "occupations.csv row 1: 11-1011: context 'face_to_face' level 9 not in 1..5" in err
         )
 
+    def test_negative_matrix_employment_names_file_and_row(self, fixture_config, capsys):
+        config, _ = fixture_config
+        matrix = config.with_name("matrix.csv")
+        header, first, *rest = matrix.read_text().splitlines()
+        industry, soc, _ = first.split(",")
+        matrix.write_text("\n".join([header, f"{industry},{soc},-5.0", *rest]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        assert "matrix.csv row 1: field 'employment': negative: -5.0" in capsys.readouterr().err
+
+    def test_repeated_soc_code_names_both_rows(self, fixture_config, capsys):
+        config, _ = fixture_config
+        occupations = config.with_name("occupations.csv")
+        lines = occupations.read_text().splitlines()
+        occupations.write_text("\n".join([*lines, lines[-1]]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        soc = lines[-1].split(",")[0]
+        assert (f"occupations.csv row {len(lines)}: soc_code {soc!r} already given at row "
+                f"{len(lines) - 1}") in capsys.readouterr().err
+
+    def test_matrix_total_overflow_names_matrix_file(self, fixture_config, capsys):
+        config, _ = fixture_config
+        matrix = config.with_name("matrix.csv")
+        header, first, second, *rest = matrix.read_text().splitlines()
+        rows = [",".join([*row.split(",")[:2], "1e308"]) for row in (first, second)]
+        matrix.write_text("\n".join([header, *rows, *rest]) + "\n")
+        assert main(["index", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        industry = first.split(",")[0]
+        assert f"matrix.csv: industry {industry!r}: total employment is not finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("column", [2, 3])
+    def test_national_total_overflow_names_national_file(self, fixture_config, capsys, column):
+        config, _ = fixture_config
+        national = config.with_name("national_sizes.csv")
+        header, first, second, *rest = national.read_text().splitlines()
+        rows = []
+        for row in (first, second):
+            fields = row.split(",")
+            fields[column] = "1e308"
+            rows.append(",".join(fields))
+        national.write_text("\n".join([header, *rows, *rest]) + "\n")
+        assert main(["subsidy", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        naics = first.split(",")[0]
+        assert (f"national_sizes.csv: naics {naics!r}: total establishments or employment is "
+                "beyond the float range") in err
+        assert "Traceback" not in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "distancing", "--version"],

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from distancing.calibrate import CalibratedModel, run_calibration
+from distancing.calibrate import run_calibration
 from distancing.counterfactual import (
     compute_subsidies,
     cost_ratio_curves,
@@ -31,41 +31,33 @@ from distancing.model import (
 from frames import ResultRow, frame_of, results_of
 
 
-def model_with(eps=0.1, cap=1.0):
-    return CalibratedModel(eps=eps, contact_cap=cap)
-
-
 def cell(zcta, code, w, chi, d):
     return frame_of([(zcta, code, w, chi, d)])
 
 
 class TestComputeSubsidies:
     def test_zero_chi_cell_gets_zero(self):
-        m = model_with()
-        (r,) = compute_subsidies(m, cell("z", "31", 10.0, 0.0, 25.0))
+        (r,) = compute_subsidies(cell("z", "31", 10.0, 0.0, 25.0), 0.1, 1.0)
         assert r.subsidy == 0.0
 
     def test_half_cap_two_thirds_end_to_end(self):
         # density such that n* = 2 at eps=0.5, chi=0.5; cap 1 halves contacts
         d = 2.0 ** (1.0 / 0.25)
-        m = model_with(eps=0.5, cap=1.0)
-        (r,) = compute_subsidies(m, cell("z", "44", 10.0, 0.5, d))
+        (r,) = compute_subsidies(cell("z", "44", 10.0, 0.5, d), 0.5, 1.0)
         assert r.nstar == pytest.approx(2.0, rel=1e-12)
         assert r.cap_ratio == pytest.approx(0.5, rel=1e-12)
         assert r.subsidy == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_unconstrained_low_density_cell(self):
-        m = model_with(eps=0.1, cap=1.0)
-        (r,) = compute_subsidies(m, cell("z", "44", 10.0, 0.5, 1.0))
+        (r,) = compute_subsidies(cell("z", "44", 10.0, 0.5, 1.0), 0.1, 1.0)
         assert r.cap_ratio == 1.0
         assert r.subsidy == 0.0
 
     def test_regime_annotation_only_with_telecom(self):
-        m = model_with(eps=0.5, cap=1.0)
         frame = cell("z", "44", 10.0, 0.5, 16.0)
-        (plain,) = compute_subsidies(m, frame)
+        (plain,) = compute_subsidies(frame, 0.5, 1.0)
         assert plain.regime is None
-        (tagged,) = compute_subsidies(m, frame, telecom_cost=1.5)
+        (tagged,) = compute_subsidies(frame, 0.5, 1.0, telecom_cost=1.5)
         assert tagged.regime in (Regime.DISTANCED, Regime.TELECOM)
         assert tagged.subsidy == plain.subsidy  # telecom never changes the subsidy
 
@@ -152,8 +144,8 @@ class TestTables:
             (f"z{i}", "44", float(rng.uniform(1, 20)), 0.5, float(rng.uniform(0.2, 30)))
             for i in range(40)
         ])
-        tight = compute_subsidies(model_with(eps=0.3, cap=0.8), frame)
-        loose = compute_subsidies(model_with(eps=0.3, cap=1.2), frame)
+        tight = compute_subsidies(frame, 0.3, 0.8)
+        loose = compute_subsidies(frame, 0.3, 1.2)
         for a, b in zip(tight, loose):
             assert b.subsidy <= a.subsidy + 1e-15
         tight_all = overall(tight)
@@ -380,9 +372,11 @@ class TestColumnarMatchesScalarOracle:
             cells, share, 0.04, fixed_eps, telecom, grouping
         )
 
-        model, report = run_calibration(frame_of(cells), share, 0.04, fixed_eps)
-        assert _close(model.eps, eps, 1e-12) and _close(model.contact_cap, cap, 1e-12)
-        results = compute_subsidies(model, frame_of(cells), telecom_cost=telecom)
+        report = run_calibration(frame_of(cells), share, 0.04, fixed_eps)
+        assert _close(report.eps, eps, 1e-12) and _close(report.contact_cap, cap, 1e-12)
+        results = compute_subsidies(
+            frame_of(cells), report.eps, report.contact_cap, telecom_cost=telecom
+        )
         assert len(results) == len(cells)
         for i, row in enumerate(results):
             assert _close(row.nstar, nstar[i], 1e-13)

@@ -20,7 +20,7 @@ from distancing.occupations import ExposureFlags
 
 
 def flag(teamwork=False, customer=False, presence=False):
-    return ExposureFlags.build(teamwork, customer, presence)
+    return ExposureFlags(teamwork, customer, presence)
 
 
 FLAGS = {
@@ -207,10 +207,15 @@ class TestResolver:
                 CountingDict.probes += 1
                 return super().get(key, default)
 
+            def __contains__(self, key):
+                CountingDict.probes += 1
+                return super().__contains__(key)
+
         resolver = MixResolver(mixes)
         resolver._by_code = CountingDict(resolver._by_code)
         first = [resolver.resolve(code) for code in codes[:7]]
         probes = CountingDict.probes
+        assert probes  # the first lookups walk the table
         assert [resolver.resolve(code) for code in codes] == first * 3
         assert CountingDict.probes == probes  # repeats never walk again
 

@@ -135,9 +135,9 @@ class TestClassifyAll:
                          proximity=4),
         ]
         flags = classify_all(profiles)
-        assert flags["11-1011"] == ExposureFlags.build(True, False, False)
-        assert flags["41-2031"] == ExposureFlags.build(False, True, False)
-        assert flags["53-3032"] == ExposureFlags.build(False, False, True)
+        assert flags["11-1011"] == ExposureFlags(True, False, False)
+        assert flags["41-2031"] == ExposureFlags(False, True, False)
+        assert flags["53-3032"] == ExposureFlags(False, False, True)
 
     def test_duplicate_soc_rejected(self):
         with pytest.raises(IngestionError, match="duplicate"):
@@ -165,7 +165,7 @@ class TestClassifyAll:
         del p.context_levels[FACE_TO_FACE]
         flags = classify_all([p], lenient=True)
         # both communication flags fail closed; presence is untouched
-        assert flags[p.soc_code] == ExposureFlags.build(False, False, True)
+        assert flags[p.soc_code] == ExposureFlags(False, False, True)
 
 
 class TestMonotonicity:
