@@ -4,20 +4,26 @@ Subcommands compose the library modules into a deterministic pipeline.
 Rerunning any subcommand with unchanged inputs produces byte-identical
 outputs.  Exit codes: 0 success, 1 internal/data error, 2 usage or
 config error.
+
+:func:`run` is the process entry point; :func:`main` runs one command and
+leaves the interpreter's state alone, so tests and tools call it in their
+own process.  The calibration, counterfactual and model layers, like
+numpy, load only in the commands that use them.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from dataclasses import dataclass, fields, replace
 from math import fsum, log
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import __version__, calibrate, counterfactual, csvio, geo, industries, occupations
+from . import __version__, csvio, geo, industries, occupations
 from .config import (
     DEFAULT_EXCLUSIONS,
     RunConfig,
@@ -29,7 +35,9 @@ from .config import (
 )
 from .errors import ConfigError, DistancingError, IngestionError
 from .industries import GROUPS
-from .model import FirmParams
+
+if TYPE_CHECKING:
+    from . import calibrate, counterfactual
 
 logger = logging.getLogger(__name__)
 
@@ -119,6 +127,8 @@ def _drop_excluded_cells(cells: geo.Cells, exclusions: Sequence[str]) -> geo.Cel
 def run_calibration_stage(
     cfg: RunConfig, geo_stage: GeoStage
 ) -> tuple[calibrate.CalibrationReport, calibrate.CellFrame]:
+    from . import calibrate
+
     frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
     report = calibrate.run_calibration(
         frame,
@@ -142,6 +152,8 @@ def cmd_index(cfg: RunConfig) -> int:
     industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
     _write_reconciliation(out / "reconciliation.txt", index, stamp)
     if cfg.cbp and cfg.density and cfg.national_sizes:
+        from . import calibrate
+
         geo_stage = run_geo_stage(cfg, index)
         frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver,
                                           geo_stage.densities)
@@ -165,6 +177,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def cmd_subsidy(cfg: RunConfig) -> int:
+    from . import counterfactual
+
     out = _output_dir(cfg)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
@@ -199,6 +213,9 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
     import numpy as np
+
+    from . import counterfactual
+    from .model import FirmParams
 
     mean_chi = fsum((frame.employment * frame.chi).tolist()) / fsum(frame.employment.tolist())
     if mean_chi <= 0.0:
@@ -240,9 +257,12 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
     if not 0.0 < args.dmin < args.dmax:
         raise ConfigError("need 0 < dmin < dmax")
-    params = FirmParams.from_chi(args.chi)
     import numpy as np
 
+    from . import counterfactual
+    from .model import FirmParams
+
+    params = FirmParams.from_chi(args.chi)
     grid = np.geomspace(args.dmin, args.dmax, args.points)
     curves = counterfactual.cost_ratio_curves(params, grid, args.cap, args.telecom, args.eps)
     stamp = (
@@ -454,5 +474,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Process entry point: run :func:`main` on ``sys.argv`` and exit with its code.
+
+    The cyclic collector stays off for the run: a run keeps its rows in
+    arrays and tuples, not in per-row reference cycles, so a collection
+    pass would find almost nothing and only traverse live objects.  What is
+    still alive at the end is frozen, so interpreter shutdown need not
+    traverse it again.  :func:`main` itself leaves the collector alone.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

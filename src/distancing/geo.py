@@ -160,7 +160,8 @@ class NationalSizeDistribution:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
-        """Read national totals; counts are nonnegative, and 0 plants employ no one.
+        """Read national totals; counts are nonnegative, establishments are whole
+        numbers, and 0 plants employ no one.
 
         Each code's establishments and employment, summed over its bins,
         must be finite, so no sum over some of its bins can overflow.
@@ -177,6 +178,9 @@ class NationalSizeDistribution:
             where = f"{path} row {i}"
             est, emp = (csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
                         for field in ("establishments", "employment"))
+            if not est.is_integer():
+                raise IngestionError(f"{where}: field 'establishments': not a whole number: "
+                                     f"{est!r}")
             if est == 0.0 and emp > 0.0:
                 raise IngestionError(f"{where}: field 'employment': {emp!r} workers in 0 "
                                      "establishments")

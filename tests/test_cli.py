@@ -1,6 +1,8 @@
 """Subcommand behavior: outputs, exit codes, overrides, determinism."""
 
 import csv
+import gc
+import importlib
 import math
 import os
 import subprocess
@@ -14,15 +16,17 @@ from distancing.cli import (
     _pct,
     main,
     read_region_groups,
+    run,
     run_geo_stage,
     run_index_stage,
 )
 from distancing.config import RunConfig, config_hash, resolve_config
 from distancing.errors import IngestionError
-from e2efixture import write_config, write_inputs
+from e2efixture import CBP, DENSITY, write_config, write_inputs
 from frames import cells_of
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 @pytest.fixture()
@@ -485,6 +489,88 @@ class TestErrorContract:
         assert "distancing 0.1.0" in proc.stdout
 
 
+def _cyclic_garbage(args):
+    """Objects that a ``main(args)`` run with the collector off leaves in cycles."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(args) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _write_repeated_fixture(directory, output_dir, copies):
+    """The e2e fixture with its CBP and density rows repeated under ``copies`` x the ZCTAs."""
+    config = write_config(directory, output_dir)
+    for name, header, rows in (
+        ("cbp.csv", "zcta,naics,size_bin,establishments,suppressed", CBP),
+        ("density.csv", "zcta,population,land_area_km2", DENSITY),
+    ):
+        lines = [header] + [
+            ",".join([str(int(zcta) + 1000 * k), *map(str, rest)])
+            for k in range(copies) for zcta, *rest in rows
+        ]
+        (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return config
+
+
+class TestCollectorPolicy:
+    """``run`` turns the cyclic collector off for one process; ``main`` leaves it alone."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, fixture_config, enabled):
+        config, _ = fixture_config
+        frozen = gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["subsidy", "--config", str(config)]) == 0
+            assert main(["index", "--config", str(config)]) == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
+
+    def test_run_builds_no_per_row_cycles(self, tmp_path):
+        small = _write_repeated_fixture(tmp_path / "small", tmp_path / "out-small", 1)
+        large = _write_repeated_fixture(tmp_path / "large", tmp_path / "out-large", 20)
+        assert len((tmp_path / "large" / "cbp.csv").read_text().splitlines()) == 1 + 20 * len(CBP)
+        small_args = ["subsidy", "--config", str(small)]
+        large_args = ["subsidy", "--config", str(large)]
+        _cyclic_garbage(small_args)  # warm: imports and first-use caches
+        _cyclic_garbage(large_args)
+        assert _cyclic_garbage(large_args) <= _cyclic_garbage(small_args)
+
+    def test_module_entry_point_disables_and_freezes(self, tmp_path):
+        # what ``python -m distancing fig2 ...`` runs, with a report of the collector at exit
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['distancing', 'fig2', '--chi', '0.5', '--eps', '0.5', '--cap', '1.1',"
+            f" '--output-dir', {str(tmp_path)!r}]\n"
+            "runpy.run_module('distancing', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+        assert (tmp_path / "fig2.csv").is_file()
+
+    def test_module_run_writes_the_bytes_of_an_in_process_run(self, fixture_config, tmp_path):
+        config, out = fixture_config
+        assert main(["subsidy", "--config", str(config)]) == 0
+        other = tmp_path / "out-module"
+        proc = subprocess.run(
+            [sys.executable, "-m", "distancing", "subsidy", "--config", str(config),
+             "--output-dir", str(other)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert snapshot(other) == snapshot(out)
+
+
 class TestConfig:
     def test_default_config_hash_is_pinned(self):
         # every output's provenance line carries this hash
@@ -522,6 +608,10 @@ def _imported_modules(args, cwd):
     return proc.returncode, modules
 
 
+# layers that cli imports only inside the commands that use them
+DEFERRED_LAYERS = ("distancing.calibrate", "distancing.counterfactual", "distancing.model")
+
+
 class TestImportCost:
     """numpy loads only where it is used: establishment cells, calibration,
     subsidies, lowess and fig2; importing the package does not load it."""
@@ -531,6 +621,33 @@ class TestImportCost:
         code, modules = _imported_modules(["--version"], out.parent)
         assert code == 0 and "distancing.cli" in modules
         assert "numpy" not in modules
+
+    def test_cli_import_loads_neither_numpy_nor_the_deferred_layers(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, distancing.cli; print(*sorted(sys.modules))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "distancing.cli" in loaded
+        assert not loaded & {"numpy", *DEFERRED_LAYERS}
+
+    def test_lowess_loads_none_of_the_deferred_layers(self, fixture_config, tmp_path):
+        config, out = fixture_config
+        source = tmp_path / "location-index.csv"
+        write_location_index(source)
+        code, modules = _imported_modules(
+            ["lowess", "--config", str(config), "--input", str(source)], out.parent)
+        assert code == 0 and "distancing.geo" in modules
+        assert not modules & set(DEFERRED_LAYERS)
+
+    def test_script_target_is_the_process_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["distancing"]
+        assert target == "distancing.cli:run"
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is run
 
     def test_numpy_commands_still_run(self, fixture_config, tmp_path):
         config, out = fixture_config

@@ -406,6 +406,8 @@ class TestNationalSizes:
             ("31,5-9,-1,40", "field 'establishments': negative: -1.0"),
             ("31,5-9,10,-10", "field 'employment': negative: -10.0"),
             ("31,5-9,0,40", "field 'employment': 40.0 workers in 0 establishments"),
+            ("31,5-9,1e-300,40", "field 'establishments': not a whole number: 1e-300"),
+            ("31,5-9,2.5,40", "field 'establishments': not a whole number: 2.5"),
         ],
     )
     def test_impossible_counts_name_row_and_field(self, tmp_path, row, message):
@@ -465,6 +467,33 @@ class TestDensity:
         path.write_text("zcta,population,land_area_km2\na,10,1\nb,20,1\na,30,1\n")
         with pytest.raises(IngestionError, match=r"row 3: zcta 'a' already given at row 1"):
             read_density_csv(path)
+
+
+# (population, land area, employment) per region: the first region has all three
+# positive, so some employment overlaps the density data; any other may hold zeros
+_REGION_RANGES = ((1.0, 1e7), (0.1, 1e4), (0.5, 1e5))
+_DENSITY_REGIONS = st.tuples(
+    st.tuples(*(st.floats(lo, hi) for lo, hi in _REGION_RANGES)),
+    st.lists(st.tuples(*(st.just(0.0) | st.floats(lo, hi) for lo, hi in _REGION_RANGES)),
+             max_size=30),
+).map(lambda regions: [regions[0], *regions[1]])
+
+
+class TestDensityProperties:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_DENSITY_REGIONS, st.floats(1e-3, 1e3))
+    def test_weighted_mean_is_one_and_population_scale_is_free(self, regions, factor):
+        records = [(f"z{i:02d}", pop, area) for i, (pop, area, _) in enumerate(regions)]
+        weights = {f"z{i:02d}": emp for i, (_, _, emp) in enumerate(regions)}
+        out = normalize_density(records, weights)
+        weighted = [(weights[zcta], d) for zcta, d in out.items() if weights[zcta] > 0.0]
+        mean = math.fsum(w * d for w, d in weighted) / math.fsum(w for w, _ in weighted)
+        assert mean == pytest.approx(1.0, rel=1e-12)
+        scaled = normalize_density([(z, factor * pop, area) for z, pop, area in records],
+                                   weights)
+        assert list(scaled) == list(out)
+        for zcta, d in out.items():
+            assert scaled[zcta] == pytest.approx(d, rel=1e-12)
 
 
 def _mix(code, chi_comm, chi_presence=0.0):
