@@ -294,6 +294,8 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
     x = list(map(log, map(float, column("density"))))
     weights = list(map(float, column("employment")))
     y = [list(map(float, column(share))) for share in shares]
+    import numpy  # noqa: F401  (loaded here, so the smoother's time is the fit's)
+
     grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
     stamp = _provenance(cfg) + f" bandwidth:{args.bandwidth!r}"
     csvio.write_rows(

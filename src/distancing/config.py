@@ -12,6 +12,7 @@ working directory of the run, not against the config file's directory.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -123,6 +124,10 @@ def _coerce(key: str, raw: str):
 
 
 def _validate(cfg: RunConfig) -> None:
+    for field in fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be a finite number, got {value!r}")
     if not 0.0 <= cfg.cutoff <= 100.0:
         raise ConfigError(f"cutoff must lie in [0, 100], got {cfg.cutoff!r}")
     for name in ("face_to_face_level", "proximity_level"):

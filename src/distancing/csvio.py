@@ -1,9 +1,18 @@
-"""CSV helpers: comment-aware block reading and byte-stable writing.
+"""CSV helpers: comment-aware block reading, a split path for plain files,
+and byte-stable writing.
 
 Inputs are read in blocks of :data:`BLOCK_ROWS` rows (:func:`read_blocks`),
 so a caller can take whole columns from each block instead of handling one
 row at a time.  Comment lines and blank lines are skipped as a line-by-line
-reader would skip them, and errors name the same rows.
+reader would skip them, and errors name the same rows.  The block reader
+takes any CSV, quoted fields included, and is the reference for what a file
+holds and for every error message.
+
+:func:`read_columns` reads short fields of a plain file (no quotes, every
+data line as wide as the header) with numpy instead, looking each distinct
+value up once per chunk of :data:`CHUNK_BYTES`; on any other file, or a
+value its caller rejects, it returns None so the caller reads the file
+through the block reader, which names the fault.
 
 All pipeline outputs are UTF-8 CSVs with LF line endings, an optional
 leading ``#`` provenance comment, and floats rendered with ``repr`` (the
@@ -14,19 +23,31 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestionError
 
+if TYPE_CHECKING:
+    import numpy as np
 
-# Lines read, and rows handed out, per block.  Larger blocks keep more row
-# lists alive at once, which costs more than the per-block calls they save:
-# on a 2-core VM the 141 353-row establishment file of the benchmark's
-# index-detail workload read in 0.29 s with 128 to 512 rows a block, 0.33 s
-# with 1 024 and 0.42 s with 8 192.
+
+# Lines read, and rows handed out, per block of the block reader, which
+# reads every file that is not plain and every input but the establishment
+# file.  Larger blocks keep more row lists alive at once, which costs more
+# than the per-block calls they save: on a 2-core VM the 141 353-row
+# establishment file of the benchmark's index-detail workload read in
+# 0.29 s with 128 to 512 rows a block, 0.33 s with 1 024 and 0.42 s with
+# 8 192.
 BLOCK_ROWS = 512
+
+# Bytes read at a time by :func:`read_columns`, cut after the last line end.
+CHUNK_BYTES = 1 << 20
+
+# Longest field :func:`read_columns` packs into one 64-bit key.
+_KEY_BYTES = 8
 
 
 def read_blocks(
@@ -41,8 +62,10 @@ def read_blocks(
     ``required`` column raises :class:`IngestionError` here.  The iterator
     yields ``(number of the block's first row, rows)`` with data rows
     numbered from 1 and up to :data:`BLOCK_ROWS` rows a block.  A row with
-    fewer fields than the header raises, after the rows before it have
-    been yielded; extra trailing fields are ignored by the callers.
+    fewer fields than the header, or one the ``csv`` module rejects (a
+    field beyond its size limit), raises after the rows before it have
+    been yielded, naming the row (0: the header); extra trailing fields
+    are ignored by the callers.
     """
     blocks = _blocks(path, required)
     return next(blocks), blocks
@@ -53,7 +76,10 @@ def _blocks(path, required):
         # one parser over every line, so a quoted field may span two blocks
         records = filter(None, csv.reader(chain.from_iterable(_uncommented(fh))))
         try:
-            header = next(records, None)
+            try:
+                header = next(records, None)
+            except csv.Error as exc:
+                raise IngestionError(f"{path} row 0: {exc}") from None
             if header is None:
                 raise IngestionError(f"{path}: empty file, expected a CSV header")
             repeated = sorted({name for name in header if header.count(name) > 1})
@@ -64,8 +90,15 @@ def _blocks(path, required):
                 raise IngestionError(f"{path}: missing required columns: {', '.join(missing)}")
             yield header
             width = len(header)
-            number = 1
-            while block := list(islice(records, BLOCK_ROWS)):
+            number, error = 1, None
+            while not error:
+                block = []
+                try:
+                    block.extend(islice(records, BLOCK_ROWS))  # keeps the rows before an error
+                except csv.Error as exc:
+                    error = IngestionError(f"{path} row {number + len(block)}: {exc}")
+                if not block:
+                    break
                 if min(map(len, block)) < width:
                     short = next(i for i, fields in enumerate(block) if len(fields) < width)
                     if short:
@@ -76,6 +109,8 @@ def _blocks(path, required):
                     )
                 yield number, block
                 number += len(block)
+            if error:
+                raise error
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 
@@ -108,6 +143,152 @@ def _not_utf8(path) -> IngestionError:
                 )
             number += not text.startswith("#") and bool(text.strip("\r\n"))
     return IngestionError(f"{path}: not UTF-8")
+
+
+def read_columns(
+    path: str | Path,
+    required: Sequence[str],
+    optional: Sequence[str],
+    tables: Sequence[Mapping[str, int]],
+) -> list[np.ndarray | None] | None:
+    """The ``required`` columns, then the ``optional`` ones (None if absent),
+    of a plain CSV as int64 arrays: each raw field maps through its table.
+
+    ``tables`` align with ``(*required, *optional)``; each is looked up once
+    per distinct raw field in each chunk of :data:`CHUNK_BYTES`.  A plain
+    file may have a byte-order mark, LF or CRLF line ends, comment and
+    blank lines as :func:`read_blocks` skips them, and no final line end.
+    Returns None, so the caller reads the file with :func:`read_blocks`,
+    when the file is anything else: a ``"``, a lone CR, a NUL byte or a
+    byte that is not UTF-8, a header :func:`read_blocks` would reject, a
+    data line not as wide as the header, a line longer than the ``csv``
+    field size limit, or a field read here longer than 8 bytes; and when a
+    table lookup raises :class:`ValueError` or :class:`OverflowError`, or
+    gives a value beyond int64.  The block reader then names the fault.
+    """
+    import numpy as np
+
+    header, wanted, masks = None, [], _key_masks()
+    columns = [array("q") for _ in tables]  # grown in place, as the block reader's
+    with open(path, "rb") as fh:
+        for chunk in _line_chunks(fh):
+            lines = _plain_lines(chunk)
+            if lines is None:
+                return None
+            text, starts, ends = lines
+            commas = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+            if header is None and len(starts):
+                header = text[:ends[0]].decode("utf-8").split(",")
+                if len(set(header)) < len(header) or not set(required) <= set(header):
+                    return None
+                wanted = [header.index(name) if name in header else None
+                          for name in (*required, *optional)]
+                starts, ends, commas = starts[1:], ends[1:], commas[len(header) - 1:]
+            n = len(starts)
+            if not n:
+                continue
+            # sorted commas, width - 1 a line, each line's first and last inside
+            # it: then every line holds exactly its own
+            width = len(header)
+            if len(commas) != n * (width - 1):
+                return None
+            seps = commas.reshape(n, width - 1)
+            if width > 1 and ((seps[:, 0] < starts) | (seps[:, -1] > ends)).any():
+                return None
+            # the 8 bytes from each offset, as one unaligned word
+            words = np.ndarray((len(text) + 1,), np.uint64, text + bytes(_KEY_BYTES), strides=(1,))
+            for j, table, out in zip(wanted, tables, columns):
+                if j is None:
+                    continue
+                lo = starts if j == 0 else seps[:, j - 1] + 1
+                size = (ends if j == width - 1 else seps[:, j]) - lo
+                if size.max() > _KEY_BYTES:
+                    return None
+                column = _looked_up(words[lo] & masks[size], table)
+                if column is None:
+                    return None
+                out.frombytes(column.view(np.uint8))
+    if header is None:
+        return None
+    return [None if j is None else np.frombuffer(out, np.int64) for j, out in zip(wanted, columns)]
+
+
+def _plain_lines(text: bytes):
+    """A chunk's data lines (the header among them) as (text with LF line
+    ends only, line starts, line ends), or None if the chunk is not plain."""
+    import numpy as np
+
+    if b'"' in text or b"\0" in text:
+        return None
+    if b"\r" in text:
+        if text.count(b"\r") != text.count(b"\r\n"):
+            return None
+        text = text.replace(b"\r\n", b"\n")
+    if not text.isascii():
+        try:
+            text.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    data, starts, ends = _lines(text)
+    kept = (ends > starts) & (data[starts] != ord("#"))
+    if not kept.all():  # drop comment and blank lines
+        text = data[np.repeat(kept, ends - starts + 1)[:len(text)]].tobytes()
+        data, starts, ends = _lines(text)
+    if len(starts) and (ends - starts).max() > csv.field_size_limit():
+        return None
+    return text, starts, ends
+
+
+def _lines(text: bytes):
+    """``text`` as a byte array, and where each line starts and ends (its
+    line end, or the end of the text)."""
+    import numpy as np
+
+    data = np.frombuffer(text, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if text and not text.endswith(b"\n"):
+        ends = np.append(ends, len(text))
+    return data, np.concatenate(([0], ends[:-1] + 1))[:len(ends)], ends
+
+
+def _key_masks():
+    """``masks[w]`` keeps the first ``w`` bytes of a key."""
+    import numpy as np
+
+    ones = b"".join(b"\xff" * w + bytes(_KEY_BYTES - w) for w in range(_KEY_BYTES + 1))
+    return np.frombuffer(ones, np.uint64)
+
+
+def _looked_up(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:
+    """``table`` at each key's field, looked up once per distinct key; None if
+    a lookup raises or gives a value beyond int64."""
+    import numpy as np
+
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    raws = keys[first].view(f"S{_KEY_BYTES}").tolist()  # drops the zero padding
+    try:
+        values = np.fromiter((table[raw.decode("utf-8")] for raw in raws), np.int64, len(raws))
+    except (ValueError, OverflowError):
+        return None
+    column = np.empty(len(keys), np.int64)
+    column[order] = np.repeat(values, np.diff(first, append=len(keys)))
+    return column
+
+
+def _line_chunks(fh) -> Iterator[bytes]:
+    """The file's bytes without a leading byte-order mark, in pieces of about
+    :data:`CHUNK_BYTES` cut after a line end (the last one at the end of file)."""
+    rest = fh.read(3).removeprefix(b"\xef\xbb\xbf")
+    while chunk := fh.read(CHUNK_BYTES):
+        text = rest + chunk
+        cut = text.rfind(b"\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
 
 
 def read_rows(

@@ -8,11 +8,14 @@ are normalized so their employment-weighted national mean is one, the
 unit the cost model expects; they travel as one plain float per ZCTA.
 
 The establishment file is the largest input, so nothing here keeps an
-object per record or per cell: the reader takes each block of rows a
-field at a time into ``array`` columns, interning ZCTA, NAICS and size
-bin labels into :class:`Coded` integer columns as it streams, and
-:func:`build_cells` prices whole columns with numpy (imported by the
-functions that use it, so importing the package does not load it).
+object per record or per cell.  The reader interns ZCTA, NAICS and size
+bin labels into :class:`Coded` integer columns as it streams: a plain
+file through :func:`csvio.read_columns`, which hands each distinct field
+of a chunk to this module's tables once, any other file through the
+block reader, a field at a time per block of rows; here lives only what
+a CBP value means.  :func:`build_cells` prices whole columns with numpy
+(imported by the functions that use it, so importing the package does
+not load it).
 Group totals are ``math.fsum`` sums (:func:`group_totals`), correctly
 rounded (Shewchuk 1997), so no total depends on the input row order.
 """
@@ -489,10 +492,6 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _BlankCode(Exception):
-    """A ZCTA or NAICS field is blank; the reader names the file and row."""
-
-
 class _Interned(dict):
     """Raw field -> code of its stripped label, in first-seen order; a raw value is
     stripped, and checked if ``blank`` names a field that may not be blank, once."""
@@ -505,7 +504,7 @@ class _Interned(dict):
     def __missing__(self, raw: str) -> int:
         label = raw.strip()
         if self.blank and not label:
-            raise _BlankCode(self.blank)
+            raise ValueError(f"blank {self.blank}")  # the reader names the file and row
         code = self[raw] = self.labels.setdefault(label, len(self.labels))
         return code
 
@@ -527,41 +526,58 @@ def _flag(raw: str) -> int:
     return int(raw) != 0 if raw.strip() else False
 
 
+_CBP_FIELDS = ("zcta", "naics", "size_bin", "establishments")
+
+
+def _cbp_tables() -> list[dict]:
+    """Fresh lookup tables for ``_CBP_FIELDS`` and ``suppressed``, in that order."""
+    return [_Interned("zcta"), _Interned("naics"), _Interned(), _Parsed(int), _Parsed(_flag)]
+
+
 def read_cbp_csv(path: str | Path) -> CbpColumns:
     """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag.
 
     The flag is an integer (nonzero means suppressed) or empty.  A blank
     ZCTA or NAICS code, or a count that is not a 64-bit integer, is a data
-    error naming the file and row.  Each block of rows extends ``array``
-    columns a whole field at a time.
+    error naming the file and row.  A plain file goes through
+    :func:`csvio.read_columns`, which looks each distinct field up once
+    per chunk; any other file, and one with a value that does not read,
+    is read (again) by the block reader, so every error is the block
+    reader's.
     """
     import numpy as np
 
-    names = ("zcta", "naics", "size_bin", "establishments")
-    header, blocks = csvio.read_blocks(path, names)
-    fields = [*map(header.index, names)]
-    labels = _Interned("zcta"), _Interned("naics"), _Interned()
-    tables: list[dict] = [*labels, _Parsed(int)]
+    tables = _cbp_tables()
+    columns = csvio.read_columns(path, _CBP_FIELDS, ["suppressed"], tables)
+    if columns is None:
+        tables = _cbp_tables()
+        columns = _read_cbp_blocks(path, tables)
+    flags = columns.pop()  # freed as int64 before the codes are recoded: a lower peak
+    flags = np.zeros(len(columns[3]), bool) if flags is None else flags.astype(bool)
+    *codes, counts = columns
+    return CbpColumns(
+        *(Coded.from_codes(list(t.labels), c) for t, c in zip(tables, codes)), counts, flags
+    )
+
+
+def _read_cbp_blocks(path, tables: list[dict]) -> list:
+    """``read_cbp_csv``'s columns through the block reader: each block of rows
+    extends ``array`` columns a whole field at a time."""
+    import numpy as np
+
+    header, blocks = csvio.read_blocks(path, _CBP_FIELDS)
+    fields = [header.index(name) for name in (*_CBP_FIELDS, "suppressed") if name in header]
     columns = [array("q") for _ in fields]
-    if "suppressed" in header:
-        fields.append(header.index("suppressed"))
-        tables.append(_Parsed(_flag))
-        columns.append(array("b"))
     work = list(zip(columns, tables, map(itemgetter, fields)))
     for first, block in blocks:
         try:
             for column, table, field in work:
                 column.extend(map(table.__getitem__, map(field, block)))
-        except (_BlankCode, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             _check_cbp_rows(path, first, block, fields)
             raise
-    n = len(columns[0])
-    flags = np.frombuffer(columns[4], dtype=bool) if len(columns) > 4 else np.zeros(n, bool)
-    return CbpColumns(
-        *(Coded.from_codes(list(t.labels), np.frombuffer(c, dtype=np.int64))
-          for t, c in zip(labels, columns)),
-        np.frombuffer(columns[3], dtype=np.int64), flags,
-    )
+    columns = [np.frombuffer(c, dtype=np.int64) for c in columns]
+    return columns if "suppressed" in header else [*columns, None]
 
 
 def _check_cbp_rows(path, first: int, block: list[list[str]], fields: list[int]) -> None:

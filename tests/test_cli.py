@@ -345,6 +345,20 @@ class TestErrorContract:
             extra.write_text(config.read_text() + line + "\n")
             assert main(["subsidy", "--config", str(extra)]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["cutoff", "contact_share", "elasticity", "fixed_eps",
+                                     "telecom_cost", "open_bin_mean"])
+    def test_non_finite_float_is_usage_error_naming_the_key(
+        self, fixture_config, capsys, key, value
+    ):
+        config, _ = fixture_config
+        flag = "--" + key.replace("_", "-")
+        assert main(["subsidy", "--config", str(config), f"{flag}={value}"]) == 2
+        assert f"{key} must be a finite number, got {float(value)!r}" in capsys.readouterr().err
+        extra = config.with_name(f"non-finite-{key}.cfg")
+        extra.write_text(config.read_text() + f"{key} = {value}\n")
+        assert main(["subsidy", "--config", str(extra)]) == 2
+
     def test_nan_density_is_data_error_with_file_and_row(self, fixture_config, capsys):
         config, _ = fixture_config
         density = config.with_name("density.csv")

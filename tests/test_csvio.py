@@ -1,4 +1,4 @@
-"""Block-wise CSV reading against a per-line reference of the same format."""
+"""Block-wise and split CSV reading against a per-line reference of the same format."""
 
 import csv
 from unittest import mock
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distancing import csvio
+from distancing import csvio, geo
 from distancing.errors import IngestionError
-from distancing.geo import read_cbp_csv
+from distancing.geo import read_cbp_csv, read_density_csv
 
 CBP_HEADER = ["zcta", "naics", "size_bin", "establishments", "suppressed", "note"]
 
@@ -22,10 +22,27 @@ def reference_records(path):
     return records[0], list(enumerate(records[1:], start=1))
 
 
+def reference_not_utf8(path):
+    """The first line of a file without quoted line ends that is not UTF-8, as
+    the data row it is in (0: the header or a line before it)."""
+    rows = 0
+    for line in path.read_bytes().removeprefix(b"\xef\xbb\xbf").split(b"\n"):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{path} row {rows}: not UTF-8: byte {line[exc.start]:#04x}"
+        rows += not line.startswith(b"#") and bool(line.strip(b"\r"))
+    return None
+
+
 def reference_cbp(path):
     """The establishment records row by row, faults checked in reading order."""
-    header, records = reference_records(path)
-    zcta, naics, size_bin, count, flag = map(header.index, CBP_HEADER[:5])
+    try:
+        header, records = reference_records(path)
+    except UnicodeDecodeError:
+        raise IngestionError(reference_not_utf8(path)) from None
+    zcta, naics, size_bin, count = map(header.index, CBP_HEADER[:4])
+    flag = header.index("suppressed") if "suppressed" in header else None
     out = []
     for i, fields in records:
         where = f"{path} row {i}"
@@ -34,10 +51,13 @@ def reference_cbp(path):
         for name, at in (("zcta", zcta), ("naics", naics)):
             if not fields[at].strip():
                 raise IngestionError(f"{where}: field {name!r}: blank")
-        raw_flag = fields[flag].strip()
+        raw_flag = "" if flag is None else fields[flag].strip()
         suppressed = csvio.parse_int(raw_flag, path=where, field="suppressed") != 0 \
             if raw_flag else False
         established = csvio.parse_int(fields[count], path=where, field="establishments")
+        if not -(2**63) <= established < 2**63:
+            raise IngestionError(f"{where}: field 'establishments': not a 64-bit integer: "
+                                 f"{fields[count]!r}")
         out.append((fields[zcta].strip(), fields[naics].strip(), fields[size_bin].strip(),
                     established, suppressed))
     return out
@@ -149,3 +169,123 @@ class TestReadBlocks:
         with pytest.raises(IngestionError) as excinfo:
             csvio.read_rows(path)
         assert str(excinfo.value) == message
+
+
+# Plain establishment files: no quotes and no lone CR, so the split path reads
+# them unless a row carries one of the faults below.
+_PLAIN_ROW = st.fixed_dictionaries({
+    "zcta": st.sampled_from(["10001", " 10002", "00501 ", "9"]),
+    "naics": st.sampled_from(["441100", "311811 ", " 62"]),
+    "size_bin": st.sampled_from(["1-4", " 5-9", "1000+ ", ""]),
+    "establishments": st.sampled_from(["3", "+3", " 7", "1_0", "-2", "0"]),
+    "suppressed": st.sampled_from(["0", "1", "", " 2"]),
+})
+# each sends the file to the block reader, which reads it or names the fault
+_FAULTS = {
+    "blank code": lambda row: {**row, "naics": " "},
+    "not UTF-8": lambda row: {**row, "zcta": row["zcta"] + "\udce9"},
+    "not UTF-8 in a comment": lambda row: {**row, "after": "# \udce9"},
+    "lone CR": lambda row: {**row, "size_bin": row["size_bin"] + "\r"},
+    "count 2**63-1": lambda row: {**row, "establishments": str(2**63 - 1)},
+    "count 2**63": lambda row: {**row, "establishments": str(2**63)},
+    "9-byte field": lambda row: {**row, "size_bin": "100-249  "},
+    "extra field": lambda row: {**row, "extra": "x"},
+    "ragged row": lambda row: {**row, "ragged": True},
+}
+_PLAIN_BETWEEN = st.sampled_from(["", "", "", "# note", "#,a,b,", "", "#"])
+
+
+@st.composite
+def _plain_cbp_files(draw):
+    """(chunk size, file bytes, the faults rows carry): a ragged row and an
+    extra field may come together, so the file has as many commas as a good one."""
+    names = draw(st.permutations(CBP_HEADER[:5]))
+    if draw(st.booleans()):
+        names = [name for name in names if name != "suppressed"]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    rows = draw(st.lists(_PLAIN_ROW, max_size=12))
+    faults = draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=2)) if rows else []
+    for fault in faults:
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at] = _FAULTS[fault](rows[at])
+    lines = [draw(st.sampled_from(["", "# provenance"]))] if draw(st.booleans()) else []
+    lines.append(",".join(names))
+    for row in rows:
+        lines += [draw(_PLAIN_BETWEEN)] * draw(st.integers(0, 1))
+        fields = [row[name] for name in names][:len(names) - row.get("ragged", 0)]
+        lines.append(",".join(fields + ([row["extra"]] if "extra" in row else [])))
+        if "after" in row:
+            lines.append(row["after"])
+    text = "".join(line + ending for line in lines)
+    if draw(st.booleans()):
+        text = text[:-len(ending)]
+    data = ("\ufeff" if draw(st.booleans()) else "") + text
+    chunk = draw(st.sampled_from([1, 2, 7, 16, 64, 1 << 20]))
+    return chunk, data.encode("utf-8", "surrogateescape"), faults
+
+
+class TestSplitRead:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @given(_plain_cbp_files())
+    def test_split_read_equals_the_per_line_reference(self, tmp_path_factory, drawn):
+        """Plain files with any chunk size read as the reference reads them, and
+        only a faulty row sends the file to the block reader."""
+        chunk, data, faults = drawn
+        path = tmp_path_factory.mktemp("split") / "cbp.csv"
+        path.write_bytes(data)
+        blocks = mock.patch.object(geo, "_read_cbp_blocks", wraps=geo._read_cbp_blocks)
+        with mock.patch.object(csvio, "CHUNK_BYTES", chunk), blocks as block_read:
+            got = outcome(lambda p: list(read_cbp_csv(p)), path)
+        assert got == outcome(reference_cbp, path)
+        assert block_read.called == bool(faults)
+
+    def test_short_and_long_rows_with_the_right_comma_count_go_to_the_block_reader(
+        self, tmp_path
+    ):
+        """Row 1 lacks its last field and row 2 has one more, so the file holds as
+        many commas as a good one; fields shifted across the line end would all
+        read, row 1's size bin as ``1-4\\n62``."""
+        path = tmp_path / "cbp.csv"
+        path.write_text("naics,establishments,suppressed,size_bin,zcta\n"
+                        "441100,3,0,1-4\n62,3,0,0,10001,x\n")
+        with mock.patch.object(geo, "_read_cbp_blocks", wraps=geo._read_cbp_blocks) as blocks:
+            assert outcome(read_cbp_csv, path) == (
+                "error", f"{path} row 1: expected 5 fields, got 4"
+            )
+        assert blocks.called
+
+    def test_plain_file_takes_the_split_path(self, tmp_path):
+        """A byte-order mark, CRLF, comment and blank lines, padded labels and
+        no final line end, over several chunks, with the block reader disabled."""
+        path = tmp_path / "cbp.csv"
+        rows = [f" {10001 + i % 7},441100 ,{' 1-4' if i % 2 else '5-9'},+{i},{i % 3}"
+                for i in range(40)]
+        rows[5:5] = ["# a comment, with commas", ""]
+        path.write_bytes(b"\xef\xbb\xbf# provenance\r\n" + "\r\n".join(
+            ["zcta,naics,size_bin,establishments,suppressed", *rows]).encode())
+        failing = mock.patch.object(geo, "_read_cbp_blocks", side_effect=AssertionError)
+        with mock.patch.object(csvio, "CHUNK_BYTES", 64), failing:
+            got = read_cbp_csv(path)
+        assert list(got) == reference_cbp(path)
+        assert len(got) == 40 and got.zcta.labels == [str(10001 + i) for i in range(7)]
+
+
+class TestCsvModuleErrors:
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("read, header", [
+        (read_cbp_csv, "zcta,naics,size_bin,establishments,suppressed"),
+        (read_density_csv, "zcta,population,land_area_km2"),
+    ])
+    def test_field_beyond_the_csv_limit_names_file_and_row(self, tmp_path, read, header, row):
+        """A field longer than the csv module takes is a data error, not a
+        traceback, also in a column no reader asks for."""
+        lines = [header + ",note", *(",".join([f"1000{i}", *["1"] * header.count(","), "x"])
+                                     for i in range(3))]
+        lines[row] = lines[row].rsplit(",", 1)[0] + "," + "9" * (csv.field_size_limit() + 1)
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == (
+            f"{path} row {row}: field larger than field limit ({csv.field_size_limit()})"
+        )
