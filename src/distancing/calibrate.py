@@ -21,6 +21,17 @@ contacts and employment columns as two arrays.  Every total is a
 ``math.fsum`` and the cap's running sums add left to right in sorted
 order, so no result depends on the order of the cells.  The result is
 one :class:`CalibrationReport`: eps and the cap with their diagnostics.
+
+Each exact pass over the cells runs once per calibration.  The regression
+of k and eps's verification regression share one
+:class:`DensityRegression`: ln(d), the weight total (the frame's
+employment, which the report carries on to the tables), the weighted
+mean of ln(d), Sxx and w*(ln d - mean); each slope adds only its own
+regressand mean and cross moment.  The cap solve and the share check
+share one contact total.  The cap solve sorts the (contacts, weight)
+pairs as complex numbers, which numpy orders by real part and then by
+imaginary part: equal contacts (one industry in one ZCTA) come out in
+weight order, so the running sums are those of a two-key sort.
 """
 
 from __future__ import annotations
@@ -101,6 +112,7 @@ class CalibrationReport:
     achieved_slope: float
     achieved_share: float
     n_cells: int
+    employment: float  # the cells' total employment, an fsum
     eps_fixed: bool = False
     notes: list[str] = field(default_factory=list)
 
@@ -125,7 +137,7 @@ def cell_parameters(
 
     codes, zctas = cells.industry_code, cells.zcta
     employed = cells.employment > 0.0
-    used = np.unique(codes.codes[employed]).tolist()
+    used = codes[employed].present()
     mixes = [resolver.resolve(codes.labels[code]) for code in used]
     industries = sorted({mix.industry_code for mix in mixes if mix is not None})
     industry_of = np.full(len(codes.labels), -1)
@@ -140,13 +152,13 @@ def cell_parameters(
         logger.warning(
             "%d cells skipped: no industry mix for codes %s",
             int(unresolved.sum()),
-            ", ".join(codes.labels[c] for c in np.unique(codes.codes[unresolved]).tolist()),
+            ", ".join(codes.labels[c] for c in codes[unresolved].present()),
         )
     density = np.array([densities.get(zcta, np.nan) for zcta in zctas.labels])[zctas.codes]
     resolved = employed & ~unresolved
     missing = resolved & np.isnan(density)
     if missing.any():
-        regions = np.unique(zctas.codes[missing]).tolist()
+        regions = zctas[missing].present()
         logger.warning(
             "%d regions lack density records; their cells were skipped: %s",
             len(regions), ", ".join(zctas.labels[z] for z in regions),
@@ -158,38 +170,66 @@ def cell_parameters(
     )
 
 
-def _weighted_slope(w: np.ndarray, x: np.ndarray, z: np.ndarray) -> float:
-    """Weighted least-squares slope of z on x with intercept, weights ``w``."""
-    total = fsum(w.tolist())
-    if total <= 0.0:
-        raise CalibrationError("total weight is zero; cannot regress")
-    xbar = fsum((w * x).tolist()) / total
-    zbar = fsum((w * z).tolist()) / total
-    sxx = fsum((w * (x - xbar) ** 2).tolist())
-    if sxx <= 0.0:
-        raise CalibrationError("at least two distinct densities are required")
-    sxz = fsum((w * (x - xbar) * (z - zbar)).tolist())
-    return sxz / sxx
+class DensityRegression(NamedTuple):
+    """An employment-weighted regression on x = ln(density), its x side computed once.
+
+    :meth:`of` makes the passes that every slope on the same cells shares:
+    the weight total, the weighted mean of x, Sxx and ``w * (x - xbar)``.
+    :meth:`slope` adds only the regressand's own mean and cross moment.
+    """
+
+    weights: np.ndarray
+    x: np.ndarray
+    total: float  # the weight total: the cells' employment
+    sxx: float
+    wdx: np.ndarray  # weights * (x - xbar)
+
+    @classmethod
+    def of(cls, frame: CellFrame) -> DensityRegression:
+        import numpy as np
+
+        w = frame.employment
+        x = np.log(frame.density)
+        total = fsum(w.tolist())
+        if total <= 0.0:
+            raise CalibrationError("total weight is zero; cannot regress")
+        dx = x - fsum((w * x).tolist()) / total
+        sxx = fsum((w * dx ** 2).tolist())
+        if sxx <= 0.0:
+            raise CalibrationError("at least two distinct densities are required")
+        return cls(w, x, total, sxx, w * dx)
+
+    def slope(self, z: np.ndarray) -> float:
+        """Weighted least-squares slope of ``z`` on x, with intercept."""
+        zbar = fsum((self.weights * z).tolist()) / self.total
+        return fsum((self.wdx * (z - zbar)).tolist()) / self.sxx
 
 
-def slope_factor(frame: CellFrame) -> float:
-    """The data moment k: regression slope of chi*ln(d) on ln(d), weighted."""
-    import numpy as np
+def slope_factor(frame: CellFrame, regression: DensityRegression | None = None) -> float:
+    """The data moment k: regression slope of chi*ln(d) on ln(d), weighted.
 
-    x = np.log(frame.density)
-    return _weighted_slope(frame.employment, x, frame.chi * x)
+    ``regression`` is the frame's :class:`DensityRegression`, made here
+    when not given.
+    """
+    if regression is None:
+        regression = DensityRegression.of(frame)
+    return regression.slope(frame.chi * regression.x)
 
 
-def calibrate_epsilon(frame: CellFrame, target_elasticity: float, k: float) -> float:
+def calibrate_epsilon(
+    frame: CellFrame,
+    target_elasticity: float,
+    k: float,
+    regression: DensityRegression | None = None,
+) -> float:
     """Solve for eps so the implied-productivity regression hits the target slope.
 
-    ``k`` is the frame's :func:`slope_factor`.  The regressand is linear in
-    eps, so eps = target / k.  A verification re-regression with the
-    returned eps must reproduce the target within 1e-9 or the calibration
-    aborts.
+    ``k`` is the frame's :func:`slope_factor` and ``regression`` its
+    :class:`DensityRegression`, made here when not given.  The regressand
+    is linear in eps, so eps = target / k.  A verification re-regression
+    with the returned eps, with its own regressand mean and cross moment,
+    must reproduce the target within 1e-9 or the calibration aborts.
     """
-    import numpy as np
-
     if target_elasticity <= 0.0:
         raise CalibrationError(f"target elasticity must be positive, got {target_elasticity!r}")
     if k <= 0.0:
@@ -198,8 +238,9 @@ def calibrate_epsilon(frame: CellFrame, target_elasticity: float, k: float) -> f
             "density in this data, so no positive eps can match the target"
         )
     eps = target_elasticity / k
-    x = np.log(frame.density)
-    achieved = _weighted_slope(frame.employment, x, eps * frame.chi * x)
+    if regression is None:
+        regression = DensityRegression.of(frame)
+    achieved = regression.slope(eps * frame.chi * regression.x)
     if abs(achieved - target_elasticity) > _SLOPE_TOL:
         raise CalibrationError(
             f"verification regression slope {achieved!r} misses target "
@@ -213,34 +254,64 @@ def optimal_contacts_grid(frame: CellFrame, eps: float) -> np.ndarray:
     return contacts_at_density(frame.density, eps, frame.params)
 
 
-def aggregate_contact_share(contacts: np.ndarray, weights: np.ndarray, cap: float) -> float:
+def _contact_total(contacts: np.ndarray, weights: np.ndarray) -> float:
+    """The unconstrained aggregate: employment-weighted contacts, an ``fsum``."""
+    return fsum((weights * contacts).tolist())
+
+
+def aggregate_contact_share(
+    contacts: np.ndarray, weights: np.ndarray, cap: float, total: float | None = None
+) -> float:
     """Capped aggregate contacts as a fraction of the unconstrained aggregate.
 
     ``contacts`` are the cells' optimal contacts and ``weights`` their
-    employment, two float arrays of equal length.
+    employment, two float arrays of equal length.  ``total`` is the
+    unconstrained aggregate, the ``fsum`` of weights times contacts,
+    computed here when not given.
     """
     import numpy as np
 
-    total = fsum((weights * contacts).tolist())
+    if total is None:
+        total = _contact_total(contacts, weights)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot compute a share")
     capped = fsum((weights * np.minimum(cap, contacts)).tolist())
     return capped / total
 
 
-def calibrate_cap(contacts: np.ndarray, weights: np.ndarray, target_share: float) -> float:
+def _sorted_pairs(contacts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells' contacts and weights, sorted by contacts, ties by weight.
+
+    numpy orders complex numbers by real part, then by imaginary part, so
+    one sort of ``contacts + weights * 1j`` sorts the pairs in place, with
+    no index array to gather through.  Equal pairs are interchangeable, so
+    the arrays equal those that ``np.lexsort((weights, contacts))`` orders,
+    in under half its time.
+    """
+    import numpy as np
+
+    pairs = np.empty(len(contacts), dtype=complex)
+    pairs.real, pairs.imag = contacts, weights
+    pairs.sort()
+    return pairs.real, pairs.imag
+
+
+def calibrate_cap(
+    contacts: np.ndarray, weights: np.ndarray, target_share: float, total: float | None = None
+) -> float:
     """The cap N at which capped contacts are the target share of the total.
 
     ``contacts`` are the cells' optimal contacts and ``weights`` their
-    employment, two float arrays of equal length.  The target must lie in
-    (0, 1]; 1 means no binding cap and returns the largest optimal contact
-    count.  With the cells sorted by optimal contacts, capped contacts at a
-    cap between two consecutive counts are ``below + N * above``: the
-    contacts of the cells under the cap plus N times the weight of the rest.
-    Both are running sums, added left to right.  The first cell whose count
-    reaches the target ends the segment that holds N, and inverting that
-    line gives N.  :func:`run_calibration` checks that the cap reproduces
-    the target share within 1e-10 relative.
+    employment, two float arrays of equal length; ``total`` is as for
+    :func:`aggregate_contact_share`.  The target must lie in (0, 1]; 1
+    means no binding cap and returns the largest optimal contact count.
+    With the cells sorted by optimal contacts (ties by weight), capped
+    contacts at a cap between two consecutive counts are
+    ``below + N * above``: the contacts of the cells under the cap plus N
+    times the weight of the rest.  Both are running sums, added left to
+    right.  The first cell whose count reaches the target ends the segment
+    that holds N, and inverting that line gives N.  :func:`run_calibration`
+    checks that the cap reproduces the target share within 1e-10 relative.
     """
     import numpy as np
 
@@ -248,14 +319,14 @@ def calibrate_cap(contacts: np.ndarray, weights: np.ndarray, target_share: float
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
     if not contacts.size:
         raise CalibrationError("no cells to calibrate the contact cap on")
-    total = fsum((weights * contacts).tolist())
+    if total is None:
+        total = _contact_total(contacts, weights)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot calibrate a cap")
     if target_share == 1.0:
         return float(contacts.max())
     target = target_share * total
-    order = np.lexsort((weights, contacts))
-    contacts, weights = contacts[order], weights[order]
+    contacts, weights = _sorted_pairs(contacts, weights)
     below = np.concatenate(([0.0], np.cumsum(weights * contacts)[:-1]))
     above = np.cumsum(weights[::-1])[::-1]
     reached = np.flatnonzero(below + contacts * above >= target)
@@ -274,16 +345,18 @@ def run_calibration(
     """Full calibration: eps (solved or fixed), contact grid, contact cap."""
     if not frame:
         raise CalibrationError("no usable cells; calibration is impossible")
-    k = slope_factor(frame)
+    regression = DensityRegression.of(frame)
+    k = slope_factor(frame, regression)
     if fixed_eps is not None:
         if fixed_eps <= 0.0:
             raise CalibrationError(f"fixed eps must be positive, got {fixed_eps!r}")
         eps = fixed_eps
     else:
-        eps = calibrate_epsilon(frame, target_elasticity, k)
+        eps = calibrate_epsilon(frame, target_elasticity, k, regression)
     contacts = optimal_contacts_grid(frame, eps)
-    cap = calibrate_cap(contacts, frame.employment, target_contact_share)
-    achieved_share = aggregate_contact_share(contacts, frame.employment, cap)
+    total = _contact_total(contacts, frame.employment)
+    cap = calibrate_cap(contacts, frame.employment, target_contact_share, total)
+    achieved_share = aggregate_contact_share(contacts, frame.employment, cap, total)
     if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:
         raise CalibrationError(
             f"contact cap {cap!r} gives share {achieved_share!r}, "
@@ -296,6 +369,7 @@ def run_calibration(
         achieved_slope=eps * k,
         achieved_share=achieved_share,
         n_cells=len(frame),
+        employment=regression.total,
         eps_fixed=fixed_eps is not None,
     )
     if fixed_eps is not None and abs(eps * k - target_elasticity) > 1e-12:

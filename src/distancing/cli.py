@@ -181,6 +181,7 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
     out = _output_dir(cfg)
     stamp = _provenance(cfg)
+    grouping = read_region_groups(cfg.region_groups) if cfg.region_groups else None
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
     report, frame = run_calibration_stage(cfg, geo_stage)
@@ -189,14 +190,13 @@ def cmd_subsidy(cfg: RunConfig) -> int:
     results = counterfactual.compute_subsidies(
         frame, report.eps, report.contact_cap, telecom_cost=cfg.telecom_cost
     )
-    average = replace(counterfactual.overall(results), key="Average")
+    average = replace(counterfactual.overall(results, report.employment), key="Average")
     tables = [
         ("sector", "industry", "employment_thousands", 1000.0,
          counterfactual.sector_table(results) + [average]),
         ("location", "zcta", "employment", 1.0, counterfactual.location_table(results)),
     ]
-    if cfg.region_groups:
-        grouping = read_region_groups(cfg.region_groups)
+    if grouping is not None:
         tables.append(("region", "region", "employment", 1.0,
                        counterfactual.location_table(results, grouping)))
     for name, key, employment, unit, rows in tables:
@@ -217,7 +217,7 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     from . import counterfactual
     from .model import FirmParams
 
-    mean_chi = fsum((frame.employment * frame.chi).tolist()) / fsum(frame.employment.tolist())
+    mean_chi = fsum((frame.employment * frame.chi).tolist()) / report.employment
     if mean_chi <= 0.0:
         logger.warning("mean communication share is zero; fig2 curves skipped")
         return
@@ -313,14 +313,18 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def read_region_groups(path) -> dict[str, str]:
-    """Read a ``zcta,region`` membership file; a ZCTA may appear once."""
+    """Read a ``zcta,region`` membership file; a ZCTA may appear once, and
+    a blank field is an error naming the row and the field."""
     _, rows = csvio.read_rows(path, ["zcta", "region"])
     groups: dict[str, str] = {}
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
-        zcta = row["zcta"].strip()
+        zcta, region = row["zcta"].strip(), row["region"].strip()
+        for name, value in (("zcta", zcta), ("region", region)):
+            if not value:
+                raise IngestionError(f"{path} row {i}: field {name!r}: blank")
         csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
-        groups[zcta] = row["region"].strip()
+        groups[zcta] = region
     return groups
 
 

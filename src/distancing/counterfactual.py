@@ -6,7 +6,10 @@ is priced at once, at the calibrated eps and cap: every closed form runs
 once, over the frame's columns.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is an
-exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`.
+exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`,
+which sums the ZCTA tables in place because frames come in ZCTA order, and
+the overall average divides by the employment total that the calibration
+already summed.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
 are compared across densities.
@@ -94,12 +97,16 @@ def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> 
     return rows
 
 
-def overall(results: CellFrame) -> AggRow:
+def overall(results: CellFrame, employment: float | None = None) -> AggRow:
     """The employment-weighted subsidy over all cells (key ``ALL``).
 
-    Reports append it to the sector table as the average row.
+    ``employment`` is the cells' total employment, the ``fsum`` that
+    :attr:`~distancing.calibrate.CalibrationReport.employment` carries,
+    computed here when not given.  Reports append the row to the sector
+    table as the average row.
     """
-    employment = fsum(results.employment.tolist())
+    if employment is None:
+        employment = fsum(results.employment.tolist())
     if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
     weighted = fsum((results.subsidy * results.employment).tolist())
@@ -130,7 +137,7 @@ def location_table(
     zctas = results.zcta
     if grouping is None:
         return _weighted_rows(zctas, results.employment, results.subsidy)
-    present = [zctas.labels[z] for z in np.unique(zctas.codes).tolist()]
+    present = [zctas.labels[z] for z in zctas.present()]
     for zcta in sorted(set(grouping).difference(present)):
         logger.warning("region grouping lists %s, which has no results", zcta)
     # one region label per ZCTA label; the "" of non-members never enters a total

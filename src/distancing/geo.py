@@ -93,6 +93,13 @@ class Coded:
     def tolist(self) -> list[str]:
         return list(map(self.labels.__getitem__, self.codes.tolist()))
 
+    def present(self) -> list[int]:
+        """The codes that occur, ascending."""
+        import numpy as np
+
+        # bincount, not np.unique: a plain np.unique imports all of numpy.ma
+        return np.flatnonzero(np.bincount(self.codes)).tolist()
+
 
 class Columns:
     """``len()``, iteration (rows made by ``_row``) and row selection for a
@@ -303,16 +310,21 @@ def build_cells(
 def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
     """The keys that occur, sorted, and per column each key's ``math.fsum`` total.
 
-    A correctly rounded sum does not depend on the order of the rows.
+    A correctly rounded sum does not depend on the order of the rows.  Rows
+    already in key order (frames keep ``build_cells``' zcta order) are
+    summed in place: one O(n) check replaces the sort and the gathers.
     """
     import numpy as np
 
-    order = np.argsort(keys.codes, kind="stable")
-    codes = keys.codes[order]
+    codes = keys.codes
+    if (codes[1:] < codes[:-1]).any():
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        columns = tuple(column[order] for column in columns)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     bounds = [*starts.tolist(), len(codes)]
     spans = list(zip(bounds, bounds[1:]))
-    values = (column[order].tolist() for column in columns)
+    values = (column.tolist() for column in columns)
     totals = [[fsum(column[a:b]) for a, b in spans] for column in values]
     return [keys.labels[code] for code in codes[starts].tolist()], totals
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from distancing import calibrate
 from distancing.calibrate import (
+    DensityRegression,
     aggregate_contact_share,
     calibrate_cap,
     calibrate_epsilon,
@@ -61,6 +62,24 @@ def constant_chi_frame(chi=0.4):
     ])
 
 
+def two_industry_frame():
+    return frame_of([
+        cell("a", "44", 10.0, 0.3, 0.5),
+        cell("b", "31", 20.0, 0.5, 1.0),
+        cell("c", "44", 15.0, 0.3, 2.0),
+        cell("d", "31", 5.0, 0.5, 8.0),
+    ])
+
+
+def random_frame(seed):
+    rng = np.random.default_rng(seed)
+    return frame_of([
+        cell(f"z{i}", "n", float(rng.uniform(1, 50)), float(rng.uniform(0.1, 0.9)),
+             float(rng.uniform(0.1, 10)))
+        for i in range(30)
+    ])
+
+
 class TestEpsilon:
     def test_constant_chi_scales_target(self):
         # with constant chi the regression moment k equals chi exactly
@@ -82,12 +101,7 @@ class TestEpsilon:
         assert solve_eps(frame, 0.04) == pytest.approx(0.04, rel=1e-9)
 
     def test_doubling_target_doubles_eps(self):
-        rng = np.random.default_rng(61)
-        frame = frame_of([
-            cell(f"z{i}", "n", float(rng.uniform(1, 50)), float(rng.uniform(0.1, 0.9)),
-                 float(rng.uniform(0.1, 10)))
-            for i in range(30)
-        ])
+        frame = random_frame(61)
         assert solve_eps(frame, 0.08) == pytest.approx(2.0 * solve_eps(frame, 0.04), rel=1e-12)
 
     def test_single_density_rejected(self):
@@ -102,6 +116,29 @@ class TestEpsilon:
         assert slope_factor(frame) < 0
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_verification_regression_rejects_a_wrong_slope_factor(self, shared):
+        frame = random_frame(61)
+        regression = DensityRegression.of(frame) if shared else None
+        k = slope_factor(frame, regression)
+        assert calibrate_epsilon(frame, 0.04, k, regression) == 0.04 / k
+        with pytest.raises(CalibrationError, match="verification regression slope"):
+            calibrate_epsilon(frame, 0.04, k * (1 + 1e-6), regression)
+
+    def test_shared_regression_gives_the_bits_of_a_fresh_one(self):
+        frame = two_industry_frame()
+        k = slope_factor(frame)
+        assert slope_factor(frame, DensityRegression.of(frame)) == k
+        # the textbook form, one fsum per moment
+        w, x = frame.employment.tolist(), np.log(frame.density).tolist()
+        z = [c * xi for c, xi in zip(frame.chi.tolist(), x)]
+        total = math.fsum(w)
+        xbar = math.fsum(wi * xi for wi, xi in zip(w, x)) / total
+        zbar = math.fsum(wi * zi for wi, zi in zip(w, z)) / total
+        sxx = math.fsum(wi * (xi - xbar) ** 2 for wi, xi in zip(w, x))
+        sxz = math.fsum(wi * (xi - xbar) * (zi - zbar) for wi, xi, zi in zip(w, x, z))
+        assert k == sxz / sxx
 
 
 class TestContactsGrid:
@@ -211,6 +248,54 @@ class TestCapProperties:
         )
 
 
+def lexsort_cap(contacts, weights, share):
+    """The cap solve as written with ``np.lexsort((weights, contacts))``: the
+    reference whose bits :func:`calibrate_cap` must reproduce."""
+    total = math.fsum((weights * contacts).tolist())
+    if share == 1.0:
+        return float(contacts.max())
+    target = share * total
+    order = np.lexsort((weights, contacts))
+    contacts, weights = contacts[order], weights[order]
+    below = np.concatenate(([0.0], np.cumsum(weights * contacts)[:-1]))
+    above = np.cumsum(weights[::-1])[::-1]
+    reached = np.flatnonzero(below + contacts * above >= target)
+    if not reached.size:
+        return float(contacts[-1])
+    i = reached[0]
+    return float((target - below[i]) / above[i])
+
+
+# rows drawn from a few contact counts and a few weights: equal contacts with
+# different weights, and repeated (contacts, weight) pairs, in every draw
+_TIED_ROWS = st.tuples(
+    st.lists(st.floats(0.01, 30.0), min_size=1, max_size=4),
+    st.lists(st.floats(0.1, 1000.0), min_size=1, max_size=4),
+).flatmap(lambda pools: st.lists(
+    st.tuples(st.sampled_from(pools[0]), st.sampled_from(pools[1])), min_size=1, max_size=60,
+))
+
+
+class TestCapSort:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(_TIED_ROWS, _SHARES, st.randoms(use_true_random=False))
+    def test_equals_a_two_key_sort_in_any_row_order(self, pairs, share, random):
+        contacts, weights = columns(pairs)
+        expected = lexsort_cap(contacts, weights, share)
+        assert calibrate_cap(contacts, weights, share) == expected
+        random.shuffle(pairs)
+        assert calibrate_cap(*columns(pairs), share) == expected
+
+    def test_sorted_pairs_are_the_two_key_sort(self):
+        rng = np.random.default_rng(5)
+        contacts = rng.choice([0.5, 1.5, 2.0, 7.25], size=500)
+        weights = rng.choice([1.0, 3.0, 3.5, 10.0, 400.0], size=500)
+        order = np.lexsort((weights, contacts))
+        sorted_contacts, sorted_weights = calibrate._sorted_pairs(contacts, weights)
+        assert sorted_contacts.tolist() == contacts[order].tolist()
+        assert sorted_weights.tolist() == weights[order].tolist()
+
+
 def _mix(code, comm):
     return IndustryMix(
         industry_code=code, name=code, shares={},
@@ -283,9 +368,9 @@ class TestCellParameters:
         calls = []
         original = calibrate.slope_factor
 
-        def counting(frame):
+        def counting(frame, *shared):
             calls.append(len(frame))
-            return original(frame)
+            return original(frame, *shared)
 
         monkeypatch.setattr(calibrate, "slope_factor", counting)
         frame = constant_chi_frame(0.4)
@@ -299,9 +384,9 @@ class TestCellParameters:
         calls = []
         original = calibrate.aggregate_contact_share
 
-        def counting(contacts, weights, cap):
+        def counting(contacts, weights, cap, *shared):
             calls.append(cap)
-            return original(contacts, weights, cap)
+            return original(contacts, weights, cap, *shared)
 
         monkeypatch.setattr(calibrate, "aggregate_contact_share", counting)
         frame = constant_chi_frame(0.4)
@@ -313,9 +398,32 @@ class TestCellParameters:
             report.contact_cap,
         )
 
+    def test_exact_passes_per_calibration(self, monkeypatch):
+        frame = two_industry_frame()
+        passes = []
+
+        def counting(values):
+            if len(values) == len(frame):
+                passes.append(len(values))
+            return math.fsum(values)
+
+        monkeypatch.setattr(calibrate, "fsum", counting)
+        run_calibration(frame, 0.5, 0.04)
+        # regression setup 3 (weight total, mean ln d, Sxx), k 2, verification 2,
+        # contact total 1, capped contacts 1
+        assert len(passes) == 9
+        passes.clear()
+        run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
+        assert len(passes) == 7
+
+    def test_report_carries_the_employment_total(self):
+        frame = constant_chi_frame(0.4)
+        report = run_calibration(frame, 0.5, 0.04)
+        assert report.employment == math.fsum(frame.employment.tolist()) == 50.0
+
     def test_cap_missing_the_target_share_aborts(self, monkeypatch):
         monkeypatch.setattr(
-            calibrate, "aggregate_contact_share", lambda contacts, weights, cap: 0.5 + 1e-9
+            calibrate, "aggregate_contact_share", lambda contacts, weights, cap, *shared: 0.5 + 1e-9
         )
         with pytest.raises(CalibrationError, match="gives share"):
             run_calibration(constant_chi_frame(0.4), 0.5, 0.04)

@@ -378,6 +378,17 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert f"cbp.csv row {len(rows)}: expected 5 fields, got 1" in err
 
+    @pytest.mark.parametrize("row, field", [("10001,", "region"), (",metro", "zcta"),
+                                            ("  ,  ", "zcta")])
+    def test_blank_region_group_field_is_data_error(self, fixture_config, capsys, row, field):
+        config, out = fixture_config
+        groups = config.with_name("regions.csv")
+        groups.write_text(f"zcta,region\n10002,metro\n{row}\n")
+        assert main(["subsidy", "--config", str(config), "--region-groups", str(groups)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {groups} row 2: field {field!r}: blank" in err
+        assert not (out / "region-subsidy.csv").exists()
+
     def test_establishment_count_beyond_int64_is_data_error(self, fixture_config, capsys):
         config, _ = fixture_config
         cbp = config.with_name("cbp.csv")
@@ -628,7 +639,8 @@ DEFERRED_LAYERS = ("distancing.calibrate", "distancing.counterfactual", "distanc
 
 class TestImportCost:
     """numpy loads only where it is used: establishment cells, calibration,
-    subsidies, lowess and fig2; importing the package does not load it."""
+    subsidies, lowess and fig2; importing the package does not load it, and
+    no command loads numpy.ma."""
 
     def test_version_runs_without_numpy(self, fixture_config):
         _, out = fixture_config
@@ -677,5 +689,6 @@ class TestImportCost:
             code, modules = _imported_modules(args, out.parent)
             assert code == 0, args
             assert "numpy" in modules, args
+            assert "numpy.ma" not in modules, args  # a plain np.unique imports it
         assert (out / "location-lowess.csv").is_file() and (out / "fig2.csv").is_file()
         assert (out / "location-index.csv").is_file()
