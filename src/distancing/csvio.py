@@ -10,9 +10,11 @@ holds and for every error message.
 
 :func:`read_columns` reads short fields of a plain file (no quotes, every
 data line as wide as the header) with numpy instead, looking each distinct
-value up once per chunk of :data:`CHUNK_BYTES`; on any other file, or a
-value its caller rejects, it returns None so the caller reads the file
-through the block reader, which names the fault.
+value up once per chunk of :data:`CHUNK_BYTES` (a run of equal keys is
+matched once, a handful of frequent keys by comparison, the rest by a
+sort); on any other file, or a value its caller rejects, it returns None
+so the caller reads the file through the block reader, which names the
+fault.
 
 All pipeline outputs are UTF-8 CSVs with LF line endings, an optional
 leading ``#`` provenance comment, and floats rendered with ``repr`` (the
@@ -48,6 +50,9 @@ CHUNK_BYTES = 1 << 20
 
 # Longest field :func:`read_columns` packs into one 64-bit key.
 _KEY_BYTES = 8
+
+# Most distinct keys a column gives up by comparison before the rest is sorted.
+_FEW_KEYS = 16
 
 
 def read_blocks(
@@ -260,21 +265,65 @@ def _key_masks():
 
 
 def _looked_up(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:
-    """``table`` at each key's field, looked up once per distinct key; None if
-    a lookup raises or gives a value beyond int64."""
+    """``table`` at each of the (non-empty) ``keys``' fields, looked up once per
+    distinct key; None if a lookup raises or gives a value beyond int64.
+
+    A file sorted by ZCTA, then NAICS, repeats keys in runs.  When there are
+    at most a quarter as many runs as keys (the ZCTA column, whose runs are
+    its distinct keys, and the flag column), only each run's first key is
+    matched.  The run keys then give up their distinct values by
+    comparison, one pass each, while the value compared holds at least
+    1/:data:`_FEW_KEYS` of the keys left and at most that many values were
+    taken; only the keys left after that are argsorted.  Columns of shorter
+    runs (size bins, counts, and NAICS codes, a few rows a cell) are
+    argsorted whole: on keys in no order numpy's argsort beats both the
+    run bookkeeping and a pass per value.
+    """
     import numpy as np
 
-    order = keys.argsort()
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    raws = keys[first].view(f"S{_KEY_BYTES}").tolist()  # drops the zero padding
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if 4 * np.count_nonzero(new) > len(keys):
+        order = keys.argsort()
+        keys = keys[order]
+        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        values = _values(keys[first], table)
+        if values is None:
+            return None
+        column = np.empty(len(keys), np.int64)
+        column[order] = np.repeat(values, np.diff(first, append=len(keys)))
+        return column
+    starts = np.flatnonzero(new)
+    left, at = keys[starts], np.arange(len(starts))
+    where = np.empty(len(starts), np.intp)  # each run's index into ``distinct``
+    distinct = []
+    while len(left) and len(distinct) < _FEW_KEYS:
+        hit = left == left[0]
+        if np.count_nonzero(hit) * _FEW_KEYS < len(left):
+            break
+        where[at[hit]] = len(distinct)
+        distinct.append(left[0])
+        left, at = left[~hit], at[~hit]
+    distinct = np.array(distinct, np.uint64)
+    if len(left):
+        order = left.argsort()
+        left = left[order]
+        first = np.concatenate(([True], left[1:] != left[:-1]))
+        where[at[order]] = len(distinct) - 1 + np.cumsum(first)
+        distinct = np.concatenate((distinct, left[first]))
+    values = _values(distinct, table)
+    return None if values is None else np.repeat(values[where], np.diff(starts, append=len(keys)))
+
+
+def _values(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:
+    """``table`` at each key's field as int64; None if a lookup raises or gives
+    a value beyond int64."""
+    import numpy as np
+
+    raws = keys.view(f"S{_KEY_BYTES}").tolist()  # drops the zero padding
     try:
-        values = np.fromiter((table[raw.decode("utf-8")] for raw in raws), np.int64, len(raws))
+        return np.fromiter((table[raw.decode("utf-8")] for raw in raws), np.int64, len(raws))
     except (ValueError, OverflowError):
         return None
-    column = np.empty(len(keys), np.int64)
-    column[order] = np.repeat(values, np.diff(first, append=len(keys)))
-    return column
 
 
 def _line_chunks(fh) -> Iterator[bytes]:
@@ -312,15 +361,21 @@ def write_rows(
     """Write a CSV with deterministic formatting.
 
     ``rows`` are sequences aligned with ``fieldnames``; floats are written
-    with ``repr``, ``None`` as an empty cell.
+    with ``repr``, ``None`` as an empty cell.  ``csv.writer`` itself writes
+    exact ``str``, ``int``, ``float`` and ``None`` values so; only a row
+    holding a bool or an instance of a subclass (numpy scalars, whose
+    ``repr`` is not plain) goes through :func:`_cell`.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(fieldnames))
-        for row in rows:
-            writer.writerow([_cell(value) for value in row])
+        writer.writerows(row if _PLAIN.issuperset(map(type, row)) else list(map(_cell, row))
+                         for row in rows)
+
+
+_PLAIN = frozenset({str, int, float, type(None)})
 
 
 def _cell(value):

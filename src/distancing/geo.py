@@ -15,7 +15,9 @@ of a chunk to this module's tables once, any other file through the
 block reader, a field at a time per block of rows; here lives only what
 a CBP value means.  :func:`build_cells` prices whole columns with numpy
 (imported by the functions that use it, so importing the package does
-not load it).
+not load it), and imputes once per covering national code and set of
+reported bins, not per cell.  The density file is read by column and
+read again row by row only when a value or a ZCTA does not pass.
 Group totals are ``math.fsum`` sums (:func:`group_totals`), correctly
 rounded (Shewchuk 1997), so no total depends on the input row order.
 """
@@ -250,12 +252,18 @@ def build_cells(
     (zcta, naics, reason).  The closed midpoints are half-integers, so
     their products add up exactly; the open bin and the imputation then
     round once each, as a correctly rounded sum per cell would.
+
+    Records in (zcta, naics) order, as Census ZIP files and the benchmark
+    generator give them, become cells by one O(n) order check and their
+    run boundaries; records in any other order are sorted.  Each NAICS
+    label's covering national code is resolved once, and the mean size is
+    asked once per distinct (covering code, reported bins).
     """
     import numpy as np
 
     zcta_labels, naics_labels, bins = cbp.zcta.labels, cbp.naics.labels, cbp.size_bin.labels
     n_naics, n_bins = max(len(naics_labels), 1), len(bins)
-    keys, cell = np.unique(cbp.zcta.codes * n_naics + cbp.naics.codes, return_inverse=True)
+    keys, cell = _distinct(cbp.zcta.codes * n_naics + cbp.naics.codes)
     zcta, naics = np.divmod(keys, n_naics)
     n = len(keys)
     withheld, reporting = cbp.suppressed, ~cbp.suppressed
@@ -271,16 +279,24 @@ def build_cells(
         open_mean = np.array([national.open_bin_mean(c, open_bin_mean) for c in naics_labels])
         employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
     known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
-    bad_bin = reported & ((counts < 0) | np.array([b not in known for b in bins], dtype=bool))
-    bad = bad_bin.any(axis=1) | (suppressed < 0)
+    unknown = [j for j, b in enumerate(bins) if b not in known]
+    bad_bin = counts < 0  # an unreported bin counts 0
+    bad_bin[:, unknown] |= reported[:, unknown]
+    bad = suppressed < 0
+    bad[np.flatnonzero(bad_bin) // n_bins] = True
 
-    # one mean size per distinct (industry, reported bins); None becomes nan
+    # one mean size per distinct (covering national code, reported bins); an
+    # industry no distribution covers gets nan
+    covering: dict[str | None, int] = {}
+    cover = np.array([covering.setdefault(national._covering_code(c), len(covering))
+                      for c in naics_labels], dtype=np.int64)
+    covers = list(covering)
     imputing = np.flatnonzero(~bad & (suppressed > 0))
-    mask = reported[:, [bins.index(b) for b in known]][imputing] @ (1 << np.arange(len(known)))
-    pairs, pair = np.unique(naics[imputing] << len(known) | mask, return_inverse=True)
+    mask = reported[imputing][:, [bins.index(b) for b in known]] @ (1 << np.arange(len(known)))
+    pairs, pair = np.unique(cover[naics[imputing]] << len(known) | mask, return_inverse=True)
     means = np.array([
-        national.mean_size(naics_labels[key >> len(known)],
-                           [b for j, b in enumerate(known) if key >> j & 1])
+        national.mean_size(code, [b for j, b in enumerate(known) if key >> j & 1])
+        if (code := covers[key >> len(known)]) is not None else None
         for key in pairs.tolist()
     ], dtype=float)
     mean = np.zeros(n)
@@ -307,18 +323,35 @@ def build_cells(
     return cells, dropped
 
 
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(key, return_inverse=True)``; a nondecreasing ``key`` (a file
+    in (zcta, naics) order) gets it from its run boundaries, with no sort."""
+    import numpy as np
+
+    if not (key[1:] >= key[:-1]).all():
+        return np.unique(key, return_inverse=True)
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    cell = np.cumsum(first)
+    cell -= 1
+    return key[first], cell
+
+
 def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
     """The keys that occur, sorted, and per column each key's ``math.fsum`` total.
 
     A correctly rounded sum does not depend on the order of the rows.  Rows
     already in key order (frames keep ``build_cells``' zcta order) are
     summed in place: one O(n) check replaces the sort and the gathers.
+    Other rows are sorted as the narrowest unsigned codes that hold every
+    label, which numpy's stable sort radix-sorts up to 16 bits.
     """
     import numpy as np
 
     codes = keys.codes
     if (codes[1:] < codes[:-1]).any():
-        order = np.argsort(codes, kind="stable")
+        order = np.argsort(codes.astype(np.min_scalar_type(len(keys.labels))), kind="stable")
         codes = codes[order]
         columns = tuple(column[order] for column in columns)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
@@ -457,21 +490,23 @@ def lowess_curve(
     grid = np.linspace(lo, hi, grid_points)
     fitted = np.empty((len(series), grid_points))
     for j, g in enumerate(grid):
-        dist = np.abs(xs - g)
+        dx = xs - g
+        dist = np.abs(dx)
         h = np.partition(dist, r - 1)[r - 1]
         if h <= 0.0:
             at = dist == 0.0
             fitted[:, j] = [_weighted_mean(s[at], ws[at]) for s in series]
             continue
         u = dist / h
-        kernel = np.where(u < 1.0, (1.0 - np.minimum(u, 1.0) ** 3) ** 3, 0.0)
+        inside = u < 1.0
+        kernel = np.zeros(n)  # the tricube only inside the window: each ** 3 is a pow
+        kernel[inside] = (1.0 - u[inside] ** 3) ** 3
         omega = ws * kernel
         total = omega.sum()
         if total <= 0.0:
             nearest = dist == dist.min()
             fitted[:, j] = [_weighted_mean(s[nearest], ws[nearest]) for s in series]
             continue
-        dx = xs - g
         sx = float(np.dot(omega, dx))
         sxx = float(np.dot(omega, dx * dx))
         var = sxx - sx * sx / total
@@ -610,13 +645,39 @@ def _check_cbp_rows(path, first: int, block: list[list[str]], fields: list[int])
             ) from None
 
 
+_DENSITY_FIELDS = ("zcta", "population", "land_area_km2")
+
+
 def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
     """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once.
 
     Population and land area are finite and nonnegative; a zero leaves the
     region to :func:`normalize_density`, which drops it with a warning.
+    The three columns are taken a block of rows at a time, converted with
+    ``float`` and checked once; a file with a value that fails, or a
+    repeated ZCTA, is read again row by row, which names the first fault.
     """
-    _, rows = csvio.read_rows(path, ["zcta", "population", "land_area_km2"])
+    header, blocks = csvio.read_blocks(path, _DENSITY_FIELDS)
+    zcta, *fields = (itemgetter(header.index(name)) for name in _DENSITY_FIELDS)
+    zctas, *columns = [], [], []
+    try:
+        for _, block in blocks:
+            zctas.extend(map(str.strip, map(zcta, block)))
+            for column, field in zip(columns, fields):
+                column.extend(map(float, map(field, block)))
+    except ValueError:
+        return _read_density_rows(path)
+    # a nan or inf makes the sum nan or inf, so min sees finite values only
+    if len(set(zctas)) == len(zctas) and all(
+        math.isfinite(sum(column)) and min(column, default=0.0) >= 0.0 for column in columns
+    ):
+        return list(zip(zctas, *columns))
+    return _read_density_rows(path)
+
+
+def _read_density_rows(path) -> list[tuple[str, float, float]]:
+    """:func:`read_density_csv` a row at a time, each row's faults in field order."""
+    _, rows = csvio.read_rows(path, _DENSITY_FIELDS)
     records = []
     first_row: dict[str, int] = {}
     for i, row in enumerate(rows, start=1):
@@ -624,7 +685,7 @@ def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
         zcta = row["zcta"].strip()
         csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
         values = [csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
-                  for field in ("population", "land_area_km2")]
+                  for field in _DENSITY_FIELDS[1:]]
         records.append((zcta, *values))
     return records
 

@@ -1,8 +1,10 @@
 """Block-wise and split CSV reading against a per-line reference of the same format."""
 
 import csv
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,3 +291,170 @@ class TestCsvModuleErrors:
         assert str(excinfo.value) == (
             f"{path} row {row}: field larger than field limit ({csv.field_size_limit()})"
         )
+
+
+def reference_looked_up(keys, table):
+    """Reference lookup: every key argsorted, each distinct one looked up
+    once, None on a failed or out-of-range lookup."""
+    order = keys.argsort()
+    ordered = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    raws = ordered[first].view("S8").tolist()
+    try:
+        values = np.fromiter((table[raw.decode("utf-8")] for raw in raws), np.int64, len(raws))
+    except (ValueError, OverflowError):
+        return None
+    column = np.empty(len(keys), np.int64)
+    column[order] = np.repeat(values, np.diff(first, append=len(keys)))
+    return column
+
+
+class _Counted(dict):
+    """Label -> a value made from it, counting lookups; ``bad`` raises
+    ValueError and ``big`` gives a value beyond int64."""
+
+    def __missing__(self, raw):
+        self.looked_up.append(raw)
+        if raw == "bad":
+            raise ValueError(raw)
+        return 1 << 63 if raw == "big" else -len(raw) * 1000 - sum(map(ord, raw))
+
+
+def _table():
+    table = _Counted()
+    table.looked_up = []
+    return table
+
+
+def _keys(labels):
+    """Fields packed as :func:`csvio.read_columns` packs them: 8 bytes, zero-padded."""
+    return np.frombuffer(b"".join(label.encode().ljust(8, b"\0") for label in labels), np.uint64)
+
+
+# A column is segments of one shape each: runs of one key (sorted files),
+# a handful of keys (size bins, flags), or many keys (counts, unsorted codes).
+_SEGMENT = st.tuples(
+    st.sampled_from([1, 2, 3, 16, 17, 40, 300]),  # distinct labels to draw from
+    st.integers(1, 120),  # keys
+    st.sampled_from([1, 4, 60, 60]),  # longest run
+)
+_LABELS = [f"{i:x}" for i in range(300)] + ["", " ", "1-4", "1000+", "00501", "99999999"]
+
+
+@st.composite
+def _columns(draw):
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # cheaper than a drawn Random
+    labels = []
+    for pool, size, run in draw(st.lists(_SEGMENT, min_size=1, max_size=4)):
+        choices = rnd.sample(_LABELS, pool)
+        segment = []
+        while len(segment) < size:
+            segment += [rnd.choice(choices)] * rnd.randint(1, run)
+        labels += segment[:size]
+    for fault in draw(st.sampled_from([[], [], [], ["bad"], ["big"], ["big", "bad"]])):
+        labels[draw(st.integers(0, len(labels) - 1))] = fault
+    return labels
+
+
+class TestLookedUp:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @given(_columns())
+    def test_equals_the_argsort_lookup(self, labels):
+        """Long runs, a handful of keys, many keys and mixes of them, with
+        failing and out-of-range lookups: the column (or None) of the argsort
+        lookup, and no key looked up twice."""
+        keys = _keys(labels)
+        table = _table()
+        got = csvio._looked_up(keys, table)
+        want = reference_looked_up(keys, _table())
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+            assert sorted(table.looked_up) == sorted(set(labels))
+        assert len(table.looked_up) == len(set(table.looked_up))
+
+    def test_runs_of_a_handful_of_keys_are_not_sorted(self):
+        """A sorted ZCTA-like column and a flag column in long runs take the run
+        and comparison paths: no argsort touches their keys."""
+
+        class Unsortable(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                raise AssertionError("argsort")
+
+        for labels in (["00501"] * 50 + ["00502"] * 30 + ["00503"] * 40,
+                       (["0"] * 9 + ["1"] * 3) * 20 + ["0"] * 5):
+            keys = _keys(labels)
+            got = csvio._looked_up(keys.view(Unsortable), _table())
+            assert got.tolist() == reference_looked_up(keys, _table()).tolist()
+
+    def test_keys_beyond_the_compared_handful_are_sorted(self):
+        """18 keys in runs, each holding 1/8 of the runs left after the ones
+        before it and first met in that order: the first 16 are compared, the
+        last two sorted."""
+        counts, left = {}, 400
+        for label in _LABELS[:18]:
+            counts[label] = -(-left // 8)
+            left -= counts[label]
+        runs = []
+        while any(counts.values()):  # round robin: neighbouring runs differ
+            for label in counts:
+                if counts[label]:
+                    runs.append(label)
+                    counts[label] -= 1
+        keys = _keys([label for label in runs for _ in range(5)])
+        table = _table()
+        assert csvio._looked_up(keys, table).tolist() == (
+            reference_looked_up(keys, _table()).tolist()
+        )
+        assert sorted(table.looked_up) == sorted(_LABELS[:18])
+
+    @pytest.mark.parametrize("fault", ["bad", "big"])
+    @pytest.mark.parametrize("at", [0, 57, 119])
+    def test_a_fault_in_any_path_sends_the_file_to_the_block_reader(self, tmp_path, fault, at):
+        """A sorted file read in small chunks: a blank code or a count beyond
+        int64 in a run, among a handful of keys or among many keys."""
+        rows = [f"{10001 + i // 20},{441100 + i // 4},{['1-4', '5-9', ''][i % 3]},"
+                f"{i % 7 if i % 3 else i},{int(i % 3 == 2)}" for i in range(120)]
+        zcta, naics, size_bin, count, flag = rows[at].split(",")
+        rows[at] = ",".join([zcta, " " if fault == "bad" else naics, size_bin,
+                             str(1 << 63) if fault == "big" else count, flag])
+        path = tmp_path / "cbp.csv"
+        path.write_text("zcta,naics,size_bin,establishments,suppressed\n" + "\n".join(rows))
+        blocks = mock.patch.object(geo, "_read_cbp_blocks", wraps=geo._read_cbp_blocks)
+        with mock.patch.object(csvio, "CHUNK_BYTES", 256), blocks as block_read:
+            got = outcome(lambda p: list(read_cbp_csv(p)), path)
+        assert block_read.called
+        assert got == outcome(reference_cbp, path) == ("error", f"{path} row {at + 1}: " + (
+            "field 'naics': blank" if fault == "bad"
+            else f"field 'establishments': not a 64-bit integer: '{1 << 63}'"
+        ))
+
+
+class TestWriteRows:
+    def test_numpy_scalars_bools_and_none_keep_their_text(self, tmp_path):
+        path = tmp_path / "out.csv"
+        csvio.write_rows(path, ["a", "b", "c", "d", "e"], [
+            ["x", 0.1, 3, None, 2.5e-300],
+            ("y", np.float64(0.1), True, None, np.float64(1e22)),
+            ["z", 1.0, False, np.int64(7), float("inf")],
+            [np.str_("w"), np.float32(0.5), np.bool_(True), "", -0.0],
+            ["v", 2.0, True, None, 0],
+            ["u", np.float64(0.25), 1, None, 1.5],
+        ], comment="provenance")
+        assert path.read_text() == (
+            "# provenance\na,b,c,d,e\n"
+            "x,0.1,3,,2.5e-300\n"
+            "y,0.1,1,,1e+22\n"
+            "z,1.0,0,7,inf\n"
+            "w,0.5,True,,-0.0\n"
+            "v,2.0,1,,0\n"
+            "u,0.25,1,,1.5\n"
+        )
+
+    def test_plain_rows_skip_the_cell_formatter(self, tmp_path):
+        failing = mock.patch.object(csvio, "_cell", side_effect=AssertionError)
+        with failing:
+            csvio.write_rows(tmp_path / "out.csv", ["a", "b"], [["x", 1.5], [None, 2]])
+        assert (tmp_path / "out.csv").read_text() == "a,b\nx,1.5\n,2\n"

@@ -1,20 +1,25 @@
 """Employment estimation, imputation, density normalization, exposure, lowess."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distancing import csvio, geo
 from distancing.calibrate import cell_parameters
 from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
     DEFAULT_OPEN_BIN_MEAN,
     OPEN_BIN,
+    Coded,
     NationalSizeDistribution,
     build_cells,
+    group_totals,
     location_exposure,
     lowess_curve,
     normalize_density,
@@ -25,6 +30,7 @@ from distancing.geo import (
 from distancing.industries import GROUPS, IndustryMix, MixResolver
 
 from frames import cbp_of, cells_of
+from test_csvio import outcome
 
 
 def oracle_lowess(x, y, w, bandwidth, grid_points=100):
@@ -303,6 +309,89 @@ class TestBuildCellsProperties:
             assert again_dropped == dropped
 
 
+class _CountedSizes(NationalSizeDistribution):
+    """Records each ``mean_size`` call as (code, excluded bins)."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = []
+
+    def mean_size(self, naics, exclude_bins=()):
+        exclude_bins = frozenset(exclude_bins)
+        self.calls.append((naics, exclude_bins))
+        return super().mean_size(naics, exclude_bins)
+
+
+# Codes under "44" and under "4412" share a covering code each; "99999" and
+# "9" have none.
+_SHARED_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["10001", "10002", "10003", "10004"]),
+        st.sampled_from(["441100", "442000", "445110", "441200", "441210", "311811", "31",
+                         "99999", "9"]),
+        st.sampled_from([*DEFAULT_BIN_MIDPOINTS, OPEN_BIN, "0-3"]),
+        st.integers(-1, 9),
+        st.integers(0, 2).map(lambda flag: flag == 0),
+    ).map(lambda r: (r[0], r[1], "" if r[4] else r[2], r[3], r[4])),
+    max_size=80,
+)
+
+
+class TestImputationPerCoveringCode:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(_SHARED_ROWS, st.integers(0, 2**32))
+    def test_one_mean_per_covering_code_and_bin_set(self, rows, seed):
+        """Rows in (zcta, naics) order and shuffled give the per-cell
+        reference's cells and drops, asking each (covering code, reported
+        bins) for its mean size at most once."""
+        shuffled = list(rows)
+        random.Random(seed).shuffle(shuffled)
+        want = reference_cells(rows, DEFAULT_OPEN_BIN_MEAN)
+        for order in (sorted(rows), shuffled):
+            national = _CountedSizes(_NATIONAL_TABLE)
+            cells, dropped = build_cells(cbp_of(order), national)
+            got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
+            assert (got, dropped) == want
+            assert len(set(national.calls)) == len(national.calls)
+            assert {code for code, _ in national.calls} <= set(_NATIONAL_TABLE)
+
+    def test_codes_sharing_a_distribution_share_its_mean(self):
+        rows = [
+            ("10001", "441100", "1-4", 2), ("10001", "441100", "", 1, True),
+            ("10001", "442000", "1-4", 5), ("10001", "442000", "", 2, True),
+            ("10002", "445110", "5-9", 1), ("10002", "445110", "", 1, True),
+            ("10002", "99999", "", 1, True),
+        ]
+        national = _CountedSizes(_NATIONAL_TABLE)
+        cells, dropped = build_cells(cbp_of(rows), national)
+        assert sorted(national.calls) == [("44", frozenset({"1-4"})), ("44", frozenset({"5-9"}))]
+        assert [c.employment for c in cells] == [
+            5.0 + 1 * national.mean_size("44", ["1-4"]),
+            12.5 + 2 * national.mean_size("44", ["1-4"]),
+            7.0 + 1 * national.mean_size("44", ["5-9"]),
+        ]
+        assert dropped == [
+            ("10002", "99999", "no national size distribution covers NAICS '99999'")
+        ]
+
+
+class TestGroupTotals:
+    @pytest.mark.parametrize("n_labels", [3, 300, 70_000])
+    def test_unsorted_codes_total_as_per_key_lists(self, n_labels):
+        """Codes in no order, with labels beyond 8 and 16 bits: the keys that
+        occur, sorted, and each key's ``fsum``."""
+        rng = np.random.default_rng(n_labels)
+        labels = [f"k{i:06d}" for i in range(n_labels)]
+        codes = rng.integers(0, n_labels, 3000)
+        values = rng.lognormal(size=3000)
+        keys, (totals,) = group_totals(Coded(labels, codes), values)
+        per_key = {}
+        for code, value in zip(codes.tolist(), values.tolist()):
+            per_key.setdefault(labels[code], []).append(value)
+        assert keys == sorted(per_key)
+        assert totals == [math.fsum(per_key[key]) for key in keys]
+
+
 class TestCbpCsv:
     HEADER = "zcta,naics,size_bin,establishments,suppressed\n"
 
@@ -467,6 +556,76 @@ class TestDensity:
         path.write_text("zcta,population,land_area_km2\na,10,1\nb,20,1\na,30,1\n")
         with pytest.raises(IngestionError, match=r"row 3: zcta 'a' already given at row 1"):
             read_density_csv(path)
+
+
+_DENSITY_HEADER = "zcta,population,land_area_km2,note\n"
+# a data row's faults, as the row loop names them (after "<path> row <n>: ")
+_DENSITY_FAULTS = {
+    "blank": ("10009,,2.5,x", "field 'population': not a number: ''"),
+    "non-numeric": ("10009,40,2.5km,x", "field 'land_area_km2': not a number: '2.5km'"),
+    "negative": ("10009,-40,2.5,x", "field 'population': negative: -40.0"),
+    "nan": ("10009,nan,2.5,x", "field 'population': not a finite number: 'nan'"),
+    "inf": ("10009,40, inf,x", "field 'land_area_km2': not a finite number: ' inf'"),
+    "repeated": (" 10001,40,2.5,x", "zcta '10001' already given at row 1"),
+    "short": ("10009,40", "expected 4 fields, got 2"),
+}
+_CLEAN_DENSITY = st.tuples(
+    st.sampled_from(["10001", " 10002", "10003 ", "00501", "z"]),
+    st.sampled_from(["40", " 1e3", "0", "-0", "1_000", "7.25", "+3"]),
+    st.sampled_from(["2.5", "0.0", "1E-3 ", "123456789.5"]),
+)
+
+
+def _density_lines(rows):
+    return _DENSITY_HEADER + "".join(f"{','.join(row)},x\n" for row in rows)
+
+
+def _without_repeats(rows):
+    seen = set()
+    return [row for row in rows if row[0].strip() not in seen and not seen.add(row[0].strip())]
+
+
+class TestDensityColumns:
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.lists(_CLEAN_DENSITY, max_size=12).map(_without_repeats), st.sampled_from([1, 2, 512]))
+    def test_clean_file_never_runs_the_row_loop(self, tmp_path_factory, rows, block):
+        path = tmp_path_factory.mktemp("density") / "density.csv"
+        path.write_text("# provenance\n" + _density_lines(rows).replace("\n", "\n\n", 1))
+        want = geo._read_density_rows(path)
+        loop = mock.patch.object(geo, "_read_density_rows", side_effect=AssertionError)
+        with mock.patch.object(csvio, "BLOCK_ROWS", block), loop:
+            got = read_density_csv(path)
+        assert got == want
+        assert [tuple(map(repr, record)) for record in got] == [
+            tuple(map(repr, record)) for record in want
+        ]
+
+    @pytest.mark.parametrize("fault", sorted(_DENSITY_FAULTS))
+    @pytest.mark.parametrize("block", [1, 2, 512])
+    def test_each_fault_keeps_the_row_loops_message(self, tmp_path, fault, block):
+        row, message = _DENSITY_FAULTS[fault]
+        path = tmp_path / "density.csv"
+        path.write_text(_density_lines([("10001", "40", "2.5"), ("10002", "30", "1.5"),
+                                        ("10003", "20", "0.5")]) + f"{row}\n" + "10004,1,1,x\n")
+        with mock.patch.object(csvio, "BLOCK_ROWS", block), pytest.raises(IngestionError) as exc:
+            read_density_csv(path)
+        assert str(exc.value) == f"{path} row 4: {message}"
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(_CLEAN_DENSITY.map(",".join),
+                              st.sampled_from([r for r, _ in _DENSITY_FAULTS.values()])),
+                    min_size=1, max_size=10),
+           st.sampled_from([1, 2, 3, 512]))
+    def test_first_fault_is_the_row_loops(self, tmp_path_factory, rows, block):
+        """Faults in any rows and blocks: the error (or records) of the row loop,
+        whose whole-file read names a short row before any value."""
+        path = tmp_path_factory.mktemp("density") / "density.csv"
+        path.write_text(_DENSITY_HEADER + "".join(f"{row},x\n" if row.count(",") == 2
+                                                  else f"{row}\n" for row in rows))
+        with mock.patch.object(csvio, "BLOCK_ROWS", block):
+            got = outcome(read_density_csv, path)
+            want = outcome(geo._read_density_rows, path)
+        assert got == want
 
 
 # (population, land area, employment) per region: the first region has all three
