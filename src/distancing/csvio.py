@@ -10,9 +10,8 @@ holds and for every error message.
 
 :func:`read_columns` reads short fields of a plain file (no quotes, every
 data line as wide as the header) with numpy instead, looking each distinct
-value up once per chunk of :data:`CHUNK_BYTES` (a run of equal keys is
-matched once, a handful of frequent keys by comparison, the rest by a
-sort); on any other file, or a value its caller rejects, it returns None
+value up once per chunk of :data:`CHUNK_BYTES` (a sort of the keys, or
+of each run's first key where runs are long); on any other file, or a value its caller rejects, it returns None
 so the caller reads the file through the block reader, which names the
 fault.
 
@@ -50,10 +49,6 @@ CHUNK_BYTES = 1 << 20
 
 # Longest field :func:`read_columns` packs into one 64-bit key.
 _KEY_BYTES = 8
-
-# Most distinct keys a column gives up by comparison before the rest is sorted.
-_FEW_KEYS = 16
-
 
 def read_blocks(
     path: str | Path, required: Sequence[str] = ()
@@ -271,47 +266,24 @@ def _looked_up(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:
     A file sorted by ZCTA, then NAICS, repeats keys in runs.  When there are
     at most a quarter as many runs as keys (the ZCTA column, whose runs are
     its distinct keys, and the flag column), only each run's first key is
-    matched.  The run keys then give up their distinct values by
-    comparison, one pass each, while the value compared holds at least
-    1/:data:`_FEW_KEYS` of the keys left and at most that many values were
-    taken; only the keys left after that are argsorted.  Columns of shorter
-    runs (size bins, counts, and NAICS codes, a few rows a cell) are
-    argsorted whole: on keys in no order numpy's argsort beats both the
-    run bookkeeping and a pass per value.
+    argsorted and matched, and its value repeated through the run.  Columns
+    of shorter runs (size bins, counts, and NAICS codes, a few rows a cell)
+    are argsorted whole.
     """
     import numpy as np
 
     new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    if 4 * np.count_nonzero(new) > len(keys):
-        order = keys.argsort()
-        keys = keys[order]
-        first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        values = _values(keys[first], table)
-        if values is None:
-            return None
-        column = np.empty(len(keys), np.int64)
-        column[order] = np.repeat(values, np.diff(first, append=len(keys)))
-        return column
-    starts = np.flatnonzero(new)
-    left, at = keys[starts], np.arange(len(starts))
-    where = np.empty(len(starts), np.intp)  # each run's index into ``distinct``
-    distinct = []
-    while len(left) and len(distinct) < _FEW_KEYS:
-        hit = left == left[0]
-        if np.count_nonzero(hit) * _FEW_KEYS < len(left):
-            break
-        where[at[hit]] = len(distinct)
-        distinct.append(left[0])
-        left, at = left[~hit], at[~hit]
-    distinct = np.array(distinct, np.uint64)
-    if len(left):
-        order = left.argsort()
-        left = left[order]
-        first = np.concatenate(([True], left[1:] != left[:-1]))
-        where[at[order]] = len(distinct) - 1 + np.cumsum(first)
-        distinct = np.concatenate((distinct, left[first]))
-    values = _values(distinct, table)
-    return None if values is None else np.repeat(values[where], np.diff(starts, append=len(keys)))
+    starts = np.flatnonzero(new) if 4 * np.count_nonzero(new) <= len(keys) else None
+    looked = keys if starts is None else keys[starts]
+    order = looked.argsort()
+    ordered = looked[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    values = _values(ordered[first], table)
+    if values is None:
+        return None
+    column = np.empty(len(looked), np.int64)
+    column[order] = np.repeat(values, np.diff(first, append=len(looked)))
+    return column if starts is None else np.repeat(column, np.diff(starts, append=len(keys)))
 
 
 def _values(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:

@@ -280,7 +280,10 @@ def build_cells(
         employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
     known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
     unknown = [j for j, b in enumerate(bins) if b not in known]
-    bad_bin = counts < 0  # an unreported bin counts 0
+    # a bin no row reports gets exactly 0 from ``bincount``, so a negative count
+    # is a reported one and needs no ``reported &``; only the unknown bins'
+    # columns are masked, and the bad cells taken from the few bad slots
+    bad_bin = counts < 0
     bad_bin[:, unknown] |= reported[:, unknown]
     bad = suppressed < 0
     bad[np.flatnonzero(bad_bin) // n_bins] = True

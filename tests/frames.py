@@ -1,4 +1,5 @@
-"""Columnar test inputs built from per-row tuples, for tests that write rows by hand."""
+"""Columnar test inputs built from per-row tuples, for tests that write rows by hand,
+and the outcome of a read as a comparable value."""
 
 from dataclasses import replace
 from typing import NamedTuple
@@ -6,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from distancing.calibrate import CellFrame
+from distancing.errors import IngestionError
 from distancing.geo import CbpColumns, Cells, Coded
 from distancing.model import FirmParams
 
@@ -68,3 +70,11 @@ def results_of(rows):
         cap_ratio=_array([r.cap_ratio for r in rows]),
         subsidy=_array([r.subsidy for r in rows]),
     )
+
+
+def outcome(read, path):
+    """``("ok", what read(path) returns)`` or ``("error", the IngestionError text)``."""
+    try:
+        return "ok", read(path)
+    except IngestionError as exc:
+        return "error", str(exc)

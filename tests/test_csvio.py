@@ -13,6 +13,8 @@ from distancing import csvio, geo
 from distancing.errors import IngestionError
 from distancing.geo import read_cbp_csv, read_density_csv
 
+from frames import outcome
+
 CBP_HEADER = ["zcta", "naics", "size_bin", "establishments", "suppressed", "note"]
 
 
@@ -63,13 +65,6 @@ def reference_cbp(path):
         out.append((fields[zcta].strip(), fields[naics].strip(), fields[size_bin].strip(),
                     established, suppressed))
     return out
-
-
-def outcome(read, path):
-    try:
-        return "ok", read(path)
-    except IngestionError as exc:
-        return "error", str(exc)
 
 
 # text for the free-form columns: commas, quotes, line ends and a "#" that can
@@ -375,46 +370,42 @@ class TestLookedUp:
             assert sorted(table.looked_up) == sorted(set(labels))
         assert len(table.looked_up) == len(set(table.looked_up))
 
-    def test_runs_of_a_handful_of_keys_are_not_sorted(self):
-        """A sorted ZCTA-like column and a flag column in long runs take the run
-        and comparison paths: no argsort touches their keys."""
+    @staticmethod
+    def _argsorted(keys):
+        """The column :func:`csvio._looked_up` gives, and the length of each
+        array it argsorts on the way."""
+        lengths = []
 
-        class Unsortable(np.ndarray):
+        class Recorded(np.ndarray):
             def argsort(self, *args, **kwargs):
-                raise AssertionError("argsort")
+                lengths.append(len(self))
+                return np.asarray(self).argsort(*args, **kwargs)
 
-        for labels in (["00501"] * 50 + ["00502"] * 30 + ["00503"] * 40,
-                       (["0"] * 9 + ["1"] * 3) * 20 + ["0"] * 5):
+        return csvio._looked_up(keys.view(Recorded), _table()), lengths
+
+    def test_long_runs_sort_only_their_first_keys(self):
+        """A sorted ZCTA-like column and a flag column in long runs: only each
+        run's first key is argsorted."""
+        for labels, runs in ((["00501"] * 50 + ["00502"] * 30 + ["00503"] * 40, 3),
+                             ((["0"] * 9 + ["1"] * 3) * 20 + ["0"] * 5, 41)):
             keys = _keys(labels)
-            got = csvio._looked_up(keys.view(Unsortable), _table())
+            got, lengths = self._argsorted(keys)
             assert got.tolist() == reference_looked_up(keys, _table()).tolist()
+            assert lengths == [runs]
 
-    def test_keys_beyond_the_compared_handful_are_sorted(self):
-        """18 keys in runs, each holding 1/8 of the runs left after the ones
-        before it and first met in that order: the first 16 are compared, the
-        last two sorted."""
-        counts, left = {}, 400
-        for label in _LABELS[:18]:
-            counts[label] = -(-left // 8)
-            left -= counts[label]
-        runs = []
-        while any(counts.values()):  # round robin: neighbouring runs differ
-            for label in counts:
-                if counts[label]:
-                    runs.append(label)
-                    counts[label] -= 1
-        keys = _keys([label for label in runs for _ in range(5)])
-        table = _table()
-        assert csvio._looked_up(keys, table).tolist() == (
-            reference_looked_up(keys, _table()).tolist()
-        )
-        assert sorted(table.looked_up) == sorted(_LABELS[:18])
+    def test_short_runs_are_sorted_whole(self):
+        """Size bins in runs of two, half as many runs as keys: every key is
+        argsorted once."""
+        keys = _keys([label for label in ["1-4", "5-9", "10-19"] * 20 for _ in range(2)])
+        got, lengths = self._argsorted(keys)
+        assert got.tolist() == reference_looked_up(keys, _table()).tolist()
+        assert lengths == [120]
 
     @pytest.mark.parametrize("fault", ["bad", "big"])
     @pytest.mark.parametrize("at", [0, 57, 119])
     def test_a_fault_in_any_path_sends_the_file_to_the_block_reader(self, tmp_path, fault, at):
         """A sorted file read in small chunks: a blank code or a count beyond
-        int64 in a run, among a handful of keys or among many keys."""
+        int64 in a column of long runs or in one sorted whole."""
         rows = [f"{10001 + i // 20},{441100 + i // 4},{['1-4', '5-9', ''][i % 3]},"
                 f"{i % 7 if i % 3 else i},{int(i % 3 == 2)}" for i in range(120)]
         zcta, naics, size_bin, count, flag = rows[at].split(",")

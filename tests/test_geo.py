@@ -29,8 +29,7 @@ from distancing.geo import (
 )
 from distancing.industries import GROUPS, IndustryMix, MixResolver
 
-from frames import cbp_of, cells_of
-from test_csvio import outcome
+from frames import cbp_of, cells_of, outcome
 
 
 def oracle_lowess(x, y, w, bandwidth, grid_points=100):
