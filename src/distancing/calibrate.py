@@ -20,7 +20,8 @@ solves are array expressions over the frame; the cap solve takes the
 contacts and employment columns as two arrays.  Every total is a
 ``math.fsum`` and the cap's running sums add left to right in sorted
 order, so no result depends on the order of the cells.  The result is
-one :class:`CalibrationReport`: eps and the cap with their diagnostics.
+one :class:`CalibrationReport`: eps and the cap with their diagnostics,
+plus the optimal contacts at eps, which the subsidies reuse.
 
 Each exact pass over the cells runs once per calibration.  The regression
 of k and eps's verification regression share one
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import fsum
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
@@ -96,9 +98,13 @@ class CellFrame(Columns):
 
     _row = CellRow._make
 
-    @property
+    @cached_property
     def params(self) -> FirmParams:
-        """Every row's firm parameters as one array-valued :class:`FirmParams`."""
+        """Every row's firm parameters as one array-valued :class:`FirmParams`.
+
+        Built and checked once per frame: the calibration and the subsidies
+        of one frame share it.
+        """
         return FirmParams.from_chi(self.chi)
 
 
@@ -115,6 +121,8 @@ class CalibrationReport:
     employment: float  # the cells' total employment, an fsum
     eps_fixed: bool = False
     notes: list[str] = field(default_factory=list)
+    # the frame's optimal contacts at eps, in frame order, as the cap solve used them
+    contacts: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def cell_parameters(
@@ -164,10 +172,12 @@ def cell_parameters(
             len(regions), ", ".join(zctas.labels[z] for z in regions),
         )
     keep = resolved & ~missing
-    chi = FirmParams.from_chi(chi_of[codes.codes[keep]]).chi  # checks 0 <= chi < 1
-    return CellFrame(
-        zctas[keep], Coded(industries, industry[keep]), cells.employment[keep], chi, density[keep]
+    frame = CellFrame(
+        zctas[keep], Coded(industries, industry[keep]), cells.employment[keep],
+        chi_of[codes.codes[keep]], density[keep],
     )
+    frame.params  # checks 0 <= chi < 1, and keeps the parameters for the later passes
+    return frame
 
 
 class DensityRegression(NamedTuple):
@@ -371,6 +381,7 @@ def run_calibration(
         n_cells=len(frame),
         employment=regression.total,
         eps_fixed=fixed_eps is not None,
+        contacts=contacts,
     )
     if fixed_eps is not None and abs(eps * k - target_elasticity) > 1e-12:
         report.notes.append(

@@ -7,39 +7,33 @@ config error.
 
 :func:`run` is the process entry point; :func:`main` runs one command and
 leaves the interpreter's state alone, so tests and tools call it in their
-own process.  The calibration, counterfactual and model layers, like
-numpy, load only in the commands that use them.
+own process.  At module level this file imports only what parsing needs;
+every layer, the config, ``logging`` and numpy load inside the functions
+that use them.  So ``--version``, ``--help`` and usage errors exit before
+any layer loads, and each command loads only the layers it runs.  Layer
+calls stay qualified by their module (``geo.build_cells``), so a wrapper
+bound to a module attribute sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import logging
 import sys
-from dataclasses import dataclass, fields, replace
-from math import fsum, log
-from operator import itemgetter
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import __version__, csvio, geo, industries, occupations
-from .config import (
-    DEFAULT_EXCLUSIONS,
-    RunConfig,
-    config_hash,
-    load_config_file,
-    params_hash,
-    require,
-    resolve_config,
-)
-from .errors import ConfigError, DistancingError, IngestionError
-from .industries import GROUPS
+from . import __version__
 
 if TYPE_CHECKING:
-    from . import calibrate, counterfactual
+    from pathlib import Path
 
-logger = logging.getLogger(__name__)
+    from . import calibrate, counterfactual, geo, industries, occupations
+    from .config import RunConfig
+
+
+def _logger():
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +41,7 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IndexStage:
+class IndexStage(NamedTuple):
     profiles: list[occupations.OccupationProfile]
     flags: dict[str, occupations.ExposureFlags]
     build_report: industries.MixBuildReport
@@ -57,14 +50,17 @@ class IndexStage:
     removed_sectors: list[str]
 
 
-@dataclass
-class GeoStage:
+class GeoStage(NamedTuple):
     cells: geo.Cells
     densities: dict[str, float]  # zcta -> normalized density
     resolver: industries.MixResolver
 
 
 def run_index_stage(cfg: RunConfig) -> IndexStage:
+    from . import industries, occupations
+    from .config import DEFAULT_EXCLUSIONS, require
+    from .errors import IngestionError
+
     require(cfg, "occupations", "matrix")
     profiles = occupations.read_profiles_csv(cfg.occupations)
     thresholds = occupations.ClassificationThresholds(
@@ -91,6 +87,10 @@ def run_index_stage(cfg: RunConfig) -> IndexStage:
 def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     """Establishment cells and normalized densities.  Every cell left after the
     exclusions weights the density mean, cells of codes no mix covers too."""
+    from . import geo, industries
+    from .config import require
+    from .errors import IngestionError
+
     require(cfg, "cbp", "density", "national_sizes")
     import numpy  # noqa: F401  (the stage works on numpy columns from the read on)
 
@@ -114,13 +114,15 @@ def _drop_excluded_cells(cells: geo.Cells, exclusions: Sequence[str]) -> geo.Cel
         return cells
     import numpy as np
 
+    from . import industries
+
     prefixes = industries.exclusion_prefixes(exclusions)
     codes = cells.industry_code
     excluded = np.array([code.startswith(prefixes) for code in codes.labels], dtype=bool)
     dropped = excluded[codes.codes]
     if not dropped.any():
         return cells
-    logger.info("excluded sectors removed %d establishment cells", int(dropped.sum()))
+    _logger().info("excluded sectors removed %d establishment cells", int(dropped.sum()))
     return cells.take(~dropped)
 
 
@@ -145,6 +147,8 @@ def run_calibration_stage(
 
 
 def cmd_index(cfg: RunConfig) -> int:
+    from . import industries, occupations
+
     out = _output_dir(cfg)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
@@ -152,7 +156,7 @@ def cmd_index(cfg: RunConfig) -> int:
     industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
     _write_reconciliation(out / "reconciliation.txt", index, stamp)
     if cfg.cbp and cfg.density and cfg.national_sizes:
-        from . import calibrate
+        from . import calibrate, geo
 
         geo_stage = run_geo_stage(cfg, index)
         frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver,
@@ -162,7 +166,7 @@ def cmd_index(cfg: RunConfig) -> int:
             out / "location-index.csv", exposures, geo_stage.densities, stamp
         )
     else:
-        logger.info("no establishment/density inputs configured; location index skipped")
+        _logger().info("no establishment/density inputs configured; location index skipped")
     return 0
 
 
@@ -177,7 +181,9 @@ def cmd_calibrate(cfg: RunConfig) -> int:
 
 
 def cmd_subsidy(cfg: RunConfig) -> int:
-    from . import counterfactual
+    from dataclasses import replace
+
+    from . import counterfactual, csvio
 
     out = _output_dir(cfg)
     stamp = _provenance(cfg)
@@ -188,7 +194,8 @@ def cmd_subsidy(cfg: RunConfig) -> int:
     _write_calibration(out, report, stamp)
 
     results = counterfactual.compute_subsidies(
-        frame, report.eps, report.contact_cap, telecom_cost=cfg.telecom_cost
+        frame, report.eps, report.contact_cap, telecom_cost=cfg.telecom_cost,
+        nstar=report.contacts,
     )
     average = replace(counterfactual.overall(results, report.employment), key="Average")
     tables = [
@@ -212,6 +219,8 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
 def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
+    from math import fsum
+
     import numpy as np
 
     from . import counterfactual
@@ -219,12 +228,12 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
 
     mean_chi = fsum((frame.employment * frame.chi).tolist()) / report.employment
     if mean_chi <= 0.0:
-        logger.warning("mean communication share is zero; fig2 curves skipped")
+        _logger().warning("mean communication share is zero; fig2 curves skipped")
         return
     dmin = float(frame.density.min())
     dmax = float(frame.density.max())
     if dmax <= dmin:
-        logger.warning("degenerate density range; fig2 curves skipped")
+        _logger().warning("degenerate density range; fig2 curves skipped")
         return
     grid = np.geomspace(dmin, dmax, 100)
     curves = counterfactual.cost_ratio_curves(
@@ -234,6 +243,8 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
 
 
 def _write_fig2_csv(path, curves: counterfactual.CostCurves, stamp: str) -> None:
+    from . import csvio
+
     rows = [
         [d, dist, tele, regime.value]
         for d, dist, tele, regime in zip(
@@ -243,6 +254,7 @@ def _write_fig2_csv(path, curves: counterfactual.CostCurves, stamp: str) -> None
     csvio.write_rows(
         path, ["density", "distancing_ratio", "telecom_ratio", "regime"], rows, comment=stamp
     )
+    logger = _logger()
     for switch in curves.switches:
         logger.info(
             "regime switch at density %.6g: %s -> %s",
@@ -250,17 +262,37 @@ def _write_fig2_csv(path, curves: counterfactual.CostCurves, stamp: str) -> None
         )
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _check_fig2_flags(args: argparse.Namespace) -> None:
+    """Each ``fig2`` number flag in its domain, checked as config keys are:
+    a non-finite or out-of-domain value is a usage error naming the flag."""
+    from math import inf
+
+    from .errors import ConfigError
+
     if args.points < 2:
         raise ConfigError(f"--points must be >= 2, got {args.points}")
-    if not 0.0 < args.dmin < args.dmax:
+    if not 0.0 <= args.chi < 1.0:
+        raise ConfigError(f"--chi must lie in [0, 1), got {args.chi!r}")
+    for flag in ("eps", "cap", "telecom", "dmin", "dmax"):
+        value = getattr(args, flag)
+        if value is not None and not 0.0 < value < inf:
+            raise ConfigError(f"--{flag} must be a positive finite number, got {value!r}")
+    if not args.dmin < args.dmax:
         raise ConfigError("need 0 < dmin < dmax")
+
+
+def cmd_fig2(args: argparse.Namespace) -> int:
+    _check_fig2_flags(args)  # before numpy or the model loads
+    from pathlib import Path
+
     import numpy as np
 
     from . import counterfactual
+    from .config import params_hash
     from .model import FirmParams
+
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     params = FirmParams.from_chi(args.chi)
     grid = np.geomspace(args.dmin, args.dmax, args.points)
@@ -278,6 +310,14 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from math import log
+    from operator import itemgetter
+    from pathlib import Path
+
+    from . import csvio, geo
+    from .errors import ConfigError
+    from .industries import GROUPS
+
     out = _output_dir(cfg)
     source = args.input or str(Path(cfg.output_dir) / "location-index.csv")
     if not Path(source).is_file():
@@ -315,6 +355,9 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
 def read_region_groups(path) -> dict[str, str]:
     """Read a ``zcta,region`` membership file; a ZCTA may appear once, and
     a blank field is an error naming the row and the field."""
+    from . import csvio
+    from .errors import IngestionError
+
     _, rows = csvio.read_rows(path, ["zcta", "region"])
     groups: dict[str, str] = {}
     first_row: dict[str, int] = {}
@@ -338,12 +381,16 @@ def _pct(fraction: float) -> float:
 
 
 def _output_dir(cfg: RunConfig) -> Path:
+    from pathlib import Path
+
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _provenance(cfg: RunConfig) -> str:
+    from .config import config_hash
+
     return f"distancing {__version__} config:{config_hash(cfg)}"
 
 
@@ -358,6 +405,8 @@ def _write_reconciliation(path: Path, index: IndexStage, stamp: str) -> None:
 
 
 def _write_calibration(out: Path, report: calibrate.CalibrationReport, stamp: str) -> None:
+    from . import csvio
+
     columns = {"eps": report.eps, "contact_cap": report.contact_cap,
                "slope_factor": report.slope_factor, "achieved_slope": report.achieved_slope,
                "achieved_share": report.achieved_share, "cells": report.n_cells,
@@ -445,19 +494,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    from dataclasses import fields
+
+    from .config import RunConfig, load_config_file, resolve_config
+
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return resolve_config(file_values, overrides)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # --version, --help and usage errors exit here
+    import logging
+
+    from .errors import ConfigError, DistancingError
+
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         if args.command == "fig2":
             return cmd_fig2(args)
@@ -489,6 +543,8 @@ def run() -> None:
     still alive at the end is frozen, so interpreter shutdown need not
     traverse it again.  :func:`main` itself leaves the collector alone.
     """
+    import gc
+
     gc.disable()
     try:
         code = main()

@@ -3,7 +3,8 @@
 Each (region, industry) cell gets the subsidy that would offset its cost
 increase under the cap.  The whole :class:`~distancing.calibrate.CellFrame`
 is priced at once, at the calibrated eps and cap: every closed form runs
-once, over the frame's columns.
+once, over the frame's columns, on the optimal contacts and firm
+parameters that the calibration already computed for the frame.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is an
 exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`,
@@ -13,6 +14,11 @@ already summed.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
 are compared across densities.
+
+At load time the module imports only the model and the error types:
+``geo`` loads in the table functions and ``calibrate`` is needed for
+annotations only, so the standalone cost-ratio curves (``fig2``) run
+without the ingest layers.
 """
 
 from __future__ import annotations
@@ -22,9 +28,7 @@ from dataclasses import dataclass, replace
 from math import fsum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .calibrate import CellFrame
 from .errors import CalibrationError
-from .geo import Coded, group_totals
 from .model import (
     FirmParams,
     Intervention,
@@ -38,6 +42,9 @@ from .model import (
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .calibrate import CellFrame
+    from .geo import Coded
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +63,7 @@ def compute_subsidies(
     eps: float,
     contact_cap: float,
     telecom_cost: float | None = None,
+    nstar: np.ndarray | None = None,
 ) -> CellFrame:
     """Per-cell compensating subsidies at elasticity ``eps`` and the contact cap.
 
@@ -64,18 +72,22 @@ def compute_subsidies(
     nothing to disrupt and get subsidy 0.  When ``telecom_cost`` is given,
     each cell is additionally annotated with the regime the firm would
     pick; the subsidy itself always prices the face-to-face (distanced)
-    response.  A nonpositive eps, cap or telecom cost raises
-    :class:`~distancing.errors.DomainError`.
+    response.  ``nstar`` is the frame's optimal contacts at ``eps``, the
+    :attr:`~distancing.calibrate.CalibrationReport.contacts` of its
+    calibration, computed here when not given.  A nonpositive cap or
+    telecom cost raises :class:`~distancing.errors.DomainError`, and so
+    does a nonpositive eps when ``nstar`` is computed here.
     """
     import numpy as np
 
     intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
-    nstar = contacts_at_density(frame.density, eps, params)
+    if nstar is None:
+        nstar = contacts_at_density(frame.density, eps, params)
     cap_ratio = np.minimum(1.0, contact_cap / nstar)
     regime = None
     if telecom_cost is not None:
-        regime, _ = preferred_regime(intervention, frame.density, eps, params)
+        regime, _ = preferred_regime(intervention, frame.density, eps, params, nstar)
     return replace(
         frame,
         nstar=nstar,
@@ -87,6 +99,8 @@ def compute_subsidies(
 
 def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> list[AggRow]:
     """Employment-weighted subsidy per key, most affected first, ties by key."""
+    from .geo import group_totals
+
     labels, (totals, weighted) = group_totals(keys, employment, subsidy * employment)
     rows = [
         AggRow(key=key, subsidy=w / total, employment=total)
@@ -133,6 +147,8 @@ def location_table(
     about.
     """
     import numpy as np
+
+    from .geo import Coded
 
     zctas = results.zcta
     if grouping is None:

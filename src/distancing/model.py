@@ -263,7 +263,11 @@ def telecom_cost_ratio(T: float, d: float, eps: float, params: FirmParams) -> fl
 
 
 def preferred_regime(
-    intervention: Intervention, d: float, eps: float, params: FirmParams
+    intervention: Intervention,
+    d: float,
+    eps: float,
+    params: FirmParams,
+    nstar: float | None = None,
 ) -> tuple[Regime, float]:
     """Which regime the firm picks under ``intervention``, with its cost ratio.
 
@@ -271,10 +275,12 @@ def preferred_regime(
     the cap.  Otherwise the cheaper of capped face-to-face and telecom;
     telecom is considered only when available and valid at this density.
     Ties go to face-to-face.  For arrays the regimes come back as an
-    object array of :class:`Regime` members.
+    object array of :class:`Regime` members.  ``nstar`` is
+    ``contacts_at_density(d, eps, params)``, computed here when not given.
     """
     cap = intervention.contact_cap
-    nstar = contacts_at_density(d, eps, params)
+    if nstar is None:
+        nstar = contacts_at_density(d, eps, params)
     binds = nstar > cap
     # cap over max(nstar, cap): exactly 1, so a ratio of exactly 1, where the cap does not bind
     ratio = distancing_cost_ratio(cap / _select(binds, nstar, cap), params)

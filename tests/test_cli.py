@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from distancing.cli import (
@@ -22,7 +23,7 @@ from distancing.cli import (
 )
 from distancing.config import RunConfig, config_hash, resolve_config
 from distancing.errors import IngestionError
-from e2efixture import CBP, DENSITY, write_config, write_inputs
+from e2efixture import CBP, DENSITY, hand_expectations, write_config, write_inputs
 from frames import cells_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -229,6 +230,36 @@ class TestSubsidy:
         fig2 = read_csv(out / "fig2.csv")
         assert any(row["telecom_ratio"] for row in fig2)
 
+    @pytest.mark.parametrize("telecom", [[], ["--telecom-cost", "1.5"]])
+    def test_frame_contacts_and_parameters_are_computed_once(
+        self, fixture_config, monkeypatch, telecom
+    ):
+        # the subsidies price the contacts and firm parameters that the calibration made
+        from distancing import calibrate, counterfactual, model
+
+        config, _ = fixture_config
+        contacts, params = [], []
+        contacts_at_density = model.contacts_at_density
+        post_init = model.FirmParams.__post_init__
+
+        def counted_contacts(d, eps, firm):
+            if isinstance(d, np.ndarray):
+                contacts.append(len(d))
+            return contacts_at_density(d, eps, firm)
+
+        def counted_params(firm):
+            if isinstance(firm.chi, np.ndarray):
+                params.append(len(firm.chi))
+            post_init(firm)
+
+        for module in (model, calibrate, counterfactual):
+            monkeypatch.setattr(module, "contacts_at_density", counted_contacts)
+        monkeypatch.setattr(model.FirmParams, "__post_init__", counted_params)
+        assert main(["subsidy", "--config", str(config), *telecom]) == 0
+        cells = len(hand_expectations()["cells"])
+        assert contacts == [cells]
+        assert params == [cells]
+
 
 class TestGeoStage:
     def test_unresolved_code_cells_weight_the_density_mean(self, tmp_path):
@@ -268,6 +299,23 @@ class TestFig2Command:
         rc = main(["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.0",
                    "--dmin", "5", "--dmax", "1", "--output-dir", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "domain"])
+    @pytest.mark.parametrize("flag, outside", [
+        ("chi", "1.5"), ("eps", "0"), ("cap", "0"), ("telecom", "-1"),
+        ("dmin", "0"), ("dmax", "-2"),
+    ])
+    def test_out_of_domain_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag,
+                                                           outside, value):
+        value = outside if value == "domain" else value
+        args = {"chi": "0.5", "eps": "0.5", "cap": "1.1", flag: value}
+        out = tmp_path / "o"
+        argv = [f"--{key}={v}" for key, v in args.items()]
+        assert main(["fig2", *argv, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{flag} must ") and err.count("\n") == 1
+        assert f"got {float(value)!r}" in err
+        assert not out.exists()
 
 
 def write_location_index(source):
@@ -635,28 +683,56 @@ def _imported_modules(args, cwd):
 
 # layers that cli imports only inside the commands that use them
 DEFERRED_LAYERS = ("distancing.calibrate", "distancing.counterfactual", "distancing.model")
+# what ``python -m distancing`` loads before the command line is parsed
+PARSING_MODULES = {"distancing", "distancing.__main__", "distancing.cli"}
+
+
+def _package_modules(modules):
+    return {name for name in modules if name.split(".")[0] == "distancing"}
+
+
+def _assert_parsing_only(modules):
+    """Nothing loaded beyond what parsing needs: no layer, no config, and none of
+    logging, dataclasses or numpy unless a bare interpreter loads it too."""
+    assert _package_modules(modules) <= PARSING_MODULES
+    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"],
+                          capture_output=True, text=True).stderr
+    assert not modules & {"logging", "dataclasses", "numpy"} - {
+        line.rsplit("|", 1)[1].strip() for line in bare.splitlines()}
 
 
 class TestImportCost:
-    """numpy loads only where it is used: establishment cells, calibration,
-    subsidies, lowess and fig2; importing the package does not load it, and
-    no command loads numpy.ma."""
+    """Each command loads only the layers it runs: parsing needs none of them,
+    numpy loads only where it is used (establishment cells, calibration,
+    subsidies, lowess and fig2), and no command loads numpy.ma."""
 
     def test_version_runs_without_numpy(self, fixture_config):
         _, out = fixture_config
         code, modules = _imported_modules(["--version"], out.parent)
         assert code == 0 and "distancing.cli" in modules
         assert "numpy" not in modules
+        _assert_parsing_only(modules)
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["--help"], 0),
+        (["subsidy", "--frobnicate"], 2),
+        (["fig2", "--chi", "0.5"], 2),
+    ])
+    def test_help_and_usage_errors_load_no_layer(self, tmp_path, args, exit_code):
+        code, modules = _imported_modules(args, tmp_path)
+        assert code == exit_code
+        _assert_parsing_only(modules)
 
     def test_cli_import_loads_neither_numpy_nor_the_deferred_layers(self):
+        # every layer is deferred: importing cli loads no other package module
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, distancing.cli; print(*sorted(sys.modules))"],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
-        assert "distancing.cli" in loaded
-        assert not loaded & {"numpy", *DEFERRED_LAYERS}
+        assert _package_modules(loaded) == {"distancing", "distancing.cli"}
+        assert "numpy" not in loaded
 
     def test_lowess_loads_none_of_the_deferred_layers(self, fixture_config, tmp_path):
         config, out = fixture_config
@@ -666,6 +742,30 @@ class TestImportCost:
             ["lowess", "--config", str(config), "--input", str(source)], out.parent)
         assert code == 0 and "distancing.geo" in modules
         assert not modules & set(DEFERRED_LAYERS)
+
+    def test_fig2_loads_none_of_the_ingest_layers(self, tmp_path):
+        code, modules = _imported_modules(
+            ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1", "--output-dir", "o"],
+            tmp_path)
+        assert code == 0 and "distancing.counterfactual" in modules
+        ingest = {f"distancing.{name}" for name in ("geo", "industries", "occupations",
+                                                    "calibrate")}
+        assert not modules & ingest
+
+    def test_fig2_flag_error_loads_neither_numpy_nor_the_model(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "distancing", "fig2", "--chi", "0.5",
+             "--eps", "0.5", "--cap", "1.1", "--dmax", "inf", "--output-dir", "o"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        modules = {line.rsplit("|", 1)[1].strip() for line in lines
+                   if line.startswith("import time:")}
+        assert not modules & {"numpy", "distancing.model", "distancing.counterfactual"}
+        assert [line for line in lines if not line.startswith("import time:")] == [
+            "error: --dmax must be a positive finite number, got inf"]
 
     def test_script_target_is_the_process_entry_point(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+

@@ -61,6 +61,19 @@ class TestComputeSubsidies:
         assert tagged.regime in (Regime.DISTANCED, Regime.TELECOM)
         assert tagged.subsidy == plain.subsidy  # telecom never changes the subsidy
 
+    @pytest.mark.parametrize("telecom", [None, 1.5])
+    def test_calibration_contacts_price_the_same_bits(self, telecom):
+        frame = frame_of([("a", "44", 10.0, 0.5, 0.5), ("b", "31", 4.0, 0.2, 3.0),
+                          ("c", "44", 7.0, 0.5, 16.0), ("c", "62", 2.0, 0.7, 16.0)])
+        report = run_calibration(frame, 0.5, 0.04)
+        fresh = compute_subsidies(frame, report.eps, report.contact_cap, telecom)
+        reused = compute_subsidies(frame, report.eps, report.contact_cap, telecom,
+                                   nstar=report.contacts)
+        assert reused.nstar is report.contacts
+        for name in ("nstar", "cap_ratio", "subsidy"):
+            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
+        assert list(reused) == list(fresh)
+
 
 class TestTables:
     def test_single_cell_tables(self):

@@ -42,16 +42,32 @@ def assert_fixture_cells(counters):
     assert counters["industries.resolver_unresolved"] == 0
 
 
+def assert_reached_once(functions, *names):
+    """The tracer saw each stage and layer call once: ``cli`` loads the layers
+    inside its functions, and calls through their modules, which the tracer
+    rebinds."""
+    assert {name: functions.get(name, {}).get("calls") for name in names} == dict.fromkeys(
+        names, 1)
+
+
+INGEST_CALLS = ("cli.run_index_stage", "cli.run_geo_stage", "geo.read_cbp_csv",
+                "geo.build_cells")
+
+
 def test_traced_subsidy_run_counts_the_fixture_cells(tmp_path):
     config = e2efixture.write_config(tmp_path / "in", tmp_path / "out")
-    counters = traced(tmp_path, "subsidy", "--config", str(config))["counters"]
+    trace = traced(tmp_path, "subsidy", "--config", str(config))
+    counters = trace["counters"]
     assert_fixture_cells(counters)
     assert counters["counterfactual.cells"] == len(e2efixture.hand_expectations()["cells"])
+    assert_reached_once(trace["functions"], *INGEST_CALLS, "calibrate.run_calibration")
 
 
 def test_traced_index_run_counts_the_fixture_cells(tmp_path):
     config = e2efixture.write_config(tmp_path / "in", tmp_path / "out")
-    assert_fixture_cells(traced(tmp_path, "index", "--config", str(config))["counters"])
+    trace = traced(tmp_path, "index", "--config", str(config))
+    assert_fixture_cells(trace["counters"])
+    assert_reached_once(trace["functions"], *INGEST_CALLS)
 
 
 def test_traced_lowess_run_fits_once(tmp_path):
