@@ -40,16 +40,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import fsum
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from math import fsum, inf
+from typing import Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import CalibrationError
 from .geo import Cells, Coded, Columns
 from .industries import MixResolver
 from .model import FirmParams, Regime, contacts_at_density
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -141,8 +140,6 @@ def cell_parameters(
     from the frame is an ``fsum`` or goes through a sort, so no output
     byte depends on that order.
     """
-    import numpy as np
-
     codes, zctas = cells.industry_code, cells.zcta
     employed = cells.employment > 0.0
     used = codes[employed].present()
@@ -196,8 +193,6 @@ class DensityRegression(NamedTuple):
 
     @classmethod
     def of(cls, frame: CellFrame) -> DensityRegression:
-        import numpy as np
-
         w = frame.employment
         x = np.log(frame.density)
         total = fsum(w.tolist())
@@ -265,8 +260,14 @@ def optimal_contacts_grid(frame: CellFrame, eps: float) -> np.ndarray:
 
 
 def _contact_total(contacts: np.ndarray, weights: np.ndarray) -> float:
-    """The unconstrained aggregate: employment-weighted contacts, an ``fsum``."""
-    return fsum((weights * contacts).tolist())
+    """The unconstrained aggregate: employment-weighted contacts, an ``fsum``;
+    ``inf`` where it overflows a double, NaN where a zero weight meets ``inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (weights * contacts).tolist()
+    try:
+        return fsum(products)
+    except OverflowError:  # finite products whose sum overflows
+        return inf
 
 
 def aggregate_contact_share(
@@ -279,8 +280,6 @@ def aggregate_contact_share(
     unconstrained aggregate, the ``fsum`` of weights times contacts,
     computed here when not given.
     """
-    import numpy as np
-
     if total is None:
         total = _contact_total(contacts, weights)
     if total <= 0.0:
@@ -298,8 +297,6 @@ def _sorted_pairs(contacts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
     the arrays equal those that ``np.lexsort((weights, contacts))`` orders,
     in under half its time.
     """
-    import numpy as np
-
     pairs = np.empty(len(contacts), dtype=complex)
     pairs.real, pairs.imag = contacts, weights
     pairs.sort()
@@ -323,8 +320,6 @@ def calibrate_cap(
     that holds N, and inverting that line gives N.  :func:`run_calibration`
     checks that the cap reproduces the target share within 1e-10 relative.
     """
-    import numpy as np
-
     if not 0.0 < target_share <= 1.0:
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
     if not contacts.size:
@@ -365,9 +360,14 @@ def run_calibration(
         eps = calibrate_epsilon(frame, target_elasticity, k, regression)
     contacts = optimal_contacts_grid(frame, eps)
     total = _contact_total(contacts, frame.employment)
+    if not total < inf:
+        raise CalibrationError(
+            f"eps {eps!r} is too large: the optimal contacts or their "
+            "employment-weighted total overflow a double"
+        )
     cap = calibrate_cap(contacts, frame.employment, target_contact_share, total)
     achieved_share = aggregate_contact_share(contacts, frame.employment, cap, total)
-    if abs(achieved_share - target_contact_share) > _SHARE_TOL * target_contact_share:
+    if not abs(achieved_share - target_contact_share) <= _SHARE_TOL * target_contact_share:
         raise CalibrationError(
             f"contact cap {cap!r} gives share {achieved_share!r}, "
             f"target {target_contact_share!r}"

@@ -279,6 +279,13 @@ def _check_fig2_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"--{flag} must be a positive finite number, got {value!r}")
     if not args.dmin < args.dmax:
         raise ConfigError("need 0 < dmin < dmax")
+    try:  # the optimal contacts at the top of the grid, d**(eps*(1-chi))
+        args.dmax ** (args.eps * (1.0 - args.chi))
+    except OverflowError:
+        raise ConfigError(
+            f"--eps {args.eps!r} and --dmax {args.dmax!r} put the optimal contacts "
+            "beyond the double range"
+        ) from None
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:

@@ -13,11 +13,13 @@ the overall average divides by the employment total that the calibration
 already summed.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
-are compared across densities.
+are compared across densities.  The curves price the whole density grid
+in one array call per curve, and all regime switches are bisected
+together, one array call per step.
 
-At load time the module imports only the model and the error types:
-``geo`` loads in the table functions and ``calibrate`` is needed for
-annotations only, so the standalone cost-ratio curves (``fig2``) run
+At load time the module imports only numpy, the model and the error
+types: ``geo`` loads in the table functions and ``calibrate`` is needed
+for annotations only, so the standalone cost-ratio curves (``fig2``) run
 without the ingest layers.
 """
 
@@ -27,6 +29,8 @@ import logging
 from dataclasses import dataclass, replace
 from math import fsum
 from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 from .errors import CalibrationError
 from .model import (
@@ -41,8 +45,6 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .calibrate import CellFrame
     from .geo import Coded
 
@@ -78,8 +80,6 @@ def compute_subsidies(
     telecom cost raises :class:`~distancing.errors.DomainError`, and so
     does a nonpositive eps when ``nstar`` is computed here.
     """
-    import numpy as np
-
     intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
     if nstar is None:
@@ -146,8 +146,6 @@ def location_table(
     per named region; grouping entries that match no result are warned
     about.
     """
-    import numpy as np
-
     from .geo import Coded
 
     zctas = results.zcta
@@ -196,56 +194,43 @@ def cost_ratio_curves(
     The distancing curve equals 1 on the unconstrained segment (low
     density, few contacts) and rises with density once the cap binds; the
     telecom curve rises throughout and is only defined where telecom costs
-    at least as much as face-to-face contact.  Regime switches between
-    adjacent grid points are located by bisection.
+    at least as much as face-to-face contact.  Each curve is one array call
+    over the grid.  Regime switches between adjacent grid points are
+    located by bisecting all of them together, one array
+    :func:`~distancing.model.preferred_regime` call per step; a switch
+    stops after 200 steps, once its midpoint no longer moves, or once its
+    bracket is within 1e-12 relative.
     """
     intervention = Intervention(contact_cap, telecom_cost)
-    densities = [float(d) for d in density_grid]
-    if any(d <= 0.0 for d in densities):
+    d = np.array(density_grid, dtype=float)
+    if (d <= 0.0).any():
         raise ValueError("density grid must be strictly positive")
-    distancing: list[float] = []
-    telecom: list[float | None] = []
-    regimes: list[Regime] = []
-    for d in densities:
-        nstar = contacts_at_density(d, eps, params)
-        if nstar <= contact_cap:
-            distancing.append(1.0)
-        else:
-            distancing.append(distancing_cost_ratio(contact_cap / nstar, params))
-        if telecom_cost is not None and telecom_cost >= d ** (-eps):
-            telecom.append(telecom_cost_ratio(telecom_cost, d, eps, params))
-        else:
-            telecom.append(None)
-        regimes.append(preferred_regime(intervention, d, eps, params)[0])
+    nstar = contacts_at_density(d, eps, params)
+    distancing = distancing_cost_ratio(contact_cap / np.maximum(nstar, contact_cap), params)
+    telecom: list[float | None] = [None] * d.size
+    if telecom_cost is not None:
+        with np.errstate(over="ignore"):
+            valid = np.flatnonzero(telecom_cost >= np.power(d, -eps))
+        ratios = telecom_cost_ratio(telecom_cost, d[valid], eps, params)
+        for i, ratio in zip(valid.tolist(), ratios.tolist()):
+            telecom[i] = ratio
+    regimes = preferred_regime(intervention, d, eps, params, nstar)[0]
 
-    switches = []
-    for i in range(1, len(densities)):
-        if regimes[i] != regimes[i - 1]:
-            crossing = _refine_switch(
-                intervention, params, eps, densities[i - 1], densities[i], regimes[i - 1]
-            )
-            switches.append(RegimeSwitch(crossing, regimes[i - 1], regimes[i]))
-    return CostCurves(densities, distancing, telecom, regimes, switches)
-
-
-def _refine_switch(
-    intervention: Intervention,
-    params: FirmParams,
-    eps: float,
-    lo: float,
-    hi: float,
-    from_regime: Regime,
-) -> float:
-    """Bisect the density where the regime flips between two grid points."""
+    flips = np.flatnonzero(regimes[1:] != regimes[:-1]) + 1
+    lo, hi, side = d[flips - 1], d[flips], regimes[flips - 1]
+    pending = np.arange(flips.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        mid = 0.5 * (lo[pending] + hi[pending])
+        moves = (lo[pending] < mid) & (mid < hi[pending])
+        pending, mid = pending[moves], mid[moves]
+        if not pending.size:
             break
-        regime = preferred_regime(intervention, mid, eps, params)[0]
-        if regime == from_regime:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+        stays = preferred_regime(intervention, mid, eps, params)[0] == side[pending]
+        lo[pending[stays]] = mid[stays]
+        hi[pending[~stays]] = mid[~stays]
+        pending = pending[hi[pending] - lo[pending] > 1e-12 * hi[pending]]
+    switches = [
+        RegimeSwitch(density, regimes[i - 1], regimes[i])
+        for density, i in zip((0.5 * (lo + hi)).tolist(), flips.tolist())
+    ]
+    return CostCurves(d.tolist(), distancing.tolist(), telecom, regimes.tolist(), switches)

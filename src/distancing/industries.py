@@ -111,22 +111,6 @@ def build_mix(
     return report
 
 
-def rank_industries(
-    mixes: Sequence[IndustryMix], group: str, k: int
-) -> tuple[list[IndustryMix], list[IndustryMix]]:
-    """Top-k and bottom-k industries by the group's chi, descending.
-
-    Ties break by industry code ascending so the ordering is deterministic.
-    A ``k`` beyond the list size returns everything.
-    """
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}; expected one of {GROUPS}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    ordered = sorted(mixes, key=lambda m: (-m.chi[group], m.industry_code))
-    return ordered[:k], ordered[max(len(ordered) - k, 0):]
-
-
 def exclusion_prefixes(exclusions: Iterable[str]) -> tuple[str, ...]:
     """The code prefixes that an exclusion list removes.
 

@@ -9,20 +9,21 @@ finer division of labor and cheaper production.  Minimizing over ``n``
 for the contact count and the unit cost, and those forms extend to
 density-dependent contact costs, contact caps, and a telecom fallback.
 
-Every closed form is one pure, stateless function of plain floats or of
-numpy arrays, which broadcast elementwise so a whole frame of cells is
-priced in one call.  Domain checks cover every element and name the first
-bad value.  A call on floats never touches numpy (this module does not
-import it), so it returns exactly what float arithmetic gives.
-Aggregation and data handling live elsewhere.
+Every closed form is one pure, stateless function over numpy: its inputs
+are floats or arrays, which broadcast elementwise so a whole frame of
+cells is priced in one call.  Float inputs give scalars back, a numpy
+float64 (a ``float``) and plain :class:`Regime` members, never 0-d arrays.
+Domain checks cover every element and name the first bad value as a
+plain Python number.  Aggregation and data handling live elsewhere.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -45,43 +46,22 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 
 
-def _is_array(value) -> bool:
-    """Whether ``value`` is a numpy array; an array exists only once numpy is loaded."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(value, np.ndarray)
-
-
-def _select(mask, then, otherwise):
-    """``then`` where ``mask`` holds, else ``otherwise``: a conditional or ``numpy.where``."""
-    if _is_array(mask):
-        return sys.modules["numpy"].where(mask, then, otherwise)
-    return then if mask else otherwise
-
-
 def _first_violation(ok, *values):
-    """None if ``ok`` holds everywhere, else ``values`` at the first element where it fails."""
-    if not _is_array(ok):
-        return None if ok else values
-    np = sys.modules["numpy"]
-    bad = np.flatnonzero(~ok)
+    """None if ``ok`` holds everywhere, else ``values`` at the first element where it
+    fails, each an ``int`` or a plain ``float`` so an error text shows no numpy repr."""
+    bad = np.flatnonzero(~np.asarray(ok))
     if bad.size == 0:
         return None
     i = bad[0]
-    return tuple(
-        float(np.broadcast_to(v, ok.shape).flat[i]) if _is_array(v) else v for v in values
-    )
+    shape = np.shape(ok)
+    return tuple(v if type(v) is int else float(np.broadcast_to(v, shape).flat[i])
+                 for v in values)
 
 
 def _power(base, exponent):
-    """``base ** exponent``, with ``inf`` where the result overflows a double."""
-    if _is_array(base) or _is_array(exponent):
-        np = sys.modules["numpy"]
-        with np.errstate(over="ignore"):
-            return np.power(base, exponent)
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
+    """``base ** exponent`` in doubles, with ``inf`` where the result overflows."""
+    with np.errstate(over="ignore"):
+        return np.power(base, exponent, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -160,17 +140,13 @@ class Regime(enum.Enum):
 
 
 def _require_positive(name: str, value) -> None:
-    if _is_array(value):
-        ok = (value > 0.0) & (value < math.inf)
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0
-    bad = _first_violation(ok, value)
+    bad = _first_violation((value > 0.0) & (value < math.inf), value)
     if bad is not None:
         raise DomainError(f"{name} must be a positive finite real, got {bad[0]!r}")
 
 
 def _require_communication(params: FirmParams, message: str) -> None:
-    if _first_violation(params.chi > 0.0) is not None:
+    if not np.all(params.chi > 0.0):
         raise DomainError(message)
 
 
@@ -181,7 +157,7 @@ def optimal_contacts(tau: float, params: FirmParams) -> float:
     mutes the response because specialization is valuable regardless.
     """
     _require_positive("tau", tau)
-    return tau ** (-1.0 / (1.0 + params.gamma))
+    return _power(tau, -1.0 / (1.0 + params.gamma))
 
 
 def unit_cost(tau: float, params: FirmParams) -> float:
@@ -192,7 +168,7 @@ def unit_cost(tau: float, params: FirmParams) -> float:
     """
     _require_positive("tau", tau)
     _require_communication(params, "unit_cost is undefined for chi = 0 (no communication)")
-    return tau**params.chi / params.chi
+    return _power(tau, params.chi) / params.chi
 
 
 def contacts_at_density(d: float, eps: float, params: FirmParams) -> float:
@@ -203,7 +179,7 @@ def contacts_at_density(d: float, eps: float, params: FirmParams) -> float:
     """
     _require_positive("d", d)
     _require_positive("eps", eps)
-    return d ** (eps * (1.0 - params.chi))
+    return _power(d, eps * (1.0 - params.chi))
 
 
 def unit_cost_at_density(d: float, eps: float, params: FirmParams) -> float:
@@ -211,7 +187,7 @@ def unit_cost_at_density(d: float, eps: float, params: FirmParams) -> float:
     _require_positive("d", d)
     _require_positive("eps", eps)
     _require_communication(params, "unit_cost_at_density is undefined for chi = 0")
-    return d ** (-eps * params.chi) / params.chi
+    return _power(d, -eps * params.chi) / params.chi
 
 
 def distancing_cost_ratio(cap_ratio: float, params: FirmParams) -> float:
@@ -228,7 +204,7 @@ def distancing_cost_ratio(cap_ratio: float, params: FirmParams) -> float:
     _require_positive("cap_ratio", cap_ratio)
     x = cap_ratio
     penalty = _power(x, -params.gamma)
-    return _select(x >= 1.0, 1.0, params.chi * x + (1.0 - params.chi) * penalty)
+    return np.where(x >= 1.0, 1.0, params.chi * x + (1.0 - params.chi) * penalty)[()]
 
 
 def _telecom_ratio(T: float, d: float, eps: float, params: FirmParams) -> float:
@@ -250,13 +226,12 @@ def telecom_cost_ratio(T: float, d: float, eps: float, params: FirmParams) -> fl
     _require_positive("T", T)
     _require_positive("d", d)
     _require_positive("eps", eps)
-    bad = _first_violation(T >= _power(d, -eps), T, d, eps)
+    face = _power(d, -eps)
+    bad = _first_violation(T >= face, T, face, d)
     if bad is not None:
-        T, d, eps = bad
         raise DomainError(
-            f"telecom cost {T!r} is below the face-to-face contact cost "
-            f"{_power(d, -eps)!r} at density {d!r}; the firm would already "
-            "telecommute",
+            "telecom cost {!r} is below the face-to-face contact cost {!r} at density {!r}; "
+            "the firm would already telecommute".format(*bad),
             code="telecom_below_face_to_face_cost",
         )
     return _telecom_ratio(T, d, eps, params)
@@ -283,15 +258,15 @@ def preferred_regime(
         nstar = contacts_at_density(d, eps, params)
     binds = nstar > cap
     # cap over max(nstar, cap): exactly 1, so a ratio of exactly 1, where the cap does not bind
-    ratio = distancing_cost_ratio(cap / _select(binds, nstar, cap), params)
-    regime = _select(binds, Regime.DISTANCED, Regime.UNCONSTRAINED)
+    ratio = distancing_cost_ratio(cap / np.where(binds, nstar, cap), params)
+    regime = np.where(binds, Regime.DISTANCED, Regime.UNCONSTRAINED)
     T = intervention.telecom_cost
     if T is not None:
         tele = _telecom_ratio(T, d, eps, params)
         online = binds & (T >= _power(d, -eps)) & (tele < ratio)
-        regime = _select(online, Regime.TELECOM, regime)
-        ratio = _select(online, tele, ratio)
-    return regime, ratio
+        regime = np.where(online, Regime.TELECOM, regime)
+        ratio = np.where(online, tele, ratio)
+    return regime[()], ratio[()]
 
 
 def compensating_subsidy(cap_ratio: float, params: FirmParams) -> float:
@@ -310,13 +285,12 @@ def compensating_subsidy(cap_ratio: float, params: FirmParams) -> float:
     """
     _require_positive("cap_ratio", cap_ratio)
     binds = cap_ratio < 1.0
-    x = _select(binds, cap_ratio, 1.0)
+    x = np.where(binds, cap_ratio, 1.0)
     denom = 1.0 - params.chi * x
     # Unreachable for chi < 1 and x < 1; guarded so a bad caller gets a
     # typed error instead of a negative-denominator surprise.
     bad = _first_violation(denom > 0.0, params.chi * x)
     if bad is not None:
         raise DomainError(f"chi * cap_ratio = {bad[0]!r} >= 1")
-    value = 1.0 - (1.0 - params.chi) / denom * x**params.gamma
-    value = _select(value >= 1.0, math.nextafter(1.0, 0.0), value)
-    return _select(binds, value, 0.0)
+    value = 1.0 - (1.0 - params.chi) / denom * _power(x, params.gamma)
+    return np.where(binds, np.minimum(value, math.nextafter(1.0, 0.0)), 0.0)[()]

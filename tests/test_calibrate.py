@@ -428,6 +428,21 @@ class TestCellParameters:
         with pytest.raises(CalibrationError, match="gives share"):
             run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
 
+    def test_nan_share_aborts(self, monkeypatch):
+        monkeypatch.setattr(calibrate, "aggregate_contact_share", lambda *args: math.nan)
+        with pytest.raises(CalibrationError, match="gives share nan"):
+            run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
+
+    # contacts are d**25 at eps 50 and chi 0.5
+    @pytest.mark.parametrize("cells", [
+        [("a", "44", 1.0, 0.5, 1e30), ("b", "44", 1.0, 0.5, 2.0)],
+        [("a", "44", 0.0, 0.5, 1e30), ("b", "44", 1.0, 0.5, 2.0), ("c", "44", 1.0, 0.5, 3.0)],
+        [("a", "44", w, 0.5, (1e308 / w) ** 0.04) for w in (1e10, 2e10)],
+    ], ids=["one cell", "one cell without employment", "finite products, overflowing sum"])
+    def test_overflowing_contacts_abort_naming_eps(self, cells):
+        with pytest.raises(CalibrationError, match=r"^eps 50.0 is too large"):
+            run_calibration(frame_of(cells), 0.5, 0.04, fixed_eps=50.0)
+
     def test_fixed_eps_honored(self):
         resolver = MixResolver([_mix("44", 0.4)])
         densities = {z: d for z, d in [("a", 0.5), ("b", 2.0)]}

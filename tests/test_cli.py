@@ -234,16 +234,18 @@ class TestSubsidy:
     def test_frame_contacts_and_parameters_are_computed_once(
         self, fixture_config, monkeypatch, telecom
     ):
-        # the subsidies price the contacts and firm parameters that the calibration made
+        # the subsidies price the contacts and firm parameters that the calibration made;
+        # the fig2 grid and its bisection steps are arrays of other lengths
         from distancing import calibrate, counterfactual, model
 
         config, _ = fixture_config
+        cells = len(hand_expectations()["cells"])
         contacts, params = [], []
         contacts_at_density = model.contacts_at_density
         post_init = model.FirmParams.__post_init__
 
         def counted_contacts(d, eps, firm):
-            if isinstance(d, np.ndarray):
+            if np.size(d) == cells:
                 contacts.append(len(d))
             return contacts_at_density(d, eps, firm)
 
@@ -256,7 +258,6 @@ class TestSubsidy:
             monkeypatch.setattr(module, "contacts_at_density", counted_contacts)
         monkeypatch.setattr(model.FirmParams, "__post_init__", counted_params)
         assert main(["subsidy", "--config", str(config), *telecom]) == 0
-        cells = len(hand_expectations()["cells"])
         assert contacts == [cells]
         assert params == [cells]
 
@@ -316,6 +317,20 @@ class TestFig2Command:
         assert err.startswith(f"error: --{flag} must ") and err.count("\n") == 1
         assert f"got {float(value)!r}" in err
         assert not out.exists()
+
+    def test_overflowing_contacts_are_a_usage_error_before_numpy_loads(self, tmp_path, capsys):
+        # d**(eps*(1-chi)) at --dmax is 1e900: no double holds the contacts there
+        argv = ["fig2", "--chi", "0.1", "--eps", "100", "--cap", "1", "--dmax", "1e10",
+                "--output-dir", "o"]
+        assert main([*argv[:-1], str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --eps 100.0 and --dmax 10000000000.0 put the optimal contacts beyond "
+            "the double range\n")
+        assert not (tmp_path / "o").exists()
+        code, modules = _imported_modules(argv, tmp_path)
+        assert code == 2
+        assert not modules & {"numpy", "distancing.model", "distancing.counterfactual"}
+        assert not (tmp_path / "o").exists()
 
 
 def write_location_index(source):
@@ -406,6 +421,17 @@ class TestErrorContract:
         extra = config.with_name(f"non-finite-{key}.cfg")
         extra.write_text(config.read_text() + f"{key} = {value}\n")
         assert main(["subsidy", "--config", str(extra)]) == 2
+
+    @pytest.mark.parametrize("command", ["calibrate", "subsidy"])
+    def test_overflowing_fixed_eps_is_data_error_naming_it(self, fixture_config, capsys, command):
+        # d**(eps*(1-chi)) overflows in the densest cells: no cap or share to report
+        config, out = fixture_config
+        assert main([command, "--config", str(config), "--fixed-eps", "1e4"]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: eps 10000.0 is too large: the optimal contacts or their "
+                          "employment-weighted total overflow a double"]
+        assert not (out / "calibration.csv").exists()
 
     def test_nan_density_is_data_error_with_file_and_row(self, fixture_config, capsys):
         config, _ = fixture_config

@@ -277,6 +277,92 @@ class TestCostCurves:
         assert all(v >= 1.0 for v in curves.telecom if v is not None)
 
 
+def _point_oracle(chi, eps, cap, telecom, d):
+    """One grid point in plain floats: regime, distancing and telecom ratios, and
+    the smallest relative gap among the comparisons that decide the regime."""
+    gamma = chi / (1.0 - chi)
+    nstar = d ** (eps * (1.0 - chi))
+    x = cap / max(nstar, cap)
+    dist = 1.0 if x >= 1.0 else chi * x + (1.0 - chi) * x ** (-gamma)
+    regime = Regime.DISTANCED if nstar > cap else Regime.UNCONSTRAINED
+    gaps = [abs(nstar - cap) / cap]
+    tele = None
+    if telecom is not None:
+        gaps.append(abs(telecom - d ** (-eps)) / telecom)
+        if telecom >= d ** (-eps):
+            tele = (telecom * d**eps) ** chi
+            if nstar > cap:
+                gaps.append(abs(dist - tele) / dist)
+                if tele < dist:
+                    regime = Regime.TELECOM
+    return regime, dist, tele, min(gaps)
+
+
+def _switch_oracle(chi, eps, cap, telecom, lo, hi, side):
+    """The regime switch between two grid points, bisected one density at a time."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if _point_oracle(chi, eps, cap, telecom, mid)[0] is side:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+class TestCostCurvesMatchPointOracle:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.01, 0.95)),
+        st.floats(0.05, 2.0),
+        st.floats(0.5, 5.0),
+        st.one_of(st.none(), st.floats(0.05, 250.0)),
+        st.lists(st.floats(0.05, 250.0), min_size=2, max_size=60, unique=True).map(sorted),
+    )
+    def test_regimes_ratios_and_switches(self, chi, eps, cap, online_from, grid):
+        # telecom, when offered, becomes valid at density online_from, inside the grid's range
+        telecom = None if online_from is None else online_from ** (-eps)
+        points = [_point_oracle(chi, eps, cap, telecom, d) for d in grid]
+        assume(min(gap for *_, gap in points) > 1e-12)  # no grid point on a tie
+        curves = cost_ratio_curves(FirmParams.from_chi(chi), grid, cap, telecom, eps)
+        assert curves.densities == grid
+        assert curves.regimes == [regime for regime, *_ in points]
+        for got, (_, want, *_) in zip(curves.distancing, points):
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        for got, (_, _, want, _) in zip(curves.telecom, points):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        flips = [i for i in range(1, len(grid)) if points[i][0] is not points[i - 1][0]]
+        assert [(s.from_regime, s.to_regime) for s in curves.switches] == [
+            (points[i - 1][0], points[i][0]) for i in flips]
+        for switch, i in zip(curves.switches, flips):
+            want = _switch_oracle(chi, eps, cap, telecom, grid[i - 1], grid[i], points[i - 1][0])
+            assert switch.density == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_model_calls_do_not_grow_with_the_grid(self, monkeypatch):
+        import distancing.counterfactual as counterfactual
+
+        calls = []
+        for name in ("contacts_at_density", "distancing_cost_ratio", "telecom_cost_ratio",
+                     "preferred_regime", "compensating_subsidy"):
+            def counted(*args, _form=getattr(counterfactual, name), **kwargs):
+                calls.append(1)
+                return _form(*args, **kwargs)
+            monkeypatch.setattr(counterfactual, name, counted)
+        per_size = {}
+        for points in (100, 1000):
+            calls.clear()
+            curves = cost_ratio_curves(FirmParams.from_chi(0.5), np.geomspace(0.5, 200.0, points),
+                                       1.1, 0.5, 0.5)
+            assert len(curves.switches) == 3
+            per_size[points] = len(calls)
+        assert per_size[1000] <= per_size[100] < 100
+
+
 # ---------------------------------------------------------------------------
 # The columnar path against a scalar oracle: the closed forms called one
 # cell at a time, the sorted cap inversion over plain lists, and group

@@ -1,4 +1,4 @@
-"""Industry mix construction, ranking, exclusion, and code resolution."""
+"""Industry mix construction, exclusion, and code resolution."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from distancing.industries import (
     MixResolver,
     build_mix,
     exclude_sectors,
-    rank_industries,
     read_exclusions,
     read_matrix_csv,
     read_names_csv,
@@ -114,28 +113,6 @@ def mix_with(code, comm, name=None):
         shares={},
         chi={"teamwork": 0.0, "customer": comm, "communication": comm, "presence": 0.0},
     )
-
-
-class TestRanking:
-    def test_hand_ordered(self):
-        mixes = [mix_with("a", 0.2), mix_with("b", 0.9), mix_with("c", 0.5)]
-        top, bottom = rank_industries(mixes, "communication", 2)
-        assert [m.industry_code for m in top] == ["b", "c"]
-        assert [m.industry_code for m in bottom] == ["c", "a"]
-
-    def test_k_larger_than_list(self):
-        mixes = [mix_with("a", 0.2), mix_with("b", 0.9)]
-        top, bottom = rank_industries(mixes, "communication", 10)
-        assert len(top) == 2 and len(bottom) == 2
-
-    def test_ties_break_by_code(self):
-        mixes = [mix_with("z", 0.5), mix_with("a", 0.5), mix_with("m", 0.5)]
-        top, _ = rank_industries(mixes, "communication", 3)
-        assert [m.industry_code for m in top] == ["a", "m", "z"]
-
-    def test_bad_group(self):
-        with pytest.raises(ValueError):
-            rank_industries([], "nope", 1)
 
 
 class TestExclusions:

@@ -450,8 +450,8 @@ class TestArrayForms:
             assert ratios[i] == pytest.approx(ratio, rel=1e-13)
 
     def test_scalar_calls_return_the_plain_float_formulas(self):
-        # the float path is untouched by numpy: these are the formulas as
-        # written, evaluated with Python floats, compared bit for bit
+        # the formulas as written, evaluated with Python floats: a float call
+        # returns a float that numpy's power places within an ulp or two
         rng = np.random.default_rng(19)
         for _ in range(300):
             chi = float(rng.uniform(0.01, 0.95))
@@ -467,9 +467,36 @@ class TestArrayForms:
                 (unit_cost_at_density(d, eps, p), d ** (-eps * chi) / chi),
                 (distancing_cost_ratio(x, p), chi * x + (1.0 - chi) * x ** (-gamma)),
                 (telecom_cost_ratio(T, d, eps, p), (T * d**eps) ** chi),
-                (compensating_subsidy(x, p), min(1.0 - (1.0 - chi) / (1.0 - chi * x) * x**gamma,
-                                                 math.nextafter(1.0, 0.0))),
             ]
             for got, want in pairs:
-                assert type(got) is float and got == want
+                assert isinstance(got, float) and abs(got - want) <= 1e-15 * want
+            # 1 minus a product near 1 cancels: its rounding error is absolute
+            got = compensating_subsidy(x, p)
+            want = min(1.0 - (1.0 - chi) / (1.0 - chi * x) * x**gamma, math.nextafter(1.0, 0.0))
+            assert isinstance(got, float) and abs(got - want) <= 1e-15
+            regime, ratio = preferred_regime(Intervention(1.0, T), d, eps, p)
+            assert type(regime) is Regime and isinstance(ratio, float)
             assert (p.chi, p.gamma) == (chi, gamma)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: optimal_contacts(0.0, _HALF), "tau must be a positive finite real, got 0.0"),
+        (lambda: optimal_contacts(0, _HALF), "tau must be a positive finite real, got 0"),
+        (lambda: contacts_at_density(2, -1, _HALF), "eps must be a positive finite real, got -1"),
+        (lambda: distancing_cost_ratio(np.array([0.5, -0.25]), _HALF),
+         "cap_ratio must be a positive finite real, got -0.25"),
+        (lambda: Intervention(np.float64(0.0)),
+         "contact_cap must be a positive finite real, got 0.0"),
+        (lambda: FirmParams.from_chi(np.float64(1.0)), "chi must lie in [0, 1), got 1.0"),
+        (lambda: FirmParams(0.3, 7), "inconsistent parameters: chi=0.3 but gamma/(1+gamma)=0.875"),
+        (lambda: telecom_cost_ratio(0.25, 0.5, 1.0, _HALF),
+         "telecom cost 0.25 is below the face-to-face contact cost 2.0 at density 0.5; "
+         "the firm would already telecommute"),
+        (lambda: telecom_cost_ratio(1, 0.25, 1, _HALF),
+         "telecom cost 1 is below the face-to-face contact cost 4.0 at density 0.25; "
+         "the firm would already telecommute"),
+        (lambda: telecom_cost_ratio(np.array([4.0, 0.25]), 0.5, 1.0, _HALF),
+         "telecom cost 0.25 is below the face-to-face contact cost 2.0 at density 0.5; "
+         "the firm would already telecommute"),
+    ])
+    def test_error_texts_show_plain_numbers(self, call, text):
+        assert _error(call)[0] == text
