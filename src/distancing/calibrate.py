@@ -18,14 +18,14 @@ returned N once: that value guards the result and is the reported share.
 The cells travel as one :class:`CellFrame`, a column per field, so both
 solves are array expressions over the frame; the cap solve takes the
 contacts and employment columns as two arrays.  Every total is a
-``math.fsum`` and the cap's running sums add left to right in sorted
-order, so no result depends on the order of the cells.  The result is
-one :class:`CalibrationReport`: eps and the cap with their diagnostics,
-plus the optimal contacts at eps, which the subsidies reuse.
+:func:`~distancing.geo.exact_sum` and the cap's running sums add left to
+right in sorted order, so no result depends on the order of the cells.
+The result is one :class:`CalibrationReport`: eps and the cap with their
+diagnostics, plus the optimal contacts at eps, which the subsidies reuse.
 
 Each exact pass over the cells runs once per calibration.  The regression
-of k and eps's verification regression share one
-:class:`DensityRegression`: ln(d), the weight total (the frame's
+of k and eps's verification regression share the frame's
+:attr:`CellFrame.regression`: ln(d), the weight total (the frame's
 employment, which the report carries on to the tables), the weighted
 mean of ln(d), Sxx and w*(ln d - mean); each slope adds only its own
 regressand mean and cross moment.  The cap solve and the share check
@@ -40,13 +40,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import fsum, inf
+from math import inf
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import CalibrationError
-from .geo import Cells, Coded, Columns
+from .geo import Cells, Coded, Columns, exact_sum
 from .industries import MixResolver
 from .model import FirmParams, Regime, contacts_at_density
 
@@ -106,6 +106,11 @@ class CellFrame(Columns):
         """
         return FirmParams.from_chi(self.chi)
 
+    @cached_property
+    def regression(self) -> DensityRegression:
+        """The rows' :class:`DensityRegression`, built once for every slope."""
+        return DensityRegression.of(self)
+
 
 @dataclass
 class CalibrationReport:
@@ -117,7 +122,7 @@ class CalibrationReport:
     achieved_slope: float
     achieved_share: float
     n_cells: int
-    employment: float  # the cells' total employment, an fsum
+    employment: float  # the cells' total employment, an exact_sum
     eps_fixed: bool = False
     notes: list[str] = field(default_factory=list)
     # the frame's optimal contacts at eps, in frame order, as the cap solve used them
@@ -137,7 +142,7 @@ def cell_parameters(
     unresolved codes and the regions without density are warned about.
     Each code is resolved once.  The frame keeps the order of ``cells``
     (``build_cells`` sorts them by zcta and code): every total computed
-    from the frame is an ``fsum`` or goes through a sort, so no output
+    from the frame is an exact sum or goes through a sort, so no output
     byte depends on that order.
     """
     codes, zctas = cells.industry_code, cells.zcta
@@ -195,43 +200,32 @@ class DensityRegression(NamedTuple):
     def of(cls, frame: CellFrame) -> DensityRegression:
         w = frame.employment
         x = np.log(frame.density)
-        total = fsum(w.tolist())
+        total = exact_sum(w)
         if total <= 0.0:
             raise CalibrationError("total weight is zero; cannot regress")
-        dx = x - fsum((w * x).tolist()) / total
-        sxx = fsum((w * dx ** 2).tolist())
+        dx = x - exact_sum(w * x) / total
+        sxx = exact_sum(w * dx ** 2)
         if sxx <= 0.0:
             raise CalibrationError("at least two distinct densities are required")
         return cls(w, x, total, sxx, w * dx)
 
     def slope(self, z: np.ndarray) -> float:
         """Weighted least-squares slope of ``z`` on x, with intercept."""
-        zbar = fsum((self.weights * z).tolist()) / self.total
-        return fsum((self.wdx * (z - zbar)).tolist()) / self.sxx
+        zbar = exact_sum(self.weights * z) / self.total
+        return exact_sum(self.wdx * (z - zbar)) / self.sxx
 
 
-def slope_factor(frame: CellFrame, regression: DensityRegression | None = None) -> float:
-    """The data moment k: regression slope of chi*ln(d) on ln(d), weighted.
-
-    ``regression`` is the frame's :class:`DensityRegression`, made here
-    when not given.
-    """
-    if regression is None:
-        regression = DensityRegression.of(frame)
+def slope_factor(frame: CellFrame) -> float:
+    """The data moment k: regression slope of chi*ln(d) on ln(d), weighted."""
+    regression = frame.regression
     return regression.slope(frame.chi * regression.x)
 
 
-def calibrate_epsilon(
-    frame: CellFrame,
-    target_elasticity: float,
-    k: float,
-    regression: DensityRegression | None = None,
-) -> float:
+def calibrate_epsilon(frame: CellFrame, target_elasticity: float, k: float) -> float:
     """Solve for eps so the implied-productivity regression hits the target slope.
 
-    ``k`` is the frame's :func:`slope_factor` and ``regression`` its
-    :class:`DensityRegression`, made here when not given.  The regressand
-    is linear in eps, so eps = target / k.  A verification re-regression
+    ``k`` is the frame's :func:`slope_factor`.  The regressand is linear
+    in eps, so eps = target / k.  A verification re-regression
     with the returned eps, with its own regressand mean and cross moment,
     must reproduce the target within 1e-9 or the calibration aborts.
     """
@@ -243,8 +237,7 @@ def calibrate_epsilon(
             "density in this data, so no positive eps can match the target"
         )
     eps = target_elasticity / k
-    if regression is None:
-        regression = DensityRegression.of(frame)
+    regression = frame.regression
     achieved = regression.slope(eps * frame.chi * regression.x)
     if abs(achieved - target_elasticity) > _SLOPE_TOL:
         raise CalibrationError(
@@ -260,14 +253,10 @@ def optimal_contacts_grid(frame: CellFrame, eps: float) -> np.ndarray:
 
 
 def _contact_total(contacts: np.ndarray, weights: np.ndarray) -> float:
-    """The unconstrained aggregate: employment-weighted contacts, an ``fsum``;
-    ``inf`` where it overflows a double, NaN where a zero weight meets ``inf``."""
+    """The unconstrained aggregate, employment-weighted contacts: ``inf`` where
+    a product or the total overflows, NaN where a zero weight meets ``inf``."""
     with np.errstate(over="ignore", invalid="ignore"):
-        products = (weights * contacts).tolist()
-    try:
-        return fsum(products)
-    except OverflowError:  # finite products whose sum overflows
-        return inf
+        return exact_sum(weights * contacts)
 
 
 def aggregate_contact_share(
@@ -277,14 +266,14 @@ def aggregate_contact_share(
 
     ``contacts`` are the cells' optimal contacts and ``weights`` their
     employment, two float arrays of equal length.  ``total`` is the
-    unconstrained aggregate, the ``fsum`` of weights times contacts,
+    unconstrained aggregate, the exact sum of weights times contacts,
     computed here when not given.
     """
     if total is None:
         total = _contact_total(contacts, weights)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot compute a share")
-    capped = fsum((weights * np.minimum(cap, contacts)).tolist())
+    capped = exact_sum(weights * np.minimum(cap, contacts))
     return capped / total
 
 
@@ -350,14 +339,13 @@ def run_calibration(
     """Full calibration: eps (solved or fixed), contact grid, contact cap."""
     if not frame:
         raise CalibrationError("no usable cells; calibration is impossible")
-    regression = DensityRegression.of(frame)
-    k = slope_factor(frame, regression)
+    k = slope_factor(frame)
     if fixed_eps is not None:
         if fixed_eps <= 0.0:
             raise CalibrationError(f"fixed eps must be positive, got {fixed_eps!r}")
         eps = fixed_eps
     else:
-        eps = calibrate_epsilon(frame, target_elasticity, k, regression)
+        eps = calibrate_epsilon(frame, target_elasticity, k)
     contacts = optimal_contacts_grid(frame, eps)
     total = _contact_total(contacts, frame.employment)
     if not total < inf:
@@ -379,7 +367,7 @@ def run_calibration(
         achieved_slope=eps * k,
         achieved_share=achieved_share,
         n_cells=len(frame),
-        employment=regression.total,
+        employment=frame.regression.total,
         eps_fixed=fixed_eps is not None,
         contacts=contacts,
     )

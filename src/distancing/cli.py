@@ -95,9 +95,14 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     import numpy  # noqa: F401  (the stage works on numpy columns from the read on)
 
     national = geo.NationalSizeDistribution.from_csv(cfg.national_sizes)
-    cells, _ = geo.build_cells(geo.read_cbp_csv(cfg.cbp), national, cfg.open_bin_mean)
-    cells = _drop_excluded_cells(cells, index.exclusions)
-    weights = geo.region_employment(cells)
+    cbp = geo.read_cbp_csv(cfg.cbp)
+    try:  # an employment beyond the float range, in a cell or a ZCTA total
+        cells, _ = geo.build_cells(cbp, national, cfg.open_bin_mean)
+        del cbp  # the stage's largest arrays
+        cells = _drop_excluded_cells(cells, index.exclusions)
+        weights = geo.region_employment(cells)
+    except IngestionError as exc:
+        raise IngestionError(f"{cfg.cbp}: {exc}") from None
     records = geo.read_density_csv(cfg.density)
     if cfg.employment_density:
         records = [(zcta, weights.get(zcta, 0.0), area) for zcta, _, area in records]
@@ -219,14 +224,13 @@ def cmd_subsidy(cfg: RunConfig) -> int:
 
 def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     """Cost-ratio curves for the employment-weighted average firm."""
-    from math import fsum
-
     import numpy as np
 
     from . import counterfactual
+    from .geo import exact_sum
     from .model import FirmParams
 
-    mean_chi = fsum((frame.employment * frame.chi).tolist()) / report.employment
+    mean_chi = exact_sum(frame.employment * frame.chi) / report.employment
     if mean_chi <= 0.0:
         _logger().warning("mean communication share is zero; fig2 curves skipped")
         return
@@ -318,7 +322,6 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
     from math import log
-    from operator import itemgetter
     from pathlib import Path
 
     from . import csvio, geo
@@ -331,16 +334,8 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError(f"location index not found: {source} (run 'index' first or pass --input)")
     if not 0.0 < args.bandwidth <= 1.0:
         raise ConfigError(f"--bandwidth must lie in (0, 1], got {args.bandwidth}")
-    shares = [f"share_{g}" for g in GROUPS]
-    header, blocks = csvio.read_blocks(source, ["density", "employment", *shares])
-    rows = [fields for _, block in blocks for fields in block]
-
-    def column(name: str):
-        return map(itemgetter(header.index(name)), rows)
-
-    x = list(map(log, map(float, column("density"))))
-    weights = list(map(float, column("employment")))
-    y = [list(map(float, column(share))) for share in shares]
+    density, weights, *y = geo.read_location_index_csv(source)
+    x = list(map(log, density))
     import numpy  # noqa: F401  (loaded here, so the smoother's time is the fit's)
 
     grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)

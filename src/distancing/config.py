@@ -70,9 +70,15 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     """Parse ``key = value`` lines; blank lines and ``#`` comments ignored."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"cannot read config file {path}: line {line} is not UTF-8: "
+                          f"byte {data[exc.start]:#04x}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -6,11 +6,11 @@ is priced at once, at the calibrated eps and cap: every closed form runs
 once, over the frame's columns, on the optimal contacts and firm
 parameters that the calibration already computed for the frame.
 Cells are then aggregated to employment-weighted sector and location
-tables and one overall average (:func:`overall`).  Every total is an
-exact ``fsum``; group totals go through :func:`~distancing.geo.group_totals`,
-which sums the ZCTA tables in place because frames come in ZCTA order, and
-the overall average divides by the employment total that the calibration
-already summed.
+tables and one overall average (:func:`overall`).  Every total is a
+:func:`~distancing.geo.exact_sum`; group totals go through
+:func:`~distancing.geo.group_totals`, which sums the ZCTA tables in place
+because frames come in ZCTA order, and the overall average divides by the
+employment total that the calibration already summed.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
 are compared across densities.  The curves price the whole density grid
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from math import fsum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -114,16 +113,18 @@ def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> 
 def overall(results: CellFrame, employment: float | None = None) -> AggRow:
     """The employment-weighted subsidy over all cells (key ``ALL``).
 
-    ``employment`` is the cells' total employment, the ``fsum`` that
+    ``employment`` is the cells' total employment, the exact sum that
     :attr:`~distancing.calibrate.CalibrationReport.employment` carries,
     computed here when not given.  Reports append the row to the sector
     table as the average row.
     """
+    from .geo import exact_sum
+
     if employment is None:
-        employment = fsum(results.employment.tolist())
+        employment = exact_sum(results.employment)
     if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
-    weighted = fsum((results.subsidy * results.employment).tolist())
+    weighted = exact_sum(results.subsidy * results.employment)
     return AggRow(key="ALL", subsidy=weighted / employment, employment=employment)
 
 

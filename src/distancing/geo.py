@@ -18,8 +18,7 @@ a CBP value means.  :func:`build_cells` prices whole columns with numpy
 not load it), and imputes once per covering national code and set of
 reported bins, not per cell.  The density file is read by column and
 read again row by row only when a value or a ZCTA does not pass.
-Group totals are ``math.fsum`` sums (:func:`group_totals`), correctly
-rounded (Shewchuk 1997), so no total depends on the input row order.
+Every total is an :func:`exact_sum`, or per group a :func:`group_totals`.
 """
 
 from __future__ import annotations
@@ -161,14 +160,12 @@ class NationalSizeDistribution:
 
     Lookups fall back to ancestor codes (one digit truncated at a time)
     when the exact industry is absent.  The table is fixed at construction,
-    so each code's covering distribution and each (distribution, excluded
-    bins) mean size are memoized.
+    so each code's covering distribution is memoized.
     """
 
     def __init__(self, table: Mapping[str, Mapping[str, tuple[float, float]]]):
         self._table = {code: dict(bins) for code, bins in table.items()}
         self._covering: dict[str, str | None] = {}
-        self._mean_sizes: dict[tuple[str, frozenset[str]], float | None] = {}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
@@ -198,11 +195,9 @@ class NationalSizeDistribution:
                                      "establishments")
             table.setdefault(naics, {})[size_bin] = (est, emp)
         for naics, bins in table.items():
-            try:
-                [fsum(column) for column in zip(*bins.values())]
-            except OverflowError:  # fsum's partial sums left the float range
+            if not all(exact_sum(column) < math.inf for column in zip(*bins.values())):
                 raise IngestionError(f"{path}: naics {naics!r}: total establishments or "
-                                     "employment is beyond the float range") from None
+                                     "employment is beyond the float range")
         return cls(table)
 
     def _covering_code(self, naics: str) -> str | None:
@@ -219,15 +214,13 @@ class NationalSizeDistribution:
         code = self._covering_code(naics)
         if code is None:
             return None
-        key = (code, frozenset(exclude_bins))
-        if key not in self._mean_sizes:
-            bins = self._table[code]
-            usable = [v for b, v in bins.items() if b not in key[1]]
-            if fsum(v[0] for v in usable) <= 0.0:
-                usable = list(bins.values())
-            est = fsum(v[0] for v in usable)
-            self._mean_sizes[key] = fsum(v[1] for v in usable) / est if est > 0.0 else None
-        return self._mean_sizes[key]
+        bins = self._table[code]
+        excluded = set(exclude_bins)
+        usable = [v for b, v in bins.items() if b not in excluded]
+        if exact_sum(v[0] for v in usable) <= 0.0:
+            usable = list(bins.values())
+        est = exact_sum(v[0] for v in usable)
+        return exact_sum(v[1] for v in usable) / est if est > 0.0 else None
 
     def open_bin_mean(self, naics: str, default: float = DEFAULT_OPEN_BIN_MEAN) -> float:
         code = self._covering_code(naics)
@@ -247,7 +240,9 @@ def build_cells(
     are imputed at the national mean size over the bins the cell does not
     report (a reported 0 counts as reported); ``imputed_fraction`` is
     their share.  A negative suppressed or bin count, an unknown bin label
-    or withheld plants no national distribution covers drop the cell.
+    or withheld plants no national distribution covers drop the cell; an
+    employment beyond the float range raises :class:`IngestionError`
+    naming the first such cell.
     Returns the cells sorted by (zcta, naics) and the dropped cells as
     (zcta, naics, reason).  The closed midpoints are half-integers, so
     their products add up exactly; the open bin and the imputation then
@@ -275,9 +270,6 @@ def build_cells(
     suppressed = np.bincount(cell[withheld], cbp.establishments[withheld], n)
 
     employment = counts @ np.array([DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
-    if OPEN_BIN in bins:
-        open_mean = np.array([national.open_bin_mean(c, open_bin_mean) for c in naics_labels])
-        employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
     known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
     unknown = [j for j, b in enumerate(bins) if b not in known]
     # a bin no row reports gets exactly 0 from ``bincount``, so a negative count
@@ -304,9 +296,14 @@ def build_cells(
     ], dtype=float)
     mean = np.zeros(n)
     mean[imputing] = means[pair]
-    imputed = suppressed * mean
-    total = employment + imputed
-    fraction = np.divide(imputed, total, out=np.zeros(n), where=total > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        if OPEN_BIN in bins:
+            open_mean = np.array([national.open_bin_mean(c, open_bin_mean)
+                                  for c in naics_labels])
+            employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
+        imputed = suppressed * mean
+        total = employment + imputed
+        fraction = np.divide(imputed, total, out=np.zeros(n), where=total > 0.0)
 
     drop = bad | np.isnan(mean)
     dropped = []
@@ -321,6 +318,11 @@ def build_cells(
         dropped.append((zcta_labels[zcta[c]], naics_labels[naics[c]], reason))
         logger.warning("cell %s/%s dropped: %s", *dropped[-1])
     keep = ~drop
+    overflow = np.flatnonzero(keep & np.isinf(total))
+    if overflow.size:
+        c = overflow[0]
+        raise IngestionError(f"cell {zcta_labels[zcta[c]]}/{naics_labels[naics[c]]}: "
+                             "estimated employment is beyond the float range")
     cells = Cells(Coded(zcta_labels, zcta[keep]), Coded(naics_labels, naics[keep]),
                   total[keep], fraction[keep])
     return cells, dropped
@@ -341,12 +343,28 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key[first], cell
 
 
-def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
-    """The keys that occur, sorted, and per column each key's ``math.fsum`` total.
+def exact_sum(values: np.ndarray | Iterable[float]) -> float:
+    """``math.fsum`` of a float array (through ``.tolist()``) or of an iterable.
 
-    A correctly rounded sum does not depend on the order of the rows.  Rows
-    already in key order (frames keep ``build_cells``' zcta order) are
-    summed in place: one O(n) check replaces the sort and the gathers.
+    The total is correctly rounded (Shewchuk 1997), so it does not depend
+    on the order of the terms.  Finite terms that overflow give ``inf``
+    instead of ``OverflowError``; inf and NaN terms act as in ``fsum``.
+    """
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        return fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
+    """The keys that occur, sorted, and per column each key's :func:`exact_sum`.
+
+    Plain ``fsum`` sums each group; a column where it overflows is summed
+    again by ``exact_sum``.  Rows already in key order (frames keep
+    ``build_cells``' zcta order) are summed in place: one O(n) check
+    replaces the sort and the gathers.
     Other rows are sorted as the narrowest unsigned codes that hold every
     label, which numpy's stable sort radix-sorts up to 16 bits.
     """
@@ -360,14 +378,28 @@ def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[lis
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
     bounds = [*starts.tolist(), len(codes)]
     spans = list(zip(bounds, bounds[1:]))
-    values = (column.tolist() for column in columns)
-    totals = [[fsum(column[a:b]) for a, b in spans] for column in values]
+    totals = []
+    for values in (column.tolist() for column in columns):
+        try:
+            totals.append([fsum(values[a:b]) for a, b in spans])
+        except OverflowError:
+            totals.append([exact_sum(values[a:b]) for a, b in spans])
     return [keys.labels[code] for code in codes[starts].tolist()], totals
 
 
 def region_employment(cells: Cells) -> dict[str, float]:
-    """Total estimated employment per ZCTA, in sorted order."""
+    """Total estimated employment per ZCTA, in sorted order.
+
+    A ZCTA's total, or the total of them all, beyond the float range raises
+    :class:`IngestionError`, naming the ZCTA.  Every employment total taken
+    later in a run sums a part of these cells, so none of them overflows.
+    """
     zctas, (employment,) = group_totals(cells.zcta, cells.employment)
+    if math.inf in employment:
+        raise IngestionError(f"zcta {zctas[employment.index(math.inf)]!r}: total employment "
+                             "is beyond the float range")
+    if exact_sum(employment) == math.inf:
+        raise IngestionError("the total employment of all ZCTAs is beyond the float range")
     return dict(zip(zctas, employment))
 
 
@@ -381,8 +413,8 @@ def normalize_density(
     zcta to employment.  Returns ``{zcta: normalized density}`` with the
     keys in sorted order.  Regions with nonpositive land area or density
     are dropped with a warning: they cannot enter the model.  The
-    employment-weighted mean of the returned densities is 1; a mean that
-    overflows the float range raises :class:`IngestionError`.  The
+    employment-weighted mean of the returned densities is 1; a mean beyond
+    the float range raises :class:`IngestionError`.  The
     pipeline passes all measured employment as ``weights``, cells whose
     code no industry mix covers included, though only resolved cells are
     priced.
@@ -403,13 +435,10 @@ def normalize_density(
         for zcta in sorted(raw)
         if weights.get(zcta, 0.0) > 0.0
     ]
-    total_weight = fsum(w for _, w in weighted)
+    total_weight = exact_sum(w for _, w in weighted)
     if total_weight <= 0.0:
         raise IngestionError("no employment overlaps the density data; cannot normalize")
-    try:
-        mean = fsum(wd for wd, _ in weighted) / total_weight
-    except OverflowError:  # fsum's partial sums left the float range
-        mean = math.inf
+    mean = exact_sum(wd for wd, _ in weighted) / total_weight
     if not math.isfinite(mean):
         raise IngestionError("the employment-weighted mean density is not finite; "
                              "cannot normalize")
@@ -691,6 +720,50 @@ def _read_density_rows(path) -> list[tuple[str, float, float]]:
                   for field in _DENSITY_FIELDS[1:]]
         records.append((zcta, *values))
     return records
+
+
+_LOCATION_FIELDS = ("density", "employment", *(f"share_{group}" for group in GROUPS))
+
+
+def read_location_index_csv(path: str | Path) -> list[list[float]]:
+    """The density, employment and ``share_*`` columns of a location index.
+
+    Every value is finite, density positive and employment nonnegative.
+    The columns are converted with ``float`` a block of rows at a time and
+    checked once; a file with a value that fails is read again row by row,
+    which names the first fault.
+    """
+    header, blocks = csvio.read_blocks(path, _LOCATION_FIELDS)
+    fields = [itemgetter(header.index(name)) for name in _LOCATION_FIELDS]
+    columns: list[list[float]] = [[] for _ in fields]
+    try:
+        for _, block in blocks:
+            for column, field in zip(columns, fields):
+                column.extend(map(float, map(field, block)))
+    except ValueError:
+        return _read_location_rows(path)
+    density, employment, *_ = columns
+    # a nan or inf makes the sum nan or inf, so min sees finite values only
+    if all(math.isfinite(sum(column)) for column in columns) and (
+        min(density, default=1.0) > 0.0 and min(employment, default=0.0) >= 0.0
+    ):
+        return columns
+    return _read_location_rows(path)
+
+
+def _read_location_rows(path) -> list[list[float]]:
+    """:func:`read_location_index_csv` a row at a time, each row's faults in field order."""
+    _, rows = csvio.read_rows(path, _LOCATION_FIELDS)
+    columns: list[list[float]] = [[] for _ in _LOCATION_FIELDS]
+    for i, row in enumerate(rows, start=1):
+        where = f"{path} row {i}"
+        for column, field in zip(columns, _LOCATION_FIELDS):
+            value = csvio.parse_float(row[field], path=where, field=field,
+                                      nonnegative=field in ("density", "employment"))
+            if field == "density" and value == 0.0:
+                raise IngestionError(f"{where}: field 'density': not positive: 0.0")
+            column.append(value)
+    return columns
 
 
 def write_location_index_csv(

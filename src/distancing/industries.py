@@ -233,14 +233,21 @@ def read_names_csv(path: str | Path) -> dict[str, str]:
 
 
 def read_exclusions(path: str | Path) -> list[str]:
-    """Read an exclusion list: one industry code per line, # comments allowed."""
-    codes = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.split("#", 1)[0].strip()
-            if entry:
-                codes.append(entry)
-    return codes
+    """Read an exclusion list: one industry code per line, # comments allowed.
+
+    The file is UTF-8; a byte that is not raises :class:`IngestionError`
+    naming the file and line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(
+            f"{path} line {line}: not UTF-8: byte {data[exc.start]:#04x}"
+        ) from None
+    entries = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [entry for entry in entries if entry]
 
 
 def write_industry_index_csv(

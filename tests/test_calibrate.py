@@ -19,6 +19,7 @@ from distancing.calibrate import (
     slope_factor,
 )
 from distancing.errors import CalibrationError
+from distancing.geo import exact_sum
 from distancing.industries import IndustryMix, MixResolver
 from distancing.model import FirmParams, contacts_at_density
 
@@ -117,19 +118,23 @@ class TestEpsilon:
         with pytest.raises(CalibrationError):
             solve_eps(frame, 0.04)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_verification_regression_rejects_a_wrong_slope_factor(self, shared):
+    @pytest.mark.parametrize("built", [False, True])
+    def test_verification_regression_rejects_a_wrong_slope_factor(self, built):
+        # with or without the frame's regression built before the solve
+        k = slope_factor(random_frame(61))
         frame = random_frame(61)
-        regression = DensityRegression.of(frame) if shared else None
-        k = slope_factor(frame, regression)
-        assert calibrate_epsilon(frame, 0.04, k, regression) == 0.04 / k
+        if built:
+            frame.regression
+        assert calibrate_epsilon(frame, 0.04, k) == 0.04 / k
         with pytest.raises(CalibrationError, match="verification regression slope"):
-            calibrate_epsilon(frame, 0.04, k * (1 + 1e-6), regression)
+            calibrate_epsilon(frame, 0.04, k * (1 + 1e-6))
 
     def test_shared_regression_gives_the_bits_of_a_fresh_one(self):
         frame = two_industry_frame()
         k = slope_factor(frame)
-        assert slope_factor(frame, DensityRegression.of(frame)) == k
+        assert frame.regression is frame.regression  # built once, then cached
+        fresh = DensityRegression.of(frame)
+        assert fresh.slope(frame.chi * fresh.x) == k
         # the textbook form, one fsum per moment
         w, x = frame.employment.tolist(), np.log(frame.density).tolist()
         z = [c * xi for c, xi in zip(frame.chi.tolist(), x)]
@@ -405,16 +410,20 @@ class TestCellParameters:
         def counting(values):
             if len(values) == len(frame):
                 passes.append(len(values))
-            return math.fsum(values)
+            return exact_sum(values)
 
-        monkeypatch.setattr(calibrate, "fsum", counting)
+        monkeypatch.setattr(calibrate, "exact_sum", counting)
         run_calibration(frame, 0.5, 0.04)
         # regression setup 3 (weight total, mean ln d, Sxx), k 2, verification 2,
         # contact total 1, capped contacts 1
         assert len(passes) == 9
         passes.clear()
-        run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
+        run_calibration(two_industry_frame(), 0.5, 0.04, fixed_eps=0.02)
         assert len(passes) == 7
+        passes.clear()
+        # the frame keeps its regression: a second calibration adds k, total, capped
+        run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
+        assert len(passes) == 4
 
     def test_report_carries_the_employment_total(self):
         frame = constant_chi_frame(0.4)

@@ -369,6 +369,27 @@ class TestLowessCommand:
         rc = main(["lowess", "--input", str(source), "--output-dir", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize("row, fault", [
+        ("zx,nan,0.1,0.1,0.1,0.1,5", "field 'density': not a finite number: 'nan'"),
+        ("zx,0,0.1,0.1,0.1,0.1,5", "field 'density': not positive: 0.0"),
+        ("zx,abc,0.1,0.1,0.1,0.1,5", "field 'density': not a number: 'abc'"),
+        ("zx,1.0,0.1,0.1,0.1,0.1,-5", "field 'employment': negative: -5.0"),
+        ("zx,1.0,0.1,inf,0.1,0.1,5", "field 'share_customer': not a finite number: 'inf'"),
+    ])
+    def test_bad_value_is_data_error_naming_file_row_and_field(
+        self, tmp_path, capsys, row, fault
+    ):
+        source = tmp_path / "location-index.csv"
+        write_location_index(source)
+        with open(source, "a") as fh:
+            fh.write(row + "\n")
+        out = tmp_path / "out"
+        assert main(["lowess", "--input", str(source), "--output-dir", str(out)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {source} row 16: {fault}"]
+        assert not (out / "location-lowess.csv").exists()
+
     def test_bad_bandwidth_is_usage_error(self, tmp_path):
         source = tmp_path / "location-index.csv"
         source.write_text("zcta,density,share_teamwork,share_customer,share_communication,"
@@ -579,6 +600,45 @@ class TestErrorContract:
                 "beyond the float range") in err
         assert "Traceback" not in err
 
+    # cbp.csv rows that, with one 1e308-worker plant per 1000+ plant under "44",
+    # overflow a ZCTA's total, a cell's estimate or the total of all ZCTAs
+    OVERFLOWING_CBP_ROWS = {
+        "zcta": (["10001,441100,1000+,1,0", "10001,441300,1000+,1,0"],
+                 "zcta '10001': total employment is beyond the float range"),
+        "cell": (["10001,441100,1000+,2,0"],
+                 "cell 10001/441100: estimated employment is beyond the float range"),
+        "all": (["10001,441100,1000+,1,0", "10002,441300,1000+,1,0"],
+                "the total employment of all ZCTAs is beyond the float range"),
+    }
+
+    @pytest.mark.parametrize("command", ["index", "subsidy"])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_CBP_ROWS))
+    def test_employment_overflow_names_the_cbp_file(
+        self, fixture_config, capsys, recwarn, command, case
+    ):
+        config, out = fixture_config
+        rows, fault = self.OVERFLOWING_CBP_ROWS[case]
+        with open(config.with_name("national_sizes.csv"), "a") as fh:
+            fh.write("44,1000+,1,1e308\n")
+        cbp = config.with_name("cbp.csv")
+        with open(cbp, "a") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+        assert main([command, "--config", str(config)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {cbp}: {fault}"]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "location-index.csv").exists()
+
+    def test_non_utf8_exclusions_name_file_and_line(self, fixture_config, capsys):
+        config, _ = fixture_config
+        exclusions = config.with_name("exclusions.txt")
+        exclusions.write_bytes(b"622\n# no hospitals\n44\xff\n")
+        assert main(["index", "--config", str(config)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {exclusions} line 3: not UTF-8: byte 0xff"]
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "distancing", "--version"],
@@ -671,6 +731,67 @@ class TestCollectorPolicy:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("line, fault", [
+        ("lenient = maybe", "config key lenient: expected a boolean, got 'maybe'"),
+        ("employment_density = 2",
+         "config key employment_density: expected a boolean, got '2'"),
+        ("face_to_face_level = 4.5",
+         "config key face_to_face_level: expected an integer, got '4.5'"),
+        ("proximity_level = three",
+         "config key proximity_level: expected an integer, got 'three'"),
+        ("cutoff = high", "config key cutoff: expected a number, got 'high'"),
+        ("cutoff = 100.5", "cutoff must lie in [0, 100], got 100.5"),
+        ("cutoff = -1", "cutoff must lie in [0, 100], got -1.0"),
+        ("face_to_face_level = 6", "face_to_face_level must be in 1..5, got 6"),
+        ("proximity_level = 0", "proximity_level must be in 1..5, got 0"),
+        ("contact_share = 0", "contact_share must lie in (0, 1], got 0.0"),
+        ("contact_share = 1.5", "contact_share must lie in (0, 1], got 1.5"),
+        ("elasticity = 0", "elasticity must be positive, got 0.0"),
+        ("fixed_eps = -0.1", "fixed_eps must be positive, got -0.1"),
+        ("telecom_cost = 0", "telecom_cost must be positive, got 0.0"),
+        ("open_bin_mean = -5", "open_bin_mean must be positive, got -5.0"),
+        ("exclusions = no-such-file.txt",
+         "input file for 'exclusions' does not exist: no-such-file.txt"),
+    ])
+    def test_bad_config_line_is_usage_error_naming_the_key(
+        self, fixture_config, capsys, line, fault
+    ):
+        config, out = fixture_config
+        bad = config.with_name("bad.cfg")
+        bad.write_text(config.read_text() + line + "\n")
+        assert main(["calibrate", "--config", str(bad)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and fault in errors[0]
+        assert not (out / "calibration.csv").exists()
+
+    def test_malformed_line_names_file_and_line(self, fixture_config, capsys):
+        config, _ = fixture_config
+        lines = config.read_text().splitlines()
+        config.write_text("\n".join([*lines, "cutoff 62.5"]) + "\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        assert (f"error: {config}:{len(lines) + 1}: expected 'key = value', "
+                "got 'cutoff 62.5'") in capsys.readouterr().err
+
+    def test_unreadable_config_is_usage_error_naming_it(self, tmp_path, capsys):
+        assert main(["calibrate", "--config", str(tmp_path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot read config file {tmp_path}: ")
+
+    def test_non_utf8_config_is_usage_error_naming_file_and_line(
+        self, fixture_config, capsys
+    ):
+        config, _ = fixture_config
+        lines = config.read_bytes().splitlines()
+        config.write_bytes(b"\n".join([*lines, b"# caf\xff"]) + b"\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: cannot read config file {config}: line {len(lines) + 1} "
+                          "is not UTF-8: byte 0xff"]
+
     def test_default_config_hash_is_pinned(self):
         # every output's provenance line carries this hash
         assert config_hash(RunConfig()) == "dcfe423929d3"

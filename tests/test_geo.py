@@ -19,6 +19,7 @@ from distancing.geo import (
     Coded,
     NationalSizeDistribution,
     build_cells,
+    exact_sum,
     group_totals,
     location_exposure,
     lowess_curve,
@@ -389,6 +390,36 @@ class TestGroupTotals:
             per_key.setdefault(labels[code], []).append(value)
         assert keys == sorted(per_key)
         assert totals == [math.fsum(per_key[key]) for key in keys]
+
+    def test_an_overflowing_group_is_inf_and_the_others_exact(self):
+        keys = Coded(["a", "b", "c"], np.array([0, 0, 1, 1, 2]))
+        values = np.array([1e308, 1e308, 0.1, 0.2, -1e308])
+        labels, (totals, halves) = group_totals(keys, values, values / 2)
+        assert labels == ["a", "b", "c"]
+        assert totals == [math.inf, math.fsum([0.1, 0.2]), -1e308]
+        assert halves == [1e308, math.fsum([0.05, 0.1]), -5e307]
+
+
+class TestExactSum:
+    def test_is_fsum_of_an_array_or_an_iterable(self):
+        values = np.random.default_rng(5).lognormal(size=1000) * 1e10
+        expected = math.fsum(values.tolist())
+        assert exact_sum(values) == exact_sum(iter(values.tolist())) == expected
+        assert exact_sum([]) == 0.0
+
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 1e308, -1e308],
+                                        np.array([1.5e308, 1e308])])
+    def test_finite_terms_that_overflow_total_inf(self, values):
+        with pytest.raises(OverflowError):
+            math.fsum(list(values))
+        assert exact_sum(values) == math.inf
+
+    def test_inf_and_nan_terms_as_in_fsum(self):
+        assert exact_sum([1.0, math.inf]) == math.inf
+        assert exact_sum(np.array([1.0, -math.inf])) == -math.inf
+        assert math.isnan(exact_sum([math.nan, 1.0]))
+        with pytest.raises(ValueError):
+            exact_sum([math.inf, -math.inf])
 
 
 class TestCbpCsv:
