@@ -157,21 +157,23 @@ def cmd_index(cfg: RunConfig) -> int:
     out = _output_dir(cfg)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
-    occupations.write_flags_csv(out / "occupation-index.csv", index.profiles, index.flags, stamp)
-    industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
-    _write_reconciliation(out / "reconciliation.txt", index, stamp)
-    if cfg.cbp and cfg.density and cfg.national_sizes:
+    located = cfg.cbp and cfg.density and cfg.national_sizes
+    if located:  # before the first write, so a data error leaves no outputs
         from . import calibrate, geo
 
         geo_stage = run_geo_stage(cfg, index)
         frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver,
                                           geo_stage.densities)
         exposures = geo.location_exposure(frame, index.mixes)
+    else:
+        _logger().info("no establishment/density inputs configured; location index skipped")
+    occupations.write_flags_csv(out / "occupation-index.csv", index.profiles, index.flags, stamp)
+    industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
+    _write_reconciliation(out / "reconciliation.txt", index, stamp)
+    if located:
         geo.write_location_index_csv(
             out / "location-index.csv", exposures, geo_stage.densities, stamp
         )
-    else:
-        _logger().info("no establishment/density inputs configured; location index skipped")
     return 0
 
 
@@ -355,22 +357,12 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def read_region_groups(path) -> dict[str, str]:
-    """Read a ``zcta,region`` membership file; a ZCTA may appear once, and
-    a blank field is an error naming the row and the field."""
+    """Read a ``zcta,region`` membership file through :func:`csvio.read_table`;
+    a ZCTA may appear once."""
     from . import csvio
-    from .errors import IngestionError
 
-    _, rows = csvio.read_rows(path, ["zcta", "region"])
-    groups: dict[str, str] = {}
-    first_row: dict[str, int] = {}
-    for i, row in enumerate(rows, start=1):
-        zcta, region = row["zcta"].strip(), row["region"].strip()
-        for name, value in (("zcta", zcta), ("region", region)):
-            if not value:
-                raise IngestionError(f"{path} row {i}: field {name!r}: blank")
-        csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
-        groups[zcta] = region
-    return groups
+    zctas, regions = csvio.read_table(path, ["zcta", "region"], [], key=["zcta"])
+    return dict(zip(zctas, regions))
 
 
 def _pct(fraction: float) -> float:

@@ -8,12 +8,18 @@ reader would skip them, and errors name the same rows.  The block reader
 takes any CSV, quoted fields included, and is the reference for what a file
 holds and for every error message.
 
+:func:`read_table` reads every CSV input but the establishment and
+occupation files under one contract: labels are stripped and never blank,
+numbers are finite and never negative, and a key may not repeat.  It reads
+by column and reads a file again row by row only when a value does not
+pass, so that the error names the first fault.
+
 :func:`read_columns` reads short fields of a plain file (no quotes, every
 data line as wide as the header) with numpy instead, looking each distinct
-value up once per chunk of :data:`CHUNK_BYTES` (a sort of the keys, or
-of each run's first key where runs are long); on any other file, or a value its caller rejects, it returns None
-so the caller reads the file through the block reader, which names the
-fault.
+value up once per chunk of :data:`CHUNK_BYTES` (a sort of the keys, or of
+each run's first key where runs are long); on any other file, or a value
+its caller rejects, it returns None so the caller reads the file through
+the block reader, which names the fault.
 
 All pipeline outputs are UTF-8 CSVs with LF line endings, an optional
 leading ``#`` provenance comment, and floats rendered with ``repr`` (the
@@ -26,8 +32,9 @@ import csv
 import math
 from array import array
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestionError
 
@@ -324,6 +331,86 @@ def read_rows(
     return header, [dict(zip(header, fields)) for _, block in blocks for fields in block]
 
 
+def read_table(
+    path: str | Path,
+    labels: Sequence[str],
+    numbers: Sequence[str],
+    *,
+    key: Sequence[str] = (),
+    positive: Container[str] = (),
+) -> list[list]:
+    """The ``labels`` columns, then the ``numbers`` columns, of a CSV: one list
+    per field.
+
+    Labels are stripped and never blank.  Numbers are finite floats, never
+    negative, and above 0 in the fields named in ``positive``.  No row may
+    repeat an earlier row's ``key``, some of the ``labels``.  The columns
+    are taken a block of rows at a time and checked once; a file with a
+    value that fails is read again by :func:`_table_rows`, which names the
+    first fault.
+    """
+    header, blocks = read_blocks(path, (*labels, *numbers))
+    work = [(str.strip, itemgetter(header.index(name))) for name in labels]
+    work += [(float, itemgetter(header.index(name))) for name in numbers]
+    columns: list[list] = [[] for _ in work]
+    try:
+        for _, block in blocks:
+            for column, (convert, field) in zip(columns, work):
+                column.extend(map(convert, map(field, block)))
+    except ValueError:
+        return _table_rows(path, labels, numbers, key=key, positive=positive)
+    keys = [columns[labels.index(name)] for name in key]
+    if (
+        all(map(all, columns[:len(labels)]))
+        and (not keys or len(set(keys[0] if len(keys) == 1 else zip(*keys))) == len(keys[0]))
+        and all(_in_range(column, name in positive)
+                for name, column in zip(numbers, columns[len(labels):]))
+    ):
+        return columns
+    return _table_rows(path, labels, numbers, key=key, positive=positive)
+
+
+def _in_range(column: list[float], positive: bool) -> bool:
+    """Every value finite and not negative, or with ``positive`` above 0."""
+    # a nan or inf makes the sum nan or inf, so min sees finite values only
+    return math.isfinite(sum(column)) and (
+        min(column, default=1.0) > 0.0 if positive else min(column, default=0.0) >= 0.0
+    )
+
+
+def _table_rows(path, labels, numbers, *, key=(), positive=()) -> list[list]:
+    """:func:`read_table` a row at a time, raising the first fault it finds.
+
+    The whole file is read first, so a short row, a ``csv`` error or a
+    byte that is not UTF-8 anywhere comes before any value.  Then each row
+    in order: its blank labels, its repeated key, its numbers in field
+    order.
+    """
+    _, rows = read_rows(path, (*labels, *numbers))
+    columns: list[list] = [[] for _ in (*labels, *numbers)]
+    first_row: dict = {}
+    for i, row in enumerate(rows, start=1):
+        where = f"{path} row {i}"
+        values: list = [row[name].strip() for name in labels]
+        for name, value in zip(labels, values):
+            if not value:
+                raise IngestionError(f"{where}: field {name!r}: blank")
+        if key:
+            keyed = tuple(values[labels.index(name)] for name in key)
+            require_unique(first_row, keyed[0] if len(key) == 1 else keyed, i,
+                           path=path, field="/".join(key))
+        for name in numbers:
+            value = parse_float(row[name], path=where, field=name)
+            if value < 0.0:
+                raise IngestionError(f"{where}: field {name!r}: negative: {value!r}")
+            if value == 0.0 and name in positive:
+                raise IngestionError(f"{where}: field {name!r}: not positive: {value!r}")
+            values.append(value)
+        for column, value in zip(columns, values):
+            column.append(value)
+    return columns
+
+
 def write_rows(
     path: str | Path,
     fieldnames: Sequence[str],
@@ -361,16 +448,14 @@ def _cell(value):
     return value
 
 
-def parse_float(raw: str, *, path, field: str, nonnegative: bool = False) -> float:
-    """A finite float, not below 0 with ``nonnegative``; ``path`` should name the file and row."""
+def parse_float(raw: str, *, path, field: str) -> float:
+    """A finite float; ``path`` should name the file and row."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
         raise IngestionError(f"{path}: field {field!r}: not a number: {raw!r}") from None
     if not math.isfinite(value):
         raise IngestionError(f"{path}: field {field!r}: not a finite number: {raw!r}")
-    if nonnegative and value < 0.0:
-        raise IngestionError(f"{path}: field {field!r}: negative: {value!r}")
     return value
 
 

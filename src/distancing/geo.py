@@ -16,9 +16,8 @@ block reader, a field at a time per block of rows; here lives only what
 a CBP value means.  :func:`build_cells` prices whole columns with numpy
 (imported by the functions that use it, so importing the package does
 not load it), and imputes once per covering national code and set of
-reported bins, not per cell.  The density file is read by column and
-read again row by row only when a value or a ZCTA does not pass.
-Every total is an :func:`exact_sum`, or per group a :func:`group_totals`.
+reported bins, not per cell.  Every total is an :func:`exact_sum`, or per
+group a :func:`group_totals`.
 """
 
 from __future__ import annotations
@@ -175,24 +174,16 @@ class NationalSizeDistribution:
         Each code's establishments and employment, summed over its bins,
         must be finite, so no sum over some of its bins can overflow.
         """
-        _, rows = csvio.read_rows(path, ["naics", "size_bin", "establishments", "employment"])
+        labels, numbers = ["naics", "size_bin"], ["establishments", "employment"]
+        columns = csvio.read_table(path, labels, numbers, key=labels)
         table: dict[str, dict[str, tuple[float, float]]] = {}
-        first_row: dict[tuple[str, str], int] = {}
-        for i, row in enumerate(rows, start=1):
-            naics = row["naics"].strip()
-            size_bin = row["size_bin"].strip()
-            csvio.require_unique(
-                first_row, (naics, size_bin), i, path=path, field="naics/size_bin"
-            )
-            where = f"{path} row {i}"
-            est, emp = (csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
-                        for field in ("establishments", "employment"))
+        for i, (naics, size_bin, est, emp) in enumerate(zip(*columns), start=1):
             if not est.is_integer():
-                raise IngestionError(f"{where}: field 'establishments': not a whole number: "
-                                     f"{est!r}")
+                raise IngestionError(f"{path} row {i}: field 'establishments': not a whole "
+                                     f"number: {est!r}")
             if est == 0.0 and emp > 0.0:
-                raise IngestionError(f"{where}: field 'employment': {emp!r} workers in 0 "
-                                     "establishments")
+                raise IngestionError(f"{path} row {i}: field 'employment': {emp!r} workers "
+                                     "in 0 establishments")
             table.setdefault(naics, {})[size_bin] = (est, emp)
         for naics, bins in table.items():
             if not all(exact_sum(column) < math.inf for column in zip(*bins.values())):
@@ -677,93 +668,24 @@ def _check_cbp_rows(path, first: int, block: list[list[str]], fields: list[int])
             ) from None
 
 
-_DENSITY_FIELDS = ("zcta", "population", "land_area_km2")
-
-
 def read_density_csv(path: str | Path) -> list[tuple[str, float, float]]:
-    """Read ``zcta,population,land_area_km2`` records; a ZCTA may appear once.
+    """Read ``zcta,population,land_area_km2`` records through
+    :func:`csvio.read_table`; a ZCTA may appear once.
 
-    Population and land area are finite and nonnegative; a zero leaves the
-    region to :func:`normalize_density`, which drops it with a warning.
-    The three columns are taken a block of rows at a time, converted with
-    ``float`` and checked once; a file with a value that fails, or a
-    repeated ZCTA, is read again row by row, which names the first fault.
+    A zero population or land area leaves the region to
+    :func:`normalize_density`, which drops it with a warning.
     """
-    header, blocks = csvio.read_blocks(path, _DENSITY_FIELDS)
-    zcta, *fields = (itemgetter(header.index(name)) for name in _DENSITY_FIELDS)
-    zctas, *columns = [], [], []
-    try:
-        for _, block in blocks:
-            zctas.extend(map(str.strip, map(zcta, block)))
-            for column, field in zip(columns, fields):
-                column.extend(map(float, map(field, block)))
-    except ValueError:
-        return _read_density_rows(path)
-    # a nan or inf makes the sum nan or inf, so min sees finite values only
-    if len(set(zctas)) == len(zctas) and all(
-        math.isfinite(sum(column)) and min(column, default=0.0) >= 0.0 for column in columns
-    ):
-        return list(zip(zctas, *columns))
-    return _read_density_rows(path)
-
-
-def _read_density_rows(path) -> list[tuple[str, float, float]]:
-    """:func:`read_density_csv` a row at a time, each row's faults in field order."""
-    _, rows = csvio.read_rows(path, _DENSITY_FIELDS)
-    records = []
-    first_row: dict[str, int] = {}
-    for i, row in enumerate(rows, start=1):
-        where = f"{path} row {i}"
-        zcta = row["zcta"].strip()
-        csvio.require_unique(first_row, zcta, i, path=path, field="zcta")
-        values = [csvio.parse_float(row[field], path=where, field=field, nonnegative=True)
-                  for field in _DENSITY_FIELDS[1:]]
-        records.append((zcta, *values))
-    return records
+    return list(zip(*csvio.read_table(path, ["zcta"], ["population", "land_area_km2"],
+                                      key=["zcta"])))
 
 
 _LOCATION_FIELDS = ("density", "employment", *(f"share_{group}" for group in GROUPS))
 
 
 def read_location_index_csv(path: str | Path) -> list[list[float]]:
-    """The density, employment and ``share_*`` columns of a location index.
-
-    Every value is finite, density positive and employment nonnegative.
-    The columns are converted with ``float`` a block of rows at a time and
-    checked once; a file with a value that fails is read again row by row,
-    which names the first fault.
-    """
-    header, blocks = csvio.read_blocks(path, _LOCATION_FIELDS)
-    fields = [itemgetter(header.index(name)) for name in _LOCATION_FIELDS]
-    columns: list[list[float]] = [[] for _ in fields]
-    try:
-        for _, block in blocks:
-            for column, field in zip(columns, fields):
-                column.extend(map(float, map(field, block)))
-    except ValueError:
-        return _read_location_rows(path)
-    density, employment, *_ = columns
-    # a nan or inf makes the sum nan or inf, so min sees finite values only
-    if all(math.isfinite(sum(column)) for column in columns) and (
-        min(density, default=1.0) > 0.0 and min(employment, default=0.0) >= 0.0
-    ):
-        return columns
-    return _read_location_rows(path)
-
-
-def _read_location_rows(path) -> list[list[float]]:
-    """:func:`read_location_index_csv` a row at a time, each row's faults in field order."""
-    _, rows = csvio.read_rows(path, _LOCATION_FIELDS)
-    columns: list[list[float]] = [[] for _ in _LOCATION_FIELDS]
-    for i, row in enumerate(rows, start=1):
-        where = f"{path} row {i}"
-        for column, field in zip(columns, _LOCATION_FIELDS):
-            value = csvio.parse_float(row[field], path=where, field=field,
-                                      nonnegative=field in ("density", "employment"))
-            if field == "density" and value == 0.0:
-                raise IngestionError(f"{where}: field 'density': not positive: 0.0")
-            column.append(value)
-    return columns
+    """The density, employment and ``share_*`` columns of a location index,
+    through :func:`csvio.read_table`; density is positive."""
+    return csvio.read_table(path, [], _LOCATION_FIELDS, positive=["density"])
 
 
 def write_location_index_csv(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
@@ -61,6 +61,8 @@ def build_mix(
     is rejected, and so is an industry total that is not finite (a value
     that is not, or a sum beyond the float range).
     """
+    from .geo import exact_sum  # not at module level: geo imports this module
+
     names = names or {}
     employment: dict[str, dict[str, float]] = {}
     for industry_code, soc_code, emp in matrix_rows:
@@ -76,10 +78,7 @@ def build_mix(
     unknown: set[str] = set()
     for industry_code in sorted(employment):
         occs = employment[industry_code]
-        try:
-            total = fsum(occs[soc] for soc in sorted(occs))
-        except OverflowError:  # fsum's partial sums left the float range
-            total = inf
+        total = exact_sum(occs[soc] for soc in sorted(occs))
         if not isfinite(total):
             raise IngestionError(f"industry {industry_code!r}: total employment is not finite")
         if total <= 0.0:
@@ -89,8 +88,8 @@ def build_mix(
         shares = {soc: occs[soc] / total for soc in sorted(occs)}
         unknown.update(soc for soc in shares if soc not in flags)
         chi = {
-            group: fsum(share for soc, share in shares.items()
-                        if soc in flags and flags[soc].group(group))
+            group: exact_sum(share for soc, share in shares.items()
+                             if soc in flags and flags[soc].group(group))
             for group in GROUPS
         }
         report.mixes.append(
@@ -207,29 +206,16 @@ def _range_aliases(code: str) -> list[str]:
 
 
 def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
-    """Read ``industry_code,soc_code,employment`` records; employment is nonnegative."""
-    _, rows = csvio.read_rows(path, ["industry_code", "soc_code", "employment"])
-    return [
-        (
-            row["industry_code"].strip(),
-            row["soc_code"].strip(),
-            csvio.parse_float(row["employment"], path=f"{path} row {i}", field="employment",
-                              nonnegative=True),
-        )
-        for i, row in enumerate(rows, start=1)
-    ]
+    """Read ``industry_code,soc_code,employment`` records through
+    :func:`csvio.read_table`."""
+    return list(zip(*csvio.read_table(path, ["industry_code", "soc_code"], ["employment"])))
 
 
 def read_names_csv(path: str | Path) -> dict[str, str]:
-    """Read an ``industry_code,name`` concordance; a code may appear once."""
-    _, rows = csvio.read_rows(path, ["industry_code", "name"])
-    names: dict[str, str] = {}
-    first_row: dict[str, int] = {}
-    for i, row in enumerate(rows, start=1):
-        code = row["industry_code"].strip()
-        csvio.require_unique(first_row, code, i, path=path, field="industry_code")
-        names[code] = row["name"].strip()
-    return names
+    """Read an ``industry_code,name`` concordance through :func:`csvio.read_table`;
+    a code may appear once."""
+    codes, names = csvio.read_table(path, ["industry_code", "name"], [], key=["industry_code"])
+    return dict(zip(codes, names))
 
 
 def read_exclusions(path: str | Path) -> list[str]:

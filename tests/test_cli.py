@@ -628,7 +628,42 @@ class TestErrorContract:
                   if line.startswith("error:")]
         assert errors == [f"error: {cbp}: {fault}"]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        assert not (out / "location-index.csv").exists()
+        assert snapshot(out) == {}
+
+    # (file, an appended data row, the field the error names, its fault): blank
+    # labels, and a negative location-index share
+    CONTRACT_FAULTS = [
+        ("matrix.csv", "  ,11-1011,5", "industry_code", "blank"),
+        ("matrix.csv", "11,,5", "soc_code", "blank"),
+        ("national_sizes.csv", " ,1-4,1,2", "naics", "blank"),
+        ("national_sizes.csv", "44, ,1,2", "size_bin", "blank"),
+        ("density.csv", " ,100,1", "zcta", "blank"),
+        ("industry_names.csv", ",Mining", "industry_code", "blank"),
+        ("industry_names.csv", "21, ", "name", "blank"),
+        ("location-index.csv", "zx,1.0,0.1,-0.1,0.1,0.1,5", "share_customer",
+         "negative: -0.1"),
+    ]
+
+    @pytest.mark.parametrize("name, row, field, fault", CONTRACT_FAULTS)
+    def test_input_contract_fault_names_file_row_and_field(
+        self, fixture_config, capsys, name, row, field, fault
+    ):
+        config, out = fixture_config
+        path = config.with_name(name)
+        args = ["index", "--config", str(config)]
+        if name == "industry_names.csv":
+            path.write_text("industry_code,name\n11,Agriculture\n")
+            args += ["--industry-names", str(path)]
+        elif name == "location-index.csv":
+            write_location_index(path)
+            args = ["lowess", "--config", str(config), "--input", str(path)]
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines, row]) + "\n")
+        assert main(args) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {path} row {len(lines)}: field {field!r}: {fault}"]
+        assert snapshot(out) == {}
 
     def test_non_utf8_exclusions_name_file_and_line(self, fixture_config, capsys):
         config, _ = fixture_config

@@ -2,6 +2,7 @@
 
 import math
 import random
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distancing import csvio, geo
+from distancing import csvio, geo, industries
 from distancing.calibrate import cell_parameters
+from distancing.cli import read_region_groups
 from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
@@ -588,74 +590,202 @@ class TestDensity:
             read_density_csv(path)
 
 
-_DENSITY_HEADER = "zcta,population,land_area_km2,note\n"
-# a data row's faults, as the row loop names them (after "<path> row <n>: ")
-_DENSITY_FAULTS = {
-    "blank": ("10009,,2.5,x", "field 'population': not a number: ''"),
-    "non-numeric": ("10009,40,2.5km,x", "field 'land_area_km2': not a number: '2.5km'"),
-    "negative": ("10009,-40,2.5,x", "field 'population': negative: -40.0"),
-    "nan": ("10009,nan,2.5,x", "field 'population': not a finite number: 'nan'"),
-    "inf": ("10009,40, inf,x", "field 'land_area_km2': not a finite number: ' inf'"),
-    "repeated": (" 10001,40,2.5,x", "zcta '10001' already given at row 1"),
-    "short": ("10009,40", "expected 4 fields, got 2"),
+class Table(NamedTuple):
+    """A caller of :func:`csvio.read_table` and the files it is tried on."""
+
+    read: Callable  # path -> a value whose repr shows every bit read
+    header: str
+    row: st.SearchStrategy  # a clean data row's fields
+    key: Callable | None  # a clean row's key, so that a clean file repeats none
+    base: tuple[str, ...]  # four clean lines; a fault goes in as the fourth
+    faults: dict  # name -> (line, message after "<path> row 4: ")
+
+
+_LOCATION_HEADER = ("zcta,density,share_teamwork,share_customer,share_communication,"
+                    "share_presence,employment,note")
+TABLES = {
+    "density": Table(
+        read_density_csv,
+        "zcta,population,land_area_km2,note",
+        st.tuples(st.sampled_from(["10001", " 10002", "10003 ", "00501", "z"]),
+                  st.sampled_from(["40", " 1e3", "0", "-0", "1_000", "7.25", "+3"]),
+                  st.sampled_from(["2.5", "0.0", "1E-3 ", "123456789.5"])),
+        lambda fields: fields[0].strip(),
+        ("10001,40,2.5,x", "10002,30,1.5,x", "10003,20,0.5,x", "10004,1,1,x"),
+        {
+            "blank label": ("  ,40,2.5,x", "field 'zcta': blank"),
+            "blank number": ("10009,,2.5,x", "field 'population': not a number: ''"),
+            "non-numeric": ("10009,40,2.5km,x",
+                            "field 'land_area_km2': not a number: '2.5km'"),
+            "negative": ("10009,-40,2.5,x", "field 'population': negative: -40.0"),
+            "nan": ("10009,nan,2.5,x", "field 'population': not a finite number: 'nan'"),
+            "inf": ("10009,40, inf,x", "field 'land_area_km2': not a finite number: ' inf'"),
+            "repeated": (" 10001,40,2.5,x", "zcta '10001' already given at row 1"),
+            "short": ("10009,40", "expected 4 fields, got 2"),
+        },
+    ),
+    "location index": Table(
+        geo.read_location_index_csv,
+        _LOCATION_HEADER,
+        st.tuples(st.sampled_from(["z1", " ", "10001"]),
+                  st.sampled_from(["1", " 0.25", "1e-3", "7_0"]),
+                  *[st.sampled_from(["0", "0.1", " 1", "-0"])] * 4,
+                  st.sampled_from(["0", "5", " 12.5"])),
+        None,
+        ("z1,1,0,0,0,0,5,x", "z2,2,0.1,0.2,0.3,0.4,6,x", "z3,3,1,1,1,1,7,x",
+         "z4,4,0,0,0,0,8,x"),
+        {
+            "zero": ("z9,0,0.1,0.1,0.1,0.1,5,x", "field 'density': not positive: 0.0"),
+            "negative zero": ("z9,-0,0.1,0.1,0.1,0.1,5,x",
+                              "field 'density': not positive: -0.0"),
+            "negative density": ("z9,-2,0.1,0.1,0.1,0.1,5,x",
+                                 "field 'density': negative: -2.0"),
+            "negative share": ("z9,1,0.1,-0.2,0.1,0.1,5,x",
+                               "field 'share_customer': negative: -0.2"),
+            "negative employment": ("z9,1,0.1,0.1,0.1,0.1,-5,x",
+                                    "field 'employment': negative: -5.0"),
+            "non-numeric": ("z9,abc,0.1,0.1,0.1,0.1,5,x",
+                            "field 'density': not a number: 'abc'"),
+            "inf": ("z9,1,0.1,0.1,0.1,inf,5,x",
+                    "field 'share_presence': not a finite number: 'inf'"),
+            "short": ("z9,1,0.1", "expected 8 fields, got 3"),
+        },
+    ),
+    "national sizes": Table(
+        lambda path: NationalSizeDistribution.from_csv(path)._table,
+        "naics,size_bin,establishments,employment,note",
+        st.tuples(st.sampled_from(["11", " 111", "44-45 "]),
+                  st.sampled_from(["1-4", " 5-9", "1000+"]),
+                  st.sampled_from([("0", "0"), ("0", " -0"), ("3", "7.5"), (" 1e2", "0"),
+                                   ("+7", "1_000")])).map(lambda t: (*t[:2], *t[2])),
+        lambda fields: (fields[0].strip(), fields[1].strip()),
+        ("11,1-4,3,7.5,x", "11,5-9,2,14,x", "21,1-4,1,2.5,x", "22,1-4,5,12,x"),
+        {
+            "blank code": (" ,1-4,3,7.5,x", "field 'naics': blank"),
+            "blank bin": ("31,,3,7.5,x", "field 'size_bin': blank"),
+            "repeated": ("11, 5-9,1,1,x", "naics/size_bin ('11', '5-9') already given at row 2"),
+            "negative": ("31,1-4,-3,7.5,x", "field 'establishments': negative: -3.0"),
+            "nan": ("31,1-4,3,nan,x", "field 'employment': not a finite number: 'nan'"),
+            "fraction": ("31,1-4,2.5,7.5,x",
+                         "field 'establishments': not a whole number: 2.5"),
+            "no plants": ("31,1-4,0,3,x", "field 'employment': 3.0 workers in 0 establishments"),
+            "short": ("31,1-4,3", "expected 5 fields, got 3"),
+        },
+    ),
+    "matrix": Table(
+        industries.read_matrix_csv,
+        "industry_code,soc_code,employment,note",
+        st.tuples(st.sampled_from(["11", " 21", "44-45"]),
+                  st.sampled_from(["11-1011", " 13-2011 "]),
+                  st.sampled_from(["0", "5", " 1e3", "-0", "2.5"])),
+        None,
+        ("11,11-1011,5,x", "11,13-2011,6,x", "21,11-1011,7,x", "21,11-1011,8,x"),
+        {
+            "blank industry": (" ,11-1011,5,x", "field 'industry_code': blank"),
+            "blank soc": ("31,,5,x", "field 'soc_code': blank"),
+            "negative": ("31,11-1011,-5,x", "field 'employment': negative: -5.0"),
+            "nan": ("31,11-1011,NaN,x", "field 'employment': not a finite number: 'NaN'"),
+            "non-numeric": ("31,11-1011,5 workers,x",
+                            "field 'employment': not a number: '5 workers'"),
+            "short": ("31", "expected 4 fields, got 1"),
+        },
+    ),
+    "industry names": Table(
+        industries.read_names_csv,
+        "industry_code,name,note",
+        st.tuples(st.sampled_from(["11", " 21", "44-45", "622"]),
+                  st.sampled_from(["Agriculture", " Mining ", "Retail trade"])),
+        lambda fields: fields[0].strip(),
+        ("11,Agriculture,x", "21,Mining,x", "22,Utilities,x", "23,Construction,x"),
+        {
+            "blank code": ("  ,Retail trade,x", "field 'industry_code': blank"),
+            "blank name": ("44-45,,x", "field 'name': blank"),
+            "repeated": ("21 ,Mining again,x", "industry_code '21' already given at row 2"),
+            "short": ("44-45", "expected 3 fields, got 1"),
+        },
+    ),
+    "region groups": Table(
+        read_region_groups,
+        "zcta,region,note",
+        st.tuples(st.sampled_from(["10001", " 10002", "00501"]),
+                  st.sampled_from(["metro", " upstate ", "r"])),
+        lambda fields: fields[0].strip(),
+        ("10001,metro,x", "10002,metro,x", "10003,upstate,x", "10004,r,x"),
+        {
+            "blank zcta": (",metro,x", "field 'zcta': blank"),
+            "blank region": ("10009, ,x", "field 'region': blank"),
+            "repeated": ("10003,metro,x", "zcta '10003' already given at row 3"),
+            "short": ("10009", "expected 3 fields, got 1"),
+        },
+    ),
 }
-_CLEAN_DENSITY = st.tuples(
-    st.sampled_from(["10001", " 10002", "10003 ", "00501", "z"]),
-    st.sampled_from(["40", " 1e3", "0", "-0", "1_000", "7.25", "+3"]),
-    st.sampled_from(["2.5", "0.0", "1E-3 ", "123456789.5"]),
-)
+_FAULTS = [(table, fault) for table in TABLES for fault in TABLES[table].faults]
 
 
-def _density_lines(rows):
-    return _DENSITY_HEADER + "".join(f"{','.join(row)},x\n" for row in rows)
-
-
-def _without_repeats(rows):
+def _without_repeats(table, rows):
+    if table.key is None:
+        return rows
     seen = set()
-    return [row for row in rows if row[0].strip() not in seen and not seen.add(row[0].strip())]
+    return [row for row in rows
+            if table.key(row) not in seen and not seen.add(table.key(row))]
 
 
-class TestDensityColumns:
-    @settings(deadline=None, derandomize=True, database=None)
-    @given(st.lists(_CLEAN_DENSITY, max_size=12).map(_without_repeats), st.sampled_from([1, 2, 512]))
-    def test_clean_file_never_runs_the_row_loop(self, tmp_path_factory, rows, block):
-        path = tmp_path_factory.mktemp("density") / "density.csv"
-        path.write_text("# provenance\n" + _density_lines(rows).replace("\n", "\n\n", 1))
-        want = geo._read_density_rows(path)
-        loop = mock.patch.object(geo, "_read_density_rows", side_effect=AssertionError)
+def _row_loop_outcome(table, path):
+    """What ``table.read`` gives when :func:`csvio.read_table` is its row loop."""
+    with mock.patch.object(csvio, "read_table", csvio._table_rows):
+        return outcome(table.read, path)
+
+
+class TestTableReaders:
+    """Each caller of :func:`csvio.read_table` reads what its row loop reads,
+    and fails as it fails, at every block size."""
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 512]))
+    def test_clean_file_never_runs_the_row_loop(self, tmp_path_factory, name, data, block):
+        table = TABLES[name]
+        rows = _without_repeats(table, data.draw(st.lists(table.row, max_size=12)))
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text(f"# provenance\n{table.header}\n\n"
+                        + "".join(f"{','.join(row)},x\n" for row in rows))
+        want = _row_loop_outcome(table, path)
+        loop = mock.patch.object(csvio, "_table_rows", side_effect=AssertionError)
         with mock.patch.object(csvio, "BLOCK_ROWS", block), loop:
-            got = read_density_csv(path)
-        assert got == want
-        assert [tuple(map(repr, record)) for record in got] == [
-            tuple(map(repr, record)) for record in want
-        ]
+            got = table.read(path)
+        assert want[0] == "ok"
+        assert repr(got) == repr(want[1])
 
-    @pytest.mark.parametrize("fault", sorted(_DENSITY_FAULTS))
     @pytest.mark.parametrize("block", [1, 2, 512])
-    def test_each_fault_keeps_the_row_loops_message(self, tmp_path, fault, block):
-        row, message = _DENSITY_FAULTS[fault]
-        path = tmp_path / "density.csv"
-        path.write_text(_density_lines([("10001", "40", "2.5"), ("10002", "30", "1.5"),
-                                        ("10003", "20", "0.5")]) + f"{row}\n" + "10004,1,1,x\n")
-        with mock.patch.object(csvio, "BLOCK_ROWS", block), pytest.raises(IngestionError) as exc:
-            read_density_csv(path)
-        assert str(exc.value) == f"{path} row 4: {message}"
+    @pytest.mark.parametrize("name, fault", _FAULTS)
+    def test_each_fault_gives_the_row_loops_message(self, tmp_path, name, fault, block):
+        table = TABLES[name]
+        line, message = table.faults[fault]
+        path = tmp_path / "table.csv"
+        first, second, third, last = table.base
+        path.write_text(f"{table.header}\n{first}\n{second}\n{third}\n{line}\n{last}\n")
+        assert _row_loop_outcome(table, path) == ("error", f"{path} row 4: {message}")
+        with mock.patch.object(csvio, "BLOCK_ROWS", block):
+            assert outcome(table.read, path) == ("error", f"{path} row 4: {message}")
 
-    @settings(deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.one_of(_CLEAN_DENSITY.map(",".join),
-                              st.sampled_from([r for r, _ in _DENSITY_FAULTS.values()])),
-                    min_size=1, max_size=10),
-           st.sampled_from([1, 2, 3, 512]))
-    def test_first_fault_is_the_row_loops(self, tmp_path_factory, rows, block):
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(data=st.data(), block=st.sampled_from([1, 2, 512]))
+    def test_mixed_faults_give_the_row_loops_outcome(self, tmp_path_factory, name, data,
+                                                    block):
         """Faults in any rows and blocks: the error (or records) of the row loop,
         whose whole-file read names a short row before any value."""
-        path = tmp_path_factory.mktemp("density") / "density.csv"
-        path.write_text(_DENSITY_HEADER + "".join(f"{row},x\n" if row.count(",") == 2
-                                                  else f"{row}\n" for row in rows))
+        table = TABLES[name]
+        faults = [line for line, _ in table.faults.values()]
+        lines = data.draw(st.lists(
+            st.one_of(table.row.map(lambda row: ",".join(row) + ",x"), st.sampled_from(faults)),
+            min_size=1, max_size=10,
+        ))
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text(table.header + "\n" + "".join(line + "\n" for line in lines))
         with mock.patch.object(csvio, "BLOCK_ROWS", block):
-            got = outcome(read_density_csv, path)
-            want = outcome(geo._read_density_rows, path)
-        assert got == want
+            got = outcome(table.read, path)
+        assert repr(got) == repr(_row_loop_outcome(table, path))
 
 
 # (population, land area, employment) per region: the first region has all three
