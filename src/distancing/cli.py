@@ -151,10 +151,11 @@ def run_calibration_stage(
 # ---------------------------------------------------------------------------
 
 
-def cmd_index(cfg: RunConfig) -> int:
+def cmd_index(args: argparse.Namespace) -> int:
     from . import industries, occupations
 
-    out = _output_dir(cfg)
+    cfg = _config_from_args(args)
+    out = _output_dir(cfg.output_dir)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     located = cfg.cbp and cfg.density and cfg.national_sizes
@@ -177,8 +178,9 @@ def cmd_index(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
-    out = _output_dir(cfg)
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    cfg = _config_from_args(args)
+    out = _output_dir(cfg.output_dir)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
@@ -187,12 +189,13 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_subsidy(cfg: RunConfig) -> int:
+def cmd_subsidy(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from . import counterfactual, csvio
 
-    out = _output_dir(cfg)
+    cfg = _config_from_args(args)
+    out = _output_dir(cfg.output_dir)
     stamp = _provenance(cfg)
     grouping = read_region_groups(cfg.region_groups) if cfg.region_groups else None
     index = run_index_stage(cfg)
@@ -295,17 +298,13 @@ def _check_fig2_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_fig2(args: argparse.Namespace) -> int:
-    _check_fig2_flags(args)  # before numpy or the model loads
-    from pathlib import Path
-
+    _check_fig2_flags(args)  # these two before numpy or the model loads
+    out = _output_dir(args.output_dir, "--output-dir")
     import numpy as np
 
     from . import counterfactual
     from .config import params_hash
     from .model import FirmParams
-
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     params = FirmParams.from_chi(args.chi)
     grid = np.geomspace(args.dmin, args.dmax, args.points)
@@ -322,7 +321,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_lowess(args: argparse.Namespace) -> int:
     from math import log
     from pathlib import Path
 
@@ -330,7 +329,8 @@ def cmd_lowess(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .errors import ConfigError
     from .industries import GROUPS
 
-    out = _output_dir(cfg)
+    cfg = _config_from_args(args)
+    out = _output_dir(cfg.output_dir)
     source = args.input or str(Path(cfg.output_dir) / "location-index.csv")
     if not Path(source).is_file():
         raise ConfigError(f"location index not found: {source} (run 'index' first or pass --input)")
@@ -374,11 +374,17 @@ def _pct(fraction: float) -> float:
     return min(round(100.0 * fraction, 1), 99.9)
 
 
-def _output_dir(cfg: RunConfig) -> Path:
+def _output_dir(path: str, name: str = "output_dir") -> Path:
+    """Make the output directory; a usage error naming ``path`` if it is a file."""
     from pathlib import Path
 
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    from .errors import ConfigError
+
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise ConfigError(f"{name} exists and is not a directory: {path}") from None
     return out
 
 
@@ -430,7 +436,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", dest="output_dir", help="output directory")
     for key in ("occupations", "matrix", "cbp", "density", "national-sizes",
                 "exclusions", "region-groups", "industry-names"):
-        parser.add_argument(f"--{key}", dest=key.replace("-", "_"), help=f"{key} CSV path")
+        kind = "file" if key == "exclusions" else "CSV"
+        parser.add_argument(f"--{key}", dest=key.replace("-", "_"), help=f"{key} {kind} path")
     parser.add_argument("--cutoff", type=float, help="composite index cutoff (default 62.5)")
     parser.add_argument("--face-to-face-level", dest="face_to_face_level", type=int,
                         help="minimum discussion frequency level (default 4)")
@@ -506,26 +513,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     from .errors import ConfigError, DistancingError
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # looked up per call, so a wrapper bound to a ``cmd_*`` attribute runs
+    commands = {"index": cmd_index, "calibrate": cmd_calibrate, "subsidy": cmd_subsidy,
+                "fig2": cmd_fig2, "lowess": cmd_lowess}
     try:
-        if args.command == "fig2":
-            return cmd_fig2(args)
-        cfg = _config_from_args(args)
-        if args.command == "index":
-            return cmd_index(cfg)
-        if args.command == "calibrate":
-            return cmd_calibrate(cfg)
-        if args.command == "subsidy":
-            return cmd_subsidy(cfg)
-        if args.command == "lowess":
-            return cmd_lowess(cfg, args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DistancingError, ValueError) as exc:
+    except (DistancingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def run() -> None:

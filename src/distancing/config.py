@@ -67,8 +67,9 @@ _HASH_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output_dir")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Parse ``key = value`` lines; blank lines and ``#`` comments ignored."""
+    """Parse ``key = value`` lines, each key once; blank lines and ``#`` comments ignored."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -85,8 +86,10 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key, _, raw = (part.strip() for part in stripped.partition("="))
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already given at line {lines[key]}")
+        lines[key], values[key] = lineno, raw
     unknown = sorted(set(values) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 
 from . import csvio
 from .errors import IngestionError
-from .industries import GROUPS, IndustryMix, covering_code
+from .industries import GROUPS, CodeTable, IndustryMix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -157,14 +157,13 @@ class Cells(Columns):
 class NationalSizeDistribution:
     """National establishment counts and employment by size bin per NAICS.
 
-    Lookups fall back to ancestor codes (one digit truncated at a time)
-    when the exact industry is absent.  The table is fixed at construction,
-    so each code's covering distribution is memoized.
+    A code gets the distribution of the code that :attr:`codes`, an
+    :class:`~distancing.industries.CodeTable`, finds for it: itself, its
+    nearest ancestor, or a range sector such as ``44-45`` that holds it.
     """
 
     def __init__(self, table: Mapping[str, Mapping[str, tuple[float, float]]]):
-        self._table = {code: dict(bins) for code, bins in table.items()}
-        self._covering: dict[str, str | None] = {}
+        self.codes = CodeTable({code: dict(bins) for code, bins in table.items()})
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
@@ -191,21 +190,15 @@ class NationalSizeDistribution:
                                      "employment is beyond the float range")
         return cls(table)
 
-    def _covering_code(self, naics: str) -> str | None:
-        if naics not in self._covering:
-            self._covering[naics] = covering_code(naics, self._table)
-        return self._covering[naics]
-
     def mean_size(self, naics: str, exclude_bins: Iterable[str] = ()) -> float | None:
         """Mean plant size over the bins NOT in ``exclude_bins``.
 
         Falls back to the mean over all bins when the complement is empty,
         and to None when no distribution covers the industry at all.
         """
-        code = self._covering_code(naics)
-        if code is None:
+        bins = self.codes.resolve(naics)
+        if bins is None:
             return None
-        bins = self._table[code]
         excluded = set(exclude_bins)
         usable = [v for b, v in bins.items() if b not in excluded]
         if exact_sum(v[0] for v in usable) <= 0.0:
@@ -214,8 +207,7 @@ class NationalSizeDistribution:
         return exact_sum(v[1] for v in usable) / est if est > 0.0 else None
 
     def open_bin_mean(self, naics: str, default: float = DEFAULT_OPEN_BIN_MEAN) -> float:
-        code = self._covering_code(naics)
-        est, emp = self._table[code].get(OPEN_BIN, (0.0, 0.0)) if code else (0.0, 0.0)
+        est, emp = (self.codes.resolve(naics) or {}).get(OPEN_BIN, (0.0, 0.0))
         return emp / est if est > 0 else default
 
 
@@ -274,7 +266,7 @@ def build_cells(
     # one mean size per distinct (covering national code, reported bins); an
     # industry no distribution covers gets nan
     covering: dict[str | None, int] = {}
-    cover = np.array([covering.setdefault(national._covering_code(c), len(covering))
+    cover = np.array([covering.setdefault(national.codes.covering(c), len(covering))
                       for c in naics_labels], dtype=np.int64)
     covers = list(covering)
     imputing = np.flatnonzero(~bad & (suppressed > 0))

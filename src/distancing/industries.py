@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 from . import csvio
 from .errors import IngestionError
@@ -22,6 +22,8 @@ from .occupations import ExposureFlags
 logger = logging.getLogger(__name__)
 
 GROUPS = ("teamwork", "customer", "communication", "presence")
+
+Entry = TypeVar("Entry")
 
 
 @dataclass
@@ -141,52 +143,53 @@ def exclude_sectors(
     return kept, removed
 
 
-class MixResolver:
-    """Map raw NAICS codes to industry mixes, walking up the hierarchy.
+class CodeTable(Generic[Entry]):
+    """NAICS codes to entries, each code found at itself or its nearest ancestor.
 
-    Establishment data is usually more detailed than the sector breakdown
-    the mixes were built on, so lookups truncate the code one digit at a
-    time until something matches.  Sector codes written as ranges
-    (``44-45``, ``31-33``) are expanded so any code in the range resolves
-    to them.  Codes resolved through an ancestor are recorded in
-    ``fallbacks`` (code -> industry) and codes that match nothing in
-    ``unresolved``.  The mixes are fixed at construction, so each code
-    walks the hierarchy once and later lookups are memoized.
+    Detailed codes truncate one digit at a time, down to two digits, until
+    the table holds one.  A sector held as a range (``44-45``, ``31-33``)
+    holds each sector in its range too, unless that sector is held on its
+    own.  ``entries`` holds the codes as given.  Codes found through an
+    ancestor are recorded in ``fallbacks`` (code -> held code) and codes
+    that find nothing in ``unresolved``.  The table is fixed at
+    construction, so each code walks the hierarchy once.
     """
 
-    def __init__(self, mixes: Iterable[IndustryMix]):
-        self._by_code: dict[str, IndustryMix] = {}
-        for mix in mixes:
-            self._by_code[mix.industry_code] = mix
-            for alias in _range_aliases(mix.industry_code):
-                self._by_code.setdefault(alias, mix)
-        self._resolved: dict[str, IndustryMix | None] = {}
+    def __init__(self, entries: Mapping[str, Entry]):
+        self.entries = dict(entries)
+        self._held = {code: code for code in self.entries}
+        for code in self.entries:
+            for alias in _range_aliases(code):
+                self._held.setdefault(alias, code)
+        self._found: dict[str, str | None] = {}
         self.fallbacks: dict[str, str] = {}
         self.unresolved: set[str] = set()
 
-    def resolve(self, code: str) -> IndustryMix | None:
-        """The mix of ``code`` or of its nearest ancestor; None if none matches."""
-        if code not in self._resolved:
-            probe = covering_code(code, self._by_code)
-            mix = self._resolved[code] = self._by_code.get(probe)
-            if mix is None:
+    def covering(self, code: str) -> str | None:
+        """The held code that covers ``code``; None if none does."""
+        if code not in self._found:
+            probe = code
+            while len(probe) >= 2 and probe not in self._held:
+                probe = probe[:-1]
+            held = self._found[code] = self._held.get(probe) if len(probe) >= 2 else None
+            if held is None:
                 self.unresolved.add(code)
             elif probe != code:
-                self.fallbacks[code] = mix.industry_code
-                logger.debug("code %s resolved via ancestor %s", code, mix.industry_code)
-        return self._resolved[code]
+                self.fallbacks[code] = held
+                logger.debug("code %s resolved via ancestor %s", code, held)
+        return self._found[code]
+
+    def resolve(self, code: str) -> Entry | None:
+        """The entry of the held code that covers ``code``; None if none does."""
+        held = self.covering(code)
+        return None if held is None else self.entries[held]
 
 
-def covering_code(code: str, table: Container[str]) -> str | None:
-    """``code`` or its nearest ancestor that ``table`` holds, None if none does.
+class MixResolver(CodeTable[IndustryMix]):
+    """The :class:`CodeTable` of industry mixes by industry code."""
 
-    Ancestors drop one digit from the end at a time, down to two digits.
-    """
-    while len(code) >= 2:
-        if code in table:
-            return code
-        code = code[:-1]
-    return None
+    def __init__(self, mixes: Iterable[IndustryMix]):
+        super().__init__({mix.industry_code: mix for mix in mixes})
 
 
 def _range_aliases(code: str) -> list[str]:

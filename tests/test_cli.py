@@ -164,6 +164,18 @@ class TestSubsidy:
         main(["subsidy", "--config", str(config), "--output-dir", str(other)])
         assert snapshot(other) == first
 
+    def test_national_range_code_gives_the_rows_of_its_sectors(self, fixture_config, tmp_path):
+        """National rows keyed ``44-45``, as Census writes the retail sector,
+        impute the withheld plant of 10002/441200 as rows keyed ``44`` do."""
+        config, out = fixture_config
+        assert main(["subsidy", "--config", str(config)]) == 0
+        national = config.with_name("national_sizes.csv")
+        national.write_text(national.read_text().replace("\n44,", "\n44-45,"))
+        assert national.read_text().count("44-45,") == 4
+        ranged = tmp_path / "out-ranged"
+        assert main(["subsidy", "--config", str(config), "--output-dir", str(ranged)]) == 0
+        assert snapshot(ranged) == snapshot(out)
+
     def test_report_percent_stays_below_100(self):
         assert _pct(math.nextafter(1.0, 0.0)) == 99.9
         assert _pct(0.99949) == 99.9
@@ -418,6 +430,55 @@ class TestErrorContract:
         with pytest.raises(SystemExit) as excinfo:
             main(["index", "--frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["index", "subsidy", "lowess"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_output_dir_that_is_a_file_is_usage_error_naming_it(
+        self, fixture_config, capsys, command, where
+    ):
+        config, _ = fixture_config
+        target = config.with_name("cbp.csv")
+        before = target.read_bytes()
+        matrix = config.with_name("matrix.csv")
+        matrix.write_text(matrix.read_text() + "44,41-2031,-5\n")  # exit 1, were it read
+        argv = [command, "--config", str(config)]
+        if where == "flag":
+            argv += ["--output-dir", str(target)]
+        else:
+            lines = [line for line in config.read_text().splitlines()
+                     if not line.startswith("output_dir")]
+            config.write_text("\n".join([*lines, f"output_dir = {target}"]) + "\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: output_dir exists and is not a directory: {target}\n")
+        assert target.read_bytes() == before
+
+    def test_fig2_output_dir_that_is_a_file_is_usage_error_before_numpy_loads(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "o").write_text("kept\n")
+        argv = ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1", "--output-dir"]
+        assert main([*argv, str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --output-dir exists and is not a directory: {tmp_path / 'o'}\n")
+        code, modules = _imported_modules([*argv, "o"], tmp_path)
+        assert code == 2
+        assert not modules & {"numpy", "distancing.model", "distancing.counterfactual"}
+        assert (tmp_path / "o").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("index", "location-index.csv"), ("subsidy", "sector-subsidy.csv"),
+    ])
+    def test_output_path_that_is_a_directory_is_data_error_naming_it(
+        self, fixture_config, capsys, command, name
+    ):
+        config, out = fixture_config
+        (out / name).mkdir(parents=True)
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(out / name) in errors[0]
+        assert "Traceback" not in err
 
     def test_removed_knobs_are_usage_errors(self, fixture_config):
         config, _ = fixture_config
@@ -793,7 +854,9 @@ class TestConfig:
     ):
         config, out = fixture_config
         bad = config.with_name("bad.cfg")
-        bad.write_text(config.read_text() + line + "\n")
+        key = line.partition("=")[0]
+        kept = [old for old in config.read_text().splitlines() if not old.startswith(key)]
+        bad.write_text("\n".join([*kept, line]) + "\n")
         assert main(["calibrate", "--config", str(bad)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
@@ -807,6 +870,35 @@ class TestConfig:
         assert main(["calibrate", "--config", str(config)]) == 2
         assert (f"error: {config}:{len(lines) + 1}: expected 'key = value', "
                 "got 'cutoff 62.5'") in capsys.readouterr().err
+
+    def test_repeated_key_is_usage_error_naming_both_lines(self, fixture_config, capsys):
+        config, out = fixture_config
+        lines = config.read_text().splitlines()
+        config.write_text("\n".join([*lines, "cutoff = 10", "", "cutoff = 62.5"]) + "\n")
+        assert main(["calibrate", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config}:{len(lines) + 3}: key 'cutoff' already given at line "
+            f"{len(lines) + 1}\n")
+        assert not out.exists()
+
+    def test_blank_comment_and_boolean_lines_read_as_the_flags(self, fixture_config, tmp_path):
+        config, out = fixture_config
+        lines = config.read_text().splitlines()
+        flags = [arg for line in lines if not line.startswith("output_dir")
+                 for key, _, value in [line.partition(" = ")]
+                 for arg in (f"--{key.replace('_', '-')}", value)]
+        config.write_text("\n".join([
+            "# the fixture run, measured by employment", "", *lines, "   ",
+            "  # booleans as words", "employment_density = yes", "lenient = off",
+        ]) + "\n")
+        assert main(["index", "--config", str(config)]) == 0
+        flagged = tmp_path / "flagged"
+        assert main(["index", *flags, "--output-dir", str(flagged),
+                     "--employment-density"]) == 0
+        assert snapshot(out) == snapshot(flagged)
+        plain = tmp_path / "plain"
+        assert main(["index", *flags, "--output-dir", str(plain)]) == 0
+        assert _body(plain / "location-index.csv") != _body(out / "location-index.csv")
 
     def test_unreadable_config_is_usage_error_naming_it(self, tmp_path, capsys):
         assert main(["calibrate", "--config", str(tmp_path)]) == 2

@@ -155,6 +155,17 @@ class TestImputation:
         assert emp == pytest.approx(10.0 + 12.3125)
         assert frac == pytest.approx(12.3125 / 22.3125)
 
+    @pytest.mark.parametrize("naics", ["441200", "453110", "45", "44-45"])
+    @pytest.mark.parametrize("bins", [{"1-4": 4}, {"5-9": 1, OPEN_BIN: 1}, {}])
+    def test_range_code_imputes_as_its_sectors(self, naics, bins):
+        """National rows keyed ``44-45``, as Census writes the retail sector,
+        price a cell as the same rows keyed by each sector do."""
+        rows = dict(_NATIONAL_TABLE["44"])
+        by_range = NationalSizeDistribution({"44-45": rows, "31": _NATIONAL_TABLE["31"]})
+        by_sector = NationalSizeDistribution({"44": rows, "45": rows, "44-45": rows})
+        assert cell_estimate(bins, 2, naics, by_range) == cell_estimate(bins, 2, naics, by_sector)
+        assert by_range.open_bin_mean(naics) == 3100 / 2
+
     def test_fixture_mean_forty(self):
         national = NationalSizeDistribution({"31": {"1-4": (5, 12.5), "20-49": (10, 400)}})
         emp, frac = cell_estimate({"1-4": 5}, 1, "311811", national)
@@ -652,7 +663,7 @@ TABLES = {
         },
     ),
     "national sizes": Table(
-        lambda path: NationalSizeDistribution.from_csv(path)._table,
+        lambda path: NationalSizeDistribution.from_csv(path).codes.entries,
         "naics,size_bin,establishments,employment,note",
         st.tuples(st.sampled_from(["11", " 111", "44-45 "]),
                   st.sampled_from(["1-4", " 5-9", "1000+"]),

@@ -6,6 +6,7 @@ import pytest
 from distancing.errors import IngestionError
 from distancing.industries import (
     GROUPS,
+    CodeTable,
     IndustryMix,
     MixResolver,
     build_mix,
@@ -189,7 +190,7 @@ class TestResolver:
                 return super().__contains__(key)
 
         resolver = MixResolver(mixes)
-        resolver._by_code = CountingDict(resolver._by_code)
+        resolver._held = CountingDict(resolver._held)
         first = [resolver.resolve(code) for code in codes[:7]]
         probes = CountingDict.probes
         assert probes  # the first lookups walk the table
@@ -207,6 +208,23 @@ class TestResolver:
             "445110": "4451", "453110": "44-45", "311111": "31",
         }
         assert resolver.unresolved == unresolved == {"99999", "99"}
+
+
+class TestCodeTable:
+    @pytest.mark.parametrize("entries", [
+        {"44-45": "range", "45": "sector"}, {"45": "sector", "44-45": "range"},
+    ])
+    def test_a_held_sector_beats_a_range_holding_it(self, entries):
+        table = CodeTable(entries)
+        assert table.resolve("453110") == "sector" and table.covering("453110") == "45"
+        assert table.resolve("441200") == "range" and table.covering("441200") == "44-45"
+        assert table.resolve("44") == "range" and table.resolve("44-45") == "range"
+        assert table.fallbacks == {"453110": "45", "441200": "44-45"}
+
+    def test_no_code_below_two_digits_is_found(self):
+        table = CodeTable({"4": "one digit", "44": "sector"})
+        assert table.resolve("4") is None and table.resolve("441") == "sector"
+        assert table.unresolved == {"4"}
 
 
 class TestCsv:
