@@ -18,8 +18,10 @@ returned N once: that value guards the result and is the reported share.
 The cells travel as one :class:`CellFrame`, a column per field, so both
 solves are array expressions over the frame; the cap solve takes the
 contacts and employment columns as two arrays.  Every total is a
-:func:`~distancing.geo.exact_sum` and the cap's running sums add left to
-right in sorted order, so no result depends on the order of the cells.
+:func:`~distancing.geo.exact_sum` (``math.fsum``'s bits from the
+:mod:`~distancing.geo` module's whole-array kernel) and the cap's running
+sums add left to right in sorted order, so no result depends on the order
+of the cells.
 The result is one :class:`CalibrationReport`: eps and the cap with their
 diagnostics, plus the optimal contacts at eps, which the subsidies reuse.
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
+from .csvio import read_text_lines
 from .errors import ConfigError
 
 # Sectors dropped from the analysis unless an exclusions file overrides
@@ -71,19 +72,11 @@ def load_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     try:
-        data = Path(path).read_bytes()
+        entries = read_text_lines(path, lambda line, byte: ConfigError(
+            f"cannot read config file {path}: line {line} is not UTF-8: byte {byte:#04x}"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ConfigError(f"cannot read config file {path}: line {line} is not UTF-8: "
-                          f"byte {data[exc.start]:#04x}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for lineno, line, stripped in entries:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = (part.strip() for part in stripped.partition("="))

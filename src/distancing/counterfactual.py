@@ -7,10 +7,12 @@ once, over the frame's columns, on the optimal contacts and firm
 parameters that the calibration already computed for the frame.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is a
-:func:`~distancing.geo.exact_sum`; group totals go through
-:func:`~distancing.geo.group_totals`, which sums the ZCTA tables in place
-because frames come in ZCTA order, and the overall average divides by the
-employment total that the calibration already summed.
+:func:`~distancing.geo.exact_sum` or, per group, a
+:func:`~distancing.geo.group_totals`: ``math.fsum``'s bits from the
+:mod:`~distancing.geo` module's whole-array kernel.  The ZCTA tables are
+summed in place because frames come in ZCTA order, and the overall
+average divides by the employment total that the calibration already
+summed.
 The telecom fallback never enters the subsidy numbers; it only picks each
 cell's regime and appears in the cost-ratio curves, where the two regimes
 are compared across densities.  The curves price the whole density grid

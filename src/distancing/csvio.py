@@ -21,6 +21,9 @@ each run's first key where runs are long); on any other file, or a value
 its caller rejects, it returns None so the caller reads the file through
 the block reader, which names the fault.
 
+:func:`read_text_lines` reads the two inputs that are not CSV, the config
+and exclusion files: UTF-8 lines with ``#`` comments.
+
 All pipeline outputs are UTF-8 CSVs with LF line endings, an optional
 leading ``#`` provenance comment, and floats rendered with ``repr`` (the
 shortest round-trip form), so identical runs produce identical bytes.
@@ -34,7 +37,7 @@ from array import array
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 from .errors import IngestionError
 
@@ -150,6 +153,22 @@ def _not_utf8(path) -> IngestionError:
                 )
             number += not text.startswith("#") and bool(text.strip("\r\n"))
     return IngestionError(f"{path}: not UTF-8")
+
+
+def read_text_lines(
+    path: str | Path, not_utf8: Callable[[int, int], Exception]
+) -> list[tuple[int, str, str]]:
+    """A UTF-8 text file's lines as (line number, line, content), where content
+    is the line without its ``#`` comment and outer blanks; lines without
+    content are left out.  A byte that is not UTF-8 raises ``not_utf8(line
+    number, byte)``; an unreadable file raises ``OSError``."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(data.count(b"\n", 0, exc.start) + 1, data[exc.start]) from None
+    return [(number, line, content) for number, line in enumerate(text.splitlines(), start=1)
+            if (content := line.split("#", 1)[0].strip())]
 
 
 def read_columns(

@@ -16,8 +16,16 @@ block reader, a field at a time per block of rows; here lives only what
 a CBP value means.  :func:`build_cells` prices whole columns with numpy
 (imported by the functions that use it, so importing the package does
 not load it), and imputes once per covering national code and set of
-reported bins, not per cell.  Every total is an :func:`exact_sum`, or per
-group a :func:`group_totals`.
+reported bins, not per cell.
+
+Every employment-weighted total is an :func:`exact_sum`, or per group a
+:func:`group_totals`: ``math.fsum``'s correctly rounded bits, so no total
+depends on the order of its terms.  One whole-array kernel,
+:func:`_group_sums`, computes them all: a running sum and the exact
+rounding error of each of its steps, and per group the difference of its
+end and start running sums plus its errors, accepted where a rounding
+certificate proves the result correctly rounded; any other group is
+summed by ``fsum`` on its own slice.
 """
 
 from __future__ import annotations
@@ -191,20 +199,45 @@ class NationalSizeDistribution:
         return cls(table)
 
     def mean_size(self, naics: str, exclude_bins: Iterable[str] = ()) -> float | None:
-        """Mean plant size over the bins NOT in ``exclude_bins``.
+        """Mean plant size over the bins NOT in ``exclude_bins``: the one-pair
+        case of :meth:`mean_sizes`, with None where that gives nan."""
+        import numpy as np
 
-        Falls back to the mean over all bins when the complement is empty,
-        and to None when no distribution covers the industry at all.
+        excluded = sorted(set(exclude_bins))
+        mean = self.mean_sizes([naics], np.ones((1, len(excluded)), dtype=bool), excluded)[0]
+        return None if math.isnan(mean) else float(mean)
+
+    def mean_sizes(self, naics: Sequence[str], excluded: np.ndarray,
+                   bins: Sequence[str]) -> np.ndarray:
+        """Mean plant size of each (code, excluded bins) pair, in one grouped pass.
+
+        Pair ``i`` takes the distribution covering ``naics[i]`` over its
+        bins that ``excluded[i]``, a boolean row over ``bins``, does not
+        mark (bins not in ``bins`` are never excluded), or over all its
+        bins when those hold no establishments; nan where no distribution
+        covers the code or it holds no establishments.  Establishments and
+        employment are :func:`_group_sums` totals, over the pairs' bins and
+        over their codes' whole distributions.
         """
-        bins = self.codes.resolve(naics)
-        if bins is None:
-            return None
-        excluded = set(exclude_bins)
-        usable = [v for b, v in bins.items() if b not in excluded]
-        if exact_sum(v[0] for v in usable) <= 0.0:
-            usable = list(bins.values())
-        est = exact_sum(v[0] for v in usable)
-        return exact_sum(v[1] for v in usable) / est if est > 0.0 else None
+        import numpy as np
+
+        rows: dict[str, int] = {}
+        row = np.array([rows.setdefault(code, len(rows)) for code in naics], dtype=np.intp)
+        tables = [self.codes.resolve(code) or {} for code in rows]
+        labels = list(dict.fromkeys([*bins, *(b for table in tables for b in table)]))
+        column = {label: j for j, label in enumerate(labels)}
+        held = np.zeros((len(tables), len(labels)), dtype=bool)
+        sizes = np.zeros((2, len(tables), len(labels)))  # establishments, employment
+        for i, table in enumerate(tables):
+            for label, counts in table.items():
+                held[i, column[label]] = True
+                sizes[:, i, column[label]] = counts
+        usable = held[row]
+        usable[:, :len(bins)] &= ~excluded
+        est, emp = (_row_sums(size[row], usable) for size in sizes)
+        whole = est <= 0.0
+        est[whole], emp[whole] = (_row_sums(size, held)[row[whole]] for size in sizes)
+        return np.divide(emp, est, out=np.full(len(row), np.nan), where=est > 0.0)
 
     def open_bin_mean(self, naics: str, default: float = DEFAULT_OPEN_BIN_MEAN) -> float:
         est, emp = (self.codes.resolve(naics) or {}).get(OPEN_BIN, (0.0, 0.0))
@@ -234,8 +267,9 @@ def build_cells(
     Records in (zcta, naics) order, as Census ZIP files and the benchmark
     generator give them, become cells by one O(n) order check and their
     run boundaries; records in any other order are sorted.  Each NAICS
-    label's covering national code is resolved once, and the mean size is
-    asked once per distinct (covering code, reported bins).
+    label's covering national code is resolved once, and every distinct
+    (covering code, reported bins) pair is priced in one
+    :meth:`NationalSizeDistribution.mean_sizes` call.
     """
     import numpy as np
 
@@ -263,8 +297,8 @@ def build_cells(
     bad = suppressed < 0
     bad[np.flatnonzero(bad_bin) // n_bins] = True
 
-    # one mean size per distinct (covering national code, reported bins); an
-    # industry no distribution covers gets nan
+    # one mean size per distinct (covering national code, reported bins), all
+    # in one call; an industry no distribution covers gets nan
     covering: dict[str | None, int] = {}
     cover = np.array([covering.setdefault(national.codes.covering(c), len(covering))
                       for c in naics_labels], dtype=np.int64)
@@ -272,11 +306,11 @@ def build_cells(
     imputing = np.flatnonzero(~bad & (suppressed > 0))
     mask = reported[imputing][:, [bins.index(b) for b in known]] @ (1 << np.arange(len(known)))
     pairs, pair = np.unique(cover[naics[imputing]] << len(known) | mask, return_inverse=True)
-    means = np.array([
-        national.mean_size(code, [b for j, b in enumerate(known) if key >> j & 1])
-        if (code := covers[key >> len(known)]) is not None else None
-        for key in pairs.tolist()
-    ], dtype=float)
+    codes = [covers[key] for key in (pairs >> len(known)).tolist()]
+    priced = np.array([code is not None for code in codes], dtype=bool)
+    means = np.full(len(pairs), np.nan)
+    excluded = pairs[priced, None] >> np.arange(len(known)) & 1 == 1
+    means[priced] = national.mean_sizes([c for c in codes if c is not None], excluded, known)
     mean = np.zeros(n)
     mean[imputing] = means[pair]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
@@ -327,27 +361,139 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_sum(values: np.ndarray | Iterable[float]) -> float:
-    """``math.fsum`` of a float array (through ``.tolist()``) or of an iterable.
+    """``math.fsum`` of a float array or of an iterable.
 
     The total is correctly rounded (Shewchuk 1997), so it does not depend
     on the order of the terms.  Finite terms that overflow give ``inf``
     instead of ``OverflowError``; inf and NaN terms act as in ``fsum``.
+    An array is one group of the module's kernel, :func:`_group_sums`; an
+    iterable goes to ``fsum`` itself.
     """
-    if hasattr(values, "tolist"):
-        values = values.tolist()
+    if not hasattr(values, "tolist"):
+        return _fsum(values)
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    return float(_group_sums(values, np.zeros(1, np.intp))[0]) if len(values) else 0.0
+
+
+def _fsum(values: Iterable[float]) -> float:
     try:
         return fsum(values)
     except OverflowError:
         return math.inf
 
 
+# The kernel takes running sums below 2**1000 in magnitude, so no step of
+# it overflows and ``fsum`` meets no intermediate overflow in any group;
+# and totals from 2**-900 up, so the rounding certificate's bound cannot
+# underflow by enough to matter.
+_RUNNING_MAX = 2.0 ** 1000
+_TOTAL_MIN = 2.0 ** -900
+
+
+def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``fsum`` of each group ``values[starts[i]:starts[i + 1]]`` (the last to
+    the end), as :func:`exact_sum` gives it; ``starts`` strictly increase from 0.
+
+    The kernel (Ogita, Rump and Oishi 2005): one running sum over the whole
+    array, ``np.cumsum``, checked step by step against ``before + value``,
+    and each step's exact rounding error by TwoSum, so ``value == after -
+    before + error`` exactly.  A group's exact total is then the TwoSum
+    difference (hi, lo) of its end and start running sums plus the sum of
+    its errors, which ``np.add.reduceat`` adds with an error of at most
+    about ``size * 2**-53`` times the sum of their magnitudes.  With
+    ``tail = lo + errors`` and ``total, rest = TwoSum(hi, tail)``, ``total``
+    is the correctly rounded sum when either certificate holds:
+
+    - ``|rest|`` plus that bound lies strictly inside half of the smaller
+      gap between ``total`` and its neighbours;
+    - or nothing was rounded but ``hi + tail`` itself, which IEEE rounds
+      correctly, ties to even as ``fsum`` does: ``tail`` is exact, and the
+      errors add exactly, because each is a multiple of the smaller
+      quantum of its step's two operands and their magnitudes add up to
+      less than 2**52 times the smallest such quantum.  This one is checked
+      only for groups the first leaves, which are mostly exact ties.
+
+    One- and two-term groups are summed as IEEE adds them, which rounds
+    correctly.  Every other group (totals that are zero or below 2**-900,
+    non-finite terms, a running sum that fails the check or reaches
+    2**1000) goes to ``fsum`` on its own slice.
+    """
+    import numpy as np
+
+    n = len(values)
+    if not n:
+        return np.zeros(0)
+    ends = np.append(starts[1:], n)
+    size = ends - starts
+    total = np.empty(len(starts))
+    accepted = np.zeros(len(starts), dtype=bool)
+    running = np.zeros(n + 1)
+    before, after = running[:-1], running[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(values, out=after)
+        step = np.add(before, values)
+        exact_steps = np.array_equal(step, after)
+    if exact_steps and -_RUNNING_MAX < running.min() and running.max() < _RUNNING_MAX:
+        np.subtract(after, before, out=step)
+        error = after - step
+        np.subtract(before, error, out=error)
+        np.subtract(values, step, out=step)
+        error += step
+        errors = np.add.reduceat(error, starts)
+        magnitude = np.add.reduceat(np.abs(error, out=step), starts)
+        hi, lo = _two_sum(running[ends], -running[starts])
+        tail, tail_error = _two_sum(lo, errors)
+        total, rest = _two_sum(hi, tail)
+        # 2**-51 covers the reduceat bound (under 1.01 * size * 2**-53 for
+        # groups below 2**40 terms), tail's own rounding, and this line's
+        bound = (size * magnitude + np.abs(tail)) * 2.0 ** -51
+        one, two = size == 1, size == 2
+        total[one] = values[starts[one]]
+        total[two] = values[starts[two]] + values[starts[two] + 1]
+        absolute = np.abs(total)
+        half_gap = (absolute - np.nextafter(absolute, 0.0)) / 2
+        accepted = (one | two | (np.abs(rest) + bound < half_gap)) & (absolute >= _TOTAL_MIN)
+        exact = np.flatnonzero(~accepted & (size > 2) & (absolute >= _TOTAL_MIN)
+                               & (tail_error == 0.0))
+        if exact.size:
+            lengths = size[exact]
+            first = np.cumsum(lengths) - lengths
+            at = np.arange(first[-1] + lengths[-1]) + np.repeat(starts[exact] - first, lengths)
+            quantum = np.minimum(np.spacing(np.abs(values[at])), np.spacing(np.abs(before[at])))
+            quantum[error[at] == 0.0] = np.inf  # an exact step constrains nothing
+            accepted[exact] = magnitude[exact] < 2.0 ** 52 * np.minimum.reduceat(quantum, first)
+    for i in np.flatnonzero(~accepted).tolist():
+        total[i] = _fsum(values[starts[i]:ends[i]].tolist())
+    return total
+
+
+def _row_sums(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Per row ``i``, :func:`exact_sum` of ``matrix[i][mask[i]]`` (0.0 where empty)."""
+    import numpy as np
+
+    counts = mask.sum(axis=1)
+    filled = counts > 0
+    totals = np.zeros(len(mask))
+    totals[filled] = _group_sums(matrix[mask], (np.cumsum(counts) - counts)[filled])
+    return totals
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``s = a + b`` and its exact rounding error ``a + b - s`` (Knuth's TwoSum)."""
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
 def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
     """The keys that occur, sorted, and per column each key's :func:`exact_sum`.
 
-    Plain ``fsum`` sums each group; a column where it overflows is summed
-    again by ``exact_sum``.  Rows already in key order (frames keep
-    ``build_cells``' zcta order) are summed in place: one O(n) check
-    replaces the sort and the gathers.
+    Each column's groups are summed in one call of the module's kernel,
+    :func:`_group_sums`, with ``exact_sum``'s overflow rule.  Rows
+    already in key order (frames keep ``build_cells``' zcta order) are
+    summed in place: one O(n) check replaces the sort and the gathers.
     Other rows are sorted as the narrowest unsigned codes that hold every
     label, which numpy's stable sort radix-sorts up to 16 bits.
     """
@@ -359,14 +505,8 @@ def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[lis
         codes = codes[order]
         columns = tuple(column[order] for column in columns)
     starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    bounds = [*starts.tolist(), len(codes)]
-    spans = list(zip(bounds, bounds[1:]))
-    totals = []
-    for values in (column.tolist() for column in columns):
-        try:
-            totals.append([fsum(values[a:b]) for a, b in spans])
-        except OverflowError:
-            totals.append([exact_sum(values[a:b]) for a, b in spans])
+    totals = [_group_sums(np.asarray(column, dtype=float), starts).tolist()
+              for column in columns]
     return [keys.labels[code] for code in codes[starts].tolist()], totals
 
 
@@ -514,8 +654,12 @@ def lowess_curve(
             continue
         u = dist / h
         inside = u < 1.0
-        kernel = np.zeros(n)  # the tricube only inside the window: each ** 3 is a pow
-        kernel[inside] = (1.0 - u[inside] ** 3) ** 3
+        # the tricube only inside the window, as products: IEEE fixes their
+        # bits, while numpy's ``**`` takes a SIMD power whose bits vary by CPU
+        ui = u[inside]
+        c = 1.0 - ui * ui * ui
+        kernel = np.zeros(n)
+        kernel[inside] = c * c * c
         omega = ws * kernel
         total = omega.sum()
         if total <= 0.0:

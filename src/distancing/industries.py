@@ -227,16 +227,9 @@ def read_exclusions(path: str | Path) -> list[str]:
     The file is UTF-8; a byte that is not raises :class:`IngestionError`
     naming the file and line.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise IngestionError(
-            f"{path} line {line}: not UTF-8: byte {data[exc.start]:#04x}"
-        ) from None
-    entries = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    return [entry for entry in entries if entry]
+    lines = csvio.read_text_lines(path, lambda line, byte: IngestionError(
+        f"{path} line {line}: not UTF-8: byte {byte:#04x}"))
+    return [entry for _, _, entry in lines]
 
 
 def write_industry_index_csv(

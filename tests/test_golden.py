@@ -16,6 +16,13 @@ bytes on purpose rewrites the file with ``PYTHONPATH=src python
 tests/test_golden.py --write`` and says so in CHANGES.md; when only the
 inputs moved, the file is rewritten from the parent commit, so the
 outputs stay pinned to the code before the change.
+
+``index`` and ``lowess`` run a second time with numpy's AVX-512 kernels
+disabled (``NPY_DISABLE_CPU_FEATURES``, set in the children's environment
+only), and must give the same digests: their outputs may not depend on
+numpy's SIMD dispatch.  ``calibrate`` and ``subsidy`` stay out, because
+``fig2.csv`` and eps still take numpy's ``power`` and ``log``, whose bits
+follow it; and libm's own per-CPU variants are not covered at all.
 """
 
 import hashlib
@@ -42,6 +49,10 @@ COMMANDS = {
     "subsidy": ["subsidy"],
     "subsidy-fixed-eps": ["subsidy", "--fixed-eps", "0.05"],
 }
+# the commands whose outputs must not depend on numpy's SIMD dispatch
+DISPATCH_FREE = ("index", "lowess")
+# numpy's AVX-512 dispatch targets on x86
+AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
 def _sha256(data: bytes) -> str:
@@ -58,8 +69,20 @@ def _generator():
     return sys.modules[name]
 
 
-def run_all(directory: Path) -> dict:
-    """Generate the inputs under ``directory``, run every command, digest it all."""
+def _avx512_features() -> list[str]:
+    """The :data:`AVX512` targets that numpy finds on this CPU and can disable
+    (those outside its build's baseline)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1
+        from numpy.core import _multiarray_umath as umath
+    return [feature for feature in AVX512
+            if umath.__cpu_features__.get(feature) and feature not in umath.__cpu_baseline__]
+
+
+def run_all(directory: Path, commands=tuple(COMMANDS), env: dict | None = None) -> dict:
+    """Generate the inputs under ``directory``, run ``commands`` with ``env``
+    added to the environment, digest it all."""
     gen = _generator()
     info = gen.generate(directory, SEED, gen.Shape(*SHAPE))
     inputs = gen.digests(directory)
@@ -67,11 +90,12 @@ def run_all(directory: Path) -> dict:
              if key != "region_groups"]
     (directory / "run.cfg").write_text("\n".join([*lines, *CONFIG]) + "\n", encoding="utf-8")
     outputs = {}
-    for name, args in COMMANDS.items():
+    for name in commands:
         proc = subprocess.run(
-            [sys.executable, "-m", "distancing", *args, "--config", "run.cfg",
+            [sys.executable, "-m", "distancing", *COMMANDS[name], "--config", "run.cfg",
              "--output-dir", name],
-            capture_output=True, cwd=directory, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, cwd=directory,
+            env=dict(os.environ, PYTHONPATH=str(SRC), **(env or {})),
         )
         files = sorted((directory / name).iterdir()) if (directory / name).is_dir() else []
         outputs[name] = {"exit": proc.returncode, "stderr": _sha256(proc.stderr),
@@ -82,6 +106,15 @@ def run_all(directory: Path) -> dict:
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def digests_without_avx512(tmp_path_factory):
+    features = _avx512_features()
+    if not features:
+        pytest.skip("numpy has no AVX-512 kernels to disable on this CPU")
+    return run_all(tmp_path_factory.mktemp("golden-no-avx512"), DISPATCH_FREE,
+                   {"NPY_DISABLE_CPU_FEATURES": " ".join(features)})
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +136,15 @@ def test_outputs_and_stderr_match_the_golden_digests(digests, golden, command):
         pytest.fail("the generated inputs differ from the pinned ones; see "
                     "test_generated_inputs_are_pinned")
     assert digests["outputs"][command] == golden["outputs"][command]
+
+
+@pytest.mark.parametrize("command", DISPATCH_FREE)
+def test_outputs_match_the_golden_digests_without_avx512(digests_without_avx512, golden,
+                                                          command):
+    if digests_without_avx512["inputs"] != golden["inputs"]:
+        pytest.fail("the generated inputs differ from the pinned ones; see "
+                    "test_generated_inputs_are_pinned")
+    assert digests_without_avx512["outputs"][command] == golden["outputs"][command]
 
 
 if __name__ == "__main__":
