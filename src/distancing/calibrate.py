@@ -50,26 +50,12 @@ import numpy as np
 from .errors import CalibrationError
 from .geo import Cells, Coded, Columns, exact_sum
 from .industries import MixResolver
-from .model import FirmParams, Regime, contacts_at_density
+from .model import FirmParams, contacts_at_density
 
 logger = logging.getLogger(__name__)
 
 _SHARE_TOL = 1e-10
 _SLOPE_TOL = 1e-9
-
-
-class CellRow(NamedTuple):
-    """One row of a :class:`CellFrame`, as iteration yields it."""
-
-    zcta: str
-    industry_code: str
-    employment: float
-    chi: float
-    density: float
-    nstar: float | None
-    cap_ratio: float | None
-    subsidy: float | None
-    regime: Regime | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +69,8 @@ class CellFrame(Columns):
     first five; :func:`~distancing.counterfactual.compute_subsidies`
     returns a copy with the outcome columns too: optimal contacts, cap over
     optimal contacts (1 where the cap does not bind), the subsidy, and the
-    regime each firm picks (an object array of :class:`Regime`, or None
-    without telecom).  Iteration yields :class:`CellRow` tuples.
+    regime each firm picks (an object array of
+    :class:`~distancing.model.Regime`, or None without telecom).
     """
 
     zcta: Coded
@@ -97,8 +83,6 @@ class CellFrame(Columns):
     subsidy: np.ndarray | None = None
     regime: np.ndarray | None = None
 
-    _row = CellRow._make
-
     @cached_property
     def params(self) -> FirmParams:
         """Every row's firm parameters as one array-valued :class:`FirmParams`.
@@ -106,7 +90,7 @@ class CellFrame(Columns):
         Built and checked once per frame: the calibration and the subsidies
         of one frame share it.
         """
-        return FirmParams.from_chi(self.chi)
+        return FirmParams(self.chi)
 
     @cached_property
     def regression(self) -> DensityRegression:

@@ -84,6 +84,9 @@ def run_index_stage(cfg: RunConfig) -> IndexStage:
     return IndexStage(profiles, flags, report, mixes, exclusions, removed)
 
 
+_LOCATION_KEYS = ("cbp", "density", "national_sizes")
+
+
 def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     """Establishment cells and normalized densities.  Every cell left after the
     exclusions weights the density mean, cells of codes no mix covers too."""
@@ -91,7 +94,7 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     from .config import require
     from .errors import IngestionError
 
-    require(cfg, "cbp", "density", "national_sizes")
+    require(cfg, *_LOCATION_KEYS)
     import numpy  # noqa: F401  (the stage works on numpy columns from the read on)
 
     national = geo.NationalSizeDistribution.from_csv(cfg.national_sizes)
@@ -153,12 +156,15 @@ def run_calibration_stage(
 
 def cmd_index(args: argparse.Namespace) -> int:
     from . import industries, occupations
+    from .config import require
 
     cfg = _config_from_args(args)
+    located = any(getattr(cfg, key) is not None for key in _LOCATION_KEYS)
+    if located:  # all of them or none, named before any output is written
+        require(cfg, *_LOCATION_KEYS)
     out = _output_dir(cfg.output_dir)
     stamp = _provenance(cfg)
     index = run_index_stage(cfg)
-    located = cfg.cbp and cfg.density and cfg.national_sizes
     if located:  # before the first write, so a data error leaves no outputs
         from . import calibrate, geo
 
@@ -246,7 +252,7 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
         return
     grid = np.geomspace(dmin, dmax, 100)
     curves = counterfactual.cost_ratio_curves(
-        FirmParams.from_chi(mean_chi), grid, report.contact_cap, telecom_cost, report.eps
+        FirmParams(mean_chi), grid, report.contact_cap, telecom_cost, report.eps
     )
     _write_fig2_csv(out / "fig2.csv", curves, stamp)
 
@@ -306,7 +312,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     from .config import params_hash
     from .model import FirmParams
 
-    params = FirmParams.from_chi(args.chi)
+    params = FirmParams(args.chi)
     grid = np.geomspace(args.dmin, args.dmax, args.points)
     curves = counterfactual.cost_ratio_curves(params, grid, args.cap, args.telecom, args.eps)
     stamp = (
@@ -326,7 +332,7 @@ def cmd_lowess(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from . import csvio, geo
-    from .errors import ConfigError
+    from .errors import ConfigError, IngestionError
     from .industries import GROUPS
 
     cfg = _config_from_args(args)
@@ -340,7 +346,10 @@ def cmd_lowess(args: argparse.Namespace) -> int:
     x = list(map(log, density))
     import numpy  # noqa: F401  (loaded here, so the smoother's time is the fit's)
 
-    grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
+    try:  # too few points, or a single density
+        grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
+    except ValueError as exc:
+        raise IngestionError(f"{source}: {exc}") from None
     stamp = _provenance(cfg) + f" bandwidth:{args.bandwidth!r}"
     csvio.write_rows(
         out / "location-lowess.csv",

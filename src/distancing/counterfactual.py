@@ -43,6 +43,7 @@ from .model import (
     distancing_cost_ratio,
     preferred_regime,
     telecom_cost_ratio,
+    telecom_viable,
 )
 
 if TYPE_CHECKING:
@@ -212,8 +213,7 @@ def cost_ratio_curves(
     distancing = distancing_cost_ratio(contact_cap / np.maximum(nstar, contact_cap), params)
     telecom: list[float | None] = [None] * d.size
     if telecom_cost is not None:
-        with np.errstate(over="ignore"):
-            valid = np.flatnonzero(telecom_cost >= np.power(d, -eps))
+        valid = np.flatnonzero(telecom_viable(telecom_cost, d, eps))
         ratios = telecom_cost_ratio(telecom_cost, d[valid], eps, params)
         for i, ratio in zip(valid.tolist(), ratios.tolist()):
             telecom[i] = ratio

@@ -6,15 +6,7 @@ class DistancingError(Exception):
 
 
 class DomainError(DistancingError):
-    """A model function was called outside its mathematical domain.
-
-    ``code`` optionally carries a machine-readable reason (e.g. the
-    telecom-cost gate) so callers can branch without parsing messages.
-    """
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        self.code = code
+    """A model function was called outside its mathematical domain."""
 
 
 class ClassificationError(DistancingError):

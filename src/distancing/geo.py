@@ -33,12 +33,14 @@ from __future__ import annotations
 import logging
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import repeat
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import csvio
 from .errors import IngestionError
@@ -110,10 +112,10 @@ class Coded:
 
 
 class Columns:
-    """``len()``, iteration (rows made by ``_row``) and row selection for a
-    dataclass of equal-length columns: arrays, :class:`Coded` or None."""
-
-    _row: Callable
+    """``len()``, iteration and row selection for a dataclass of equal-length
+    columns: arrays, :class:`Coded` or None.  Iteration yields one named
+    tuple per row, its fields the dataclass fields in order; a None column
+    gives None in every row."""
 
     def _columns(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -123,11 +125,17 @@ class Columns:
 
     def __iter__(self) -> Iterator:
         columns = [repeat(None) if c is None else c.tolist() for c in self._columns()]
-        return map(self._row, zip(*columns))
+        return map(_row_type(type(self))._make, zip(*columns))
 
     def take(self, index):
         """The rows that ``index`` (a boolean mask or positions) selects."""
         return type(self)(*(None if c is None else c[index] for c in self._columns()))
+
+
+@cache
+def _row_type(frame: type) -> type:
+    """The named tuple that iterating a :class:`Columns` class yields."""
+    return namedtuple(f"{frame.__name__}Row", [f.name for f in fields(frame)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,15 +148,6 @@ class CbpColumns(Columns):
     establishments: np.ndarray  # int64
     suppressed: np.ndarray  # bool
 
-    _row = tuple
-
-
-class Cell(NamedTuple):
-    zcta: str
-    industry_code: str
-    employment: float
-    imputed_fraction: float
-
 
 @dataclass(frozen=True, eq=False)
 class Cells(Columns):
@@ -158,8 +157,6 @@ class Cells(Columns):
     industry_code: Coded
     employment: np.ndarray
     imputed_fraction: np.ndarray
-
-    _row = Cell._make
 
 
 class NationalSizeDistribution:
@@ -197,15 +194,6 @@ class NationalSizeDistribution:
                 raise IngestionError(f"{path}: naics {naics!r}: total establishments or "
                                      "employment is beyond the float range")
         return cls(table)
-
-    def mean_size(self, naics: str, exclude_bins: Iterable[str] = ()) -> float | None:
-        """Mean plant size over the bins NOT in ``exclude_bins``: the one-pair
-        case of :meth:`mean_sizes`, with None where that gives nan."""
-        import numpy as np
-
-        excluded = sorted(set(exclude_bins))
-        mean = self.mean_sizes([naics], np.ones((1, len(excluded)), dtype=bool), excluded)[0]
-        return None if math.isnan(mean) else float(mean)
 
     def mean_sizes(self, naics: Sequence[str], excluded: np.ndarray,
                    bins: Sequence[str]) -> np.ndarray:

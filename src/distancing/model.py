@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,11 @@ __all__ = [
     "contacts_at_density",
     "unit_cost_at_density",
     "distancing_cost_ratio",
+    "telecom_viable",
     "telecom_cost_ratio",
     "preferred_regime",
     "compensating_subsidy",
 ]
-
-# chi and gamma are redundant parameterizations; constructors keep them
-# consistent to well below this tolerance.
-_IDENTITY_TOL = 1e-12
-
 
 def _first_violation(ok, *values):
     """None if ``ok`` holds everywhere, else ``values`` at the first element where it
@@ -66,40 +62,28 @@ def _power(base, exponent):
 
 @dataclass(frozen=True)
 class FirmParams:
-    """Communication cost share ``chi`` and specialization benefit ``gamma``.
+    """Communication cost share ``chi`` and the specialization benefit it implies.
 
-    The two are tied by ``chi = gamma / (1 + gamma)``; build instances via
-    :meth:`from_chi` or :meth:`from_gamma` so the identity always holds.
-    Both are floats for one firm or equal-shape arrays for many.
-    ``chi == 0`` (``gamma == 0``) is the degenerate no-communication firm:
-    it is accepted so aggregation code can treat such industries uniformly,
-    but the unit-cost functions reject it.
+    ``gamma = chi / (1 - chi)`` is derived once, at construction, so the
+    identity ``chi = gamma / (1 + gamma)`` holds by definition.  ``chi`` is a
+    float for one firm or an array for many.  ``chi == 0`` (``gamma == 0``)
+    is the degenerate no-communication firm: it is accepted so aggregation
+    code can treat such industries uniformly, but the unit-cost functions
+    reject it.
     """
 
     chi: float
-    gamma: float
+    gamma: float = field(init=False)
 
     def __post_init__(self):
         _require_chi(self.chi)
-        _require_gamma(self.gamma)
-        implied = self.gamma / (1.0 + self.gamma)
-        bad = _first_violation(abs(self.chi - implied) <= _IDENTITY_TOL, self.chi, implied)
-        if bad is not None:
-            raise DomainError(
-                f"inconsistent parameters: chi={bad[0]!r} but gamma/(1+gamma)={bad[1]!r}"
-            )
-
-    @classmethod
-    def from_chi(cls, chi: float) -> "FirmParams":
-        """Build from the communication cost share, ``0 <= chi < 1``."""
-        _require_chi(chi)
-        return cls(chi=chi, gamma=chi / (1.0 - chi))
+        object.__setattr__(self, "gamma", self.chi / (1.0 - self.chi))
 
     @classmethod
     def from_gamma(cls, gamma: float) -> "FirmParams":
         """Build from the division-of-labor benefit, ``gamma >= 0``."""
         _require_gamma(gamma)
-        return cls(chi=gamma / (1.0 + gamma), gamma=gamma)
+        return cls(gamma / (1.0 + gamma))
 
 
 def _require_chi(chi) -> None:
@@ -211,28 +195,36 @@ def _telecom_ratio(T: float, d: float, eps: float, params: FirmParams) -> float:
     return _power(T * _power(d, eps), params.chi)
 
 
+def telecom_viable(T: float, d: float, eps: float) -> bool:
+    """Whether telecom at per-contact cost ``T`` is at least as costly as
+    face-to-face contact at density ``d``, ``T >= d**(-eps)``.
+
+    Where it is cheaper, the firm would already be using it without any
+    intervention, so only viable points price telecom.  Mind the sign of
+    the exponent: the face-to-face cost at density ``d`` is ``d**(-eps)``
+    and falls with density, so a bound written against ``d**eps`` compares
+    T to the wrong side of the density scale.
+    """
+    return T >= _power(d, -eps)
+
+
 def telecom_cost_ratio(T: float, d: float, eps: float, params: FirmParams) -> float:
     """Cost ratio when all contact moves online at per-contact cost ``T``.
 
-    Returns ``(T * d**eps) ** chi``.  Valid only when telecom is at least as
-    costly as face-to-face contact at this density, ``T >= d**(-eps)``: were
-    it cheaper, the firm would already be using it without any intervention.
-    Equivalently, the gate says the returned ratio is >= 1.  Mind the sign
-    of the exponent: the face-to-face cost at density ``d`` is ``d**(-eps)``
-    and falls with density, so a bound written against ``d**eps`` compares
-    T to the wrong side of the density scale.  Violations raise
-    :class:`DomainError` with code ``telecom_below_face_to_face_cost``.
+    Returns ``(T * d**eps) ** chi``, defined where :func:`telecom_viable`
+    holds; equivalently, where the returned ratio is >= 1.  Elsewhere it
+    raises :class:`DomainError` naming the first such point.
     """
     _require_positive("T", T)
     _require_positive("d", d)
     _require_positive("eps", eps)
-    face = _power(d, -eps)
-    bad = _first_violation(T >= face, T, face, d)
+    bad = _first_violation(telecom_viable(T, d, eps), T, d, eps)
     if bad is not None:
+        cost, density, elasticity = bad
         raise DomainError(
-            "telecom cost {!r} is below the face-to-face contact cost {!r} at density {!r}; "
-            "the firm would already telecommute".format(*bad),
-            code="telecom_below_face_to_face_cost",
+            f"telecom cost {cost!r} is below the face-to-face contact cost "
+            f"{float(_power(density, -elasticity))!r} at density {density!r}; "
+            "the firm would already telecommute"
         )
     return _telecom_ratio(T, d, eps, params)
 
@@ -263,7 +255,7 @@ def preferred_regime(
     T = intervention.telecom_cost
     if T is not None:
         tele = _telecom_ratio(T, d, eps, params)
-        online = binds & (T >= _power(d, -eps)) & (tele < ratio)
+        online = binds & telecom_viable(T, d, eps) & (tele < ratio)
         regime = np.where(online, Regime.TELECOM, regime)
         ratio = np.where(online, tele, ratio)
     return regime[()], ratio[()]

@@ -55,7 +55,7 @@ def frame_of(cells):
     """A frame from ``(zcta, industry_code, employment, chi, density)`` tuples."""
     zcta, codes, employment, chi, density = _columns(cells, 5)
     return CellFrame(
-        Coded.of(zcta), Coded.of(codes), _array(employment), FirmParams.from_chi(_array(chi)).chi,
+        Coded.of(zcta), Coded.of(codes), _array(employment), FirmParams(_array(chi)).chi,
         _array(density),
     )
 

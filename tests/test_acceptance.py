@@ -85,7 +85,7 @@ def test_criterion_2_ratio_and_subsidy_properties():
         xs = np.linspace(0.005, 0.995, 100)
         saturated = 1.0 - 1e-12
         for chi in chis:
-            params = FirmParams.from_chi(float(chi))
+            params = FirmParams(float(chi))
             assert distancing_cost_ratio(1.0, params) == 1.0
             assert compensating_subsidy(1.0, params) == 0.0
             subsidies = []
@@ -97,7 +97,7 @@ def test_criterion_2_ratio_and_subsidy_properties():
                 subsidies.append(lam)
             assert all(a >= b for a, b in zip(subsidies, subsidies[1:]))
             assert all(a > b for a, b in zip(subsidies, subsidies[1:]) if a < saturated)
-        spot = compensating_subsidy(0.5, FirmParams.from_chi(0.5))
+        spot = compensating_subsidy(0.5, FirmParams(0.5))
         assert abs(spot - 2.0 / 3.0) <= 1e-12
 
 

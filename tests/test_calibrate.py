@@ -168,7 +168,7 @@ class TestContactsGrid:
         grid = optimal_contacts_grid(frame, 0.07)
         assert len(grid) == len(frame)
         for c, n in zip(frame, grid):
-            expected = contacts_at_density(c.density, 0.07, FirmParams.from_chi(c.chi))
+            expected = contacts_at_density(c.density, 0.07, FirmParams(c.chi))
             assert n == pytest.approx(expected, rel=1e-12)
 
 
@@ -352,11 +352,7 @@ class TestCellParameters:
         assert [(c.zcta, c.industry_code, c.employment) for c in frame] == [
             ("z2", "44", 5.0), ("z1", "31", 3.0), ("z1", "44", 7.0), ("z2", "31", 1.0),
         ]
-        chi, gamma = frame.params.chi.tolist(), frame.params.gamma.tolist()
-        assert (chi[0], gamma[0]) == (chi[2], gamma[2])
-        assert (chi[1], gamma[1]) == (chi[3], gamma[3])
-        assert FirmParams(chi[0], gamma[0]) == FirmParams.from_chi(0.6)
-        assert FirmParams(chi[1], gamma[1]) == FirmParams.from_chi(0.2)
+        assert frame.params.chi.tolist() == [0.6, 0.2, 0.6, 0.2]
 
     def test_run_calibration_end_to_end(self):
         resolver = MixResolver([_mix("44", 0.4)])
@@ -398,7 +394,7 @@ class TestCellParameters:
         report = run_calibration(frame, 0.5, 0.04)
         assert calls == [report.contact_cap]
         assert report.achieved_share == original(
-            *columns([(contacts_at_density(c.density, report.eps, FirmParams.from_chi(c.chi)),
+            *columns([(contacts_at_density(c.density, report.eps, FirmParams(c.chi)),
                        c.employment) for c in frame]),
             report.contact_cap,
         )

@@ -119,6 +119,31 @@ class TestIndex:
         assert mean == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("missing", ["cbp", "density", "national_sizes"])
+    def test_some_location_inputs_are_a_usage_error_naming_the_rest(
+        self, fixture_config, capsys, missing
+    ):
+        config, out = fixture_config
+        lines = config.read_text().splitlines()
+        config.write_text("\n".join(line for line in lines
+                                    if not line.startswith(f"{missing} =")) + "\n")
+        assert main(["index", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing required inputs: {missing} "
+            "(set them in the config file or with flags)\n")
+        assert not out.exists()
+
+    def test_no_location_inputs_skip_the_location_index(self, fixture_config):
+        config, out = fixture_config
+        lines = config.read_text().splitlines()
+        location = ("cbp =", "density =", "national_sizes =")
+        config.write_text("\n".join(line for line in lines
+                                    if not line.startswith(location)) + "\n")
+        assert main(["index", "--config", str(config)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "industry-index.csv", "occupation-index.csv", "reconciliation.txt"]
+
+
 class TestCalibrate:
     def test_report_fields(self, fixture_config):
         config, out = fixture_config
@@ -372,14 +397,25 @@ class TestLowessCommand:
         # every cell parses as a plain number (no stray scalar reprs)
         assert all(float(v) == float(v) for r in rows for v in r.values())
 
-    def test_too_few_points_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("densities, fault", [
+        ([0.5, 1.0, 2.0, 4.0], "lowess needs at least 10 points, got 4"),
+        ([2.0] * 12, "x values span zero range; nothing to smooth over"),
+    ], ids=["too-few-points", "one-density"])
+    def test_smoother_fault_is_data_error_naming_the_input(
+        self, tmp_path, capsys, densities, fault
+    ):
         source = tmp_path / "location-index.csv"
         source.write_text(
             "zcta,density,share_teamwork,share_customer,share_communication,"
-            "share_presence,employment\nz,1.0,0,0,0,0,5\n"
+            "share_presence,employment\n"
+            + "".join(f"z{i},{d},0,0,0,0,5\n" for i, d in enumerate(densities))
         )
-        rc = main(["lowess", "--input", str(source), "--output-dir", str(tmp_path / "o")])
-        assert rc == 1
+        out = tmp_path / "o"
+        assert main(["lowess", "--input", str(source), "--output-dir", str(out)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {source}: {fault}"]
+        assert not (out / "location-lowess.csv").exists()
 
     @pytest.mark.parametrize("row, fault", [
         ("zx,nan,0.1,0.1,0.1,0.1,5", "field 'density': not a finite number: 'nan'"),

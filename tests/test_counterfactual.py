@@ -212,7 +212,7 @@ class TestTableProperties:
 
 class TestCostCurves:
     def test_flat_below_constraint(self):
-        params = FirmParams.from_chi(0.5)
+        params = FirmParams(0.5)
         grid = np.linspace(0.1, 0.9, 20)  # n* < 1 <= cap everywhere
         curves = cost_ratio_curves(params, grid, contact_cap=1.0, telecom_cost=None, eps=0.3)
         assert all(v == 1.0 for v in curves.distancing)
@@ -220,7 +220,7 @@ class TestCostCurves:
         assert curves.switches == []
 
     def test_telecom_curve_monotone(self):
-        params = FirmParams.from_chi(0.5)
+        params = FirmParams(0.5)
         grid = np.geomspace(1.0, 30.0, 50)
         curves = cost_ratio_curves(params, grid, contact_cap=1.0, telecom_cost=2.0, eps=0.3)
         tele = [v for v in curves.telecom if v is not None]
@@ -231,7 +231,7 @@ class TestCostCurves:
         # chosen so the full sequence appears: unconstrained, a capped
         # face-to-face band, a telecom band once telecom becomes valid
         # (d >= T**(-1/eps) = 4), and face-to-face again at high density
-        params = FirmParams.from_chi(0.5)
+        params = FirmParams(0.5)
         eps, cap, T = 0.5, 1.1, 0.5
         grid = np.geomspace(0.5, 200.0, 400)
         curves = cost_ratio_curves(params, grid, cap, T, eps)
@@ -261,7 +261,7 @@ class TestCostCurves:
         assert switch.density == pytest.approx(closed, rel=1e-8)
 
     def test_constraint_onset_switch(self):
-        params = FirmParams.from_chi(0.5)
+        params = FirmParams(0.5)
         eps, cap = 0.5, 1.2
         grid = np.geomspace(0.5, 10.0, 100)
         curves = cost_ratio_curves(params, grid, cap, None, eps)
@@ -270,7 +270,7 @@ class TestCostCurves:
         assert onset.density == pytest.approx(cap ** (1.0 / (eps * 0.5)), rel=1e-8)
 
     def test_ratios_never_below_one(self):
-        params = FirmParams.from_chi(0.4)
+        params = FirmParams(0.4)
         grid = np.geomspace(0.05, 50.0, 120)
         curves = cost_ratio_curves(params, grid, contact_cap=1.0, telecom_cost=3.0, eps=0.2)
         assert all(v >= 1.0 for v in curves.distancing)
@@ -327,7 +327,7 @@ class TestCostCurvesMatchPointOracle:
         telecom = None if online_from is None else online_from ** (-eps)
         points = [_point_oracle(chi, eps, cap, telecom, d) for d in grid]
         assume(min(gap for *_, gap in points) > 1e-12)  # no grid point on a tie
-        curves = cost_ratio_curves(FirmParams.from_chi(chi), grid, cap, telecom, eps)
+        curves = cost_ratio_curves(FirmParams(chi), grid, cap, telecom, eps)
         assert curves.densities == grid
         assert curves.regimes == [regime for regime, *_ in points]
         for got, (_, want, *_) in zip(curves.distancing, points):
@@ -356,7 +356,7 @@ class TestCostCurvesMatchPointOracle:
         per_size = {}
         for points in (100, 1000):
             calls.clear()
-            curves = cost_ratio_curves(FirmParams.from_chi(0.5), np.geomspace(0.5, 200.0, points),
+            curves = cost_ratio_curves(FirmParams(0.5), np.geomspace(0.5, 200.0, points),
                                        1.1, 0.5, 0.5)
             assert len(curves.switches) == 3
             per_size[points] = len(calls)
@@ -402,7 +402,7 @@ def _scalar_rows(keyed):
 
 
 def scalar_oracle(cells, share, elasticity, fixed_eps, telecom, grouping):
-    params = [FirmParams.from_chi(chi) for _, _, _, chi, _ in cells]
+    params = [FirmParams(chi) for _, _, _, chi, _ in cells]
     k = _scalar_slope([(w, math.log(d), chi * math.log(d)) for _, _, w, chi, d in cells])
     eps = fixed_eps if fixed_eps is not None else elasticity / k
     nstar = [contacts_at_density(d, eps, p) for (*_, d), p in zip(cells, params)]

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import fields
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -32,7 +33,7 @@ from distancing.geo import (
 )
 from distancing.industries import GROUPS, IndustryMix, MixResolver
 
-from frames import cbp_of, cells_of, outcome
+from frames import cbp_of, cells_of, outcome, results_of
 
 
 def oracle_lowess(x, y, w, bandwidth, grid_points=100):
@@ -263,6 +264,14 @@ def estimate_cell_employment(size_bin_counts, bin_midpoints):
     return math.fsum(total)
 
 
+def mean_size(national, naics, exclude_bins=()):
+    """Mean plant size over the bins not in ``exclude_bins``: one pair of
+    :meth:`NationalSizeDistribution.mean_sizes`, None where that gives nan."""
+    excluded = sorted(set(exclude_bins))
+    (mean,) = national.mean_sizes([naics], np.ones((1, len(excluded)), dtype=bool), excluded)
+    return None if math.isnan(mean) else float(mean)
+
+
 def impute_suppressed(known_bins, suppressed_count, naics, national, bin_midpoints):
     """One cell's (employment, imputed fraction): withheld plants at the complement mean."""
     if suppressed_count < 0:
@@ -270,10 +279,10 @@ def impute_suppressed(known_bins, suppressed_count, naics, national, bin_midpoin
     known = estimate_cell_employment(known_bins, bin_midpoints)
     if suppressed_count == 0:
         return known, 0.0
-    mean_size = national.mean_size(naics, exclude_bins=known_bins.keys())
-    if mean_size is None:
+    mean = mean_size(national, naics, known_bins.keys())
+    if mean is None:
         raise IngestionError(f"no national size distribution covers NAICS {naics!r}")
-    imputed = suppressed_count * mean_size
+    imputed = suppressed_count * mean
     total = known + imputed
     return total, (imputed / total if total > 0 else 0.0)
 
@@ -383,13 +392,45 @@ class TestImputationPerCoveringCode:
             [("44", frozenset({"1-4"})), ("44", frozenset({"5-9"}))]
         ]
         assert [c.employment for c in cells] == [
-            5.0 + 1 * national.mean_size("44", ["1-4"]),
-            12.5 + 2 * national.mean_size("44", ["1-4"]),
-            7.0 + 1 * national.mean_size("44", ["5-9"]),
+            5.0 + 1 * mean_size(national, "44", ["1-4"]),
+            12.5 + 2 * mean_size(national, "44", ["1-4"]),
+            7.0 + 1 * mean_size(national, "44", ["5-9"]),
         ]
         assert dropped == [
             ("10002", "99999", "no national size distribution covers NAICS '99999'")
         ]
+
+
+_FRAMES = {
+    "cbp": cbp_of([("10002", "441200", "1-4", 4), ("10001", "31", "", 2, True)]),
+    "cells": cells_of([("10002", "441200", 12.5, 0.25), ("10001", "31", 3.0)]),
+    "frame": results_of([("10002", "44", 2.0, 0.5, 0.125, 7.0),
+                         ("10001", "31", 1.0, 1.0, 0.0, 3.0)]),
+}
+
+
+class TestColumnRows:
+    @pytest.mark.parametrize("name", _FRAMES)
+    def test_rows_are_named_tuples_of_the_fields_in_order(self, name):
+        frame = _FRAMES[name]
+        names = tuple(f.name for f in fields(frame))
+        rows = list(frame)
+        assert len(rows) == len(frame) == 2
+        for i, row in enumerate(rows):
+            assert row._fields == names
+            for field in names:
+                column = getattr(frame, field)
+                assert getattr(row, field) == (None if column is None else column.tolist()[i])
+
+    def test_an_unset_column_gives_none_in_every_row(self):
+        frame = _FRAMES["frame"]
+        assert frame.regime is None and frame.subsidy is not None
+        assert [row.regime for row in frame] == [None, None]
+        assert [row.subsidy for row in frame] == [0.125, 0.0]
+
+    def test_rows_of_a_selection_are_its_rows(self):
+        frame = _FRAMES["cells"]
+        assert list(frame.take(np.array([False, True]))) == [list(frame)[1]]
 
 
 class TestGroupTotals:
@@ -642,16 +683,16 @@ class TestCbpCsv:
 
 
 class TestNationalSizes:
-    def test_mean_size_memo_returns_the_computed_value(self):
-        warm = NationalSizeDistribution(_NATIONAL_TABLE)
-        for naics, exclude in [("441200", ["1-4"]), ("441200", ("1-4",)), ("311811", []),
-                               ("441100", ["1-4", "5-9", "10-19", "20-49", OPEN_BIN]),
-                               ("99999", [])]:
-            assert warm.mean_size(naics, exclude) == warm.mean_size(naics, iter(exclude))
-            assert warm.mean_size(naics, exclude) == (
-                NationalSizeDistribution(_NATIONAL_TABLE).mean_size(naics, exclude)
-            )
-        assert warm.mean_size("99999") is None
+    def test_mean_sizes_of_many_pairs_equal_each_pair_alone(self):
+        pairs = [("441200", ["1-4"]), ("311811", []), ("99999", []),
+                 ("441100", ["1-4", "5-9", "10-19", "20-49", OPEN_BIN]), ("441200", ["5-9"])]
+        bins = [*DEFAULT_BIN_MIDPOINTS, OPEN_BIN]
+        excluded = np.array([[b in exclude for b in bins] for _, exclude in pairs])
+        national = NationalSizeDistribution(_NATIONAL_TABLE)
+        together = national.mean_sizes([naics for naics, _ in pairs], excluded, bins).tolist()
+        alone = [mean_size(NationalSizeDistribution(_NATIONAL_TABLE), *pair) for pair in pairs]
+        assert together[:2] + together[3:] == alone[:2] + alone[3:]
+        assert math.isnan(together[2]) and alone[2] is None
 
     def test_duplicate_bin_names_both_rows(self, tmp_path):
         path = tmp_path / "national.csv"

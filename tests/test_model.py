@@ -7,6 +7,7 @@ evaluation, and brute-force grid scans.
 
 import math
 import warnings
+from dataclasses import fields
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -57,14 +58,14 @@ def dec_pow(base, exponent, digits=50):
 
 class TestFirmParams:
     def test_identity_holds_both_ways(self):
-        p = FirmParams.from_chi(0.35)
+        p = FirmParams(0.35)
         assert p.gamma == pytest.approx(0.35 / 0.65, abs=1e-15)
         assert abs(p.chi - p.gamma / (1 + p.gamma)) < 1e-12
 
     def test_round_trip_chi(self):
         rng = np.random.default_rng(7)
         for chi in rng.uniform(1e-6, 1 - 1e-6, 200):
-            p = FirmParams.from_chi(float(chi))
+            p = FirmParams(float(chi))
             again = FirmParams.from_gamma(p.gamma)
             assert abs(again.chi - chi) < 1e-12
 
@@ -75,11 +76,12 @@ class TestFirmParams:
     @pytest.mark.parametrize("chi", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
     def test_bad_chi_rejected(self, chi):
         with pytest.raises(DomainError):
-            FirmParams.from_chi(chi)
+            FirmParams(chi)
 
-    def test_inconsistent_direct_construction_rejected(self):
-        with pytest.raises(DomainError):
-            FirmParams(chi=0.3, gamma=7.0)
+    def test_gamma_is_derived_from_chi_alone(self):
+        assert [f.name for f in fields(FirmParams) if f.init] == ["chi"]
+        with pytest.raises(TypeError):
+            FirmParams(0.3, 7.0)
 
 
 class TestOptimalContacts:
@@ -109,18 +111,18 @@ class TestOptimalContacts:
 
 class TestUnitCost:
     def test_matches_raw_cost_at_optimum(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         # by hand: at n = 2, cost = 2 * 0.25 + (1/1) * 2**-1 = 1.0
         assert raw_cost(2.0, 0.25, 1.0) == 1.0
         assert unit_cost(0.25, p) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("chi,expected", [(0.5, 2.0), (0.25, 4.0)])
     def test_tau_one_gives_inverse_chi(self, chi, expected):
-        assert unit_cost(1.0, FirmParams.from_chi(chi)) == pytest.approx(expected)
+        assert unit_cost(1.0, FirmParams(chi)) == pytest.approx(expected)
 
     def test_chi_zero_rejected(self):
         with pytest.raises(DomainError):
-            unit_cost(1.0, FirmParams.from_chi(0.0))
+            unit_cost(1.0, FirmParams(0.0))
 
     def test_brute_force_equivalence(self):
         # closed form beats every grid point and the grid argmin matches.
@@ -141,12 +143,12 @@ class TestUnitCost:
 
 class TestDensityForms:
     def test_average_density_firm(self):
-        assert contacts_at_density(1.0, 0.02, FirmParams.from_chi(0.35)) == 1.0
+        assert contacts_at_density(1.0, 0.02, FirmParams(0.35)) == 1.0
 
     def test_dense_city_contacts(self):
         # 20x the average density; arbitrary-precision oracle for 20**0.013
         expected = dec_pow(20, Decimal("0.02") * (1 - Decimal("0.35")))
-        got = contacts_at_density(20.0, 0.02, FirmParams.from_chi(0.35))
+        got = contacts_at_density(20.0, 0.02, FirmParams(0.35))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.0397, abs=5e-5)
 
@@ -158,15 +160,15 @@ class TestDensityForms:
         for _ in range(300):
             d = rng.uniform(0.05, 40.0)
             eps = rng.uniform(0.005, 0.8)
-            p = FirmParams.from_chi(rng.uniform(0.01, 0.95))
+            p = FirmParams(rng.uniform(0.01, 0.95))
             assert contacts_at_density(d, eps, p) == pytest.approx(
                 optimal_contacts(d ** (-eps), p), abs=1e-12, rel=1e-12
             )
 
     def test_unit_cost_at_density_values(self):
-        assert unit_cost_at_density(1.0, 0.02, FirmParams.from_chi(0.5)) == pytest.approx(2.0)
+        assert unit_cost_at_density(1.0, 0.02, FirmParams(0.5)) == pytest.approx(2.0)
         expected = dec_pow(20, -Decimal("0.02") * Decimal("0.35")) / 0.35
-        got = unit_cost_at_density(20.0, 0.02, FirmParams.from_chi(0.35))
+        got = unit_cost_at_density(20.0, 0.02, FirmParams(0.35))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(2.798, abs=5e-4)
 
@@ -175,13 +177,13 @@ class TestDensityForms:
         for _ in range(200):
             d = rng.uniform(0.05, 40.0)
             eps = rng.uniform(0.005, 0.8)
-            p = FirmParams.from_chi(rng.uniform(0.01, 0.95))
+            p = FirmParams(rng.uniform(0.01, 0.95))
             assert unit_cost_at_density(d, eps, p) == pytest.approx(
                 unit_cost(d ** (-eps), p), rel=1e-12
             )
 
     def test_decreasing_in_density(self):
-        p = FirmParams.from_chi(0.4)
+        p = FirmParams(0.4)
         values = [unit_cost_at_density(d, 0.1, p) for d in (0.5, 1.0, 2.0, 8.0)]
         assert values == sorted(values, reverse=True)
 
@@ -192,7 +194,7 @@ class TestDensityForms:
         for _ in range(200):
             d = rng.uniform(0.05, 40.0)
             eps = rng.uniform(0.005, 0.8)
-            p = FirmParams.from_chi(rng.uniform(0.01, 0.95))
+            p = FirmParams(rng.uniform(0.01, 0.95))
             n = contacts_at_density(d, eps, p)
             total = n * d ** (-eps) + n ** (-p.gamma) / p.gamma
             assert total == pytest.approx(unit_cost_at_density(d, eps, p), rel=1e-12)
@@ -200,10 +202,10 @@ class TestDensityForms:
 
 class TestDistancingRatio:
     def test_binding_boundary(self):
-        assert distancing_cost_ratio(1.0, FirmParams.from_chi(0.5)) == 1.0
+        assert distancing_cost_ratio(1.0, FirmParams(0.5)) == 1.0
 
     def test_half_cap(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         assert distancing_cost_ratio(0.5, p) == pytest.approx(1.25, abs=1e-15)
         # cross-check: constrained raw cost over unconstrained unit cost
         tau = 0.09
@@ -212,7 +214,7 @@ class TestDistancingRatio:
         assert ratio == pytest.approx(1.25, rel=1e-12)
 
     def test_quarter_cap(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         assert distancing_cost_ratio(0.25, p) == pytest.approx(2.125, abs=1e-15)
         tau = 2.5
         nstar = optimal_contacts(tau, p)
@@ -220,10 +222,10 @@ class TestDistancingRatio:
         assert ratio == pytest.approx(2.125, rel=1e-12)
 
     def test_above_one_short_circuits(self):
-        assert distancing_cost_ratio(3.7, FirmParams.from_chi(0.8)) == 1.0
+        assert distancing_cost_ratio(3.7, FirmParams(0.8)) == 1.0
 
     def test_continuous_at_one_and_decreasing(self):
-        p = FirmParams.from_chi(0.37)
+        p = FirmParams(0.37)
         assert distancing_cost_ratio(1.0 - 1e-9, p) == pytest.approx(1.0, abs=1e-8)
         xs = np.linspace(0.02, 0.999, 300)
         values = [distancing_cost_ratio(float(x), p) for x in xs]
@@ -231,36 +233,35 @@ class TestDistancingRatio:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
-            distancing_cost_ratio(0.0, FirmParams.from_chi(0.5))
+            distancing_cost_ratio(0.0, FirmParams(0.5))
 
 
 class TestTelecomRatio:
     def test_boundary_equals_one(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         assert telecom_cost_ratio(1.0, 1.0, 0.02, p) == 1.0
 
     def test_four_times_cost(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         got = telecom_cost_ratio(4.0, 1.0, 0.02, p)
         assert got == pytest.approx(2.0, abs=1e-15)
         # oracle: ratio of unit costs at the two contact prices
         assert got == pytest.approx(unit_cost(4.0, p) / unit_cost(1.0 ** (-0.02), p), rel=1e-12)
 
     def test_increasing_in_density(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         values = [telecom_cost_ratio(4.0, d, 0.1, p) for d in (1.0, 2.0, 5.0, 20.0)]
         assert values == sorted(values)
 
-    def test_cheap_telecom_rejected_with_code(self):
-        p = FirmParams.from_chi(0.5)
-        with pytest.raises(DomainError) as excinfo:
+    def test_cheap_telecom_rejected(self):
+        p = FirmParams(0.5)
+        with pytest.raises(DomainError, match="below the face-to-face contact cost"):
             telecom_cost_ratio(0.5, 0.2, 0.9, p)  # face-to-face costs 0.2**-0.9 ~ 4.3
-        assert excinfo.value.code == "telecom_below_face_to_face_cost"
 
 
 class TestPreferredRegime:
     def test_low_density_unconstrained(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         regime, ratio = preferred_regime(Intervention(2.0, 3.0), 0.5, 0.1, p)
         assert regime is Regime.UNCONSTRAINED
         assert ratio == 1.0
@@ -268,7 +269,7 @@ class TestPreferredRegime:
     def test_telecom_wins_at_intermediate_density(self):
         # telecom barely above face-to-face cost: switching is near-free while
         # the cap squeezes hard
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         d, eps = 4.0, 0.5
         regime, ratio = preferred_regime(Intervention(1.05, d ** (-eps) * 1.01), d, eps, p)
         assert regime is Regime.TELECOM
@@ -277,7 +278,7 @@ class TestPreferredRegime:
     def test_distancing_wins_when_telecom_dear(self):
         # brute-force scan: with expensive telecom, a density exists where
         # the capped firm still prefers face-to-face
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         intervention = Intervention(1.2, 50.0)
         found = None
         for d in np.linspace(1.5, 30.0, 200):
@@ -291,7 +292,7 @@ class TestPreferredRegime:
     def test_ratio_one_iff_unconstrained(self):
         rng = np.random.default_rng(13)
         for _ in range(400):
-            p = FirmParams.from_chi(rng.uniform(0.05, 0.95))
+            p = FirmParams(rng.uniform(0.05, 0.95))
             intervention = Intervention(rng.uniform(0.3, 3.0), rng.uniform(1.0, 20.0))
             d = rng.uniform(0.05, 30.0)
             regime, ratio = preferred_regime(intervention, float(d), 0.4, p)
@@ -301,16 +302,16 @@ class TestPreferredRegime:
 
 class TestCompensatingSubsidy:
     def test_zero_at_binding_boundary(self):
-        assert compensating_subsidy(1.0, FirmParams.from_chi(0.5)) == 0.0
-        assert compensating_subsidy(2.0, FirmParams.from_chi(0.5)) == 0.0
+        assert compensating_subsidy(1.0, FirmParams(0.5)) == 0.0
+        assert compensating_subsidy(2.0, FirmParams(0.5)) == 0.0
 
     def test_half_cap_two_thirds(self):
         # by hand: 1 - (0.5 / 0.75) * 0.5 = 2/3
-        got = compensating_subsidy(0.5, FirmParams.from_chi(0.5))
+        got = compensating_subsidy(0.5, FirmParams(0.5))
         assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_approaches_one_as_cap_vanishes(self):
-        p = FirmParams.from_chi(0.5)
+        p = FirmParams(0.5)
         assert compensating_subsidy(1e-12, p) == pytest.approx(1.0, abs=1e-5)
 
     def test_decreasing_in_cap_ratio_and_increasing_in_chi(self):
@@ -320,13 +321,13 @@ class TestCompensatingSubsidy:
         ratios = np.linspace(0.01, 0.99, 60)
         saturated = 1.0 - 1e-12
         for chi in chis:
-            p = FirmParams.from_chi(float(chi))
+            p = FirmParams(float(chi))
             values = [compensating_subsidy(float(x), p) for x in ratios]
             assert all(a >= b for a, b in zip(values, values[1:]))
             assert all(a > b for a, b in zip(values, values[1:]) if a < saturated)
             assert all(0.0 < v < 1.0 for v in values)
         for x in ratios:
-            values = [compensating_subsidy(float(x), FirmParams.from_chi(float(c))) for c in chis]
+            values = [compensating_subsidy(float(x), FirmParams(float(c))) for c in chis]
             assert all(a <= b for a, b in zip(values, values[1:]))
             assert all(a < b for a, b in zip(values, values[1:]) if b < saturated)
 
@@ -358,10 +359,10 @@ def edge(form, result):
 def _error(call):
     with pytest.raises(DomainError) as excinfo:
         call()
-    return str(excinfo.value), excinfo.value.code
+    return str(excinfo.value)
 
 
-_HALF = FirmParams.from_chi(0.5)
+_HALF = FirmParams(0.5)
 
 # (label, call taking the shaped value, ordinary value, bad value)
 _BAD_INPUTS = [
@@ -372,13 +373,13 @@ _BAD_INPUTS = [
     ("eps zero", lambda v: contacts_at_density(2.0, v, _HALF), 0.1, 0.0),
     ("cap ratio zero", lambda v: distancing_cost_ratio(v, _HALF), 0.5, 0.0),
     ("cap ratio negative", lambda v: compensating_subsidy(v, _HALF), 0.5, -0.5),
-    ("chi one", FirmParams.from_chi, 0.4, 1.0),
-    ("chi nan", FirmParams.from_chi, 0.4, float("nan")),
+    ("chi one", FirmParams, 0.4, 1.0),
+    ("chi nan", FirmParams, 0.4, float("nan")),
     ("gamma negative", FirmParams.from_gamma, 1.0, -0.5),
     ("gamma inf", FirmParams.from_gamma, 1.0, float("inf")),
-    ("chi zero in unit cost", lambda v: unit_cost(0.5, FirmParams.from_chi(v)), 0.4, 0.0),
+    ("chi zero in unit cost", lambda v: unit_cost(0.5, FirmParams(v)), 0.4, 0.0),
     ("chi zero in density cost",
-     lambda v: unit_cost_at_density(2.0, 0.1, FirmParams.from_chi(v)), 0.4, 0.0),
+     lambda v: unit_cost_at_density(2.0, 0.1, FirmParams(v)), 0.4, 0.0),
     ("telecom below face-to-face",
      lambda v: telecom_cost_ratio(0.5, v, 0.9, _HALF), 4.0, 0.2),
 ]
@@ -393,11 +394,6 @@ class TestArrayForms:
         assert _error(lambda: call(shaped(form, bad, ordinary))) == _error(lambda: call(bad))
 
     @pytest.mark.parametrize("form", FORMS)
-    def test_inconsistent_pair_raises_the_scalar_error(self, form):
-        chi, gamma = shaped(form, 0.3, 0.5), shaped(form, 7.0, 1.0)
-        assert _error(lambda: FirmParams(chi, gamma)) == _error(lambda: FirmParams(0.3, 7.0))
-
-    @pytest.mark.parametrize("form", FORMS)
     def test_penalty_overflow_gives_inf(self, form):
         p = FirmParams.from_gamma(1e3)
         with warnings.catch_warnings():
@@ -409,14 +405,14 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_subsidy_stays_below_one(self, form):
-        p = FirmParams.from_chi(0.9)
+        p = FirmParams(0.9)
         subsidy = compensating_subsidy(shaped(form, 1e-300, 0.5), p)
         assert edge(form, subsidy) == math.nextafter(1.0, 0.0)
         assert np.all(np.asarray(subsidy) < 1.0)
 
     @pytest.mark.parametrize("form", FORMS)
     def test_unconstrained_edge_is_exact(self, form):
-        p = FirmParams.from_chi(0.37)
+        p = FirmParams(0.37)
         x = shaped(form, 1.0, 0.5)
         assert edge(form, distancing_cost_ratio(x, p)) == 1.0
         assert edge(form, compensating_subsidy(x, p)) == 0.0
@@ -427,8 +423,8 @@ class TestArrayForms:
         d = rng.uniform(0.05, 40.0, 200)
         chi = rng.uniform(0.0, 0.95, 200)
         x = rng.uniform(0.01, 1.5, 200)
-        p = FirmParams.from_chi(chi)
-        scalar = [FirmParams.from_chi(float(c)) for c in chi]
+        p = FirmParams(chi)
+        scalar = [FirmParams(float(c)) for c in chi]
         intervention = Intervention(1.1, 1.3)
         regimes, ratios = preferred_regime(intervention, d, 0.3, p)
         columns = {
@@ -457,7 +453,7 @@ class TestArrayForms:
             chi = float(rng.uniform(0.01, 0.95))
             d, eps = float(rng.uniform(0.05, 40.0)), float(rng.uniform(0.005, 0.8))
             x, tau = float(rng.uniform(0.01, 0.99)), float(rng.uniform(1e-3, 10.0))
-            p = FirmParams.from_chi(chi)
+            p = FirmParams(chi)
             gamma = chi / (1.0 - chi)
             T = d ** (-eps) * 1.5
             pairs = [
@@ -486,8 +482,7 @@ class TestArrayForms:
          "cap_ratio must be a positive finite real, got -0.25"),
         (lambda: Intervention(np.float64(0.0)),
          "contact_cap must be a positive finite real, got 0.0"),
-        (lambda: FirmParams.from_chi(np.float64(1.0)), "chi must lie in [0, 1), got 1.0"),
-        (lambda: FirmParams(0.3, 7), "inconsistent parameters: chi=0.3 but gamma/(1+gamma)=0.875"),
+        (lambda: FirmParams(np.float64(1.0)), "chi must lie in [0, 1), got 1.0"),
         (lambda: telecom_cost_ratio(0.25, 0.5, 1.0, _HALF),
          "telecom cost 0.25 is below the face-to-face contact cost 2.0 at density 0.5; "
          "the firm would already telecommute"),
@@ -499,4 +494,4 @@ class TestArrayForms:
          "the firm would already telecommute"),
     ])
     def test_error_texts_show_plain_numbers(self, call, text):
-        assert _error(call)[0] == text
+        assert _error(call) == text
