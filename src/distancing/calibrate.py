@@ -109,10 +109,10 @@ class CalibrationReport:
     achieved_share: float
     n_cells: int
     employment: float  # the cells' total employment, an exact_sum
-    eps_fixed: bool = False
-    notes: list[str] = field(default_factory=list)
+    eps_fixed: bool
     # the frame's optimal contacts at eps, in frame order, as the cap solve used them
-    contacts: np.ndarray | None = field(default=None, repr=False, compare=False)
+    contacts: np.ndarray = field(repr=False, compare=False)
+    notes: list[str] = field(default_factory=list)
 
 
 def cell_parameters(
@@ -246,17 +246,15 @@ def _contact_total(contacts: np.ndarray, weights: np.ndarray) -> float:
 
 
 def aggregate_contact_share(
-    contacts: np.ndarray, weights: np.ndarray, cap: float, total: float | None = None
+    contacts: np.ndarray, weights: np.ndarray, cap: float, total: float
 ) -> float:
     """Capped aggregate contacts as a fraction of the unconstrained aggregate.
 
     ``contacts`` are the cells' optimal contacts and ``weights`` their
     employment, two float arrays of equal length.  ``total`` is the
-    unconstrained aggregate, the exact sum of weights times contacts,
-    computed here when not given.
+    unconstrained aggregate, the exact sum of weights times contacts
+    (:func:`_contact_total`).
     """
-    if total is None:
-        total = _contact_total(contacts, weights)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot compute a share")
     capped = exact_sum(weights * np.minimum(cap, contacts))
@@ -279,7 +277,7 @@ def _sorted_pairs(contacts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
 
 
 def calibrate_cap(
-    contacts: np.ndarray, weights: np.ndarray, target_share: float, total: float | None = None
+    contacts: np.ndarray, weights: np.ndarray, target_share: float, total: float
 ) -> float:
     """The cap N at which capped contacts are the target share of the total.
 
@@ -299,8 +297,6 @@ def calibrate_cap(
         raise ValueError(f"target contact share must lie in (0, 1], got {target_share!r}")
     if not contacts.size:
         raise CalibrationError("no cells to calibrate the contact cap on")
-    if total is None:
-        total = _contact_total(contacts, weights)
     if total <= 0.0:
         raise CalibrationError("total contacts are zero; cannot calibrate a cap")
     if target_share == 1.0:
@@ -318,11 +314,12 @@ def calibrate_cap(
 
 def run_calibration(
     frame: CellFrame,
-    target_contact_share: float = 0.5,
-    target_elasticity: float = 0.04,
-    fixed_eps: float | None = None,
+    target_contact_share: float,
+    target_elasticity: float,
+    fixed_eps: float | None,
 ) -> CalibrationReport:
-    """Full calibration: eps (solved or fixed), contact grid, contact cap."""
+    """Full calibration: eps (solved, or ``fixed_eps`` when not None), contact
+    grid, contact cap."""
     if not frame:
         raise CalibrationError("no usable cells; calibration is impossible")
     k = slope_factor(frame)

@@ -277,6 +277,10 @@ def _write_fig2_csv(path, curves: counterfactual.CostCurves, stamp: str) -> None
         )
 
 
+# The largest ``fig2`` grid: a few arrays of this many doubles stay far below memory.
+_MAX_POINTS = 1_000_000
+
+
 def _check_fig2_flags(args: argparse.Namespace) -> None:
     """Each ``fig2`` number flag in its domain, checked as config keys are:
     a non-finite or out-of-domain value is a usage error naming the flag."""
@@ -284,8 +288,8 @@ def _check_fig2_flags(args: argparse.Namespace) -> None:
 
     from .errors import ConfigError
 
-    if args.points < 2:
-        raise ConfigError(f"--points must be >= 2, got {args.points}")
+    if not 2 <= args.points <= _MAX_POINTS:
+        raise ConfigError(f"--points must lie in [2, {_MAX_POINTS}], got {args.points}")
     if not 0.0 <= args.chi < 1.0:
         raise ConfigError(f"--chi must lie in [0, 1), got {args.chi!r}")
     for flag in ("eps", "cap", "telecom", "dmin", "dmax"):
@@ -384,11 +388,14 @@ def _pct(fraction: float) -> float:
 
 
 def _output_dir(path: str, name: str = "output_dir") -> Path:
-    """Make the output directory; a usage error naming ``path`` if it is a file."""
+    """Make the output directory; a usage error naming ``name`` if ``path`` is
+    blank (it would write into the working directory) or names a file."""
     from pathlib import Path
 
     from .errors import ConfigError
 
+    if not path.strip():
+        raise ConfigError(f"{name} is blank; name an output directory")
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)

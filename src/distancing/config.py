@@ -39,7 +39,7 @@ _PATH_KEYS = (
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs; see the README for the file format."""
+    """Everything a pipeline run needs, with the one copy of each default; see the README."""
 
     occupations: str | None = None
     matrix: str | None = None
@@ -50,9 +50,9 @@ class RunConfig:
     region_groups: str | None = None
     industry_names: str | None = None
     output_dir: str = "out"
-    cutoff: float = 62.5
-    face_to_face_level: int = 4
-    proximity_level: int = 3
+    cutoff: float = 62.5  # strict: a composite must exceed it, not merely reach it
+    face_to_face_level: int = 4  # "several times a week" on the 1-5 scale
+    proximity_level: int = 3  # "shared office" on the 1-5 scale
     contact_share: float = 0.5
     elasticity: float = 0.04
     fixed_eps: float | None = None

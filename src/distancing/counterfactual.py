@@ -66,26 +66,23 @@ def compute_subsidies(
     frame: CellFrame,
     eps: float,
     contact_cap: float,
-    telecom_cost: float | None = None,
-    nstar: np.ndarray | None = None,
+    telecom_cost: float | None,
+    nstar: np.ndarray,
 ) -> CellFrame:
     """Per-cell compensating subsidies at elasticity ``eps`` and the contact cap.
 
     Returns a copy of ``frame`` with its ``nstar``, ``cap_ratio``,
     ``subsidy`` and ``regime`` columns filled.  Cells with chi = 0 have
-    nothing to disrupt and get subsidy 0.  When ``telecom_cost`` is given,
-    each cell is additionally annotated with the regime the firm would
-    pick; the subsidy itself always prices the face-to-face (distanced)
-    response.  ``nstar`` is the frame's optimal contacts at ``eps``, the
-    :attr:`~distancing.calibrate.CalibrationReport.contacts` of its
-    calibration, computed here when not given.  A nonpositive cap or
-    telecom cost raises :class:`~distancing.errors.DomainError`, and so
-    does a nonpositive eps when ``nstar`` is computed here.
+    nothing to disrupt and get subsidy 0.  When ``telecom_cost`` is not
+    None, each cell is additionally annotated with the regime the firm
+    would pick; the subsidy itself always prices the face-to-face
+    (distanced) response.  ``nstar`` is the frame's optimal contacts at
+    ``eps``, the :attr:`~distancing.calibrate.CalibrationReport.contacts`
+    of its calibration.  A nonpositive cap or telecom cost raises
+    :class:`~distancing.errors.DomainError`.
     """
     intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
-    if nstar is None:
-        nstar = contacts_at_density(frame.density, eps, params)
     cap_ratio = np.minimum(1.0, contact_cap / nstar)
     regime = None
     if telecom_cost is not None:
@@ -113,18 +110,15 @@ def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> 
     return rows
 
 
-def overall(results: CellFrame, employment: float | None = None) -> AggRow:
+def overall(results: CellFrame, employment: float) -> AggRow:
     """The employment-weighted subsidy over all cells (key ``ALL``).
 
     ``employment`` is the cells' total employment, the exact sum that
-    :attr:`~distancing.calibrate.CalibrationReport.employment` carries,
-    computed here when not given.  Reports append the row to the sector
-    table as the average row.
+    :attr:`~distancing.calibrate.CalibrationReport.employment` carries.
+    Reports append the row to the sector table as the average row.
     """
     from .geo import exact_sum
 
-    if employment is None:
-        employment = exact_sum(results.employment)
     if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
     weighted = exact_sum(results.subsidy * results.employment)

@@ -24,8 +24,8 @@ the block reader, which names the fault.
 :func:`read_text_lines` reads the two inputs that are not CSV, the config
 and exclusion files: UTF-8 lines with ``#`` comments.
 
-All pipeline outputs are UTF-8 CSVs with LF line endings, an optional
-leading ``#`` provenance comment, and floats rendered with ``repr`` (the
+All pipeline outputs are UTF-8 CSVs with LF line endings, a leading
+``#`` provenance comment, and floats rendered with ``repr`` (the
 shortest round-trip form), so identical runs produce identical bytes.
 """
 
@@ -61,7 +61,7 @@ CHUNK_BYTES = 1 << 20
 _KEY_BYTES = 8
 
 def read_blocks(
-    path: str | Path, required: Sequence[str] = ()
+    path: str | Path, required: Sequence[str]
 ) -> tuple[list[str], Iterator[tuple[int, list[list[str]]]]]:
     """Open a CSV for streaming: its header and an iterator over blocks of rows.
 
@@ -339,7 +339,7 @@ def _line_chunks(fh) -> Iterator[bytes]:
 
 
 def read_rows(
-    path: str | Path, required: Sequence[str] = ()
+    path: str | Path, required: Sequence[str]
 ) -> tuple[list[str], list[dict[str, str]]]:
     """Read a whole CSV as (fieldnames, rows as dicts of strings).
 
@@ -434,9 +434,10 @@ def write_rows(
     path: str | Path,
     fieldnames: Sequence[str],
     rows: Iterable[Sequence],
-    comment: str | None = None,
+    comment: str,
 ) -> None:
-    """Write a CSV with deterministic formatting.
+    """Write a CSV with deterministic formatting under a ``# comment`` line,
+    the run's provenance stamp.
 
     ``rows`` are sequences aligned with ``fieldnames``; floats are written
     with ``repr``, ``None`` as an empty cell.  ``csv.writer`` itself writes
@@ -445,8 +446,7 @@ def write_rows(
     ``repr`` is not plain) goes through :func:`_cell`.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(fieldnames))
         writer.writerows(row if _PLAIN.issuperset(map(type, row)) else list(map(_cell, row))
@@ -483,6 +483,12 @@ def parse_int(raw: str, *, path, field: str) -> int:
         return int(raw)
     except (TypeError, ValueError):
         raise IngestionError(f"{path}: field {field!r}: not an integer: {raw!r}") from None
+
+
+def require_rows(count: int, *, path) -> None:
+    """Raise if a file that the model cannot do without has no data rows."""
+    if not count:
+        raise IngestionError(f"{path}: no data rows, only a header")
 
 
 def require_unique(seen: dict, key, row: int, *, path, field: str) -> None:

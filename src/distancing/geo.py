@@ -65,7 +65,6 @@ DEFAULT_BIN_MIDPOINTS = {
     "500-999": 749.5,
 }
 OPEN_BIN = "1000+"
-DEFAULT_OPEN_BIN_MEAN = 1500.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +226,8 @@ class NationalSizeDistribution:
         est[whole], emp[whole] = (_row_sums(size, held)[row[whole]] for size in sizes)
         return np.divide(emp, est, out=np.full(len(row), np.nan), where=est > 0.0)
 
-    def open_bin_mean(self, naics: str, default: float = DEFAULT_OPEN_BIN_MEAN) -> float:
+    def open_bin_mean(self, naics: str, default: float) -> float:
+        """Mean size of the 1000+ plants covering ``naics``, or ``default`` without any."""
         est, emp = (self.codes.resolve(naics) or {}).get(OPEN_BIN, (0.0, 0.0))
         return emp / est if est > 0 else default
 
@@ -235,12 +235,13 @@ class NationalSizeDistribution:
 def build_cells(
     cbp: CbpColumns,
     national: NationalSizeDistribution,
-    open_bin_mean: float = DEFAULT_OPEN_BIN_MEAN,
+    open_bin_mean: float,
 ) -> tuple[Cells, list[tuple[str, str, str]]]:
     """Aggregate establishment records into per-(zcta, naics) employment cells.
 
     Employment is each size bin's count times its midpoint, the open bin
-    at the industry's national mean size.  Withheld (suppressed) plants
+    at the industry's national mean size, or at ``open_bin_mean`` where the
+    national file has no 1000+ plants for it.  Withheld (suppressed) plants
     are imputed at the national mean size over the bins the cell does not
     report (a reported 0 counts as reported); ``imputed_fraction`` is
     their share.  A negative suppressed or bin count, an unknown bin label
@@ -584,11 +585,10 @@ def location_exposure(frame, mixes: Iterable[IndustryMix]) -> dict[str, tuple[fl
 def lowess_curve(
     x: Sequence[float],
     y: Sequence[float] | Sequence[Sequence[float]],
-    weights: Sequence[float] | None = None,
-    bandwidth: float = 0.5,
-    grid_points: int = 100,
+    weights: Sequence[float],
+    bandwidth: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tricube-weighted local linear fit on an even grid spanning the data.
+    """Tricube-weighted local linear fit on an even 100-point grid spanning the data.
 
     At each grid point g, the window radius h is the distance to the
     ceil(bandwidth * n)-th nearest observation (at least 2).  Observations
@@ -616,22 +616,19 @@ def lowess_curve(
         raise ValueError(f"bandwidth must lie in (0, 1], got {bandwidth!r}")
     if ys.ndim not in (1, 2) or ys.shape[-1] != n:
         raise ValueError("x and y must have the same length")
-    if weights is None:
-        ws = np.ones(n)
-    else:
-        ws = np.asarray(weights, dtype=float)
-        if ws.size != n:
-            raise ValueError("weights must have the same length as x")
-        if np.any(ws < 0):
-            raise ValueError("weights must be nonnegative")
+    ws = np.asarray(weights, dtype=float)
+    if ws.size != n:
+        raise ValueError("weights must have the same length as x")
+    if np.any(ws < 0):
+        raise ValueError("weights must be nonnegative")
     lo, hi = float(xs.min()), float(xs.max())
     if hi <= lo:
         raise ValueError("x values span zero range; nothing to smooth over")
 
     series = ys.reshape(-1, n)
     r = min(n, max(2, int(math.ceil(bandwidth * n))))
-    grid = np.linspace(lo, hi, grid_points)
-    fitted = np.empty((len(series), grid_points))
+    grid = np.linspace(lo, hi, 100)
+    fitted = np.empty((len(series), grid.size))
     for j, g in enumerate(grid):
         dx = xs - g
         dist = np.abs(dx)
@@ -731,9 +728,10 @@ def _cbp_tables() -> list[dict]:
 def read_cbp_csv(path: str | Path) -> CbpColumns:
     """Read ``zcta,naics,size_bin,establishments`` with optional ``suppressed`` flag.
 
-    The flag is an integer (nonzero means suppressed) or empty.  A blank
-    ZCTA or NAICS code, or a count that is not a 64-bit integer, is a data
-    error naming the file and row.  A plain file goes through
+    The flag is an integer (nonzero means suppressed) or empty.  A file
+    without data rows is a data error naming the file; a blank ZCTA or
+    NAICS code, or a count that is not a 64-bit integer, one naming the
+    file and row.  A plain file goes through
     :func:`csvio.read_columns`, which looks each distinct field up once
     per chunk; any other file, and one with a value that does not read,
     is read (again) by the block reader, so every error is the block
@@ -746,6 +744,7 @@ def read_cbp_csv(path: str | Path) -> CbpColumns:
     if columns is None:
         tables = _cbp_tables()
         columns = _read_cbp_blocks(path, tables)
+    csvio.require_rows(len(columns[3]), path=path)
     flags = columns.pop()  # freed as int64 before the codes are recoded: a lower peak
     flags = np.zeros(len(columns[3]), bool) if flags is None else flags.astype(bool)
     *codes, counts = columns
@@ -816,7 +815,7 @@ def write_location_index_csv(
     path: str | Path,
     exposures: Mapping[str, tuple[float, Sequence[float]]],
     densities: Mapping[str, float],
-    comment: str | None = None,
+    comment: str,
 ) -> None:
     """Write :func:`location_exposure`'s table with each ZCTA's normalized density."""
     csvio.write_rows(

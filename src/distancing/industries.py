@@ -54,12 +54,13 @@ class MixBuildReport:
 def build_mix(
     matrix_rows: Iterable[tuple[str, str, float]],
     flags: Mapping[str, ExposureFlags],
-    names: Mapping[str, str] | None = None,
+    names: Mapping[str, str] | None,
 ) -> MixBuildReport:
     """Normalize employment shares per industry and compute group chi values.
 
     ``matrix_rows`` are (industry_code, soc_code, employment) records;
-    repeated (industry, occupation) pairs are summed.  Negative employment
+    repeated (industry, occupation) pairs are summed; a code that
+    ``names`` (which may be None) lacks is its own name.  Negative employment
     is rejected, and so is an industry total that is not finite (a value
     that is not, or a sum beyond the float range).
     """
@@ -210,8 +211,10 @@ def _range_aliases(code: str) -> list[str]:
 
 def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
     """Read ``industry_code,soc_code,employment`` records through
-    :func:`csvio.read_table`."""
-    return list(zip(*csvio.read_table(path, ["industry_code", "soc_code"], ["employment"])))
+    :func:`csvio.read_table`; the file has at least one."""
+    columns = csvio.read_table(path, ["industry_code", "soc_code"], ["employment"])
+    csvio.require_rows(len(columns[0]), path=path)
+    return list(zip(*columns))
 
 
 def read_names_csv(path: str | Path) -> dict[str, str]:
@@ -233,7 +236,7 @@ def read_exclusions(path: str | Path) -> list[str]:
 
 
 def write_industry_index_csv(
-    path: str | Path, mixes: Sequence[IndustryMix], comment: str | None = None
+    path: str | Path, mixes: Sequence[IndustryMix], comment: str
 ) -> None:
     """Write the per-sector exposure table (one row per industry)."""
     csvio.write_rows(

@@ -79,23 +79,11 @@ class FirmParams:
         _require_chi(self.chi)
         object.__setattr__(self, "gamma", self.chi / (1.0 - self.chi))
 
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "FirmParams":
-        """Build from the division-of-labor benefit, ``gamma >= 0``."""
-        _require_gamma(gamma)
-        return cls(gamma / (1.0 + gamma))
-
 
 def _require_chi(chi) -> None:
     bad = _first_violation((chi >= 0.0) & (chi < 1.0), chi)
     if bad is not None:
         raise DomainError(f"chi must lie in [0, 1), got {bad[0]!r}")
-
-
-def _require_gamma(gamma) -> None:
-    bad = _first_violation((gamma >= 0.0) & (gamma < math.inf), gamma)
-    if bad is not None:
-        raise DomainError(f"gamma must be finite and >= 0, got {bad[0]!r}")
 
 
 @dataclass(frozen=True)

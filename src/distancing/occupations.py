@@ -68,11 +68,11 @@ _SOC_PATTERN = re.compile(r"^\d{2}-\d{4}$")
 
 @dataclass(frozen=True)
 class ClassificationThresholds:
-    """Cutoffs for the three flags; defaults match the standard scale anchors."""
+    """Cutoffs for the three flags, from the run's :class:`~distancing.config.RunConfig`."""
 
-    cutoff: float = 62.5  # strict: composite must exceed, not merely reach
-    face_to_face_level: int = 4  # "several times a week" on the 1-5 scale
-    proximity_level: int = 3  # "shared office" on the 1-5 scale
+    cutoff: float
+    face_to_face_level: int
+    proximity_level: int
 
     def __post_init__(self):
         if not 0.0 <= self.cutoff <= 100.0:
@@ -81,9 +81,6 @@ class ClassificationThresholds:
             level = getattr(self, name)
             if level not in (1, 2, 3, 4, 5):
                 raise IngestionError(f"{name} must be an integer in 1..5, got {level!r}")
-
-
-DEFAULT_THRESHOLDS = ClassificationThresholds()
 
 
 @dataclass
@@ -155,7 +152,7 @@ def _context(profile: OccupationProfile, item: str) -> int:
 
 def classify_teamwork(
     profile: OccupationProfile,
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
+    thresholds: ClassificationThresholds,
 ) -> bool:
     """Teamwork-intensive: high composite, frequent face-to-face discussion,
     and face-to-face strictly more frequent than both email and memos."""
@@ -173,7 +170,7 @@ def classify_teamwork(
 
 def classify_customer(
     profile: OccupationProfile,
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
+    thresholds: ClassificationThresholds,
 ) -> bool:
     """Customer-facing: high composite and frequent face-to-face discussion."""
     composite = composite_index(profile, CUSTOMER_TASKS)
@@ -183,7 +180,7 @@ def classify_customer(
 
 def classify_presence(
     profile: OccupationProfile,
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
+    thresholds: ClassificationThresholds,
 ) -> bool:
     """Requires physical presence: high composite and shared-office proximity."""
     composite = composite_index(profile, PRESENCE_TASKS)
@@ -193,15 +190,16 @@ def classify_presence(
 
 def classify_all(
     profiles: Iterable[OccupationProfile],
-    thresholds: ClassificationThresholds = DEFAULT_THRESHOLDS,
-    lenient: bool = False,
+    thresholds: ClassificationThresholds,
+    lenient: bool,
 ) -> dict[str, ExposureFlags]:
     """Classify every occupation; returns a soc-code-sorted map.
 
     Duplicate soc codes are an ingestion error.  Missing task or context
-    data is a hard error by default; with ``lenient`` the affected flag
-    fails closed (False) instead.  Note the closed-fail biases the
-    downstream communication shares low, which is why it is opt-in.
+    data is a hard error; with ``lenient`` the affected flag fails closed
+    (False) instead.  Note the closed-fail biases the downstream
+    communication shares low, which is why a run's ``lenient`` is off
+    unless set.
     """
     by_code: dict[str, OccupationProfile] = {}
     for profile in profiles:
@@ -247,11 +245,12 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
     Expected header: ``soc_code,title,<task columns...>,ctx_face_to_face,
     ctx_email,ctx_letters,ctx_proximity``.  Task columns are everything
     that is not soc_code/title/ctx_*.  Empty cells mean "not measured" and
-    are left out of the profile maps.  A malformed SOC code, score or
-    level is a data error naming the file and row; a repeated SOC code
-    names both rows.
+    are left out of the profile maps.  A file without data rows is a data
+    error naming the file; a malformed SOC code, score or level one naming
+    the file and row, and a repeated SOC code one naming both rows.
     """
     fieldnames, rows = csvio.read_rows(path, ["soc_code", "title", *_CTX_COLUMNS])
+    csvio.require_rows(len(rows), path=path)
     task_columns = [
         name for name in fieldnames
         if name not in ("soc_code", "title") and name not in _CTX_COLUMNS
@@ -288,7 +287,7 @@ def write_flags_csv(
     path: str | Path,
     profiles: Iterable[OccupationProfile],
     flags: Mapping[str, ExposureFlags],
-    comment: str | None = None,
+    comment: str,
 ) -> None:
     """Write ``soc_code,title,teamwork,customer,communication,presence`` with 0/1 flags."""
     titles = {p.soc_code: p.title for p in profiles}

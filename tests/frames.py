@@ -7,9 +7,15 @@ from typing import NamedTuple
 import numpy as np
 
 from distancing.calibrate import CellFrame
+from distancing.config import RunConfig
 from distancing.errors import IngestionError
 from distancing.geo import CbpColumns, Cells, Coded
 from distancing.model import FirmParams
+from distancing.occupations import ClassificationThresholds
+
+# The run defaults, for tests that pass a library function what a command passes.
+RUN = RunConfig()
+THRESHOLDS = ClassificationThresholds(RUN.cutoff, RUN.face_to_face_level, RUN.proximity_level)
 
 
 class ResultRow(NamedTuple):

@@ -59,7 +59,7 @@ def test_criterion_1_closed_form_vs_brute_force():
         for _ in range(1000):
             tau = float(rng.uniform(1e-4, 10.0))
             gamma = float(rng.uniform(0.1, 10.0))
-            params = FirmParams.from_gamma(gamma)
+            params = FirmParams(gamma / (1.0 + gamma))
 
             def cost_log(u, tau=tau, gamma=gamma):
                 n = math.exp(u)
@@ -103,7 +103,7 @@ def test_criterion_2_ratio_and_subsidy_properties():
 
 def test_criterion_3_calibration_fixtures():
     with criterion("3 calibration fixtures"):
-        cap = calibrate_cap(np.array([2.0, 4.0]), np.array([1.0, 1.0]), 0.5)
+        cap = calibrate_cap(np.array([2.0, 4.0]), np.array([1.0, 1.0]), 0.5, 6.0)
         assert abs(cap - 1.5) <= 1e-8
 
         frame = frame_of([
@@ -165,8 +165,9 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
         stage = run_index_stage(cfg)
         geo_stage = run_geo_stage(cfg, stage)
         frame = cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
-        report = run_calibration(frame, 0.5, 0.04)
-        results = compute_subsidies(frame, report.eps, report.contact_cap)
+        report = run_calibration(frame, cfg.contact_share, cfg.elasticity, cfg.fixed_eps)
+        results = compute_subsidies(frame, report.eps, report.contact_cap, cfg.telecom_cost,
+                                    report.contacts)
         assert len(results) == len(expected["subsidies"])
         # fixture cells are unique per (zcta, sector), so the resolved code
         # pins down the raw establishment code
@@ -181,7 +182,7 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
             hand_subsidy, hand_emp = expected["sector_rows"][row.key]
             assert abs(row.subsidy - hand_subsidy) <= 1e-9
             assert abs(row.employment - hand_emp) <= 1e-9
-        assert abs(overall(results).subsidy - expected["overall"][0]) <= 1e-9
+        assert abs(overall(results, report.employment).subsidy - expected["overall"][0]) <= 1e-9
         location_rows = location_table(results)
         for row in location_rows:
             hand_subsidy, hand_emp = expected["location_rows"][row.key]

@@ -40,6 +40,17 @@ def columns(pairs):
     return contacts, weights
 
 
+def cap_of(contacts, weights, share):
+    """:func:`calibrate_cap` given the contact total, as :func:`run_calibration` gives it."""
+    return calibrate_cap(contacts, weights, share, calibrate._contact_total(contacts, weights))
+
+
+def share_at(contacts, weights, cap):
+    """:func:`aggregate_contact_share` given the contact total, as in :func:`cap_of`."""
+    total = calibrate._contact_total(contacts, weights)
+    return aggregate_contact_share(contacts, weights, cap, total)
+
+
 def bisect_cap(pairs, target_share):
     """Reference solver: bisect the capped-contacts equation to float resolution."""
     target = target_share * math.fsum(w * n for n, w in pairs)
@@ -174,23 +185,23 @@ class TestContactsGrid:
 
 class TestCap:
     def test_two_cell_hand_solution(self):
-        cap = calibrate_cap(*columns([(2.0, 1.0), (4.0, 1.0)]), 0.5)
+        cap = cap_of(*columns([(2.0, 1.0), (4.0, 1.0)]), 0.5)
         assert cap == pytest.approx(1.5, abs=1e-12)
 
     def test_target_one_returns_max(self):
-        assert calibrate_cap(*columns([(2.0, 1.0), (4.0, 1.0)]), 1.0) == 4.0
+        assert cap_of(*columns([(2.0, 1.0), (4.0, 1.0)]), 1.0) == 4.0
 
     def test_equal_contacts_proportional_cap(self):
         pairs = [(3.0, 5.0), (3.0, 2.0), (3.0, 11.0)]
         for share in (0.25, 0.5, 0.8):
-            cap = calibrate_cap(*columns(pairs), share)
+            cap = cap_of(*columns(pairs), share)
             assert cap == pytest.approx(3.0 * share, rel=1e-12)
 
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_cap(*columns([(2.0, 1.0)]), 0.0)
+            cap_of(*columns([(2.0, 1.0)]), 0.0)
         with pytest.raises(ValueError):
-            calibrate_cap(*columns([(2.0, 1.0)]), 1.5)
+            cap_of(*columns([(2.0, 1.0)]), 1.5)
 
     def test_bisection_matches_exact_solver_on_random_fixtures(self):
         rng = np.random.default_rng(71)
@@ -203,9 +214,9 @@ class TestCap:
             # throw in ties to stress both solvers
             pairs += [pairs[0], pairs[-1]]
             share = float(rng.uniform(0.05, 0.99))
-            cap = calibrate_cap(*columns(pairs), share)
+            cap = cap_of(*columns(pairs), share)
             assert cap == pytest.approx(bisect_cap(pairs, share), abs=1e-7, rel=1e-7)
-            share_at_cap = aggregate_contact_share(*columns(pairs), cap)
+            share_at_cap = share_at(*columns(pairs), cap)
             assert share_at_cap == pytest.approx(share, rel=1e-12)
 
     def test_monotone_in_target(self):
@@ -216,13 +227,13 @@ class TestCap:
                 for _ in range(15)
             ]
             shares = sorted(rng.uniform(0.05, 1.0, 5))
-            caps = [calibrate_cap(*columns(pairs), float(s)) for s in shares]
+            caps = [cap_of(*columns(pairs), float(s)) for s in shares]
             assert all(a <= b + 1e-12 for a, b in zip(caps, caps[1:]))
 
     def test_tiny_contacts_still_hit_relative_tolerance(self):
         pairs = [(1e-3, 1.0), (2e-3, 3.0), (5e-4, 2.0)]
-        cap = calibrate_cap(*columns(pairs), 0.5)
-        assert aggregate_contact_share(*columns(pairs), cap) == pytest.approx(0.5, rel=1e-12)
+        cap = cap_of(*columns(pairs), 0.5)
+        assert share_at(*columns(pairs), cap) == pytest.approx(0.5, rel=1e-12)
 
 
 # (optimal contacts, employment) pairs over the span the benchmark's cells
@@ -239,8 +250,8 @@ class TestCapProperties:
     @settings(deadline=None, derandomize=True, database=None)
     @given(_PAIRS, _SHARES)
     def test_hits_target_and_agrees_with_bisection(self, pairs, share):
-        cap = calibrate_cap(*columns(pairs), share)
-        assert aggregate_contact_share(*columns(pairs), cap) == pytest.approx(share, rel=1e-12)
+        cap = cap_of(*columns(pairs), share)
+        assert share_at(*columns(pairs), cap) == pytest.approx(share, rel=1e-12)
         assert cap == pytest.approx(bisect_cap(pairs, share), rel=1e-9)
 
     @settings(deadline=None, derandomize=True, database=None)
@@ -248,7 +259,7 @@ class TestCapProperties:
     def test_monotone_in_target(self, pairs, a, b):
         lo, hi = sorted((a, b))
         contacts, weights = columns(pairs)
-        assert calibrate_cap(contacts, weights, lo) <= calibrate_cap(contacts, weights, hi) * (
+        assert cap_of(contacts, weights, lo) <= cap_of(contacts, weights, hi) * (
             1.0 + 1e-12
         )
 
@@ -287,9 +298,9 @@ class TestCapSort:
     def test_equals_a_two_key_sort_in_any_row_order(self, pairs, share, random):
         contacts, weights = columns(pairs)
         expected = lexsort_cap(contacts, weights, share)
-        assert calibrate_cap(contacts, weights, share) == expected
+        assert cap_of(contacts, weights, share) == expected
         random.shuffle(pairs)
-        assert calibrate_cap(*columns(pairs), share) == expected
+        assert cap_of(*columns(pairs), share) == expected
 
     def test_sorted_pairs_are_the_two_key_sort(self):
         rng = np.random.default_rng(5)
@@ -359,7 +370,7 @@ class TestCellParameters:
         densities = {z: d for z, d in [("a", 0.5), ("b", 1.0), ("c", 2.0)]}
         cells = cells_of([(z, "441100", 10.0) for z in ("a", "b", "c")])
         frame = cell_parameters(cells, resolver, densities)
-        report = run_calibration(frame, 0.5, 0.04)
+        report = run_calibration(frame, 0.5, 0.04, fixed_eps=None)
         assert report.eps == pytest.approx(0.1, abs=1e-9)
         assert report.achieved_share == pytest.approx(0.5, rel=1e-8)
         assert report.achieved_slope == pytest.approx(0.04, abs=1e-9)
@@ -375,7 +386,7 @@ class TestCellParameters:
 
         monkeypatch.setattr(calibrate, "slope_factor", counting)
         frame = constant_chi_frame(0.4)
-        run_calibration(frame, 0.5, 0.04)
+        run_calibration(frame, 0.5, 0.04, fixed_eps=None)
         assert calls == [len(frame)]
         calls.clear()
         run_calibration(frame, 0.5, 0.04, fixed_eps=0.02)
@@ -391,9 +402,9 @@ class TestCellParameters:
 
         monkeypatch.setattr(calibrate, "aggregate_contact_share", counting)
         frame = constant_chi_frame(0.4)
-        report = run_calibration(frame, 0.5, 0.04)
+        report = run_calibration(frame, 0.5, 0.04, fixed_eps=None)
         assert calls == [report.contact_cap]
-        assert report.achieved_share == original(
+        assert report.achieved_share == share_at(
             *columns([(contacts_at_density(c.density, report.eps, FirmParams(c.chi)),
                        c.employment) for c in frame]),
             report.contact_cap,
@@ -409,7 +420,7 @@ class TestCellParameters:
             return exact_sum(values)
 
         monkeypatch.setattr(calibrate, "exact_sum", counting)
-        run_calibration(frame, 0.5, 0.04)
+        run_calibration(frame, 0.5, 0.04, fixed_eps=None)
         # regression setup 3 (weight total, mean ln d, Sxx), k 2, verification 2,
         # contact total 1, capped contacts 1
         assert len(passes) == 9
@@ -423,7 +434,7 @@ class TestCellParameters:
 
     def test_report_carries_the_employment_total(self):
         frame = constant_chi_frame(0.4)
-        report = run_calibration(frame, 0.5, 0.04)
+        report = run_calibration(frame, 0.5, 0.04, fixed_eps=None)
         assert report.employment == math.fsum(frame.employment.tolist()) == 50.0
 
     def test_cap_missing_the_target_share_aborts(self, monkeypatch):
@@ -431,12 +442,12 @@ class TestCellParameters:
             calibrate, "aggregate_contact_share", lambda contacts, weights, cap, *shared: 0.5 + 1e-9
         )
         with pytest.raises(CalibrationError, match="gives share"):
-            run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
+            run_calibration(constant_chi_frame(0.4), 0.5, 0.04, fixed_eps=None)
 
     def test_nan_share_aborts(self, monkeypatch):
         monkeypatch.setattr(calibrate, "aggregate_contact_share", lambda *args: math.nan)
         with pytest.raises(CalibrationError, match="gives share nan"):
-            run_calibration(constant_chi_frame(0.4), 0.5, 0.04)
+            run_calibration(constant_chi_frame(0.4), 0.5, 0.04, fixed_eps=None)
 
     # contacts are d**25 at eps 50 and chi 0.5
     @pytest.mark.parametrize("cells", [

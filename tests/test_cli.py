@@ -45,6 +45,9 @@ def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.glob("*"))}
 
 
+_FIG2 = ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1"]
+
+
 def _body(path):
     lines = path.read_text().splitlines(keepends=True)
     return "".join(line for line in lines if not line.startswith("#"))
@@ -515,6 +518,46 @@ class TestErrorContract:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and str(out / name) in errors[0]
         assert "Traceback" not in err
+
+    # case: (argv, a fixture file to cut to its header or a config line to set,
+    # exit code, what the one error line names); the config goes after the command
+    INPUT_RULES = {
+        **{f"{name} header only, {command}": ([command], f"{name}.csv", 1,
+                                              f"{name}.csv: no data rows")
+           for name in ("occupations", "matrix", "cbp") for command in ("index", "subsidy")},
+        "blank output_dir key": (["subsidy"], "output_dir =", 2, "output_dir is blank"),
+        "blank --output-dir": (["index", "--output-dir", ""], None, 2, "output_dir is blank"),
+        "blank fig2 --output-dir": ([*_FIG2, "--output-dir", ""], None, 2,
+                                    "--output-dir is blank"),
+        **{f"fig2 --points {points}": ([*_FIG2, "--points", str(points), "--output-dir", "o"],
+                                       None, 2, f"--points must lie in [2, 1000000], got {points}")
+           for points in (1_000_001, 10**14)},
+    }
+
+    @pytest.mark.parametrize("case", sorted(INPUT_RULES))
+    def test_input_rule_breach_names_its_file_key_or_flag_and_writes_nothing(
+        self, fixture_config, capsys, monkeypatch, case
+    ):
+        config, out = fixture_config
+        argv, edit, code, named = self.INPUT_RULES[case]
+        if edit and edit.endswith(".csv"):
+            path = config.with_name(edit)
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        elif edit:
+            lines = [line for line in config.read_text().splitlines()
+                     if not line.startswith("output_dir")]
+            config.write_text("\n".join([*lines, edit]) + "\n")
+        if argv[0] != "fig2":
+            argv = [argv[0], "--config", str(config), *argv[1:]]
+        cwd = config.parent.parent / "cwd"  # where a blank output directory would write
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and named in errors[0]
+        assert "Traceback" not in err
+        assert snapshot(out) == {} and snapshot(cwd) == {}
 
     def test_removed_knobs_are_usage_errors(self, fixture_config):
         config, _ = fixture_config

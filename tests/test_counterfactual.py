@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from distancing.calibrate import run_calibration
+from distancing.calibrate import optimal_contacts_grid, run_calibration
 from distancing.counterfactual import (
     compute_subsidies,
     cost_ratio_curves,
@@ -17,6 +17,7 @@ from distancing.counterfactual import (
     overall,
     sector_table,
 )
+from distancing.geo import exact_sum
 from distancing.model import (
     FirmParams,
     Intervention,
@@ -35,44 +36,41 @@ def cell(zcta, code, w, chi, d):
     return frame_of([(zcta, code, w, chi, d)])
 
 
+def price(frame, eps, cap, telecom=None):
+    """:func:`compute_subsidies` on the optimal contacts that the calibration hands over."""
+    return compute_subsidies(frame, eps, cap, telecom, optimal_contacts_grid(frame, eps))
+
+
+def overall_of(results):
+    """:func:`overall` over the employment total that the calibration hands over."""
+    return overall(results, exact_sum(results.employment))
+
+
 class TestComputeSubsidies:
     def test_zero_chi_cell_gets_zero(self):
-        (r,) = compute_subsidies(cell("z", "31", 10.0, 0.0, 25.0), 0.1, 1.0)
+        (r,) = price(cell("z", "31", 10.0, 0.0, 25.0), 0.1, 1.0)
         assert r.subsidy == 0.0
 
     def test_half_cap_two_thirds_end_to_end(self):
         # density such that n* = 2 at eps=0.5, chi=0.5; cap 1 halves contacts
         d = 2.0 ** (1.0 / 0.25)
-        (r,) = compute_subsidies(cell("z", "44", 10.0, 0.5, d), 0.5, 1.0)
+        (r,) = price(cell("z", "44", 10.0, 0.5, d), 0.5, 1.0)
         assert r.nstar == pytest.approx(2.0, rel=1e-12)
         assert r.cap_ratio == pytest.approx(0.5, rel=1e-12)
         assert r.subsidy == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_unconstrained_low_density_cell(self):
-        (r,) = compute_subsidies(cell("z", "44", 10.0, 0.5, 1.0), 0.1, 1.0)
+        (r,) = price(cell("z", "44", 10.0, 0.5, 1.0), 0.1, 1.0)
         assert r.cap_ratio == 1.0
         assert r.subsidy == 0.0
 
     def test_regime_annotation_only_with_telecom(self):
         frame = cell("z", "44", 10.0, 0.5, 16.0)
-        (plain,) = compute_subsidies(frame, 0.5, 1.0)
+        (plain,) = price(frame, 0.5, 1.0)
         assert plain.regime is None
-        (tagged,) = compute_subsidies(frame, 0.5, 1.0, telecom_cost=1.5)
+        (tagged,) = price(frame, 0.5, 1.0, telecom=1.5)
         assert tagged.regime in (Regime.DISTANCED, Regime.TELECOM)
         assert tagged.subsidy == plain.subsidy  # telecom never changes the subsidy
-
-    @pytest.mark.parametrize("telecom", [None, 1.5])
-    def test_calibration_contacts_price_the_same_bits(self, telecom):
-        frame = frame_of([("a", "44", 10.0, 0.5, 0.5), ("b", "31", 4.0, 0.2, 3.0),
-                          ("c", "44", 7.0, 0.5, 16.0), ("c", "62", 2.0, 0.7, 16.0)])
-        report = run_calibration(frame, 0.5, 0.04)
-        fresh = compute_subsidies(frame, report.eps, report.contact_cap, telecom)
-        reused = compute_subsidies(frame, report.eps, report.contact_cap, telecom,
-                                   nstar=report.contacts)
-        assert reused.nstar is report.contacts
-        for name in ("nstar", "cap_ratio", "subsidy"):
-            assert getattr(reused, name).tobytes() == getattr(fresh, name).tobytes()
-        assert list(reused) == list(fresh)
 
 
 class TestTables:
@@ -81,7 +79,7 @@ class TestTables:
         sectors = sector_table(results)
         assert len(sectors) == 1
         assert sectors[0].subsidy == 0.25
-        assert overall(results).subsidy == 0.25
+        assert overall_of(results).subsidy == 0.25
         locations = location_table(results)
         assert locations[0].key == "z" and locations[0].subsidy == 0.25
 
@@ -95,7 +93,7 @@ class TestTables:
         by_code = {row.key: row for row in sectors}
         assert by_code["44"].subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 40)
         assert by_code["31"].subsidy == 0.0
-        assert overall(results).subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 100)
+        assert overall_of(results).subsidy == pytest.approx((0.3 * 30 + 0.1 * 10) / 100)
         # most affected first
         assert [row.key for row in sectors] == ["44", "31"]
 
@@ -109,7 +107,7 @@ class TestTables:
             for i in range(60)
         ])
         # each table's rows average back to the one overall row
-        total = overall(results)
+        total = overall_of(results)
         for rows in (sector_table(results), location_table(results)):
             employment = math.fsum(row.employment for row in rows)
             average = math.fsum(row.subsidy * row.employment for row in rows) / employment
@@ -126,7 +124,7 @@ class TestTables:
         rows = sector_table(results)
         lo = min(r.subsidy for r in results)
         hi = max(r.subsidy for r in results)
-        for row in rows + [overall(results)]:
+        for row in rows + [overall_of(results)]:
             assert lo - 1e-12 <= row.subsidy <= hi + 1e-12
 
     def test_grouping_aggregates_named_regions(self, caplog):
@@ -157,12 +155,12 @@ class TestTables:
             (f"z{i}", "44", float(rng.uniform(1, 20)), 0.5, float(rng.uniform(0.2, 30)))
             for i in range(40)
         ])
-        tight = compute_subsidies(frame, 0.3, 0.8)
-        loose = compute_subsidies(frame, 0.3, 1.2)
+        tight = price(frame, 0.3, 0.8)
+        loose = price(frame, 0.3, 1.2)
         for a, b in zip(tight, loose):
             assert b.subsidy <= a.subsidy + 1e-15
-        tight_all = overall(tight)
-        loose_all = overall(loose)
+        tight_all = overall_of(tight)
+        loose_all = overall_of(loose)
         assert loose_all.subsidy <= tight_all.subsidy + 1e-15
 
 
@@ -207,7 +205,7 @@ class TestTableProperties:
         for table, args in ((sector_table, ()), (location_table, ()),
                             (location_table, (grouping,))):
             _assert_rows_close(table(split, *args), table(results, *args))
-        _assert_rows_close([overall(split)], [overall(results)])
+        _assert_rows_close([overall_of(split)], [overall_of(results)])
 
 
 class TestCostCurves:
@@ -471,11 +469,11 @@ class TestColumnarMatchesScalarOracle:
             cells, share, 0.04, fixed_eps, telecom, grouping
         )
 
-        report = run_calibration(frame_of(cells), share, 0.04, fixed_eps)
+        frame = frame_of(cells)
+        report = run_calibration(frame, share, 0.04, fixed_eps)
         assert _close(report.eps, eps, 1e-12) and _close(report.contact_cap, cap, 1e-12)
-        results = compute_subsidies(
-            frame_of(cells), report.eps, report.contact_cap, telecom_cost=telecom
-        )
+        results = compute_subsidies(frame, report.eps, report.contact_cap, telecom,
+                                    report.contacts)
         assert len(results) == len(cells)
         for i, row in enumerate(results):
             assert _close(row.nstar, nstar[i], 1e-13)
@@ -488,7 +486,7 @@ class TestColumnarMatchesScalarOracle:
             "sector": sector_table(results),
             "location": location_table(results),
             "region": location_table(results, grouping),
-            "overall": [overall(results)],
+            "overall": [overall(results, report.employment)],
         }
         for name, rows in got.items():
             assert sorted(row.key for row in rows) == sorted(tables[name])

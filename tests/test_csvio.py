@@ -40,7 +40,8 @@ def reference_not_utf8(path):
 
 
 def reference_cbp(path):
-    """The establishment records row by row, faults checked in reading order."""
+    """The establishment records row by row, faults checked in reading order;
+    a file without data rows is an error."""
     try:
         header, records = reference_records(path)
     except UnicodeDecodeError:
@@ -64,6 +65,8 @@ def reference_cbp(path):
                                  f"{fields[count]!r}")
         out.append((fields[zcta].strip(), fields[naics].strip(), fields[size_bin].strip(),
                     established, suppressed))
+    if not out:
+        raise IngestionError(f"{path}: no data rows, only a header")
     return out
 
 
@@ -120,7 +123,7 @@ class TestReadBlocksProperties:
         width = len(header)
         short = next((i for i, fields in numbered if len(fields) < width), None)
         with mock.patch.object(csvio, "BLOCK_ROWS", block):
-            got_header, blocks = csvio.read_blocks(path)
+            got_header, blocks = csvio.read_blocks(path, ())
             got, error = [], None
             try:
                 for first, rows in blocks:
@@ -128,7 +131,7 @@ class TestReadBlocksProperties:
                     got.extend(enumerate(rows, start=first))
             except IngestionError as exc:
                 error = str(exc)
-            rows = outcome(csvio.read_rows, path)
+            rows = outcome(lambda p: csvio.read_rows(p, ()), path)
             cbp = outcome(lambda p: list(read_cbp_csv(p)), path)
         assert got_header == header
         if short is None:
@@ -164,7 +167,7 @@ class TestReadBlocks:
             f"{path} row {short - 2}: field 'establishments': not an integer: 'x'"
         )
         with pytest.raises(IngestionError) as excinfo:
-            csvio.read_rows(path)
+            csvio.read_rows(path, ())
         assert str(excinfo.value) == message
 
 
@@ -447,5 +450,5 @@ class TestWriteRows:
     def test_plain_rows_skip_the_cell_formatter(self, tmp_path):
         failing = mock.patch.object(csvio, "_cell", side_effect=AssertionError)
         with failing:
-            csvio.write_rows(tmp_path / "out.csv", ["a", "b"], [["x", 1.5], [None, 2]])
-        assert (tmp_path / "out.csv").read_text() == "a,b\nx,1.5\n,2\n"
+            csvio.write_rows(tmp_path / "out.csv", ["a", "b"], [["x", 1.5], [None, 2]], "stamp")
+        assert (tmp_path / "out.csv").read_text() == "# stamp\na,b\nx,1.5\n,2\n"

@@ -17,7 +17,6 @@ from distancing.cli import read_region_groups
 from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
-    DEFAULT_OPEN_BIN_MEAN,
     OPEN_BIN,
     Coded,
     NationalSizeDistribution,
@@ -33,7 +32,7 @@ from distancing.geo import (
 )
 from distancing.industries import GROUPS, IndustryMix, MixResolver
 
-from frames import cbp_of, cells_of, outcome, results_of
+from frames import RUN, cbp_of, cells_of, outcome, results_of
 
 
 def oracle_lowess(x, y, w, bandwidth, grid_points=100):
@@ -97,7 +96,7 @@ def cell_estimate(bins, suppressed=0, naics="441200", national=None):
     rows = [("z", naics, size_bin, count) for size_bin, count in bins.items()]
     if suppressed or not bins:
         rows.append(("z", naics, "", suppressed, True))
-    cells, dropped = build_cells(cbp_of(rows), national or NATIONAL)
+    cells, dropped = build_cells(cbp_of(rows), national or NATIONAL, RUN.open_bin_mean)
     if dropped:
         raise IngestionError(dropped[0][2])
     (cell,) = cells
@@ -165,7 +164,7 @@ class TestImputation:
         by_range = NationalSizeDistribution({"44-45": rows, "31": _NATIONAL_TABLE["31"]})
         by_sector = NationalSizeDistribution({"44": rows, "45": rows, "44-45": rows})
         assert cell_estimate(bins, 2, naics, by_range) == cell_estimate(bins, 2, naics, by_sector)
-        assert by_range.open_bin_mean(naics) == 3100 / 2
+        assert by_range.open_bin_mean(naics, RUN.open_bin_mean) == 3100 / 2
 
     def test_fixture_mean_forty(self):
         national = NationalSizeDistribution({"31": {"1-4": (5, 12.5), "20-49": (10, 400)}})
@@ -200,7 +199,7 @@ class TestBuildCells:
             ("10002", "441200", "", 1, True),
             ("10009", "99999", "", 2, True),  # no national data
         ])
-        cells, dropped = build_cells(rows, NATIONAL)
+        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean)
         assert [(c.zcta, c.industry_code) for c in cells] == [
             ("10001", "441100"),
             ("10002", "441200"),
@@ -221,7 +220,7 @@ class TestBuildCells:
             ("z4", "441100", "1-4", 3),
             ("z4", "441100", "1-4", -3),  # bin counts add up before the check
         ])
-        cells, dropped = build_cells(rows, NATIONAL)
+        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean)
         assert [(c.zcta, c.employment) for c in cells] == [("z4", 0.0)]
         assert [reason for _, _, reason in dropped] == [
             "negative establishment count in bin '1-4'",
@@ -314,7 +313,7 @@ def reference_cells(rows, open_bin_mean):
 
 class TestBuildCellsProperties:
     @settings(deadline=None, derandomize=True, database=None)
-    @given(_CBP_ROWS, st.sampled_from([DEFAULT_OPEN_BIN_MEAN, 900.0]), st.randoms())
+    @given(_CBP_ROWS, st.sampled_from([RUN.open_bin_mean, 900.0]), st.randoms())
     def test_order_free_and_equal_to_uncached_reference(self, rows, open_bin_mean, rnd):
         national = NationalSizeDistribution(_NATIONAL_TABLE)
         cells, dropped = build_cells(cbp_of(rows), national, open_bin_mean)
@@ -368,10 +367,10 @@ class TestImputationPerCoveringCode:
         bins) at most once, all in one grouped call."""
         shuffled = list(rows)
         random.Random(seed).shuffle(shuffled)
-        want = reference_cells(rows, DEFAULT_OPEN_BIN_MEAN)
+        want = reference_cells(rows, RUN.open_bin_mean)
         for order in (sorted(rows), shuffled):
             national = _CountedSizes(_NATIONAL_TABLE)
-            cells, dropped = build_cells(cbp_of(order), national)
+            cells, dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean)
             got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
             assert (got, dropped) == want
             assert len(national.calls) == 1
@@ -387,7 +386,7 @@ class TestImputationPerCoveringCode:
             ("10002", "99999", "", 1, True),
         ]
         national = _CountedSizes(_NATIONAL_TABLE)
-        cells, dropped = build_cells(cbp_of(rows), national)
+        cells, dropped = build_cells(cbp_of(rows), national, RUN.open_bin_mean)
         assert [sorted(call) for call in national.calls] == [
             [("44", frozenset({"1-4"})), ("44", frozenset({"5-9"}))]
         ]
@@ -929,7 +928,9 @@ class TestTableReaders:
     @given(data=st.data(), block=st.sampled_from([1, 2, 512]))
     def test_clean_file_never_runs_the_row_loop(self, tmp_path_factory, name, data, block):
         table = TABLES[name]
-        rows = _without_repeats(table, data.draw(st.lists(table.row, max_size=12)))
+        least = 1 if name == "matrix" else 0  # a matrix without data rows is a data error
+        rows = _without_repeats(table, data.draw(st.lists(table.row, min_size=least,
+                                                          max_size=12)))
         path = tmp_path_factory.mktemp("table") / "table.csv"
         path.write_text(f"# provenance\n{table.header}\n\n"
                         + "".join(f"{','.join(row)},x\n" for row in rows))
@@ -1078,7 +1079,7 @@ class TestLowess:
     def test_constant_data(self):
         rng = np.random.default_rng(53)
         x = rng.uniform(0, 10, 50)
-        grid, fitted = lowess_curve(x, np.full(50, 3.25), bandwidth=0.3)
+        grid, fitted = lowess_curve(x, np.full(50, 3.25), np.ones(50), bandwidth=0.3)
         assert np.max(np.abs(fitted - 3.25)) < 1e-12
 
     def test_matches_direct_summation_oracle(self):
@@ -1095,7 +1096,7 @@ class TestLowess:
     def test_duplicate_x_handled(self):
         x = np.array([1.0] * 6 + [2.0] * 6)
         y = np.array([1.0] * 6 + [3.0] * 6)
-        grid, fitted = lowess_curve(x, y, bandwidth=0.4)
+        grid, fitted = lowess_curve(x, y, np.ones(12), bandwidth=0.4)
         assert fitted[0] == pytest.approx(1.0)
         assert fitted[-1] == pytest.approx(3.0)
 
@@ -1104,7 +1105,7 @@ class TestLowess:
         # exactly on the radius (weight 0), leaving a zero-variance cluster
         x = np.array([1.0] * 10 + [3.0])
         y = np.array([2.0] * 10 + [50.0])
-        grid, fitted = lowess_curve(x, y, bandwidth=1.0)
+        grid, fitted = lowess_curve(x, y, np.ones(11), bandwidth=1.0)
         assert fitted[0] == pytest.approx(2.0)
         ogrid, ofit = oracle_lowess(list(x), list(y), [1.0] * 11, 1.0)
         assert np.max(np.abs(np.asarray(ofit) - fitted)) < 1e-9
@@ -1120,8 +1121,7 @@ class TestLowess:
     ])
     def test_series_sharing_windows_equal_single_fits_bit_for_bit(self, x, w, bandwidth):
         rng = np.random.default_rng(67)
-        if w is not None:
-            w = np.asarray(w)
+        w = np.ones(len(x)) if w is None else np.asarray(w)
         ys = rng.normal(size=(4, len(x)))
         grid, fitted = lowess_curve(x, ys, w, bandwidth=bandwidth)
         assert fitted.shape == (4, 100)
@@ -1132,15 +1132,15 @@ class TestLowess:
 
     def test_grid_is_100_points_spanning_data(self):
         x = np.linspace(0, 9, 30)
-        grid, _ = lowess_curve(x, x, bandwidth=1.0)
+        grid, _ = lowess_curve(x, x, np.ones(30), bandwidth=1.0)
         assert len(grid) == 100
         assert grid[0] == 0.0 and grid[-1] == 9.0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            lowess_curve([1, 2, 3], [1, 2, 3], bandwidth=0.5)
+            lowess_curve([1, 2, 3], [1, 2, 3], [1, 1, 1], bandwidth=0.5)
         x = list(range(12))
         with pytest.raises(ValueError):
-            lowess_curve(x, x, bandwidth=0.0)
+            lowess_curve(x, x, [1] * 12, bandwidth=0.0)
         with pytest.raises(ValueError):
-            lowess_curve(x, x, bandwidth=1.5)
+            lowess_curve(x, x, [1] * 12, bandwidth=1.5)

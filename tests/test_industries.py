@@ -35,7 +35,7 @@ FLAGS = {
 class TestBuildMix:
     def test_fifty_fifty_communication(self):
         rows = [("44", "41-2031", 10.0), ("44", "43-9061", 10.0)]
-        report = build_mix(rows, FLAGS)
+        report = build_mix(rows, FLAGS, None)
         (mix,) = report.mixes
         assert mix.chi["communication"] == pytest.approx(0.5)
         assert mix.chi["teamwork"] == 0.0
@@ -43,7 +43,7 @@ class TestBuildMix:
 
     def test_no_flagged_occupations(self):
         rows = [("31", "43-9061", 5.0)]
-        (mix,) = build_mix(rows, FLAGS).mixes
+        (mix,) = build_mix(rows, FLAGS, None).mixes
         assert all(mix.chi[g] == 0.0 for g in GROUPS)
 
     def test_row_order_irrelevant(self):
@@ -54,8 +54,8 @@ class TestBuildMix:
             ("44", "41-2031", 600.0),
             ("44", "43-9061", 400.0),
         ]
-        forward = build_mix(rows, FLAGS)
-        backward = build_mix(list(reversed(rows)), FLAGS)
+        forward = build_mix(rows, FLAGS, None)
+        backward = build_mix(list(reversed(rows)), FLAGS, None)
         for a, b in zip(forward.mixes, backward.mixes):
             assert a.industry_code == b.industry_code
             assert a.chi == b.chi
@@ -63,8 +63,8 @@ class TestBuildMix:
     def test_scaling_employment_leaves_chi(self):
         rows = [("62", "11-1011", 3.0), ("62", "43-9061", 7.0)]
         scaled = [(i, s, e * 1234.5) for i, s, e in rows]
-        a = build_mix(rows, FLAGS).mixes[0]
-        b = build_mix(scaled, FLAGS).mixes[0]
+        a = build_mix(rows, FLAGS, None).mixes[0]
+        b = build_mix(scaled, FLAGS, None).mixes[0]
         for g in GROUPS:
             assert a.chi[g] == pytest.approx(b.chi[g], abs=1e-12)
 
@@ -75,35 +75,35 @@ class TestBuildMix:
         for i in range(12):
             for soc in socs:
                 rows.append((f"{40 + i}", soc, float(rng.uniform(0, 100))))
-        for mix in build_mix(rows, FLAGS).mixes:
+        for mix in build_mix(rows, FLAGS, None).mixes:
             assert all(0.0 <= mix.chi[g] <= 1.0 for g in GROUPS)
             assert mix.chi["communication"] >= max(mix.chi["teamwork"], mix.chi["customer"]) - 1e-12
             assert mix.chi["communication"] <= mix.chi["teamwork"] + mix.chi["customer"] + 1e-12
 
     def test_zero_employment_industry_skipped(self):
-        report = build_mix([("44", "41-2031", 0.0)], FLAGS)
+        report = build_mix([("44", "41-2031", 0.0)], FLAGS, None)
         assert report.mixes == []
         assert report.skipped_industries == ["44"]
 
     def test_unknown_socs_reported_and_counted_unexposed(self):
         rows = [("44", "41-2031", 50.0), ("44", "99-9999", 50.0)]
-        report = build_mix(rows, FLAGS)
+        report = build_mix(rows, FLAGS, None)
         assert report.unknown_socs == ["99-9999"]
         # the unknown occupation stays in the denominator
         assert report.mixes[0].chi["communication"] == pytest.approx(0.5)
 
     def test_negative_employment_rejected(self):
         with pytest.raises(IngestionError):
-            build_mix([("44", "41-2031", -1.0)], FLAGS)
+            build_mix([("44", "41-2031", -1.0)], FLAGS, None)
 
     def test_non_finite_employment_names_industry(self):
         rows = [("44", "41-2031", 1.0), ("44", "43-9061", float("nan"))]
         with pytest.raises(IngestionError, match="'44'"):
-            build_mix(rows, FLAGS)
+            build_mix(rows, FLAGS, None)
 
     def test_shares_sum_to_one(self):
         rows = [("44", s, w) for s, w in [("41-2031", 1.7), ("43-9061", 2.9), ("29-1141", 0.4)]]
-        mix = build_mix(rows, FLAGS).mixes[0]
+        mix = build_mix(rows, FLAGS, None).mixes[0]
         assert sum(mix.shares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -248,9 +248,10 @@ class TestCsv:
 
     def test_industry_index_exact_schema(self, tmp_path):
         path = tmp_path / "industry-index.csv"
-        write_industry_index_csv(path, [mix_with("44", 0.6, name="Retail trade")])
+        write_industry_index_csv(path, [mix_with("44", 0.6, name="Retail trade")], "stamp")
         lines = path.read_text().splitlines()
-        assert lines[0] == (
+        assert lines[0] == "# stamp"
+        assert lines[1] == (
             "industry_code,name,chi_teamwork,chi_customer,chi_communication,chi_presence"
         )
-        assert lines[1] == "44,Retail trade,0.0,0.6,0.6,0.0"
+        assert lines[2] == "44,Retail trade,0.0,0.6,0.6,0.0"

@@ -66,12 +66,12 @@ class TestFirmParams:
         rng = np.random.default_rng(7)
         for chi in rng.uniform(1e-6, 1 - 1e-6, 200):
             p = FirmParams(float(chi))
-            again = FirmParams.from_gamma(p.gamma)
+            again = FirmParams(p.gamma / (1.0 + p.gamma))
             assert abs(again.chi - chi) < 1e-12
 
     def test_gamma_zero_is_the_degenerate_firm(self):
-        p = FirmParams.from_gamma(0.0)
-        assert p.chi == 0.0
+        p = FirmParams(0.0)
+        assert p.gamma == 0.0
 
     @pytest.mark.parametrize("chi", [-0.1, 1.0, 1.5, float("nan"), float("inf")])
     def test_bad_chi_rejected(self, chi):
@@ -87,23 +87,23 @@ class TestFirmParams:
 class TestOptimalContacts:
     def test_tau_one_is_one_for_any_gamma(self):
         for gamma in (0.1, 1.0, 5.0):
-            assert optimal_contacts(1.0, FirmParams.from_gamma(gamma)) == 1.0
+            assert optimal_contacts(1.0, FirmParams(gamma / (1.0 + gamma))) == 1.0
 
     def test_quarter_tau_gamma_one(self):
         # golden-section oracle over n in (0, 100): argmin 2, agrees to 1e-6
-        p = FirmParams.from_gamma(1.0)
+        p = FirmParams(0.5)
         oracle = golden_minimize(lambda n: raw_cost(n, 0.25, 1.0), 1e-6, 100.0)
         assert oracle == pytest.approx(2.0, abs=1e-6)
         assert optimal_contacts(0.25, p) == pytest.approx(oracle, abs=1e-6)
 
     def test_hundredth_tau_gamma_one(self):
-        p = FirmParams.from_gamma(1.0)
+        p = FirmParams(0.5)
         oracle = golden_minimize(lambda n: raw_cost(n, 0.01, 1.0), 1e-6, 100.0)
         assert oracle == pytest.approx(10.0, abs=1e-6)
         assert optimal_contacts(0.01, p) == pytest.approx(oracle, abs=1e-6)
 
     def test_nonpositive_tau_rejected(self):
-        p = FirmParams.from_gamma(1.0)
+        p = FirmParams(0.5)
         for tau in (0.0, -1.0):
             with pytest.raises(DomainError):
                 optimal_contacts(tau, p)
@@ -132,7 +132,7 @@ class TestUnitCost:
         for _ in range(1000):
             tau = rng.uniform(1e-4, 10.0)
             gamma = rng.uniform(0.1, 10.0)
-            p = FirmParams.from_gamma(gamma)
+            p = FirmParams(gamma / (1.0 + gamma))
             costs = grid * tau + grid ** (-gamma) / gamma
             best = costs.min()
             closed = unit_cost(tau, p)
@@ -153,7 +153,7 @@ class TestDensityForms:
         assert got == pytest.approx(1.0397, abs=5e-5)
 
     def test_contacts_match_optimal_contacts_through_tau(self):
-        p = FirmParams.from_gamma(1.0)
+        p = FirmParams(0.5)
         oracle = optimal_contacts(4.0 ** (-0.5), p)  # tau = 0.5 => n* = 2**0.5... cross-route
         assert contacts_at_density(4.0, 0.5, p) == pytest.approx(oracle, abs=1e-12)
         rng = np.random.default_rng(3)
@@ -332,7 +332,7 @@ class TestCompensatingSubsidy:
             assert all(a < b for a, b in zip(values, values[1:]) if b < saturated)
 
     def test_chi_zero_collapses_to_zero(self):
-        p = FirmParams.from_gamma(0.0)
+        p = FirmParams(0.0)
         for x in (0.1, 0.5, 0.9):
             assert compensating_subsidy(x, p) == 0.0
 
@@ -375,8 +375,6 @@ _BAD_INPUTS = [
     ("cap ratio negative", lambda v: compensating_subsidy(v, _HALF), 0.5, -0.5),
     ("chi one", FirmParams, 0.4, 1.0),
     ("chi nan", FirmParams, 0.4, float("nan")),
-    ("gamma negative", FirmParams.from_gamma, 1.0, -0.5),
-    ("gamma inf", FirmParams.from_gamma, 1.0, float("inf")),
     ("chi zero in unit cost", lambda v: unit_cost(0.5, FirmParams(v)), 0.4, 0.0),
     ("chi zero in density cost",
      lambda v: unit_cost_at_density(2.0, 0.1, FirmParams(v)), 0.4, 0.0),
@@ -395,7 +393,7 @@ class TestArrayForms:
 
     @pytest.mark.parametrize("form", FORMS)
     def test_penalty_overflow_gives_inf(self, form):
-        p = FirmParams.from_gamma(1e3)
+        p = FirmParams(1e3 / (1.0 + 1e3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ratio = distancing_cost_ratio(shaped(form, 1e-300, 0.5), p)

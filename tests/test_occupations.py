@@ -24,6 +24,8 @@ from distancing.occupations import (
     write_flags_csv,
 )
 
+from frames import THRESHOLDS
+
 ALL_TASKS = sorted(set(TEAMWORK_TASKS) | set(CUSTOMER_TASKS) | set(PRESENCE_TASKS))
 
 
@@ -67,7 +69,7 @@ class TestCompositeIndex:
     def test_boundary_value_fails_strict_cutoff(self):
         p = make_profile(teamwork=62.5, face=5, email=1, letters=1)
         assert composite_index(p, TEAMWORK_TASKS) == 62.5
-        assert not classify_teamwork(p)
+        assert not classify_teamwork(p, THRESHOLDS)
 
     def test_missing_task_named_in_error(self):
         p = make_profile()
@@ -78,52 +80,56 @@ class TestCompositeIndex:
 
 class TestTeamwork:
     def test_all_gates_pass(self):
-        assert classify_teamwork(make_profile(teamwork=70, face=5, email=3, letters=2))
+        assert classify_teamwork(make_profile(teamwork=70, face=5, email=3, letters=2), THRESHOLDS)
 
     def test_email_parity_blocks(self):
         # face-to-face must be strictly more frequent than email
-        assert not classify_teamwork(make_profile(teamwork=70, face=5, email=5, letters=2))
+        p = make_profile(teamwork=70, face=5, email=5, letters=2)
+        assert not classify_teamwork(p, THRESHOLDS)
 
     def test_letters_parity_blocks(self):
-        assert not classify_teamwork(make_profile(teamwork=70, face=5, email=2, letters=5))
+        p = make_profile(teamwork=70, face=5, email=2, letters=5)
+        assert not classify_teamwork(p, THRESHOLDS)
 
     def test_cutoff_blocks(self):
-        assert not classify_teamwork(make_profile(teamwork=61, face=5, email=1, letters=1))
+        p = make_profile(teamwork=61, face=5, email=1, letters=1)
+        assert not classify_teamwork(p, THRESHOLDS)
 
     def test_frequency_gate(self):
-        assert not classify_teamwork(make_profile(teamwork=70, face=3, email=1, letters=1))
+        p = make_profile(teamwork=70, face=3, email=1, letters=1)
+        assert not classify_teamwork(p, THRESHOLDS)
 
     def test_thresholds_are_configurable(self):
-        loose = ClassificationThresholds(cutoff=50.0, face_to_face_level=3)
+        loose = ClassificationThresholds(cutoff=50.0, face_to_face_level=3, proximity_level=3)
         assert classify_teamwork(make_profile(teamwork=55, face=3, email=1, letters=1), loose)
 
 
 class TestCustomer:
     def test_passes_without_email_gate(self):
         # heavy email does not matter for the customer flag
-        assert classify_customer(make_profile(customer=67, face=4, email=5, letters=5))
+        assert classify_customer(make_profile(customer=67, face=4, email=5, letters=5), THRESHOLDS)
 
     def test_frequency_gate(self):
-        assert not classify_customer(make_profile(customer=67, face=3))
+        assert not classify_customer(make_profile(customer=67, face=3), THRESHOLDS)
 
     def test_cutoff(self):
-        assert not classify_customer(make_profile(customer=50, face=5))
+        assert not classify_customer(make_profile(customer=50, face=5), THRESHOLDS)
 
 
 class TestPresence:
     def test_shared_office_threshold(self):
-        assert classify_presence(make_profile(presence=80, proximity=3))
+        assert classify_presence(make_profile(presence=80, proximity=3), THRESHOLDS)
 
     def test_below_shared_office(self):
-        assert not classify_presence(make_profile(presence=80, proximity=2))
+        assert not classify_presence(make_profile(presence=80, proximity=2), THRESHOLDS)
 
     def test_exact_cutoff_fails(self):
-        assert not classify_presence(make_profile(presence=62.5, proximity=5))
+        assert not classify_presence(make_profile(presence=62.5, proximity=5), THRESHOLDS)
 
 
 class TestClassifyAll:
     def test_empty_input(self):
-        assert classify_all([]) == {}
+        assert classify_all([], THRESHOLDS, lenient=False) == {}
 
     def test_three_way_fixture(self):
         profiles = [
@@ -134,14 +140,14 @@ class TestClassifyAll:
             make_profile(soc="53-3032", teamwork=30, customer=30, presence=80, face=2,
                          proximity=4),
         ]
-        flags = classify_all(profiles)
+        flags = classify_all(profiles, THRESHOLDS, lenient=False)
         assert flags["11-1011"] == ExposureFlags(True, False, False)
         assert flags["41-2031"] == ExposureFlags(False, True, False)
         assert flags["53-3032"] == ExposureFlags(False, False, True)
 
     def test_duplicate_soc_rejected(self):
         with pytest.raises(IngestionError, match="duplicate"):
-            classify_all([make_profile(), make_profile()])
+            classify_all([make_profile(), make_profile()], THRESHOLDS, lenient=False)
 
     def test_order_independent(self):
         profiles = [
@@ -149,8 +155,8 @@ class TestClassifyAll:
                          letters=2)
             for i in range(8)
         ]
-        forward = classify_all(profiles)
-        backward = classify_all(list(reversed(profiles)))
+        forward = classify_all(profiles, THRESHOLDS, lenient=False)
+        backward = classify_all(list(reversed(profiles)), THRESHOLDS, lenient=False)
         assert forward == backward
         assert list(forward) == sorted(forward)
 
@@ -158,12 +164,12 @@ class TestClassifyAll:
         p = make_profile()
         del p.context_levels[FACE_TO_FACE]
         with pytest.raises(ClassificationError):
-            classify_all([p])
+            classify_all([p], THRESHOLDS, lenient=False)
 
     def test_lenient_fails_closed(self):
         p = make_profile(teamwork=90, customer=90, presence=90, proximity=5)
         del p.context_levels[FACE_TO_FACE]
-        flags = classify_all([p], lenient=True)
+        flags = classify_all([p], THRESHOLDS, lenient=True)
         # both communication flags fail closed; presence is untouched
         assert flags[p.soc_code] == ExposureFlags(False, False, True)
 
@@ -171,6 +177,7 @@ class TestClassifyAll:
 class TestMonotonicity:
     def test_raising_scores_never_unsets_flags(self):
         rng = np.random.default_rng(17)
+        rules = (classify_teamwork, classify_customer, classify_presence)
         for _ in range(300):
             p = make_profile(
                 teamwork=float(rng.uniform(0, 100)),
@@ -181,10 +188,10 @@ class TestMonotonicity:
                 letters=int(rng.integers(1, 6)),
                 proximity=int(rng.integers(1, 6)),
             )
-            before = (classify_teamwork(p), classify_customer(p), classify_presence(p))
+            before = tuple(rule(p, THRESHOLDS) for rule in rules)
             task = ALL_TASKS[int(rng.integers(0, len(ALL_TASKS)))]
             p.task_scores[task] = min(100.0, p.task_scores[task] + float(rng.uniform(0, 40)))
-            after = (classify_teamwork(p), classify_customer(p), classify_presence(p))
+            after = tuple(rule(p, THRESHOLDS) for rule in rules)
             for b, a in zip(before, after):
                 assert a or not b
 
@@ -198,9 +205,9 @@ class TestMonotonicity:
                 email=int(rng.integers(1, 6)),
                 letters=int(rng.integers(1, 6)),
             )
-            before = (classify_teamwork(p), classify_customer(p))
+            before = (classify_teamwork(p, THRESHOLDS), classify_customer(p, THRESHOLDS))
             p.context_levels[FACE_TO_FACE] += 1
-            after = (classify_teamwork(p), classify_customer(p))
+            after = (classify_teamwork(p, THRESHOLDS), classify_customer(p, THRESHOLDS))
             for b, a in zip(before, after):
                 assert a or not b
 
@@ -217,7 +224,7 @@ class TestMonotonicity:
             )
             for i in range(60)
         ]
-        for soc, flags in classify_all(profiles).items():
+        for soc, flags in classify_all(profiles, THRESHOLDS, lenient=False).items():
             assert flags.communication == (flags.teamwork or flags.customer)
 
 
@@ -253,7 +260,7 @@ class TestCsv:
         assert profiles[0].task_scores[ALL_TASKS[0]] == 60.0
         assert profiles[0].context_levels[FACE_TO_FACE] == 5
 
-        flags = classify_all(profiles)
+        flags = classify_all(profiles, THRESHOLDS, lenient=False)
         out = tmp_path / "flags.csv"
         write_flags_csv(out, profiles, flags, comment="test")
         text = out.read_text().splitlines()
