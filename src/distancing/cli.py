@@ -59,7 +59,7 @@ class GeoStage(NamedTuple):
 def run_index_stage(cfg: RunConfig) -> IndexStage:
     from . import industries, occupations
     from .config import DEFAULT_EXCLUSIONS, require
-    from .errors import IngestionError
+    from .errors import ClassificationError, IngestionError
 
     require(cfg, "occupations", "matrix")
     profiles = occupations.read_profiles_csv(cfg.occupations)
@@ -68,7 +68,10 @@ def run_index_stage(cfg: RunConfig) -> IndexStage:
         face_to_face_level=cfg.face_to_face_level,
         proximity_level=cfg.proximity_level,
     )
-    flags = occupations.classify_all(profiles, thresholds, lenient=cfg.lenient)
+    try:  # a task score or context level missing, in the row the error names
+        flags = occupations.classify_all(profiles, thresholds, lenient=cfg.lenient)
+    except ClassificationError as exc:
+        raise IngestionError(f"{cfg.occupations} {exc}") from None
     names = industries.read_names_csv(cfg.industry_names) if cfg.industry_names else None
     matrix = industries.read_matrix_csv(cfg.matrix)
     try:
@@ -174,6 +177,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         exposures = geo.location_exposure(frame, index.mixes)
     else:
         _logger().info("no establishment/density inputs configured; location index skipped")
+    out.mkdir(parents=True, exist_ok=True)
     occupations.write_flags_csv(out / "occupation-index.csv", index.profiles, index.flags, stamp)
     industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
     _write_reconciliation(out / "reconciliation.txt", index, stamp)
@@ -327,6 +331,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
             f"points={args.points!r}"
         )
     )
+    out.mkdir(parents=True, exist_ok=True)
     _write_fig2_csv(out / "fig2.csv", curves, stamp)
     return 0
 
@@ -355,6 +360,7 @@ def cmd_lowess(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise IngestionError(f"{source}: {exc}") from None
     stamp = _provenance(cfg) + f" bandwidth:{args.bandwidth!r}"
+    out.mkdir(parents=True, exist_ok=True)
     csvio.write_rows(
         out / "location-lowess.csv",
         ["log_density", *GROUPS],
@@ -371,10 +377,11 @@ def cmd_lowess(args: argparse.Namespace) -> int:
 
 def read_region_groups(path) -> dict[str, str]:
     """Read a ``zcta,region`` membership file through :func:`csvio.read_table`;
-    a ZCTA may appear once."""
+    a ZCTA may appear once, and the file has at least one."""
     from . import csvio
 
     zctas, regions = csvio.read_table(path, ["zcta", "region"], [], key=["zcta"])
+    csvio.require_rows(len(zctas), path=path)
     return dict(zip(zctas, regions))
 
 
@@ -388,8 +395,10 @@ def _pct(fraction: float) -> float:
 
 
 def _output_dir(path: str, name: str = "output_dir") -> Path:
-    """Make the output directory; a usage error naming ``name`` if ``path`` is
-    blank (it would write into the working directory) or names a file."""
+    """The output directory, which a command makes right before its first
+    write, so that a run failing before then leaves none; a usage error
+    naming ``name`` if ``path`` is blank (it would write into the working
+    directory) or names a file."""
     from pathlib import Path
 
     from .errors import ConfigError
@@ -397,10 +406,8 @@ def _output_dir(path: str, name: str = "output_dir") -> Path:
     if not path.strip():
         raise ConfigError(f"{name} is blank; name an output directory")
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        raise ConfigError(f"{name} exists and is not a directory: {path}") from None
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"{name} exists and is not a directory: {path}")
     return out
 
 
@@ -423,6 +430,7 @@ def _write_reconciliation(path: Path, index: IndexStage, stamp: str) -> None:
 def _write_calibration(out: Path, report: calibrate.CalibrationReport, stamp: str) -> None:
     from . import csvio
 
+    out.mkdir(parents=True, exist_ok=True)
     columns = {"eps": report.eps, "contact_cap": report.contact_cap,
                "slope_factor": report.slope_factor, "achieved_slope": report.achieved_slope,
                "achieved_share": report.achieved_share, "cells": report.n_cells,

@@ -83,7 +83,8 @@ def compute_subsidies(
     """
     intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
-    cap_ratio = np.minimum(1.0, contact_cap / nstar)
+    # 1 where the contacts stay under the cap, those that underflow to 0 among them
+    cap_ratio = np.divide(contact_cap, nstar, out=np.ones_like(nstar), where=nstar > contact_cap)
     regime = None
     if telecom_cost is not None:
         regime, _ = preferred_regime(intervention, frame.density, eps, params, nstar)

@@ -171,14 +171,15 @@ class NationalSizeDistribution:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "NationalSizeDistribution":
-        """Read national totals; counts are nonnegative, establishments are whole
-        numbers, and 0 plants employ no one.
+        """Read national totals, at least one row; counts are nonnegative,
+        establishments are whole numbers, and 0 plants employ no one.
 
         Each code's establishments and employment, summed over its bins,
         must be finite, so no sum over some of its bins can overflow.
         """
         labels, numbers = ["naics", "size_bin"], ["establishments", "employment"]
         columns = csvio.read_table(path, labels, numbers, key=labels)
+        csvio.require_rows(len(columns[0]), path=path)
         table: dict[str, dict[str, tuple[float, float]]] = {}
         for i, (naics, size_bin, est, emp) in enumerate(zip(*columns), start=1):
             if not est.is_integer():
@@ -807,8 +808,14 @@ _LOCATION_FIELDS = ("density", "employment", *(f"share_{group}" for group in GRO
 
 def read_location_index_csv(path: str | Path) -> list[list[float]]:
     """The density, employment and ``share_*`` columns of a location index,
-    through :func:`csvio.read_table`; density is positive."""
-    return csvio.read_table(path, [], _LOCATION_FIELDS, positive=["density"])
+    through :func:`csvio.read_table`; density is positive, and a share, a
+    fraction of employment, at most 1."""
+    columns = csvio.read_table(path, [], _LOCATION_FIELDS, positive=["density"])
+    for name, column in zip(_LOCATION_FIELDS[2:], columns[2:]):
+        if max(column, default=0.0) > 1.0:
+            row, value = next((i, v) for i, v in enumerate(column, start=1) if v > 1.0)
+            raise IngestionError(f"{path} row {row}: field {name!r}: above 1: {value!r}")
+    return columns
 
 
 def write_location_index_csv(

@@ -219,8 +219,9 @@ def read_matrix_csv(path: str | Path) -> list[tuple[str, str, float]]:
 
 def read_names_csv(path: str | Path) -> dict[str, str]:
     """Read an ``industry_code,name`` concordance through :func:`csvio.read_table`;
-    a code may appear once."""
+    a code may appear once, and the file has at least one."""
     codes, names = csvio.read_table(path, ["industry_code", "name"], [], key=["industry_code"])
+    csvio.require_rows(len(codes), path=path)
     return dict(zip(codes, names))
 
 

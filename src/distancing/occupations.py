@@ -196,29 +196,26 @@ def classify_all(
     """Classify every occupation; returns a soc-code-sorted map.
 
     Duplicate soc codes are an ingestion error.  Missing task or context
-    data is a hard error; with ``lenient`` the affected flag fails closed
-    (False) instead.  Note the closed-fail biases the downstream
-    communication shares low, which is why a run's ``lenient`` is off
-    unless set.
+    data is a hard error naming the profile's row, its place in
+    ``profiles`` from 1 (the data row of :func:`read_profiles_csv`); with
+    ``lenient`` the affected flag fails closed (False) instead.  Note the
+    closed-fail biases the downstream communication shares low, which is
+    why a run's ``lenient`` is off unless set.
     """
-    by_code: dict[str, OccupationProfile] = {}
-    for profile in profiles:
-        if profile.soc_code in by_code:
-            raise IngestionError(f"duplicate soc_code {profile.soc_code!r}")
-        by_code[profile.soc_code] = profile
-
     flags: dict[str, ExposureFlags] = {}
-    for soc in sorted(by_code):
-        profile = by_code[soc]
+    for row, profile in enumerate(profiles, start=1):
+        if profile.soc_code in flags:
+            raise IngestionError(f"duplicate soc_code {profile.soc_code!r}")
         values = []
         for classify in (classify_teamwork, classify_customer, classify_presence):
             try:
                 values.append(classify(profile, thresholds))
-            except ClassificationError:
+            except ClassificationError as exc:
                 if not lenient:
-                    raise
+                    raise ClassificationError(f"row {row}: {exc}") from None
                 values.append(False)
-        flags[soc] = ExposureFlags(*values)
+        flags[profile.soc_code] = ExposureFlags(*values)
+    flags = dict(sorted(flags.items()))
 
     counts = {
         group: sum(1 for f in flags.values() if f.group(group))

@@ -1,8 +1,11 @@
 """Subcommand behavior: outputs, exit codes, overrides, determinism."""
 
 import csv
+import dataclasses
+import functools
 import gc
 import importlib
+import logging
 import math
 import os
 import subprocess
@@ -12,18 +15,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import faults
+from distancing import cli
 from distancing.cli import (
     _drop_excluded_cells,
     _pct,
+    build_parser,
     main,
-    read_region_groups,
     run,
     run_geo_stage,
     run_index_stage,
 )
 from distancing.config import RunConfig, config_hash, resolve_config
-from distancing.errors import IngestionError
 from e2efixture import CBP, DENSITY, hand_expectations, write_config, write_inputs
+from faults import write_location_index
 from frames import cells_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +48,6 @@ def read_csv(path):
 
 def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.glob("*"))}
-
-
-_FIG2 = ["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1"]
 
 
 def _body(path):
@@ -121,21 +123,6 @@ class TestIndex:
         )
         assert mean == pytest.approx(1.0, abs=1e-9)
 
-
-    @pytest.mark.parametrize("missing", ["cbp", "density", "national_sizes"])
-    def test_some_location_inputs_are_a_usage_error_naming_the_rest(
-        self, fixture_config, capsys, missing
-    ):
-        config, out = fixture_config
-        lines = config.read_text().splitlines()
-        config.write_text("\n".join(line for line in lines
-                                    if not line.startswith(f"{missing} =")) + "\n")
-        assert main(["index", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: missing required inputs: {missing} "
-            "(set them in the config file or with flags)\n")
-        assert not out.exists()
-
     def test_no_location_inputs_skip_the_location_index(self, fixture_config):
         config, out = fixture_config
         lines = config.read_text().splitlines()
@@ -163,11 +150,6 @@ class TestCalibrate:
         (row,) = read_csv(out / "calibration.csv")
         assert float(row["eps"]) == 0.02
         assert row["eps_fixed"] == "1"
-
-    def test_bad_contact_share_is_usage_error(self, fixture_config):
-        config, _ = fixture_config
-        assert main(["calibrate", "--config", str(config), "--contact-share", "1.5"]) == 2
-
 
 class TestSubsidy:
     def test_tables_written(self, fixture_config):
@@ -258,12 +240,6 @@ class TestSubsidy:
         assert sectors == {"31", "44", "Average"}
         assert not any("matches no industry" in r.message for r in caplog.records)
 
-    def test_duplicate_region_zcta_names_both_rows(self, tmp_path):
-        groups = tmp_path / "regions.csv"
-        groups.write_text("zcta,region\n10001,metro\n10002,metro\n10001,rest\n")
-        with pytest.raises(IngestionError, match=r"row 3: zcta '10001' already given at row 1"):
-            read_region_groups(groups)
-
     def test_telecom_flag_fills_column(self, fixture_config):
         config, out = fixture_config
         assert main(["subsidy", "--config", str(config), "--telecom-cost", "1.5"]) == 0
@@ -336,28 +312,6 @@ class TestFig2Command:
         flat = [r for r in rows if r["regime"] == "unconstrained"]
         assert all(float(r["distancing_ratio"]) == 1.0 for r in flat)
 
-    def test_bad_grid_is_usage_error(self, tmp_path):
-        rc = main(["fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.0",
-                   "--dmin", "5", "--dmax", "1", "--output-dir", str(tmp_path)])
-        assert rc == 2
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "domain"])
-    @pytest.mark.parametrize("flag, outside", [
-        ("chi", "1.5"), ("eps", "0"), ("cap", "0"), ("telecom", "-1"),
-        ("dmin", "0"), ("dmax", "-2"),
-    ])
-    def test_out_of_domain_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag,
-                                                           outside, value):
-        value = outside if value == "domain" else value
-        args = {"chi": "0.5", "eps": "0.5", "cap": "1.1", flag: value}
-        out = tmp_path / "o"
-        argv = [f"--{key}={v}" for key, v in args.items()]
-        assert main(["fig2", *argv, "--output-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{flag} must ") and err.count("\n") == 1
-        assert f"got {float(value)!r}" in err
-        assert not out.exists()
-
     def test_overflowing_contacts_are_a_usage_error_before_numpy_loads(self, tmp_path, capsys):
         # d**(eps*(1-chi)) at --dmax is 1e900: no double holds the contacts there
         argv = ["fig2", "--chi", "0.1", "--eps", "100", "--cap", "1", "--dmax", "1e10",
@@ -371,16 +325,6 @@ class TestFig2Command:
         assert code == 2
         assert not modules & {"numpy", "distancing.model", "distancing.counterfactual"}
         assert not (tmp_path / "o").exists()
-
-
-def write_location_index(source):
-    """A 15-row location index, enough points for the smoother."""
-    lines = ["zcta,density,share_teamwork,share_customer,share_communication,"
-             "share_presence,employment"]
-    for i in range(15):
-        d = 0.25 * (i + 1)
-        lines.append(f"z{i:02d},{d},0.1,{0.02 * i},{0.02 * i + 0.1},0.3,{10 + i}")
-    source.write_text("\n".join(lines) + "\n")
 
 
 class TestLowessCommand:
@@ -400,98 +344,8 @@ class TestLowessCommand:
         # every cell parses as a plain number (no stray scalar reprs)
         assert all(float(v) == float(v) for r in rows for v in r.values())
 
-    @pytest.mark.parametrize("densities, fault", [
-        ([0.5, 1.0, 2.0, 4.0], "lowess needs at least 10 points, got 4"),
-        ([2.0] * 12, "x values span zero range; nothing to smooth over"),
-    ], ids=["too-few-points", "one-density"])
-    def test_smoother_fault_is_data_error_naming_the_input(
-        self, tmp_path, capsys, densities, fault
-    ):
-        source = tmp_path / "location-index.csv"
-        source.write_text(
-            "zcta,density,share_teamwork,share_customer,share_communication,"
-            "share_presence,employment\n"
-            + "".join(f"z{i},{d},0,0,0,0,5\n" for i, d in enumerate(densities))
-        )
-        out = tmp_path / "o"
-        assert main(["lowess", "--input", str(source), "--output-dir", str(out)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: {source}: {fault}"]
-        assert not (out / "location-lowess.csv").exists()
-
-    @pytest.mark.parametrize("row, fault", [
-        ("zx,nan,0.1,0.1,0.1,0.1,5", "field 'density': not a finite number: 'nan'"),
-        ("zx,0,0.1,0.1,0.1,0.1,5", "field 'density': not positive: 0.0"),
-        ("zx,abc,0.1,0.1,0.1,0.1,5", "field 'density': not a number: 'abc'"),
-        ("zx,1.0,0.1,0.1,0.1,0.1,-5", "field 'employment': negative: -5.0"),
-        ("zx,1.0,0.1,inf,0.1,0.1,5", "field 'share_customer': not a finite number: 'inf'"),
-    ])
-    def test_bad_value_is_data_error_naming_file_row_and_field(
-        self, tmp_path, capsys, row, fault
-    ):
-        source = tmp_path / "location-index.csv"
-        write_location_index(source)
-        with open(source, "a") as fh:
-            fh.write(row + "\n")
-        out = tmp_path / "out"
-        assert main(["lowess", "--input", str(source), "--output-dir", str(out)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: {source} row 16: {fault}"]
-        assert not (out / "location-lowess.csv").exists()
-
-    def test_bad_bandwidth_is_usage_error(self, tmp_path):
-        source = tmp_path / "location-index.csv"
-        source.write_text("zcta,density,share_teamwork,share_customer,share_communication,"
-                          "share_presence,employment\n")
-        rc = main(["lowess", "--input", str(source), "--bandwidth", "0",
-                   "--output-dir", str(tmp_path / "o")])
-        assert rc == 2
-
 
 class TestErrorContract:
-    def test_missing_input_file_exit_2_with_path(self, tmp_path, capsys):
-        rc = main(["index", "--occupations", str(tmp_path / "nope.csv"),
-                   "--matrix", str(tmp_path / "also-nope.csv")])
-        assert rc == 2
-        assert "nope.csv" in capsys.readouterr().err
-
-    def test_unset_required_inputs_exit_2(self, tmp_path):
-        assert main(["index", "--output-dir", str(tmp_path)]) == 2
-
-    def test_help_exits_zero(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--help"])
-        assert excinfo.value.code == 0
-
-    def test_unknown_flag_exits_two(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["index", "--frobnicate"])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("command", ["index", "subsidy", "lowess"])
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_output_dir_that_is_a_file_is_usage_error_naming_it(
-        self, fixture_config, capsys, command, where
-    ):
-        config, _ = fixture_config
-        target = config.with_name("cbp.csv")
-        before = target.read_bytes()
-        matrix = config.with_name("matrix.csv")
-        matrix.write_text(matrix.read_text() + "44,41-2031,-5\n")  # exit 1, were it read
-        argv = [command, "--config", str(config)]
-        if where == "flag":
-            argv += ["--output-dir", str(target)]
-        else:
-            lines = [line for line in config.read_text().splitlines()
-                     if not line.startswith("output_dir")]
-            config.write_text("\n".join([*lines, f"output_dir = {target}"]) + "\n")
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: output_dir exists and is not a directory: {target}\n")
-        assert target.read_bytes() == before
-
     def test_fig2_output_dir_that_is_a_file_is_usage_error_before_numpy_loads(
         self, tmp_path, capsys
     ):
@@ -504,315 +358,6 @@ class TestErrorContract:
         assert code == 2
         assert not modules & {"numpy", "distancing.model", "distancing.counterfactual"}
         assert (tmp_path / "o").read_text() == "kept\n"
-
-    @pytest.mark.parametrize("command, name", [
-        ("index", "location-index.csv"), ("subsidy", "sector-subsidy.csv"),
-    ])
-    def test_output_path_that_is_a_directory_is_data_error_naming_it(
-        self, fixture_config, capsys, command, name
-    ):
-        config, out = fixture_config
-        (out / name).mkdir(parents=True)
-        assert main([command, "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and str(out / name) in errors[0]
-        assert "Traceback" not in err
-
-    # case: (argv, a fixture file to cut to its header or a config line to set,
-    # exit code, what the one error line names); the config goes after the command
-    INPUT_RULES = {
-        **{f"{name} header only, {command}": ([command], f"{name}.csv", 1,
-                                              f"{name}.csv: no data rows")
-           for name in ("occupations", "matrix", "cbp") for command in ("index", "subsidy")},
-        "blank output_dir key": (["subsidy"], "output_dir =", 2, "output_dir is blank"),
-        "blank --output-dir": (["index", "--output-dir", ""], None, 2, "output_dir is blank"),
-        "blank fig2 --output-dir": ([*_FIG2, "--output-dir", ""], None, 2,
-                                    "--output-dir is blank"),
-        **{f"fig2 --points {points}": ([*_FIG2, "--points", str(points), "--output-dir", "o"],
-                                       None, 2, f"--points must lie in [2, 1000000], got {points}")
-           for points in (1_000_001, 10**14)},
-    }
-
-    @pytest.mark.parametrize("case", sorted(INPUT_RULES))
-    def test_input_rule_breach_names_its_file_key_or_flag_and_writes_nothing(
-        self, fixture_config, capsys, monkeypatch, case
-    ):
-        config, out = fixture_config
-        argv, edit, code, named = self.INPUT_RULES[case]
-        if edit and edit.endswith(".csv"):
-            path = config.with_name(edit)
-            path.write_text(path.read_text().splitlines()[0] + "\n")
-        elif edit:
-            lines = [line for line in config.read_text().splitlines()
-                     if not line.startswith("output_dir")]
-            config.write_text("\n".join([*lines, edit]) + "\n")
-        if argv[0] != "fig2":
-            argv = [argv[0], "--config", str(config), *argv[1:]]
-        cwd = config.parent.parent / "cwd"  # where a blank output directory would write
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        assert main(argv) == code
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and named in errors[0]
-        assert "Traceback" not in err
-        assert snapshot(out) == {} and snapshot(cwd) == {}
-
-    def test_removed_knobs_are_usage_errors(self, fixture_config):
-        config, _ = fixture_config
-        with pytest.raises(SystemExit) as excinfo:
-            main(["subsidy", "--config", str(config), "--threads", "4"])
-        assert excinfo.value.code == 2
-        for line in ("threads = 4", "seed = 0"):
-            extra = config.with_name(f"extra-{line.split()[0]}.cfg")
-            extra.write_text(config.read_text() + line + "\n")
-            assert main(["subsidy", "--config", str(extra)]) == 2
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", ["cutoff", "contact_share", "elasticity", "fixed_eps",
-                                     "telecom_cost", "open_bin_mean"])
-    def test_non_finite_float_is_usage_error_naming_the_key(
-        self, fixture_config, capsys, key, value
-    ):
-        config, _ = fixture_config
-        flag = "--" + key.replace("_", "-")
-        assert main(["subsidy", "--config", str(config), f"{flag}={value}"]) == 2
-        assert f"{key} must be a finite number, got {float(value)!r}" in capsys.readouterr().err
-        extra = config.with_name(f"non-finite-{key}.cfg")
-        extra.write_text(config.read_text() + f"{key} = {value}\n")
-        assert main(["subsidy", "--config", str(extra)]) == 2
-
-    @pytest.mark.parametrize("command", ["calibrate", "subsidy"])
-    def test_overflowing_fixed_eps_is_data_error_naming_it(self, fixture_config, capsys, command):
-        # d**(eps*(1-chi)) overflows in the densest cells: no cap or share to report
-        config, out = fixture_config
-        assert main([command, "--config", str(config), "--fixed-eps", "1e4"]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == ["error: eps 10000.0 is too large: the optimal contacts or their "
-                          "employment-weighted total overflow a double"]
-        assert not (out / "calibration.csv").exists()
-
-    def test_nan_density_is_data_error_with_file_and_row(self, fixture_config, capsys):
-        config, _ = fixture_config
-        density = config.with_name("density.csv")
-        header, first, *rest = density.read_text().splitlines()
-        zcta, _, area = first.split(",")
-        density.write_text("\n".join([header, f"{zcta},nan,{area}", *rest]) + "\n")
-        assert main(["subsidy", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "density.csv row 1" in err and "population" in err
-
-    def test_short_cbp_row_is_data_error_with_file_and_row(self, fixture_config, capsys):
-        config, _ = fixture_config
-        cbp = config.with_name("cbp.csv")
-        rows = cbp.read_text().splitlines()
-        cbp.write_text("\n".join([*rows, "00502"]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert f"cbp.csv row {len(rows)}: expected 5 fields, got 1" in err
-
-    @pytest.mark.parametrize("row, field", [("10001,", "region"), (",metro", "zcta"),
-                                            ("  ,  ", "zcta")])
-    def test_blank_region_group_field_is_data_error(self, fixture_config, capsys, row, field):
-        config, out = fixture_config
-        groups = config.with_name("regions.csv")
-        groups.write_text(f"zcta,region\n10002,metro\n{row}\n")
-        assert main(["subsidy", "--config", str(config), "--region-groups", str(groups)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {groups} row 2: field {field!r}: blank" in err
-        assert not (out / "region-subsidy.csv").exists()
-
-    def test_establishment_count_beyond_int64_is_data_error(self, fixture_config, capsys):
-        config, _ = fixture_config
-        cbp = config.with_name("cbp.csv")
-        header, first, *rest = cbp.read_text().splitlines()
-        first = first.split(",")
-        first[3] = "99999999999999999999"
-        cbp.write_text("\n".join([header, ",".join(first), *rest]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert ("cbp.csv row 1: field 'establishments': not a 64-bit integer: "
-                "'99999999999999999999'") in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("column, field", [(1, "population"), (2, "land_area_km2")])
-    def test_negative_density_field_is_data_error(self, fixture_config, capsys, column, field):
-        config, _ = fixture_config
-        density = config.with_name("density.csv")
-        header, first, *rest = density.read_text().splitlines()
-        first = first.split(",")
-        first[column] = "-" + first[column]
-        density.write_text("\n".join([header, ",".join(first), *rest]) + "\n")
-        assert main(["subsidy", "--config", str(config)]) == 1
-        assert f"density.csv row 1: field {field!r}: negative: -" in capsys.readouterr().err
-
-    def test_density_mean_overflow_names_density_file(self, fixture_config, capsys, recwarn):
-        config, _ = fixture_config
-        density = config.with_name("density.csv")
-        header, first, *rest = density.read_text().splitlines()
-        zcta, _, area = first.split(",")
-        density.write_text("\n".join([header, f"{zcta},1e308,{area}", *rest]) + "\n")
-        assert main(["subsidy", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "density.csv: the employment-weighted mean density is not finite" in err
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-    def test_byte_order_mark_is_dropped(self, fixture_config, tmp_path):
-        config, out = fixture_config
-        assert main(["subsidy", "--config", str(config)]) == 0
-        plain = snapshot(out)
-        cbp = config.with_name("cbp.csv")
-        cbp.write_bytes(b"\xef\xbb\xbf" + cbp.read_bytes())
-        assert main(["subsidy", "--config", str(config)]) == 0
-        assert snapshot(out) == plain
-
-    def test_non_utf8_byte_is_data_error_with_file_and_row(self, fixture_config, capsys):
-        config, _ = fixture_config
-        density = config.with_name("density.csv")
-        lines = density.read_bytes().splitlines(keepends=True)
-        lines[2] = lines[2].replace(b",", b"\xe9,", 1)  # data row 2
-        density.write_bytes(b"".join(lines))
-        assert main(["subsidy", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert "density.csv row 2: not UTF-8: byte 0xe9" in err
-        assert "Traceback" not in err
-
-    def test_occupation_range_error_names_file_and_row(self, fixture_config, capsys):
-        config, _ = fixture_config
-        occupations = config.with_name("occupations.csv")
-        header, first, *rest = occupations.read_text().splitlines()
-        first = first.rsplit(",", 4)[0] + ",9,3,2,2"  # 11-1011, face_to_face level 9
-        occupations.write_text("\n".join([header, first, *rest]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert (
-            "occupations.csv row 1: 11-1011: context 'face_to_face' level 9 not in 1..5" in err
-        )
-
-    def test_negative_matrix_employment_names_file_and_row(self, fixture_config, capsys):
-        config, _ = fixture_config
-        matrix = config.with_name("matrix.csv")
-        header, first, *rest = matrix.read_text().splitlines()
-        industry, soc, _ = first.split(",")
-        matrix.write_text("\n".join([header, f"{industry},{soc},-5.0", *rest]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        assert "matrix.csv row 1: field 'employment': negative: -5.0" in capsys.readouterr().err
-
-    def test_repeated_soc_code_names_both_rows(self, fixture_config, capsys):
-        config, _ = fixture_config
-        occupations = config.with_name("occupations.csv")
-        lines = occupations.read_text().splitlines()
-        occupations.write_text("\n".join([*lines, lines[-1]]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        soc = lines[-1].split(",")[0]
-        assert (f"occupations.csv row {len(lines)}: soc_code {soc!r} already given at row "
-                f"{len(lines) - 1}") in capsys.readouterr().err
-
-    def test_matrix_total_overflow_names_matrix_file(self, fixture_config, capsys):
-        config, _ = fixture_config
-        matrix = config.with_name("matrix.csv")
-        header, first, second, *rest = matrix.read_text().splitlines()
-        rows = [",".join([*row.split(",")[:2], "1e308"]) for row in (first, second)]
-        matrix.write_text("\n".join([header, *rows, *rest]) + "\n")
-        assert main(["index", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        industry = first.split(",")[0]
-        assert f"matrix.csv: industry {industry!r}: total employment is not finite" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("column", [2, 3])
-    def test_national_total_overflow_names_national_file(self, fixture_config, capsys, column):
-        config, _ = fixture_config
-        national = config.with_name("national_sizes.csv")
-        header, first, second, *rest = national.read_text().splitlines()
-        rows = []
-        for row in (first, second):
-            fields = row.split(",")
-            fields[column] = "1e308"
-            rows.append(",".join(fields))
-        national.write_text("\n".join([header, *rows, *rest]) + "\n")
-        assert main(["subsidy", "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        naics = first.split(",")[0]
-        assert (f"national_sizes.csv: naics {naics!r}: total establishments or employment is "
-                "beyond the float range") in err
-        assert "Traceback" not in err
-
-    # cbp.csv rows that, with one 1e308-worker plant per 1000+ plant under "44",
-    # overflow a ZCTA's total, a cell's estimate or the total of all ZCTAs
-    OVERFLOWING_CBP_ROWS = {
-        "zcta": (["10001,441100,1000+,1,0", "10001,441300,1000+,1,0"],
-                 "zcta '10001': total employment is beyond the float range"),
-        "cell": (["10001,441100,1000+,2,0"],
-                 "cell 10001/441100: estimated employment is beyond the float range"),
-        "all": (["10001,441100,1000+,1,0", "10002,441300,1000+,1,0"],
-                "the total employment of all ZCTAs is beyond the float range"),
-    }
-
-    @pytest.mark.parametrize("command", ["index", "subsidy"])
-    @pytest.mark.parametrize("case", sorted(OVERFLOWING_CBP_ROWS))
-    def test_employment_overflow_names_the_cbp_file(
-        self, fixture_config, capsys, recwarn, command, case
-    ):
-        config, out = fixture_config
-        rows, fault = self.OVERFLOWING_CBP_ROWS[case]
-        with open(config.with_name("national_sizes.csv"), "a") as fh:
-            fh.write("44,1000+,1,1e308\n")
-        cbp = config.with_name("cbp.csv")
-        with open(cbp, "a") as fh:
-            fh.write("".join(row + "\n" for row in rows))
-        assert main([command, "--config", str(config)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: {cbp}: {fault}"]
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        assert snapshot(out) == {}
-
-    # (file, an appended data row, the field the error names, its fault): blank
-    # labels, and a negative location-index share
-    CONTRACT_FAULTS = [
-        ("matrix.csv", "  ,11-1011,5", "industry_code", "blank"),
-        ("matrix.csv", "11,,5", "soc_code", "blank"),
-        ("national_sizes.csv", " ,1-4,1,2", "naics", "blank"),
-        ("national_sizes.csv", "44, ,1,2", "size_bin", "blank"),
-        ("density.csv", " ,100,1", "zcta", "blank"),
-        ("industry_names.csv", ",Mining", "industry_code", "blank"),
-        ("industry_names.csv", "21, ", "name", "blank"),
-        ("location-index.csv", "zx,1.0,0.1,-0.1,0.1,0.1,5", "share_customer",
-         "negative: -0.1"),
-    ]
-
-    @pytest.mark.parametrize("name, row, field, fault", CONTRACT_FAULTS)
-    def test_input_contract_fault_names_file_row_and_field(
-        self, fixture_config, capsys, name, row, field, fault
-    ):
-        config, out = fixture_config
-        path = config.with_name(name)
-        args = ["index", "--config", str(config)]
-        if name == "industry_names.csv":
-            path.write_text("industry_code,name\n11,Agriculture\n")
-            args += ["--industry-names", str(path)]
-        elif name == "location-index.csv":
-            write_location_index(path)
-            args = ["lowess", "--config", str(config), "--input", str(path)]
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join([*lines, row]) + "\n")
-        assert main(args) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: {path} row {len(lines)}: field {field!r}: {fault}"]
-        assert snapshot(out) == {}
-
-    def test_non_utf8_exclusions_name_file_and_line(self, fixture_config, capsys):
-        config, _ = fixture_config
-        exclusions = config.with_name("exclusions.txt")
-        exclusions.write_bytes(b"622\n# no hospitals\n44\xff\n")
-        assert main(["index", "--config", str(config)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: {exclusions} line 3: not UTF-8: byte 0xff"]
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -906,60 +451,6 @@ class TestCollectorPolicy:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("line, fault", [
-        ("lenient = maybe", "config key lenient: expected a boolean, got 'maybe'"),
-        ("employment_density = 2",
-         "config key employment_density: expected a boolean, got '2'"),
-        ("face_to_face_level = 4.5",
-         "config key face_to_face_level: expected an integer, got '4.5'"),
-        ("proximity_level = three",
-         "config key proximity_level: expected an integer, got 'three'"),
-        ("cutoff = high", "config key cutoff: expected a number, got 'high'"),
-        ("cutoff = 100.5", "cutoff must lie in [0, 100], got 100.5"),
-        ("cutoff = -1", "cutoff must lie in [0, 100], got -1.0"),
-        ("face_to_face_level = 6", "face_to_face_level must be in 1..5, got 6"),
-        ("proximity_level = 0", "proximity_level must be in 1..5, got 0"),
-        ("contact_share = 0", "contact_share must lie in (0, 1], got 0.0"),
-        ("contact_share = 1.5", "contact_share must lie in (0, 1], got 1.5"),
-        ("elasticity = 0", "elasticity must be positive, got 0.0"),
-        ("fixed_eps = -0.1", "fixed_eps must be positive, got -0.1"),
-        ("telecom_cost = 0", "telecom_cost must be positive, got 0.0"),
-        ("open_bin_mean = -5", "open_bin_mean must be positive, got -5.0"),
-        ("exclusions = no-such-file.txt",
-         "input file for 'exclusions' does not exist: no-such-file.txt"),
-    ])
-    def test_bad_config_line_is_usage_error_naming_the_key(
-        self, fixture_config, capsys, line, fault
-    ):
-        config, out = fixture_config
-        bad = config.with_name("bad.cfg")
-        key = line.partition("=")[0]
-        kept = [old for old in config.read_text().splitlines() if not old.startswith(key)]
-        bad.write_text("\n".join([*kept, line]) + "\n")
-        assert main(["calibrate", "--config", str(bad)]) == 2
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1 and fault in errors[0]
-        assert not (out / "calibration.csv").exists()
-
-    def test_malformed_line_names_file_and_line(self, fixture_config, capsys):
-        config, _ = fixture_config
-        lines = config.read_text().splitlines()
-        config.write_text("\n".join([*lines, "cutoff 62.5"]) + "\n")
-        assert main(["calibrate", "--config", str(config)]) == 2
-        assert (f"error: {config}:{len(lines) + 1}: expected 'key = value', "
-                "got 'cutoff 62.5'") in capsys.readouterr().err
-
-    def test_repeated_key_is_usage_error_naming_both_lines(self, fixture_config, capsys):
-        config, out = fixture_config
-        lines = config.read_text().splitlines()
-        config.write_text("\n".join([*lines, "cutoff = 10", "", "cutoff = 62.5"]) + "\n")
-        assert main(["calibrate", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {config}:{len(lines) + 3}: key 'cutoff' already given at line "
-            f"{len(lines) + 1}\n")
-        assert not out.exists()
-
     def test_blank_comment_and_boolean_lines_read_as_the_flags(self, fixture_config, tmp_path):
         config, out = fixture_config
         lines = config.read_text().splitlines()
@@ -978,25 +469,6 @@ class TestConfig:
         plain = tmp_path / "plain"
         assert main(["index", *flags, "--output-dir", str(plain)]) == 0
         assert _body(plain / "location-index.csv") != _body(out / "location-index.csv")
-
-    def test_unreadable_config_is_usage_error_naming_it(self, tmp_path, capsys):
-        assert main(["calibrate", "--config", str(tmp_path)]) == 2
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert len(errors) == 1
-        assert errors[0].startswith(f"error: cannot read config file {tmp_path}: ")
-
-    def test_non_utf8_config_is_usage_error_naming_file_and_line(
-        self, fixture_config, capsys
-    ):
-        config, _ = fixture_config
-        lines = config.read_bytes().splitlines()
-        config.write_bytes(b"\n".join([*lines, b"# caf\xff"]) + b"\n")
-        assert main(["calibrate", "--config", str(config)]) == 2
-        errors = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("error:")]
-        assert errors == [f"error: cannot read config file {config}: line {len(lines) + 1} "
-                          "is not UTF-8: byte 0xff"]
 
     def test_default_config_hash_is_pinned(self):
         # every output's provenance line carries this hash
@@ -1017,6 +489,127 @@ class TestConfig:
         capsys.readouterr()
         assert main(["index", "--config", str(config)]) == 2
         assert os.path.join("in", "occupations.csv") in capsys.readouterr().err
+
+
+def _argv(argv, names):
+    argv = [arg.format(**names) for arg in argv]  # the config follows the command
+    own = argv[0] == "fig2" or "--config" in argv
+    return argv if own else [argv[0], "--config", str(names["config"]), *argv[1:]]
+
+
+def _outputs(directory):
+    """Each output's lines but its provenance comments, which name the run's paths."""
+    return {path.name: [line for line in path.read_text().splitlines()
+                        if not line.startswith("#")] for path in sorted(directory.iterdir())}
+
+
+def _listing(directory, *but):
+    """What a directory holds but the entries named ``but``, with each entry's
+    size and change time, or None if there is no directory."""
+    if directory.exists():
+        return {entry.name: (entry.stat().st_size, entry.stat().st_mtime_ns)
+                for entry in os.scandir(directory) if entry.name not in but}
+
+
+# the table's cases by the file they edit first, or the command of those that edit none
+_GROUPS = {}
+for _name, _case in faults.CASES.items():
+    _GROUPS.setdefault(_case.edits[0][0] if _case.edits else _case.argv[0], []).append(_name)
+
+
+class TestInputContract:
+    """Every case of :data:`faults.CASES` under one rule, run in the case's
+    directory.  The exit code is the case's; the run raises no traceback and
+    no RuntimeWarning, and changes no input and writes no other file in that
+    directory.  A failed run prints one ``error:`` line, the case's, and
+    writes nothing: no output directory.  A run that exits 0 logs the case's
+    warning, or writes outputs identical to (SAME) or, without a warning,
+    different from (READ) the clean run's."""
+
+    @pytest.fixture(scope="class")
+    def shared(self, tmp_path_factory):
+        """The fixture each case reads but for what it edits, and the outputs of a
+        clean run of each command; one parser serves every run, since building
+        it takes longer than most runs."""
+        shared, clean = tmp_path_factory.mktemp("shared"), {}
+        faults.write_fixture(shared, shared / "out")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_parser", functools.cache(build_parser))
+            for argv in {case.argv for case in faults.CASES.values() if case.code == 0}:
+                names = faults.case_fixture(faults.Case(argv, (), 0, faults.SAME), shared,
+                                            shared.parent / f"clean-{len(clean)}")
+                assert main(_argv(argv, names)) == 0
+                clean[argv] = _outputs(names["out"])
+            yield shared, clean
+        assert not (shared / "out").exists()
+
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_cases(self, group, shared, monkeypatch, capsys, caplog, recwarn):
+        """The cases of a file, of the config or of a command, each named in the
+        failures it gives; one test a group, since most runs take less time
+        than a test's own setup."""
+        (shared, clean), failures = shared, []
+        for name in _GROUPS[group]:
+            caplog.clear()
+            recwarn.clear()
+            case = faults.CASES[name]
+            directory = shared.parent / f"case-{list(faults.CASES).index(name)}"
+            names = faults.case_fixture(case, shared, directory)
+            monkeypatch.chdir(directory)  # where a blank output directory would write
+            before = _listing(names["out"]), _listing(directory, "out"), _listing(shared)
+            try:
+                code = main(_argv(case.argv, names))
+            except SystemExit as exc:  # a flag the parser rejects
+                code = exc.code
+            err = capsys.readouterr().err
+            path = names["in"] / case.edits[0][0] if case.edits else None
+            expect = case.expect.format(path=path, **names)
+            errors = [line for line in err.splitlines() if "error: " in line]
+            warnings = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
+                        if r.levelno >= logging.WARNING]
+            try:
+                assert "Traceback" not in err
+                assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+                assert (_listing(directory, "out"), _listing(shared)) == before[1:]
+                assert code == case.code
+                if code:
+                    assert errors == [expect] and _listing(names["out"]) == before[0]
+                elif expect in (faults.SAME, faults.READ):
+                    assert errors == [] and warnings == []
+                    assert (_outputs(names["out"]) == clean[case.argv]) == (expect == faults.SAME)
+                else:
+                    assert errors == [] and expect in warnings
+            except AssertionError as exc:
+                failures.append(f"{name}: {exc}")
+        assert not failures, "\n\n".join(failures)
+
+    def test_every_key_file_and_column_has_cases(self, tmp_path):
+        """A config key, or an input file or column of the fixture, without a
+        case fails here."""
+        edits = [edit for case in faults.CASES.values() for edit in case.edits]
+        keys = {arg[0] for _, op, arg in edits if op == "key"}
+        assert keys == {field.name for field in dataclasses.fields(RunConfig)}
+        columns = {(name, arg[0]) for name, op, arg in edits if op == "set"}
+        for line in faults.write_fixture(tmp_path, tmp_path / "out").read_text().splitlines():
+            key, _, path = line.partition(" = ")
+            assert key == "output_dir" or Path(path).name in {edit[0] for edit in edits}, key
+            if path.endswith(".csv"):
+                with open(path, newline="", encoding="utf-8") as fh:
+                    header = next(csv.reader(fh))
+                assert columns >= {(Path(path).name, column) for column in header}, key
+
+    def test_help_defaults_are_the_run_defaults(self):
+        """The ``(default ...)`` of each config flag's help is the ``RunConfig`` default."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+        defaults = {action.dest: action.help.rpartition("(default ")[2].rstrip(")")
+                    for parser in commands.values() for action in parser._actions
+                    if action.type and "(default " in (action.help or "")}
+        assert defaults.pop("bandwidth") == "0.5"  # lowess's own flag
+        assert {key: type(getattr(RunConfig(), key))(value)
+                for key, value in defaults.items()} == {
+            key: getattr(RunConfig(), key) for key in defaults}
+        assert sorted(defaults) == ["contact_share", "cutoff", "elasticity",
+                                    "face_to_face_level", "proximity_level"]
 
 
 def _imported_modules(args, cwd):

@@ -32,6 +32,7 @@ from distancing.geo import (
 )
 from distancing.industries import GROUPS, IndustryMix, MixResolver
 
+import faults
 from frames import RUN, cbp_of, cells_of, outcome, results_of
 
 
@@ -628,57 +629,13 @@ class TestCbpCsv:
         assert records.naics.labels == ["311811", "441100"]
         assert records.naics.codes.tolist() == [1, 1, 0]
 
-    def test_flag_column_is_optional(self, tmp_path):
-        path = tmp_path / "cbp.csv"
-        path.write_text("zcta,naics,size_bin,establishments\n10001,441100,1-4,3\n")
-        assert list(read_cbp_csv(path)) == [("10001", "441100", "1-4", 3, False)]
-
-    @pytest.mark.parametrize("bad_row, field", [(" ,441100,1-4,3,0", "zcta"),
-                                                ("10002,,1-4,3,0", "naics")])
-    def test_blank_code_names_row_and_field(self, tmp_path, bad_row, field):
-        path = tmp_path / "cbp.csv"
-        path.write_text(self.HEADER + "10001,441100,1-4,3,0\n" + bad_row + "\n")
+    def test_bad_value_names_data_row_after_comments(self, tmp_path):
+        path = tmp_path / "cbp.csv"  # the flag is parsed first, as before
+        path.write_text("# provenance\n" + self.HEADER
+                        + "10001,441100,1-4,3,0\n\n# note\n\n10002,311811,,x,y\n")
         with pytest.raises(IngestionError) as excinfo:
             read_cbp_csv(path)
-        assert str(excinfo.value) == f"{path} row 2: field {field!r}: blank"
-
-    @pytest.mark.parametrize(
-        "bad_row, message",
-        [
-            ("10002,311811,5-9,x,0", "row 2: field 'establishments': not an integer: 'x'"),
-            ("10002,311811,5-9,1,yes", "row 2: field 'suppressed': not an integer: 'yes'"),
-            # the flag is parsed first, as before
-            ("10002,311811,,x,y", "row 2: field 'suppressed': not an integer: 'y'"),
-        ],
-    )
-    def test_bad_value_names_data_row_after_comments(self, tmp_path, bad_row, message):
-        path = tmp_path / "cbp.csv"
-        path.write_text(
-            "# provenance\n" + self.HEADER + "10001,441100,1-4,3,0\n\n# note\n\n"
-            + bad_row + "\n"
-        )
-        with pytest.raises(IngestionError) as excinfo:
-            read_cbp_csv(path)
-        assert str(excinfo.value) == f"{path} {message}"
-
-    def test_short_row_names_row_and_field_counts(self, tmp_path):
-        path = tmp_path / "cbp.csv"
-        path.write_text(self.HEADER + "10001,441100,1-4,3,0\n# note\n00502\n")
-        with pytest.raises(IngestionError) as excinfo:
-            read_cbp_csv(path)
-        assert str(excinfo.value) == f"{path} row 2: expected 5 fields, got 1"
-
-    def test_header_errors(self, tmp_path):
-        path = tmp_path / "cbp.csv"
-        path.write_text("# only a comment\n\n")
-        with pytest.raises(IngestionError, match="empty file"):
-            read_cbp_csv(path)
-        path.write_text("zcta,naics,size_bin\n10001,441100,1-4\n")
-        with pytest.raises(IngestionError, match="missing required columns: establishments"):
-            read_cbp_csv(path)
-        path.write_text(self.HEADER.replace("suppressed", "naics") + "10001,441100,1-4,3,0\n")
-        with pytest.raises(IngestionError, match="repeated column names: naics"):
-            read_cbp_csv(path)
+        assert str(excinfo.value) == f"{path} row 2: field 'suppressed': not an integer: 'y'"
 
 
 class TestNationalSizes:
@@ -692,34 +649,6 @@ class TestNationalSizes:
         alone = [mean_size(NationalSizeDistribution(_NATIONAL_TABLE), *pair) for pair in pairs]
         assert together[:2] + together[3:] == alone[:2] + alone[3:]
         assert math.isnan(together[2]) and alone[2] is None
-
-    def test_duplicate_bin_names_both_rows(self, tmp_path):
-        path = tmp_path / "national.csv"
-        path.write_text(
-            "naics,size_bin,establishments,employment\n"
-            "31,1-4,10,25\n31,5-9,10,40\n31,1-4,20,60\n"
-        )
-        with pytest.raises(
-            IngestionError, match=r"row 3: naics/size_bin \('31', '1-4'\) already given at row 1"
-        ):
-            NationalSizeDistribution.from_csv(path)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("31,5-9,-1,40", "field 'establishments': negative: -1.0"),
-            ("31,5-9,10,-10", "field 'employment': negative: -10.0"),
-            ("31,5-9,0,40", "field 'employment': 40.0 workers in 0 establishments"),
-            ("31,5-9,1e-300,40", "field 'establishments': not a whole number: 1e-300"),
-            ("31,5-9,2.5,40", "field 'establishments': not a whole number: 2.5"),
-        ],
-    )
-    def test_impossible_counts_name_row_and_field(self, tmp_path, row, message):
-        path = tmp_path / "national.csv"
-        path.write_text(f"naics,size_bin,establishments,employment\n31,1-4,10,25\n{row}\n")
-        with pytest.raises(IngestionError) as excinfo:
-            NationalSizeDistribution.from_csv(path)
-        assert str(excinfo.value) == f"{path} row 2: {message}"
 
 
 class TestDensity:
@@ -762,161 +691,85 @@ class TestDensity:
         with pytest.raises(IngestionError, match="mean density is not finite"):
             normalize_density(records, weights)
 
-    def test_no_overlapping_employment_raises(self):
-        with pytest.raises(IngestionError):
-            normalize_density([("a", 10.0, 1.0)], {"b": 3.0})
-
-    def test_duplicate_zcta_names_both_rows(self, tmp_path):
-        path = tmp_path / "density.csv"
-        path.write_text("zcta,population,land_area_km2\na,10,1\nb,20,1\na,30,1\n")
-        with pytest.raises(IngestionError, match=r"row 3: zcta 'a' already given at row 1"):
-            read_density_csv(path)
-
 
 class Table(NamedTuple):
-    """A caller of :func:`csvio.read_table` and the files it is tried on."""
+    """A caller of :func:`csvio.read_table`, and the clean rows it is tried on."""
 
     read: Callable  # path -> a value whose repr shows every bit read
-    header: str
-    row: st.SearchStrategy  # a clean data row's fields
+    row: st.SearchStrategy  # a clean data row's fields, in the fault table file's columns
     key: Callable | None  # a clean row's key, so that a clean file repeats none
-    base: tuple[str, ...]  # four clean lines; a fault goes in as the fourth
-    faults: dict  # name -> (line, message after "<path> row 4: ")
 
 
-_LOCATION_HEADER = ("zcta,density,share_teamwork,share_customer,share_communication,"
-                    "share_presence,employment,note")
-TABLES = {
-    "density": Table(
+TABLES = {  # by the name of the fixture file in faults.FILES
+    "density.csv": Table(
         read_density_csv,
-        "zcta,population,land_area_km2,note",
         st.tuples(st.sampled_from(["10001", " 10002", "10003 ", "00501", "z"]),
                   st.sampled_from(["40", " 1e3", "0", "-0", "1_000", "7.25", "+3"]),
                   st.sampled_from(["2.5", "0.0", "1E-3 ", "123456789.5"])),
         lambda fields: fields[0].strip(),
-        ("10001,40,2.5,x", "10002,30,1.5,x", "10003,20,0.5,x", "10004,1,1,x"),
-        {
-            "blank label": ("  ,40,2.5,x", "field 'zcta': blank"),
-            "blank number": ("10009,,2.5,x", "field 'population': not a number: ''"),
-            "non-numeric": ("10009,40,2.5km,x",
-                            "field 'land_area_km2': not a number: '2.5km'"),
-            "negative": ("10009,-40,2.5,x", "field 'population': negative: -40.0"),
-            "nan": ("10009,nan,2.5,x", "field 'population': not a finite number: 'nan'"),
-            "inf": ("10009,40, inf,x", "field 'land_area_km2': not a finite number: ' inf'"),
-            "repeated": (" 10001,40,2.5,x", "zcta '10001' already given at row 1"),
-            "short": ("10009,40", "expected 4 fields, got 2"),
-        },
     ),
-    "location index": Table(
+    "location-index.csv": Table(
         geo.read_location_index_csv,
-        _LOCATION_HEADER,
         st.tuples(st.sampled_from(["z1", " ", "10001"]),
                   st.sampled_from(["1", " 0.25", "1e-3", "7_0"]),
                   *[st.sampled_from(["0", "0.1", " 1", "-0"])] * 4,
                   st.sampled_from(["0", "5", " 12.5"])),
         None,
-        ("z1,1,0,0,0,0,5,x", "z2,2,0.1,0.2,0.3,0.4,6,x", "z3,3,1,1,1,1,7,x",
-         "z4,4,0,0,0,0,8,x"),
-        {
-            "zero": ("z9,0,0.1,0.1,0.1,0.1,5,x", "field 'density': not positive: 0.0"),
-            "negative zero": ("z9,-0,0.1,0.1,0.1,0.1,5,x",
-                              "field 'density': not positive: -0.0"),
-            "negative density": ("z9,-2,0.1,0.1,0.1,0.1,5,x",
-                                 "field 'density': negative: -2.0"),
-            "negative share": ("z9,1,0.1,-0.2,0.1,0.1,5,x",
-                               "field 'share_customer': negative: -0.2"),
-            "negative employment": ("z9,1,0.1,0.1,0.1,0.1,-5,x",
-                                    "field 'employment': negative: -5.0"),
-            "non-numeric": ("z9,abc,0.1,0.1,0.1,0.1,5,x",
-                            "field 'density': not a number: 'abc'"),
-            "inf": ("z9,1,0.1,0.1,0.1,inf,5,x",
-                    "field 'share_presence': not a finite number: 'inf'"),
-            "short": ("z9,1,0.1", "expected 8 fields, got 3"),
-        },
     ),
-    "national sizes": Table(
+    "national_sizes.csv": Table(
         lambda path: NationalSizeDistribution.from_csv(path).codes.entries,
-        "naics,size_bin,establishments,employment,note",
         st.tuples(st.sampled_from(["11", " 111", "44-45 "]),
                   st.sampled_from(["1-4", " 5-9", "1000+"]),
                   st.sampled_from([("0", "0"), ("0", " -0"), ("3", "7.5"), (" 1e2", "0"),
                                    ("+7", "1_000")])).map(lambda t: (*t[:2], *t[2])),
         lambda fields: (fields[0].strip(), fields[1].strip()),
-        ("11,1-4,3,7.5,x", "11,5-9,2,14,x", "21,1-4,1,2.5,x", "22,1-4,5,12,x"),
-        {
-            "blank code": (" ,1-4,3,7.5,x", "field 'naics': blank"),
-            "blank bin": ("31,,3,7.5,x", "field 'size_bin': blank"),
-            "repeated": ("11, 5-9,1,1,x", "naics/size_bin ('11', '5-9') already given at row 2"),
-            "negative": ("31,1-4,-3,7.5,x", "field 'establishments': negative: -3.0"),
-            "nan": ("31,1-4,3,nan,x", "field 'employment': not a finite number: 'nan'"),
-            "fraction": ("31,1-4,2.5,7.5,x",
-                         "field 'establishments': not a whole number: 2.5"),
-            "no plants": ("31,1-4,0,3,x", "field 'employment': 3.0 workers in 0 establishments"),
-            "short": ("31,1-4,3", "expected 5 fields, got 3"),
-        },
     ),
-    "matrix": Table(
+    "matrix.csv": Table(
         industries.read_matrix_csv,
-        "industry_code,soc_code,employment,note",
         st.tuples(st.sampled_from(["11", " 21", "44-45"]),
                   st.sampled_from(["11-1011", " 13-2011 "]),
                   st.sampled_from(["0", "5", " 1e3", "-0", "2.5"])),
         None,
-        ("11,11-1011,5,x", "11,13-2011,6,x", "21,11-1011,7,x", "21,11-1011,8,x"),
-        {
-            "blank industry": (" ,11-1011,5,x", "field 'industry_code': blank"),
-            "blank soc": ("31,,5,x", "field 'soc_code': blank"),
-            "negative": ("31,11-1011,-5,x", "field 'employment': negative: -5.0"),
-            "nan": ("31,11-1011,NaN,x", "field 'employment': not a finite number: 'NaN'"),
-            "non-numeric": ("31,11-1011,5 workers,x",
-                            "field 'employment': not a number: '5 workers'"),
-            "short": ("31", "expected 4 fields, got 1"),
-        },
     ),
-    "industry names": Table(
+    "names.csv": Table(
         industries.read_names_csv,
-        "industry_code,name,note",
         st.tuples(st.sampled_from(["11", " 21", "44-45", "622"]),
                   st.sampled_from(["Agriculture", " Mining ", "Retail trade"])),
         lambda fields: fields[0].strip(),
-        ("11,Agriculture,x", "21,Mining,x", "22,Utilities,x", "23,Construction,x"),
-        {
-            "blank code": ("  ,Retail trade,x", "field 'industry_code': blank"),
-            "blank name": ("44-45,,x", "field 'name': blank"),
-            "repeated": ("21 ,Mining again,x", "industry_code '21' already given at row 2"),
-            "short": ("44-45", "expected 3 fields, got 1"),
-        },
     ),
-    "region groups": Table(
+    "regions.csv": Table(
         read_region_groups,
-        "zcta,region,note",
         st.tuples(st.sampled_from(["10001", " 10002", "00501"]),
                   st.sampled_from(["metro", " upstate ", "r"])),
         lambda fields: fields[0].strip(),
-        ("10001,metro,x", "10002,metro,x", "10003,upstate,x", "10004,r,x"),
-        {
-            "blank zcta": (",metro,x", "field 'zcta': blank"),
-            "blank region": ("10009, ,x", "field 'region': blank"),
-            "repeated": ("10003,metro,x", "zcta '10003' already given at row 3"),
-            "short": ("10009", "expected 3 fields, got 1"),
-        },
     ),
 }
-_FAULTS = [(table, fault) for table in TABLES for fault in TABLES[table].faults]
+
+
+def _cases(name):
+    """The fault table's cases that edit the file ``name``, and only it, under its command."""
+    return [case for case in faults.CASES.values()
+            if [edit[0] for edit in case.edits] == [name] and case.argv == faults.FILES[name][0]]
 
 
 def _without_repeats(table, rows):
-    if table.key is None:
-        return rows
     seen = set()
-    return [row for row in rows
-            if table.key(row) not in seen and not seen.add(table.key(row))]
+    return [row for row in rows if table.key is None
+            or table.key(row) not in seen and not seen.add(table.key(row))]
 
 
 def _row_loop_outcome(table, path):
     """What ``table.read`` gives when :func:`csvio.read_table` is its row loop."""
     with mock.patch.object(csvio, "read_table", csvio._table_rows):
         return outcome(table.read, path)
+
+
+@pytest.fixture(scope="module")
+def shared(tmp_path_factory):
+    """The fault table's fixture, which each case copies what it edits from."""
+    shared = tmp_path_factory.mktemp("shared")
+    faults.write_fixture(shared, shared / "out")
+    return shared
 
 
 class TestTableReaders:
@@ -926,13 +779,14 @@ class TestTableReaders:
     @pytest.mark.parametrize("name", sorted(TABLES))
     @settings(deadline=None, derandomize=True, database=None, max_examples=40)
     @given(data=st.data(), block=st.sampled_from([1, 2, 512]))
-    def test_clean_file_never_runs_the_row_loop(self, tmp_path_factory, name, data, block):
-        table = TABLES[name]
-        least = 1 if name == "matrix" else 0  # a matrix without data rows is a data error
+    def test_clean_file_never_runs_the_row_loop(self, shared, tmp_path_factory, name, data,
+                                                block):
+        table, header = TABLES[name], (shared / name).read_text().split("\n")[0]
+        least = 0 if name in ("density.csv", "location-index.csv") else 1  # the rest need one
         rows = _without_repeats(table, data.draw(st.lists(table.row, min_size=least,
                                                           max_size=12)))
-        path = tmp_path_factory.mktemp("table") / "table.csv"
-        path.write_text(f"# provenance\n{table.header}\n\n"
+        path = tmp_path_factory.mktemp("table") / "table.csv"  # with a column no one reads
+        path.write_text(f"# provenance\n{header},note\n\n"
                         + "".join(f"{','.join(row)},x\n" for row in rows))
         want = _row_loop_outcome(table, path)
         loop = mock.patch.object(csvio, "_table_rows", side_effect=AssertionError)
@@ -941,33 +795,41 @@ class TestTableReaders:
         assert want[0] == "ok"
         assert repr(got) == repr(want[1])
 
-    @pytest.mark.parametrize("block", [1, 2, 512])
-    @pytest.mark.parametrize("name, fault", _FAULTS)
-    def test_each_fault_gives_the_row_loops_message(self, tmp_path, name, fault, block):
-        table = TABLES[name]
-        line, message = table.faults[fault]
-        path = tmp_path / "table.csv"
-        first, second, third, last = table.base
-        path.write_text(f"{table.header}\n{first}\n{second}\n{third}\n{line}\n{last}\n")
-        assert _row_loop_outcome(table, path) == ("error", f"{path} row 4: {message}")
-        with mock.patch.object(csvio, "BLOCK_ROWS", block):
-            assert outcome(table.read, path) == ("error", f"{path} row 4: {message}")
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_each_fault_gives_the_row_loops_outcome(self, shared, name, tmp_path):
+        """Each of the fault table's cases on the file: the row loop's outcome at
+        every block size, and the case's error line where the reader fails."""
+        for i, case in enumerate(_cases(name)):
+            names = faults.case_fixture(case, shared, tmp_path / str(i))
+            path = names["in"] / name
+            want = _row_loop_outcome(TABLES[name], path)
+            for block in (1, 2, 512):
+                with mock.patch.object(csvio, "BLOCK_ROWS", block):
+                    assert repr(outcome(TABLES[name].read, path)) == repr(want), case
+            if want[0] == "error":
+                assert f"error: {want[1]}" == case.expect.format(path=path, **names)
 
     @pytest.mark.parametrize("name", sorted(TABLES))
     @settings(deadline=None, derandomize=True, database=None, max_examples=40)
     @given(data=st.data(), block=st.sampled_from([1, 2, 512]))
-    def test_mixed_faults_give_the_row_loops_outcome(self, tmp_path_factory, name, data,
-                                                    block):
-        """Faults in any rows and blocks: the error (or records) of the row loop,
-        whose whole-file read names a short row before any value."""
-        table = TABLES[name]
-        faults = [line for line, _ in table.faults.values()]
+    def test_mixed_faults_give_the_row_loops_outcome(self, shared, tmp_path_factory, name,
+                                                    data, block):
+        """The fault table's faulty rows among clean ones, in any rows and
+        blocks: the error (or records) of the row loop, whose whole-file read
+        names a short row before any value."""
+        table, clean = TABLES[name], (shared / name).read_bytes()
+        faulty = {case.edits[0] for case in _cases(name)
+                  if case.edits[0][1] in ("set", "short row")}
+        faulty = sorted(faults.FILE_EDITS["short row"](clean) if op == "short row"
+                        else faults.set_field(clean, *arg) for _, op, arg in faulty)
         lines = data.draw(st.lists(
-            st.one_of(table.row.map(lambda row: ",".join(row) + ",x"), st.sampled_from(faults)),
+            st.one_of(table.row.map(lambda row: ",".join(row).encode()),
+                      st.sampled_from([edited.rstrip(b"\n").rsplit(b"\n", 1)[1]
+                                       for edited in faulty])),
             min_size=1, max_size=10,
         ))
         path = tmp_path_factory.mktemp("table") / "table.csv"
-        path.write_text(table.header + "\n" + "".join(line + "\n" for line in lines))
+        path.write_bytes(clean.split(b"\n")[0] + b"\n" + b"".join(line + b"\n" for line in lines))
         with mock.patch.object(csvio, "BLOCK_ROWS", block):
             got = outcome(table.read, path)
         assert repr(got) == repr(_row_loop_outcome(table, path))

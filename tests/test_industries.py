@@ -13,7 +13,6 @@ from distancing.industries import (
     exclude_sectors,
     read_exclusions,
     read_matrix_csv,
-    read_names_csv,
     write_industry_index_csv,
 )
 from distancing.occupations import ExposureFlags
@@ -95,11 +94,6 @@ class TestBuildMix:
     def test_negative_employment_rejected(self):
         with pytest.raises(IngestionError):
             build_mix([("44", "41-2031", -1.0)], FLAGS, None)
-
-    def test_non_finite_employment_names_industry(self):
-        rows = [("44", "41-2031", 1.0), ("44", "43-9061", float("nan"))]
-        with pytest.raises(IngestionError, match="'44'"):
-            build_mix(rows, FLAGS, None)
 
     def test_shares_sum_to_one(self):
         rows = [("44", s, w) for s, w in [("41-2031", 1.7), ("43-9061", 2.9), ("29-1141", 0.4)]]
@@ -232,14 +226,6 @@ class TestCsv:
         path = tmp_path / "matrix.csv"
         path.write_text("industry_code,soc_code,employment\n44,41-2031,600\n")
         assert read_matrix_csv(path) == [("44", "41-2031", 600.0)]
-
-    def test_duplicate_name_code_names_both_rows(self, tmp_path):
-        path = tmp_path / "names.csv"
-        path.write_text("industry_code,name\n44,Retail\n31,Manufacturing\n44,Shops\n")
-        with pytest.raises(
-            IngestionError, match=r"row 3: industry_code '44' already given at row 1"
-        ):
-            read_names_csv(path)
 
     def test_exclusions_file(self, tmp_path):
         path = tmp_path / "excl.txt"

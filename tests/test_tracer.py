@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import e2efixture
-from test_cli import write_location_index
+from faults import write_location_index
 
 ROOT = Path(__file__).resolve().parents[1]
 
