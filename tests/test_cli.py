@@ -511,12 +511,6 @@ def _listing(directory, *but):
                 for entry in os.scandir(directory) if entry.name not in but}
 
 
-# the table's cases by the file they edit first, or the command of those that edit none
-_GROUPS = {}
-for _name, _case in faults.CASES.items():
-    _GROUPS.setdefault(_case.edits[0][0] if _case.edits else _case.argv[0], []).append(_name)
-
-
 class TestInputContract:
     """Every case of :data:`faults.CASES` under one rule, run in the case's
     directory.  The exit code is the case's; the run raises no traceback and
@@ -543,45 +537,36 @@ class TestInputContract:
             yield shared, clean
         assert not (shared / "out").exists()
 
-    @pytest.mark.parametrize("group", sorted(_GROUPS))
-    def test_cases(self, group, shared, monkeypatch, capsys, caplog, recwarn):
-        """The cases of a file, of the config or of a command, each named in the
-        failures it gives; one test a group, since most runs take less time
-        than a test's own setup."""
-        (shared, clean), failures = shared, []
-        for name in _GROUPS[group]:
-            caplog.clear()
-            recwarn.clear()
-            case = faults.CASES[name]
-            directory = shared.parent / f"case-{list(faults.CASES).index(name)}"
-            names = faults.case_fixture(case, shared, directory)
-            monkeypatch.chdir(directory)  # where a blank output directory would write
-            before = _listing(names["out"]), _listing(directory, "out"), _listing(shared)
-            try:
-                code = main(_argv(case.argv, names))
-            except SystemExit as exc:  # a flag the parser rejects
-                code = exc.code
-            err = capsys.readouterr().err
-            path = names["in"] / case.edits[0][0] if case.edits else None
-            expect = case.expect.format(path=path, **names)
-            errors = [line for line in err.splitlines() if "error: " in line]
-            warnings = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
-                        if r.levelno >= logging.WARNING]
-            try:
-                assert "Traceback" not in err
-                assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-                assert (_listing(directory, "out"), _listing(shared)) == before[1:]
-                assert code == case.code
-                if code:
-                    assert errors == [expect] and _listing(names["out"]) == before[0]
-                elif expect in (faults.SAME, faults.READ):
-                    assert errors == [] and warnings == []
-                    assert (_outputs(names["out"]) == clean[case.argv]) == (expect == faults.SAME)
-                else:
-                    assert errors == [] and expect in warnings
-            except AssertionError as exc:
-                failures.append(f"{name}: {exc}")
-        assert not failures, "\n\n".join(failures)
+    @pytest.mark.parametrize("name", list(faults.CASES))
+    def test_case(self, name, shared, monkeypatch, capsys, caplog, recwarn):
+        """One case of the table, under the class's rule."""
+        shared, clean = shared
+        case = faults.CASES[name]
+        directory = shared.parent / f"case-{list(faults.CASES).index(name)}"
+        names = faults.case_fixture(case, shared, directory)
+        monkeypatch.chdir(directory)  # where a blank output directory would write
+        before = _listing(names["out"]), _listing(directory, "out"), _listing(shared)
+        try:
+            code = main(_argv(case.argv, names))
+        except SystemExit as exc:  # a flag the parser rejects
+            code = exc.code
+        err = capsys.readouterr().err
+        path = names["in"] / case.edits[0][0] if case.edits else None
+        expect = case.expect.format(path=path, **names)
+        errors = [line for line in err.splitlines() if "error: " in line]
+        warnings = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert "Traceback" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert (_listing(directory, "out"), _listing(shared)) == before[1:]
+        assert code == case.code
+        if code:
+            assert errors == [expect] and _listing(names["out"]) == before[0]
+        elif expect in (faults.SAME, faults.READ):
+            assert errors == [] and warnings == []
+            assert (_outputs(names["out"]) == clean[case.argv]) == (expect == faults.SAME)
+        else:
+            assert errors == [] and expect in warnings
 
     def test_every_key_file_and_column_has_cases(self, tmp_path):
         """A config key, or an input file or column of the fixture, without a
