@@ -129,7 +129,9 @@ def cell_parameters(
     Each code is resolved once.  The frame keeps the order of ``cells``
     (``build_cells`` sorts them by zcta and code): every total computed
     from the frame is an exact sum or goes through a sort, so no output
-    byte depends on that order.
+    byte depends on that order.  chi is checked where the model prices
+    the frame (:attr:`CellFrame.params`), so a location index still reads
+    an industry whose share is 1.
     """
     codes, zctas = cells.industry_code, cells.zcta
     employed = cells.employment > 0.0
@@ -160,12 +162,10 @@ def cell_parameters(
             len(regions), ", ".join(zctas.labels[z] for z in regions),
         )
     keep = resolved & ~missing
-    frame = CellFrame(
+    return CellFrame(
         zctas[keep], Coded(industries, industry[keep]), cells.employment[keep],
         chi_of[codes.codes[keep]], density[keep],
     )
-    frame.params  # checks 0 <= chi < 1, and keeps the parameters for the later passes
-    return frame
 
 
 class DensityRegression(NamedTuple):

@@ -141,8 +141,15 @@ def run_calibration_stage(
     cfg: RunConfig, geo_stage: GeoStage
 ) -> tuple[calibrate.CalibrationReport, calibrate.CellFrame]:
     from . import calibrate
+    from .errors import DomainError, IngestionError
 
     frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver, geo_stage.densities)
+    try:  # 0 <= chi < 1, checked once and kept for the pricing passes
+        frame.params
+    except DomainError as exc:  # a share of 1: every worker of the industry communicates
+        codes = frame.industry_code
+        industry = codes.labels[codes[~(frame.chi < 1.0)].present()[0]]
+        raise IngestionError(f"{cfg.matrix}: industry {industry!r}: {exc}") from None
     report = calibrate.run_calibration(
         frame,
         target_contact_share=cfg.contact_share,

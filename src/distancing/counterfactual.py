@@ -38,6 +38,7 @@ from .model import (
     FirmParams,
     Intervention,
     Regime,
+    cap_ratio,
     compensating_subsidy,
     contacts_at_density,
     distancing_cost_ratio,
@@ -83,16 +84,15 @@ def compute_subsidies(
     """
     intervention = Intervention(contact_cap, telecom_cost)
     params = frame.params
-    # 1 where the contacts stay under the cap, those that underflow to 0 among them
-    cap_ratio = np.divide(contact_cap, nstar, out=np.ones_like(nstar), where=nstar > contact_cap)
+    ratio = cap_ratio(contact_cap, nstar)
     regime = None
     if telecom_cost is not None:
         regime, _ = preferred_regime(intervention, frame.density, eps, params, nstar)
     return replace(
         frame,
         nstar=nstar,
-        cap_ratio=cap_ratio,
-        subsidy=compensating_subsidy(cap_ratio, params),
+        cap_ratio=ratio,
+        subsidy=compensating_subsidy(ratio, params),
         regime=regime,
     )
 
@@ -205,7 +205,7 @@ def cost_ratio_curves(
     if (d <= 0.0).any():
         raise ValueError("density grid must be strictly positive")
     nstar = contacts_at_density(d, eps, params)
-    distancing = distancing_cost_ratio(contact_cap / np.maximum(nstar, contact_cap), params)
+    distancing = distancing_cost_ratio(cap_ratio(contact_cap, nstar), params)
     telecom: list[float | None] = [None] * d.size
     if telecom_cost is not None:
         valid = np.flatnonzero(telecom_viable(telecom_cost, d, eps))

@@ -16,10 +16,10 @@ pass, so that the error names the first fault.
 
 :func:`read_columns` reads short fields of a plain file (no quotes, every
 data line as wide as the header) with numpy instead, looking each distinct
-value up once per chunk of :data:`CHUNK_BYTES` (a sort of the keys, or of
-each run's first key where runs are long); on any other file, or a value
-its caller rejects, it returns None so the caller reads the file through
-the block reader, which names the fault.
+value up once per chunk of :data:`CHUNK_BYTES` (:func:`distinct` sorts
+only each run's first key, and only when those are out of order); on any
+other file, or a value its caller rejects, it returns None so the caller
+reads the file through the block reader, which names the fault.
 
 :func:`read_text_lines` reads the two inputs that are not CSV, the config
 and exclusion files: UTF-8 lines with ``#`` comments.
@@ -287,29 +287,29 @@ def _key_masks():
 
 def _looked_up(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:
     """``table`` at each of the (non-empty) ``keys``' fields, looked up once per
-    distinct key; None if a lookup raises or gives a value beyond int64.
+    distinct key (:func:`distinct`); None if a lookup raises or gives a value
+    beyond int64."""
+    unique, inverse = distinct(keys)
+    values = _values(unique, table)
+    return None if values is None else values[inverse]
 
-    A file sorted by ZCTA, then NAICS, repeats keys in runs.  When there are
-    at most a quarter as many runs as keys (the ZCTA column, whose runs are
-    its distinct keys, and the flag column), only each run's first key is
-    argsorted and matched, and its value repeated through the run.  Columns
-    of shorter runs (size bins, counts, and NAICS codes, a few rows a cell)
-    are argsorted whole.
-    """
+
+def distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for an integer column, sorting
+    only the first key of each run of equal keys, and only when those do not
+    already increase (a column in sorted order)."""
     import numpy as np
 
-    new = np.concatenate(([True], keys[1:] != keys[:-1]))
-    starts = np.flatnonzero(new) if 4 * np.count_nonzero(new) <= len(keys) else None
-    looked = keys if starts is None else keys[starts]
-    order = looked.argsort()
-    ordered = looked[order]
-    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    values = _values(ordered[first], table)
-    if values is None:
-        return None
-    column = np.empty(len(looked), np.int64)
-    column[order] = np.repeat(values, np.diff(first, append=len(looked)))
-    return column if starts is None else np.repeat(column, np.diff(starts, append=len(keys)))
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    heads = keys[starts]
+    if (heads[1:] > heads[:-1]).all():
+        unique, inverse = heads, np.arange(len(heads))
+    else:
+        unique, inverse = np.unique(heads, return_inverse=True)
+    return unique, np.repeat(inverse, np.diff(starts, append=len(keys)))
 
 
 def _values(keys: np.ndarray, table: Mapping[str, int]) -> np.ndarray | None:

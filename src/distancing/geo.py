@@ -255,17 +255,17 @@ def build_cells(
     round once each, as a correctly rounded sum per cell would.
 
     Records in (zcta, naics) order, as Census ZIP files and the benchmark
-    generator give them, become cells by one O(n) order check and their
-    run boundaries; records in any other order are sorted.  Each NAICS
-    label's covering national code is resolved once, and every distinct
-    (covering code, reported bins) pair is priced in one
-    :meth:`NationalSizeDistribution.mean_sizes` call.
+    generator give them, become cells by their run boundaries alone; in any
+    other order only each run's first key is sorted (:func:`csvio.distinct`,
+    which also finds the distinct (covering code, reported bins) pairs).
+    Each NAICS label's covering national code is resolved once, and every
+    pair is priced in one :meth:`NationalSizeDistribution.mean_sizes` call.
     """
     import numpy as np
 
     zcta_labels, naics_labels, bins = cbp.zcta.labels, cbp.naics.labels, cbp.size_bin.labels
     n_naics, n_bins = max(len(naics_labels), 1), len(bins)
-    keys, cell = _distinct(cbp.zcta.codes * n_naics + cbp.naics.codes)
+    keys, cell = csvio.distinct(cbp.zcta.codes * n_naics + cbp.naics.codes)
     zcta, naics = np.divmod(keys, n_naics)
     n = len(keys)
     withheld, reporting = cbp.suppressed, ~cbp.suppressed
@@ -295,7 +295,7 @@ def build_cells(
     covers = list(covering)
     imputing = np.flatnonzero(~bad & (suppressed > 0))
     mask = reported[imputing][:, [bins.index(b) for b in known]] @ (1 << np.arange(len(known)))
-    pairs, pair = np.unique(cover[naics[imputing]] << len(known) | mask, return_inverse=True)
+    pairs, pair = csvio.distinct(cover[naics[imputing]] << len(known) | mask)
     codes = [covers[key] for key in (pairs >> len(known)).tolist()]
     priced = np.array([code is not None for code in codes], dtype=bool)
     means = np.full(len(pairs), np.nan)
@@ -333,21 +333,6 @@ def build_cells(
     cells = Cells(Coded(zcta_labels, zcta[keep]), Coded(naics_labels, naics[keep]),
                   total[keep], fraction[keep])
     return cells, dropped
-
-
-def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(key, return_inverse=True)``; a nondecreasing ``key`` (a file
-    in (zcta, naics) order) gets it from its run boundaries, with no sort."""
-    import numpy as np
-
-    if not (key[1:] >= key[:-1]).all():
-        return np.unique(key, return_inverse=True)
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    cell = np.cumsum(first)
-    cell -= 1
-    return key[first], cell
 
 
 def exact_sum(values: np.ndarray | Iterable[float]) -> float:

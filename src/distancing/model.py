@@ -35,6 +35,7 @@ __all__ = [
     "unit_cost",
     "contacts_at_density",
     "unit_cost_at_density",
+    "cap_ratio",
     "distancing_cost_ratio",
     "telecom_viable",
     "telecom_cost_ratio",
@@ -162,6 +163,12 @@ def unit_cost_at_density(d: float, eps: float, params: FirmParams) -> float:
     return _power(d, -eps * params.chi) / params.chi
 
 
+def cap_ratio(cap: float, nstar: float) -> float:
+    """Cap over optimal contacts ``nstar``: exactly 1 where the cap does not
+    bind (``nstar <= cap``), contacts that underflow to 0 among them."""
+    return (cap / np.where(nstar > cap, nstar, cap))[()]
+
+
 def distancing_cost_ratio(cap_ratio: float, params: FirmParams) -> float:
     """Cost ratio of a capped firm to an unconstrained one.
 
@@ -237,8 +244,7 @@ def preferred_regime(
     if nstar is None:
         nstar = contacts_at_density(d, eps, params)
     binds = nstar > cap
-    # cap over max(nstar, cap): exactly 1, so a ratio of exactly 1, where the cap does not bind
-    ratio = distancing_cost_ratio(cap / np.where(binds, nstar, cap), params)
+    ratio = distancing_cost_ratio(cap_ratio(cap, nstar), params)
     regime = np.where(binds, Regime.DISTANCED, Regime.UNCONSTRAINED)
     T = intervention.telecom_cost
     if T is not None:

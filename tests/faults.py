@@ -369,6 +369,7 @@ OVERFLOWS = {  # cbp rows that, with one 1e308-worker plant per 1000+ plant unde
 TOO_FEW = (LOCATION_HEADER + "".join(f"z,{d},0,0,0,0,5\n" for d in (0.5, 1, 2, 4))).encode()
 ONE_DENSITY = (LOCATION_HEADER + "z,2,0,0,0,0,5\n" * 12).encode()
 FIG2 = ("fig2", "--chi=0.5", "--eps=0.5", "--cap=1.1")
+CHI_ONE = ("matrix.csv", "set", ("employment", "1e308", (1,)))
 
 CASES = {
     **dict(_field_cases()),
@@ -435,6 +436,13 @@ CASES = {
     "matrix.csv total overflow": _set(
         "matrix.csv", "employment", "1e308",
         "error: {path}: industry '44': total employment is not finite", rows=(1, 2)),
+    # 41-2031's 1e308 workers round 44's communication share to 1: the index
+    # reads it, and the model, which prices only shares below 1, names it
+    "matrix.csv communication share 1, index": Case(("index",), (CHI_ONE,), 0, READ),
+    **{f"matrix.csv communication share 1, {command}": Case(
+        (command,), (CHI_ONE,), 1,
+        "error: {path}: industry '44': chi must lie in [0, 1), got 1.0")
+       for command in ("calibrate", "subsidy")},
     **{f"national_sizes.csv {field} total overflow": _set(
         "national_sizes.csv", field, "1e308", "error: {path}: naics '44': total establishments "
         "or employment is beyond the float range", rows=(1, 2))

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distancing import csvio, geo
@@ -354,6 +354,72 @@ def _columns(draw):
     return labels
 
 
+@st.composite
+def _integer_columns(draw):
+    """int64 or uint64 keys from a few values, extremes among them, in runs,
+    then sorted, left in runs or shuffled; empty and one-key columns too."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    values = st.one_of(st.integers(0, 9), st.sampled_from([int(info.min), int(info.max)]),
+                       st.integers(int(info.min), int(info.max)))
+    pool = draw(st.lists(values, min_size=1, max_size=6, unique=True))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 6)), max_size=30))
+    keys = np.array([value for value, length in runs for _ in range(length)], dtype=dtype)
+    order = draw(st.sampled_from(["sorted", "runs", "shuffled"]))
+    if order == "sorted":
+        keys.sort()
+    elif order == "shuffled":
+        keys = keys[draw(st.permutations(range(len(keys))))]
+    return keys
+
+
+class TestDistinct:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @given(_integer_columns())
+    @example(np.array([], np.int64))
+    @example(np.array([], np.uint64))
+    @example(np.array([7] * 5, np.int64))
+    @example(np.array([(1 << 64) - 1], np.uint64))
+    def test_equals_np_unique(self, keys):
+        """The distinct keys, in order and of the column's dtype, and the inverse."""
+        unique, inverse = csvio.distinct(keys)
+        want_unique, want_inverse = np.unique(keys, return_inverse=True)
+        assert unique.dtype == keys.dtype
+        assert unique.tolist() == want_unique.tolist()
+        assert inverse.tolist() == want_inverse.tolist()
+
+    @pytest.mark.parametrize("keys, heads", [
+        ([], None),
+        ([4] * 9, None),
+        ([5, 5, 5, 7, 9, 9, 12], None),  # a column in sorted order
+        (list(range(40)), None),
+        ([0] * 9 + [1] * 3 + [0] * 4, [0, 1, 0]),  # a flag column
+        ([3, 3, 1, 1, 2, 2] * 20, [3, 1, 2] * 20),  # size bins in runs of two
+        ([9, 8, 7, 6], [9, 8, 7, 6]),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_sorts_only_run_heads_out_of_order(self, keys, heads, dtype):
+        """Run heads that increase are not sorted at all; any other column
+        sorts its run heads, once, and nothing else."""
+        sorted_arrays = []
+
+        class Recorded(np.ndarray):
+            def argsort(self, *args, **kwargs):
+                sorted_arrays.append(self.tolist())
+                return np.asarray(self).argsort(*args, **kwargs)
+
+            def sort(self, *args, **kwargs):
+                sorted_arrays.append(self.tolist())
+                return np.asarray(self).sort(*args, **kwargs)
+
+        column = np.array(keys, dtype=dtype)
+        unique, inverse = csvio.distinct(column.view(Recorded))
+        want_unique, want_inverse = np.unique(column, return_inverse=True)
+        assert unique.tolist() == want_unique.tolist()
+        assert inverse.tolist() == want_inverse.tolist()
+        assert sorted_arrays == ([] if heads is None else [heads])
+
+
 class TestLookedUp:
     @settings(deadline=None, derandomize=True, database=None, max_examples=400)
     @given(_columns())
@@ -372,37 +438,6 @@ class TestLookedUp:
             assert got.tolist() == want.tolist()
             assert sorted(table.looked_up) == sorted(set(labels))
         assert len(table.looked_up) == len(set(table.looked_up))
-
-    @staticmethod
-    def _argsorted(keys):
-        """The column :func:`csvio._looked_up` gives, and the length of each
-        array it argsorts on the way."""
-        lengths = []
-
-        class Recorded(np.ndarray):
-            def argsort(self, *args, **kwargs):
-                lengths.append(len(self))
-                return np.asarray(self).argsort(*args, **kwargs)
-
-        return csvio._looked_up(keys.view(Recorded), _table()), lengths
-
-    def test_long_runs_sort_only_their_first_keys(self):
-        """A sorted ZCTA-like column and a flag column in long runs: only each
-        run's first key is argsorted."""
-        for labels, runs in ((["00501"] * 50 + ["00502"] * 30 + ["00503"] * 40, 3),
-                             ((["0"] * 9 + ["1"] * 3) * 20 + ["0"] * 5, 41)):
-            keys = _keys(labels)
-            got, lengths = self._argsorted(keys)
-            assert got.tolist() == reference_looked_up(keys, _table()).tolist()
-            assert lengths == [runs]
-
-    def test_short_runs_are_sorted_whole(self):
-        """Size bins in runs of two, half as many runs as keys: every key is
-        argsorted once."""
-        keys = _keys([label for label in ["1-4", "5-9", "10-19"] * 20 for _ in range(2)])
-        got, lengths = self._argsorted(keys)
-        assert got.tolist() == reference_looked_up(keys, _table()).tolist()
-        assert lengths == [120]
 
     @pytest.mark.parametrize("fault", ["bad", "big"])
     @pytest.mark.parametrize("at", [0, 57, 119])

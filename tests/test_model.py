@@ -18,6 +18,7 @@ from distancing.model import (
     FirmParams,
     Intervention,
     Regime,
+    cap_ratio,
     compensating_subsidy,
     contacts_at_density,
     distancing_cost_ratio,
@@ -198,6 +199,19 @@ class TestDensityForms:
             n = contacts_at_density(d, eps, p)
             total = n * d ** (-eps) + n ** (-p.gamma) / p.gamma
             assert total == pytest.approx(unit_cost_at_density(d, eps, p), rel=1e-12)
+
+
+class TestCapRatio:
+    def test_cap_over_contacts_where_it_binds_else_exactly_one(self):
+        """Contacts under, at and over the cap, and contacts that underflow to 0."""
+        nstar = np.array([0.0, 5e-324, 0.5, 1.5, 1.5000000000000002, 3.0, np.inf])
+        assert cap_ratio(1.5, nstar).tolist() == [1.0, 1.0, 1.0, 1.0, 1.5 / 1.5000000000000002,
+                                                  0.5, 0.0]
+
+    def test_float_in_float_out(self):
+        for nstar, want in ((0.75, 1.0), (6.0, 0.25)):
+            got = cap_ratio(1.5, nstar)
+            assert type(got) is np.float64 and got == want
 
 
 class TestDistancingRatio:
