@@ -18,6 +18,7 @@ bound to a module attribute sees every call.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -491,6 +492,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="measure density as estimated employment per km2")
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distancing",

@@ -7,6 +7,11 @@ directory still produce identical bytes.
 
 Relative input paths, in the file or in flags, resolve against the
 working directory of the run, not against the config file's directory.
+
+A key's kind is its :class:`RunConfig` annotation: ``str | None`` an input
+path, ``str`` the output directory, ``bool``, ``int``, or ``float`` (or
+``float | None``) a number.  A test holds each pipeline command's
+``--key-name`` flags to these kinds.
 """
 
 from __future__ import annotations
@@ -24,17 +29,6 @@ from .errors import ConfigError
 # the list: hospitals (622), whose direct role in an epidemic a cost model
 # of communication does not capture.
 DEFAULT_EXCLUSIONS = ("622",)
-
-_PATH_KEYS = (
-    "occupations",
-    "matrix",
-    "cbp",
-    "density",
-    "national_sizes",
-    "exclusions",
-    "region_groups",
-    "industry_names",
-)
 
 
 @dataclass
@@ -65,6 +59,8 @@ class RunConfig:
 # Fields that affect results, in declaration (hash) order.  output_dir is
 # excluded on purpose: it changes no output byte.
 _HASH_KEYS = tuple(f.name for f in fields(RunConfig) if f.name != "output_dir")
+# Each key's kind: its annotation, a string under postponed evaluation.
+_KINDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -105,16 +101,17 @@ def resolve_config(
 
 
 def _coerce(key: str, raw: str):
-    if key in _PATH_KEYS or key == "output_dir":
+    kind = _KINDS[key]
+    if kind in ("str | None", "str"):  # an input path or the output directory
         return raw
-    if key in ("lenient", "employment_density"):
+    if kind == "bool":
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
-    if key in ("face_to_face_level", "proximity_level"):
+    if kind == "int":
         try:
             return int(raw)
         except ValueError:
@@ -145,9 +142,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"telecom_cost must be positive, got {cfg.telecom_cost!r}")
     if cfg.open_bin_mean <= 0.0:
         raise ConfigError(f"open_bin_mean must be positive, got {cfg.open_bin_mean!r}")
-    for key in _PATH_KEYS:
+    for key, kind in _KINDS.items():
         value = getattr(cfg, key)
-        if value is not None and not Path(value).is_file():
+        if kind == "str | None" and value is not None and not Path(value).is_file():
             raise ConfigError(f"input file for {key!r} does not exist: {value}")
 
 

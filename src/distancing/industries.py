@@ -17,11 +17,9 @@ from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 from . import csvio
 from .errors import IngestionError
-from .occupations import ExposureFlags
+from .occupations import GROUPS, ExposureFlags
 
 logger = logging.getLogger(__name__)
-
-GROUPS = ("teamwork", "customer", "communication", "presence")
 
 Entry = TypeVar("Entry")
 
@@ -92,7 +90,7 @@ def build_mix(
         unknown.update(soc for soc in shares if soc not in flags)
         chi = {
             group: exact_sum(share for soc, share in shares.items()
-                             if soc in flags and flags[soc].group(group))
+                             if soc in flags and getattr(flags[soc], group))
             for group in GROUPS
         }
         report.mixes.append(

@@ -114,6 +114,10 @@ class OccupationProfile:
                 )
 
 
+# The exposure groups, each an attribute of ExposureFlags, in output column order.
+GROUPS = ("teamwork", "customer", "communication", "presence")
+
+
 @dataclass(frozen=True)
 class ExposureFlags:
     """The three classifications; ``communication`` is their teamwork-or-customer union."""
@@ -125,9 +129,6 @@ class ExposureFlags:
     @property
     def communication(self) -> bool:
         return self.teamwork or self.customer
-
-    def group(self, name: str) -> bool:
-        return getattr(self, name)
 
 
 def composite_index(profile: OccupationProfile, component_tasks: Sequence[str]) -> float:
@@ -217,10 +218,7 @@ def classify_all(
         flags[profile.soc_code] = ExposureFlags(*values)
     flags = dict(sorted(flags.items()))
 
-    counts = {
-        group: sum(1 for f in flags.values() if f.group(group))
-        for group in ("teamwork", "customer", "communication", "presence")
-    }
+    counts = {group: sum(1 for f in flags.values() if getattr(f, group)) for group in GROUPS}
     logger.info(
         "classified %d occupations: teamwork=%d customer=%d communication=%d presence=%d",
         len(flags), counts["teamwork"], counts["customer"],

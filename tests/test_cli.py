@@ -1,8 +1,8 @@
 """Subcommand behavior: outputs, exit codes, overrides, determinism."""
 
+import argparse
 import csv
 import dataclasses
-import functools
 import gc
 import importlib
 import logging
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import faults
-from distancing import cli
 from distancing.cli import (
     _drop_excluded_cells,
     _pct,
@@ -26,7 +25,7 @@ from distancing.cli import (
     run_geo_stage,
     run_index_stage,
 )
-from distancing.config import RunConfig, config_hash, resolve_config
+from distancing.config import RunConfig, config_hash, load_config_file, resolve_config
 from e2efixture import CBP, DENSITY, hand_expectations, write_config, write_inputs
 from faults import write_location_index
 from frames import cells_of
@@ -450,7 +449,53 @@ class TestCollectorPolicy:
         assert snapshot(other) == snapshot(out)
 
 
+# The kinds of RunConfig annotation the config reads, each with its values' type.
+KINDS = {"str | None": str, "str": str, "bool": bool, "int": int,
+         "float": float, "float | None": float}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("command", ["index", "calibrate", "subsidy", "lowess"])
+    def test_every_key_has_one_flag_of_its_kind(self, command):
+        """All keys can also be passed as ``--key-name`` flags: one flag per key,
+        unset unless given, so that a flag overrides the file only when given."""
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        actions = {}
+        for action in parser._actions:
+            actions.setdefault(action.dest, []).append(action)
+        for field in dataclasses.fields(RunConfig):
+            [action] = actions.pop(field.name)
+            kind = KINDS[field.type]
+            assert action.option_strings == ["--" + field.name.replace("_", "-")]
+            assert action.default is None, field.name
+            if kind is bool:
+                assert isinstance(action, argparse._StoreConstAction), field.name
+                assert action.const is True, field.name
+            else:
+                assert type(action) is argparse._StoreAction, field.name
+                assert action.type is (None if kind is str else kind), field.name
+        own = {"input", "bandwidth"} if command == "lowess" else set()
+        assert set(actions) == {"help", "config", *own}
+
+    def test_every_default_reads_back_from_a_config_file(self, tmp_path):
+        """Each key's default, written as text, reads back as itself, with the
+        type its annotation names; an unset input is an existing file and an
+        unset number a number."""
+        expected = {}
+        for field in dataclasses.fields(RunConfig):
+            assert field.type in KINDS, field.name  # a kind the config reads
+            value = getattr(RunConfig(), field.name)
+            if value is None and KINDS[field.type] is str:
+                value = str(tmp_path / field.name)
+                Path(value).touch()
+            expected[field.name] = 0.25 if value is None else value
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in expected.items()))
+        read = dataclasses.asdict(resolve_config(load_config_file(config)))
+        assert read == expected
+        assert {key: type(value) for key, value in read.items()} == {
+            field.name: KINDS[field.type] for field in dataclasses.fields(RunConfig)}
+
     def test_blank_comment_and_boolean_lines_read_as_the_flags(self, fixture_config, tmp_path):
         config, out = fixture_config
         lines = config.read_text().splitlines()
@@ -523,18 +568,15 @@ class TestInputContract:
     @pytest.fixture(scope="class")
     def shared(self, tmp_path_factory):
         """The fixture each case reads but for what it edits, and the outputs of a
-        clean run of each command; one parser serves every run, since building
-        it takes longer than most runs."""
+        clean run of each command."""
         shared, clean = tmp_path_factory.mktemp("shared"), {}
         faults.write_fixture(shared, shared / "out")
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "build_parser", functools.cache(build_parser))
-            for argv in {case.argv for case in faults.CASES.values() if case.code == 0}:
-                names = faults.case_fixture(faults.Case(argv, (), 0, faults.SAME), shared,
-                                            shared.parent / f"clean-{len(clean)}")
-                assert main(_argv(argv, names)) == 0
-                clean[argv] = _outputs(names["out"])
-            yield shared, clean
+        for argv in {case.argv for case in faults.CASES.values() if case.code == 0}:
+            names = faults.case_fixture(faults.Case(argv, (), 0, faults.SAME), shared,
+                                        shared.parent / f"clean-{len(clean)}")
+            assert main(_argv(argv, names)) == 0
+            clean[argv] = _outputs(names["out"])
+        yield shared, clean
         assert not (shared / "out").exists()
 
     @pytest.mark.parametrize("name", list(faults.CASES))
