@@ -60,9 +60,11 @@ _SLOPE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CellFrame(Columns):
-    """The (region, industry) cells the model prices, one column per field.
+    """The cells the model prices, one column per field.
 
-    ``industry_code`` is each cell's resolved industry and ``chi`` its
+    A row is a (ZCTA, NAICS code) cell that carries its resolved industry,
+    so several rows can share one (ZCTA, industry); ROADMAP item 3 would
+    price the pairs.  ``industry_code`` is that industry and ``chi`` its
     communication cost share, from which :attr:`params` derives gamma; the
     numeric columns are float64 arrays, the two code columns
     :class:`~distancing.geo.Coded`.  :func:`cell_parameters` fills the

@@ -9,8 +9,9 @@ config error.
 leaves the interpreter's state alone, so tests and tools call it in their
 own process.  At module level this file imports only what parsing needs;
 every layer, the config, ``logging`` and numpy load inside the functions
-that use them.  So ``--version``, ``--help`` and usage errors exit before
-any layer loads, and each command loads only the layers it runs.  Layer
+that use them.  So ``--version`` (which the benchmark's ``setup_s``
+times), ``--help`` and usage errors exit before any layer loads, and each
+command loads only the layers it runs, after its usage checks.  Layer
 calls stay qualified by their module (``geo.build_cells``), so a wrapper
 bound to a module attribute sees every call.
 """
@@ -94,12 +95,12 @@ _LOCATION_KEYS = ("cbp", "density", "national_sizes")
 def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     """Establishment cells and normalized densities.  Every cell left after the
     exclusions weights the density mean, cells of codes no mix covers too."""
-    from . import geo, industries
+    from . import industries
     from .config import require
     from .errors import IngestionError
 
     require(cfg, *_LOCATION_KEYS)
-    import numpy  # noqa: F401  (the stage works on numpy columns from the read on)
+    from . import geo
 
     national = geo.NationalSizeDistribution.from_csv(cfg.national_sizes)
     cbp = geo.read_cbp_csv(cfg.cbp)
@@ -348,7 +349,7 @@ def cmd_lowess(args: argparse.Namespace) -> int:
     from math import log
     from pathlib import Path
 
-    from . import csvio, geo
+    from . import csvio
     from .errors import ConfigError, IngestionError
     from .industries import GROUPS
 
@@ -359,10 +360,10 @@ def cmd_lowess(args: argparse.Namespace) -> int:
         raise ConfigError(f"location index not found: {source} (run 'index' first or pass --input)")
     if not 0.0 < args.bandwidth <= 1.0:
         raise ConfigError(f"--bandwidth must lie in (0, 1], got {args.bandwidth}")
+    from . import geo
+
     density, weights, *y = geo.read_location_index_csv(source)
     x = list(map(log, density))
-    import numpy  # noqa: F401  (loaded here, so the smoother's time is the fit's)
-
     try:  # too few points, or a single density
         grid, curves = geo.lowess_curve(x, y, weights, bandwidth=args.bandwidth)
     except ValueError as exc:

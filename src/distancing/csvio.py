@@ -27,6 +27,10 @@ and exclusion files: UTF-8 lines with ``#`` comments.
 All pipeline outputs are UTF-8 CSVs with LF line endings, a leading
 ``#`` provenance comment, and floats rendered with ``repr`` (the
 shortest round-trip form), so identical runs produce identical bytes.
+
+numpy is imported by the functions that use it, not at load: the config
+and the occupation and industry indexes read through this module and run
+without numpy.
 """
 
 from __future__ import annotations

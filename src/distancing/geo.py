@@ -13,10 +13,11 @@ bin labels into :class:`Coded` integer columns as it streams: a plain
 file through :func:`csvio.read_columns`, which hands each distinct field
 of a chunk to this module's tables once, any other file through the
 block reader, a field at a time per block of rows; here lives only what
-a CBP value means.  :func:`build_cells` prices whole columns with numpy
-(imported by the functions that use it, so importing the package does
-not load it), and imputes once per covering national code and set of
-reported bins, not per cell.
+a CBP value means.  :func:`build_cells` prices whole columns with numpy,
+imported at load: :mod:`~distancing.industries` imports nothing from
+here, so ``index`` without establishment inputs loads neither this
+module nor numpy.  It imputes once per covering national code and set
+of reported bins, not per cell.
 
 Every employment-weighted total is an :func:`exact_sum`, or per group a
 :func:`group_totals`: ``math.fsum``'s correctly rounded bits, so no total
@@ -40,14 +41,13 @@ from itertools import repeat
 from math import fsum
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import csvio
 from .errors import IngestionError
 from .industries import GROUPS, CodeTable, IndustryMix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -86,8 +86,6 @@ class Coded:
     @classmethod
     def from_codes(cls, labels: list[str], codes) -> Coded:
         """Recode ``codes``, given into ``labels`` in any order, into sorted labels."""
-        import numpy as np
-
         order = sorted(range(len(labels)), key=labels.__getitem__)
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
@@ -104,8 +102,6 @@ class Coded:
 
     def present(self) -> list[int]:
         """The codes that occur, ascending."""
-        import numpy as np
-
         # bincount, not np.unique: a plain np.unique imports all of numpy.ma
         return np.flatnonzero(np.bincount(self.codes)).tolist()
 
@@ -207,8 +203,6 @@ class NationalSizeDistribution:
         employment are :func:`_group_sums` totals, over the pairs' bins and
         over their codes' whole distributions.
         """
-        import numpy as np
-
         rows: dict[str, int] = {}
         row = np.array([rows.setdefault(code, len(rows)) for code in naics], dtype=np.intp)
         tables = [self.codes.resolve(code) or {} for code in rows]
@@ -261,8 +255,6 @@ def build_cells(
     Each NAICS label's covering national code is resolved once, and every
     pair is priced in one :meth:`NationalSizeDistribution.mean_sizes` call.
     """
-    import numpy as np
-
     zcta_labels, naics_labels, bins = cbp.zcta.labels, cbp.naics.labels, cbp.size_bin.labels
     n_naics, n_bins = max(len(naics_labels), 1), len(bins)
     keys, cell = csvio.distinct(cbp.zcta.codes * n_naics + cbp.naics.codes)
@@ -346,8 +338,6 @@ def exact_sum(values: np.ndarray | Iterable[float]) -> float:
     """
     if not hasattr(values, "tolist"):
         return _fsum(values)
-    import numpy as np
-
     values = np.asarray(values, dtype=float)
     return float(_group_sums(values, np.zeros(1, np.intp))[0]) if len(values) else 0.0
 
@@ -395,8 +385,6 @@ def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     non-finite terms, a running sum that fails the check or reaches
     2**1000) goes to ``fsum`` on its own slice.
     """
-    import numpy as np
-
     n = len(values)
     if not n:
         return np.zeros(0)
@@ -446,8 +434,6 @@ def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _row_sums(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per row ``i``, :func:`exact_sum` of ``matrix[i][mask[i]]`` (0.0 where empty)."""
-    import numpy as np
-
     counts = mask.sum(axis=1)
     filled = counts > 0
     totals = np.zeros(len(mask))
@@ -472,8 +458,6 @@ def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[lis
     Other rows are sorted as the narrowest unsigned codes that hold every
     label, which numpy's stable sort radix-sorts up to 16 bits.
     """
-    import numpy as np
-
     codes = keys.codes
     if (codes[1:] < codes[:-1]).any():
         order = np.argsort(codes.astype(np.min_scalar_type(len(keys.labels))), kind="stable")
@@ -550,8 +534,6 @@ def location_exposure(frame, mixes: Iterable[IndustryMix]) -> dict[str, tuple[fl
     all have employment, and ``mixes`` give its industries' chi values.
     Splitting a cell into same-industry parts leaves the shares unchanged.
     """
-    import numpy as np
-
     chi = {mix.industry_code: [mix.chi[g] for g in GROUPS] for mix in mixes}
     by_industry = np.array([chi[code] for code in frame.industry_code.labels], dtype=float)
     cell_chi = by_industry.reshape(-1, len(GROUPS))[frame.industry_code.codes]
@@ -591,8 +573,6 @@ def lowess_curve(
 
     Requires at least 10 points and bandwidth in (0, 1].
     """
-    import numpy as np  # only the smoothing needs numpy; keep it off the import path
-
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
     n = xs.size
@@ -656,8 +636,6 @@ def lowess_curve(
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    import numpy as np
-
     total = weights.sum()
     if total <= 0.0:
         return float(values.mean())
@@ -723,8 +701,6 @@ def read_cbp_csv(path: str | Path) -> CbpColumns:
     is read (again) by the block reader, so every error is the block
     reader's.
     """
-    import numpy as np
-
     tables = _cbp_tables()
     columns = csvio.read_columns(path, _CBP_FIELDS, ["suppressed"], tables)
     if columns is None:
@@ -742,8 +718,6 @@ def read_cbp_csv(path: str | Path) -> CbpColumns:
 def _read_cbp_blocks(path, tables: list[dict]) -> list:
     """``read_cbp_csv``'s columns through the block reader: each block of rows
     extends ``array`` columns a whole field at a time."""
-    import numpy as np
-
     header, blocks = csvio.read_blocks(path, _CBP_FIELDS)
     fields = [header.index(name) for name in (*_CBP_FIELDS, "suppressed") if name in header]
     columns = [array("q") for _ in fields]

@@ -5,13 +5,16 @@ occupation flags to give the fraction of workers in each exposure group
 (chi).  Occupation shares are assumed not to vary across locations, so
 these industry shares can later be attached to any region where the
 industry operates.
+
+:mod:`~distancing.geo` builds on this module, not the other way round,
+so the occupation and industry indexes load neither ``geo`` nor numpy.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import isfinite
+from math import fsum, inf, isfinite
 from pathlib import Path
 from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
@@ -26,11 +29,10 @@ Entry = TypeVar("Entry")
 
 @dataclass
 class IndustryMix:
-    """One industry's occupation shares and per-group exposure fractions."""
+    """One industry's per-group exposure fractions."""
 
     industry_code: str
     name: str
-    shares: dict[str, float]
     chi: dict[str, float]
 
 
@@ -60,47 +62,38 @@ def build_mix(
     repeated (industry, occupation) pairs are summed; a code that
     ``names`` (which may be None) lacks is its own name.  Negative employment
     is rejected, and so is an industry total that is not finite (a value
-    that is not, or a sum beyond the float range).
+    that is not, or a sum beyond the float range).  Every sum is
+    ``math.fsum``'s, so no result depends on the order of the rows.
     """
-    from .geo import exact_sum  # not at module level: geo imports this module
-
     names = names or {}
-    employment: dict[str, dict[str, float]] = {}
+    employment: dict[str, dict[str, list[float]]] = {}
     for industry_code, soc_code, emp in matrix_rows:
         if emp < 0:
             raise IngestionError(
                 f"negative employment {emp!r} for industry {industry_code!r}, "
                 f"occupation {soc_code!r}"
             )
-        cell = employment.setdefault(industry_code, {})
-        cell[soc_code] = cell.get(soc_code, 0.0) + float(emp)
+        employment.setdefault(industry_code, {}).setdefault(soc_code, []).append(float(emp))
 
     report = MixBuildReport()
     unknown: set[str] = set()
     for industry_code in sorted(employment):
-        occs = employment[industry_code]
-        total = exact_sum(occs[soc] for soc in sorted(occs))
+        occs = {soc: _total(terms) for soc, terms in sorted(employment[industry_code].items())}
+        total = _total(occs.values())
         if not isfinite(total):
             raise IngestionError(f"industry {industry_code!r}: total employment is not finite")
         if total <= 0.0:
             logger.warning("industry %s has zero employment; skipped", industry_code)
             report.skipped_industries.append(industry_code)
             continue
-        shares = {soc: occs[soc] / total for soc in sorted(occs)}
+        shares = {soc: emp / total for soc, emp in occs.items()}
         unknown.update(soc for soc in shares if soc not in flags)
         chi = {
-            group: exact_sum(share for soc, share in shares.items()
-                             if soc in flags and getattr(flags[soc], group))
+            group: fsum(share for soc, share in shares.items()
+                        if soc in flags and getattr(flags[soc], group))
             for group in GROUPS
         }
-        report.mixes.append(
-            IndustryMix(
-                industry_code=industry_code,
-                name=names.get(industry_code, industry_code),
-                shares=shares,
-                chi=chi,
-            )
-        )
+        report.mixes.append(IndustryMix(industry_code, names.get(industry_code, industry_code), chi))
     report.unknown_socs = sorted(unknown)
     if report.unknown_socs:
         logger.warning(
@@ -109,6 +102,15 @@ def build_mix(
             len(report.unknown_socs), ", ".join(report.unknown_socs),
         )
     return report
+
+
+def _total(values: Iterable[float]) -> float:
+    """``math.fsum``, but ``inf`` where finite terms overflow, as ``geo.exact_sum``
+    gives it (``geo`` imports this module, so it cannot be imported here)."""
+    try:
+        return fsum(values)
+    except OverflowError:
+        return inf
 
 
 def exclusion_prefixes(exclusions: Iterable[str]) -> tuple[str, ...]:

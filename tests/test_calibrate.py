@@ -314,7 +314,7 @@ class TestCapSort:
 
 def _mix(code, comm):
     return IndustryMix(
-        industry_code=code, name=code, shares={},
+        industry_code=code, name=code,
         chi={"teamwork": 0.0, "customer": comm, "communication": comm, "presence": 0.0},
     )
 

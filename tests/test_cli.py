@@ -674,6 +674,13 @@ def _assert_parsing_only(modules):
         line.rsplit("|", 1)[1].strip() for line in bare.splitlines()}
 
 
+def _index_only_args(command, tmp_path):
+    """``command`` with only the occupation and matrix inputs, writing to ``tmp_path/out``."""
+    paths = write_inputs(tmp_path / "in")
+    return [command, "--occupations", str(paths["occupations"]), "--matrix",
+            str(paths["matrix"]), "--output-dir", str(tmp_path / "out")]
+
+
 class TestImportCost:
     """Each command loads only the layers it runs: parsing needs none of them,
     numpy loads only where it is used (establishment cells, calibration,
@@ -715,6 +722,24 @@ class TestImportCost:
             ["lowess", "--config", str(config), "--input", str(source)], out.parent)
         assert code == 0 and "distancing.geo" in modules
         assert not modules & set(DEFERRED_LAYERS)
+
+    def test_index_without_establishment_inputs_loads_neither_numpy_nor_geo(self, tmp_path):
+        code, modules = _imported_modules(_index_only_args("index", tmp_path), tmp_path)
+        assert code == 0 and "distancing.industries" in modules
+        assert not modules & {"numpy", "distancing.geo"}
+        assert (tmp_path / "out" / "industry-index.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["calibrate", "lowess"])
+    def test_usage_errors_after_the_index_load_no_numpy(self, tmp_path, command):
+        # calibrate names its missing location keys; lowess its bandwidth
+        args = _index_only_args(command, tmp_path)
+        if command == "lowess":
+            source = tmp_path / "location-index.csv"
+            write_location_index(source)
+            args += ["--input", str(source), "--bandwidth", "0"]
+        code, modules = _imported_modules(args, tmp_path)
+        assert code == 2 and "distancing.config" in modules
+        assert "numpy" not in modules
 
     def test_fig2_loads_none_of_the_ingest_layers(self, tmp_path):
         code, modules = _imported_modules(

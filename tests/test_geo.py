@@ -866,7 +866,6 @@ def _mix(code, chi_comm, chi_presence=0.0):
     return IndustryMix(
         industry_code=code,
         name=code,
-        shares={},
         chi={
             "teamwork": 0.0,
             "customer": chi_comm,

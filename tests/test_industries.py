@@ -1,5 +1,7 @@
 """Industry mix construction, exclusion, and code resolution."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,17 +97,21 @@ class TestBuildMix:
         with pytest.raises(IngestionError):
             build_mix([("44", "41-2031", -1.0)], FLAGS, None)
 
-    def test_shares_sum_to_one(self):
-        rows = [("44", s, w) for s, w in [("41-2031", 1.7), ("43-9061", 2.9), ("29-1141", 0.4)]]
-        mix = build_mix(rows, FLAGS, None).mixes[0]
-        assert sum(mix.shares.values()) == pytest.approx(1.0, abs=1e-9)
+    def test_repeated_pairs_sum_in_any_row_order(self):
+        # added in file order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit
+        rows = [("44", "11-1011", 0.1), ("44", "11-1011", 0.2), ("44", "11-1011", 0.3),
+                ("44", "43-9061", 1.0)]
+        results = {tuple(build_mix(order, FLAGS, None).mixes[0].chi.items())
+                   for order in itertools.permutations(rows)}
+        assert len(results) == 1
+        (chi,) = results
+        assert dict(chi)["teamwork"] == pytest.approx(0.375)
 
 
 def mix_with(code, comm, name=None):
     return IndustryMix(
         industry_code=code,
         name=name or code,
-        shares={},
         chi={"teamwork": 0.0, "customer": comm, "communication": comm, "presence": 0.0},
     )
 
