@@ -18,8 +18,8 @@ returned N once: that value guards the result and is the reported share.
 The cells travel as one :class:`CellFrame`, a column per field, so both
 solves are array expressions over the frame; the cap solve takes the
 contacts and employment columns as two arrays.  Every total is a
-:func:`~distancing.geo.exact_sum` (``math.fsum``'s bits from the
-:mod:`~distancing.geo` module's whole-array kernel) and the cap's running
+:func:`~distancing.exact.exact_sum` (``math.fsum``'s bits from the
+:mod:`~distancing.exact` module's whole-array kernel) and the cap's running
 sums add left to right in sorted order, so no result depends on the order
 of the cells.
 The result is one :class:`CalibrationReport`: eps and the cap with their
@@ -48,7 +48,8 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import CalibrationError
-from .geo import Cells, Coded, Columns, exact_sum
+from .exact import exact_sum
+from .geo import Cells, Coded, Columns
 from .industries import MixResolver
 from .model import FirmParams, contacts_at_density
 

@@ -251,7 +251,7 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     import numpy as np
 
     from . import counterfactual
-    from .geo import exact_sum
+    from .exact import exact_sum
     from .model import FirmParams
 
     mean_chi = exact_sum(frame.employment * frame.chi) / report.employment

@@ -7,9 +7,9 @@ once, over the frame's columns, on the optimal contacts and firm
 parameters that the calibration already computed for the frame.
 Cells are then aggregated to employment-weighted sector and location
 tables and one overall average (:func:`overall`).  Every total is a
-:func:`~distancing.geo.exact_sum` or, per group, a
+:func:`~distancing.exact.exact_sum` or, per group, a
 :func:`~distancing.geo.group_totals`: ``math.fsum``'s bits from the
-:mod:`~distancing.geo` module's whole-array kernel.  The ZCTA tables are
+:mod:`~distancing.exact` module's whole-array kernel.  The ZCTA tables are
 summed in place because frames come in ZCTA order, and the overall
 average divides by the employment total that the calibration already
 summed.
@@ -19,10 +19,10 @@ are compared across densities.  The curves price the whole density grid
 in one array call per curve, and all regime switches are bisected
 together, one array call per step.
 
-At load time the module imports only numpy, the model and the error
-types: ``geo`` loads in the table functions and ``calibrate`` is needed
-for annotations only, so the standalone cost-ratio curves (``fig2``) run
-without the ingest layers.
+At load time the module imports only numpy, the model, the error types
+and :mod:`~distancing.exact`: ``geo`` loads in the table functions and
+``calibrate`` is needed for annotations only, so the standalone
+cost-ratio curves (``fig2``) run without the ingest layers.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .errors import CalibrationError
+from .exact import exact_sum
 from .model import (
     FirmParams,
     Intervention,
@@ -118,8 +119,6 @@ def overall(results: CellFrame, employment: float) -> AggRow:
     :attr:`~distancing.calibrate.CalibrationReport.employment` carries.
     Reports append the row to the sector table as the average row.
     """
-    from .geo import exact_sum
-
     if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
     weighted = exact_sum(results.subsidy * results.employment)

@@ -19,14 +19,8 @@ here, so ``index`` without establishment inputs loads neither this
 module nor numpy.  It imputes once per covering national code and set
 of reported bins, not per cell.
 
-Every employment-weighted total is an :func:`exact_sum`, or per group a
-:func:`group_totals`: ``math.fsum``'s correctly rounded bits, so no total
-depends on the order of its terms.  One whole-array kernel,
-:func:`_group_sums`, computes them all: a running sum and the exact
-rounding error of each of its steps, and per group the difference of its
-end and start running sums plus its errors, accepted where a rounding
-certificate proves the result correctly rounded; any other group is
-summed by ``fsum`` on its own slice.
+Every employment-weighted total is an exact sum (:mod:`~distancing.exact`),
+alone or per group (:func:`group_totals`), so none depends on row order.
 """
 
 from __future__ import annotations
@@ -38,7 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import repeat
-from math import fsum
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -47,6 +40,7 @@ import numpy as np
 
 from . import csvio
 from .errors import IngestionError
+from .exact import _group_sums, _row_sums, exact_sum
 from .industries import GROUPS, CodeTable, IndustryMix
 
 logger = logging.getLogger(__name__)
@@ -268,7 +262,9 @@ def build_cells(
     reported = reported.reshape(n, n_bins)
     suppressed = np.bincount(cell[withheld], cbp.establishments[withheld], n)
 
-    employment = counts @ np.array([DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
+    # einsum, not ``@`` (BLAS) nor a product then a sum (a cells x bins temporary):
+    # products and sums are multiples of 1/2, so exact in any order below 2**52
+    employment = np.einsum("ij,j->i", counts, [DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
     known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
     unknown = [j for j, b in enumerate(bins) if b not in known]
     # a bin no row reports gets exactly 0 from ``bincount``, so a negative count
@@ -327,131 +323,10 @@ def build_cells(
     return cells, dropped
 
 
-def exact_sum(values: np.ndarray | Iterable[float]) -> float:
-    """``math.fsum`` of a float array or of an iterable.
-
-    The total is correctly rounded (Shewchuk 1997), so it does not depend
-    on the order of the terms.  Finite terms that overflow give ``inf``
-    instead of ``OverflowError``; inf and NaN terms act as in ``fsum``.
-    An array is one group of the module's kernel, :func:`_group_sums`; an
-    iterable goes to ``fsum`` itself.
-    """
-    if not hasattr(values, "tolist"):
-        return _fsum(values)
-    values = np.asarray(values, dtype=float)
-    return float(_group_sums(values, np.zeros(1, np.intp))[0]) if len(values) else 0.0
-
-
-def _fsum(values: Iterable[float]) -> float:
-    try:
-        return fsum(values)
-    except OverflowError:
-        return math.inf
-
-
-# The kernel takes running sums below 2**1000 in magnitude, so no step of
-# it overflows and ``fsum`` meets no intermediate overflow in any group;
-# and totals from 2**-900 up, so the rounding certificate's bound cannot
-# underflow by enough to matter.
-_RUNNING_MAX = 2.0 ** 1000
-_TOTAL_MIN = 2.0 ** -900
-
-
-def _group_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``fsum`` of each group ``values[starts[i]:starts[i + 1]]`` (the last to
-    the end), as :func:`exact_sum` gives it; ``starts`` strictly increase from 0.
-
-    The kernel (Ogita, Rump and Oishi 2005): one running sum over the whole
-    array, ``np.cumsum``, checked step by step against ``before + value``,
-    and each step's exact rounding error by TwoSum, so ``value == after -
-    before + error`` exactly.  A group's exact total is then the TwoSum
-    difference (hi, lo) of its end and start running sums plus the sum of
-    its errors, which ``np.add.reduceat`` adds with an error of at most
-    about ``size * 2**-53`` times the sum of their magnitudes.  With
-    ``tail = lo + errors`` and ``total, rest = TwoSum(hi, tail)``, ``total``
-    is the correctly rounded sum when either certificate holds:
-
-    - ``|rest|`` plus that bound lies strictly inside half of the smaller
-      gap between ``total`` and its neighbours;
-    - or nothing was rounded but ``hi + tail`` itself, which IEEE rounds
-      correctly, ties to even as ``fsum`` does: ``tail`` is exact, and the
-      errors add exactly, because each is a multiple of the smaller
-      quantum of its step's two operands and their magnitudes add up to
-      less than 2**52 times the smallest such quantum.  This one is checked
-      only for groups the first leaves, which are mostly exact ties.
-
-    One- and two-term groups are summed as IEEE adds them, which rounds
-    correctly.  Every other group (totals that are zero or below 2**-900,
-    non-finite terms, a running sum that fails the check or reaches
-    2**1000) goes to ``fsum`` on its own slice.
-    """
-    n = len(values)
-    if not n:
-        return np.zeros(0)
-    ends = np.append(starts[1:], n)
-    size = ends - starts
-    total = np.empty(len(starts))
-    accepted = np.zeros(len(starts), dtype=bool)
-    running = np.zeros(n + 1)
-    before, after = running[:-1], running[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumsum(values, out=after)
-        step = np.add(before, values)
-        exact_steps = np.array_equal(step, after)
-    if exact_steps and -_RUNNING_MAX < running.min() and running.max() < _RUNNING_MAX:
-        np.subtract(after, before, out=step)
-        error = after - step
-        np.subtract(before, error, out=error)
-        np.subtract(values, step, out=step)
-        error += step
-        errors = np.add.reduceat(error, starts)
-        magnitude = np.add.reduceat(np.abs(error, out=step), starts)
-        hi, lo = _two_sum(running[ends], -running[starts])
-        tail, tail_error = _two_sum(lo, errors)
-        total, rest = _two_sum(hi, tail)
-        # 2**-51 covers the reduceat bound (under 1.01 * size * 2**-53 for
-        # groups below 2**40 terms), tail's own rounding, and this line's
-        bound = (size * magnitude + np.abs(tail)) * 2.0 ** -51
-        one, two = size == 1, size == 2
-        total[one] = values[starts[one]]
-        total[two] = values[starts[two]] + values[starts[two] + 1]
-        absolute = np.abs(total)
-        half_gap = (absolute - np.nextafter(absolute, 0.0)) / 2
-        accepted = (one | two | (np.abs(rest) + bound < half_gap)) & (absolute >= _TOTAL_MIN)
-        exact = np.flatnonzero(~accepted & (size > 2) & (absolute >= _TOTAL_MIN)
-                               & (tail_error == 0.0))
-        if exact.size:
-            lengths = size[exact]
-            first = np.cumsum(lengths) - lengths
-            at = np.arange(first[-1] + lengths[-1]) + np.repeat(starts[exact] - first, lengths)
-            quantum = np.minimum(np.spacing(np.abs(values[at])), np.spacing(np.abs(before[at])))
-            quantum[error[at] == 0.0] = np.inf  # an exact step constrains nothing
-            accepted[exact] = magnitude[exact] < 2.0 ** 52 * np.minimum.reduceat(quantum, first)
-    for i in np.flatnonzero(~accepted).tolist():
-        total[i] = _fsum(values[starts[i]:ends[i]].tolist())
-    return total
-
-
-def _row_sums(matrix: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per row ``i``, :func:`exact_sum` of ``matrix[i][mask[i]]`` (0.0 where empty)."""
-    counts = mask.sum(axis=1)
-    filled = counts > 0
-    totals = np.zeros(len(mask))
-    totals[filled] = _group_sums(matrix[mask], (np.cumsum(counts) - counts)[filled])
-    return totals
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``s = a + b`` and its exact rounding error ``a + b - s`` (Knuth's TwoSum)."""
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
 def group_totals(keys: Coded, *columns: np.ndarray) -> tuple[list[str], list[list[float]]]:
     """The keys that occur, sorted, and per column each key's :func:`exact_sum`.
 
-    Each column's groups are summed in one call of the module's kernel,
+    Each column's groups are summed in one call of the exact kernel,
     :func:`_group_sums`, with ``exact_sum``'s overflow rule.  Rows
     already in key order (frames keep ``build_cells``' zcta order) are
     summed in place: one O(n) check replaces the sort and the gathers.
@@ -512,15 +387,11 @@ def normalize_density(
             continue
         raw[zcta] = density
 
-    weighted = [
-        (weights[zcta] * raw[zcta], weights[zcta])
-        for zcta in sorted(raw)
-        if weights.get(zcta, 0.0) > 0.0
-    ]
-    total_weight = exact_sum(w for _, w in weighted)
+    employed = [zcta for zcta in raw if weights.get(zcta, 0.0) > 0.0]
+    total_weight = exact_sum(weights[zcta] for zcta in employed)
     if total_weight <= 0.0:
         raise IngestionError("no employment overlaps the density data; cannot normalize")
-    mean = exact_sum(wd for wd, _ in weighted) / total_weight
+    mean = exact_sum(weights[zcta] * raw[zcta] for zcta in employed) / total_weight
     if not math.isfinite(mean):
         raise IngestionError("the employment-weighted mean density is not finite; "
                              "cannot normalize")
@@ -617,18 +488,20 @@ def lowess_curve(
             nearest = dist == dist.min()
             fitted[:, j] = [_weighted_mean(s[nearest], ws[nearest]) for s in series]
             continue
-        sx = float(np.dot(omega, dx))
-        sxx = float(np.dot(omega, dx * dx))
+        # sums of products, not ``np.dot``: numpy hands a float dot to BLAS,
+        # whose order of additions follows its CPU kernel
+        sx = float((omega * dx).sum())
+        sxx = float((omega * (dx * dx)).sum())
         var = sxx - sx * sx / total
         flat = var <= 1e-12 * h * h
-        # one 1-D dot per series, as a single-series fit makes: a matrix
-        # product may add in another order
+        # one 1-D sum per series, as a single-series fit makes: a sum over a
+        # 2-D array may add in another order
         for k, s in enumerate(series):
-            sy = float(np.dot(omega, s))
+            sy = float((omega * s).sum())
             if flat:
                 fitted[k, j] = sy / total
                 continue
-            sxy = float(np.dot(omega, dx * s))
+            sxy = float((omega * (dx * s)).sum())
             slope = (sxy - sx * sy / total) / var
             # dx is centered on g, so the intercept is the value there
             fitted[k, j] = (sy - slope * sx) / total
@@ -639,7 +512,7 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total = weights.sum()
     if total <= 0.0:
         return float(values.mean())
-    return float(np.dot(weights, values) / total)
+    return float((weights * values).sum() / total)
 
 
 # ---------------------------------------------------------------------------

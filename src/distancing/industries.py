@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite
+from math import isfinite
 from pathlib import Path
 from typing import Generic, Iterable, Mapping, Sequence, TypeVar
 
 from . import csvio
 from .errors import IngestionError
+from .exact import exact_sum
 from .occupations import GROUPS, ExposureFlags
 
 logger = logging.getLogger(__name__)
@@ -78,8 +79,8 @@ def build_mix(
     report = MixBuildReport()
     unknown: set[str] = set()
     for industry_code in sorted(employment):
-        occs = {soc: _total(terms) for soc, terms in sorted(employment[industry_code].items())}
-        total = _total(occs.values())
+        occs = {soc: exact_sum(terms) for soc, terms in sorted(employment[industry_code].items())}
+        total = exact_sum(occs.values())
         if not isfinite(total):
             raise IngestionError(f"industry {industry_code!r}: total employment is not finite")
         if total <= 0.0:
@@ -89,8 +90,8 @@ def build_mix(
         shares = {soc: emp / total for soc, emp in occs.items()}
         unknown.update(soc for soc in shares if soc not in flags)
         chi = {
-            group: fsum(share for soc, share in shares.items()
-                        if soc in flags and getattr(flags[soc], group))
+            group: exact_sum(share for soc, share in shares.items()
+                             if soc in flags and getattr(flags[soc], group))
             for group in GROUPS
         }
         report.mixes.append(IndustryMix(industry_code, names.get(industry_code, industry_code), chi))
@@ -102,15 +103,6 @@ def build_mix(
             len(report.unknown_socs), ", ".join(report.unknown_socs),
         )
     return report
-
-
-def _total(values: Iterable[float]) -> float:
-    """``math.fsum``, but ``inf`` where finite terms overflow, as ``geo.exact_sum``
-    gives it (``geo`` imports this module, so it cannot be imported here)."""
-    try:
-        return fsum(values)
-    except OverflowError:
-        return inf
 
 
 def exclusion_prefixes(exclusions: Iterable[str]) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ from distancing.calibrate import (
     slope_factor,
 )
 from distancing.errors import CalibrationError
-from distancing.geo import exact_sum
+from distancing.exact import exact_sum
 from distancing.industries import IndustryMix, MixResolver
 from distancing.model import FirmParams, contacts_at_density
 

@@ -727,6 +727,7 @@ class TestImportCost:
         code, modules = _imported_modules(_index_only_args("index", tmp_path), tmp_path)
         assert code == 0 and "distancing.industries" in modules
         assert not modules & {"numpy", "distancing.geo"}
+        assert "distancing.exact" in modules  # the sums' module, without numpy
         assert (tmp_path / "out" / "industry-index.csv").is_file()
 
     @pytest.mark.parametrize("command", ["calibrate", "lowess"])

@@ -17,7 +17,7 @@ from distancing.counterfactual import (
     overall,
     sector_table,
 )
-from distancing.geo import exact_sum
+from distancing.exact import exact_sum
 from distancing.model import (
     FirmParams,
     Intervention,

@@ -17,12 +17,17 @@ tests/test_golden.py --write`` and says so in CHANGES.md; when only the
 inputs moved, the file is rewritten from the parent commit, so the
 outputs stay pinned to the code before the change.
 
-``index`` and ``lowess`` run a second time with numpy's AVX-512 kernels
-disabled (``NPY_DISABLE_CPU_FEATURES``, set in the children's environment
-only), and must give the same digests: their outputs may not depend on
-numpy's SIMD dispatch.  ``calibrate`` and ``subsidy`` stay out, because
-``fig2.csv`` and eps still take numpy's ``power`` and ``log``, whose bits
-follow it; and libm's own per-CPU variants are not covered at all.
+``index`` and ``lowess`` run again with numpy's AVX-512 kernels disabled
+(``NPY_DISABLE_CPU_FEATURES``), and with OpenBLAS forced to each of its
+``Sandybridge`` and ``Prescott`` kernels (``OPENBLAS_CORETYPE``), each set
+in the children's environment only, and must give the same digests: their
+outputs may depend neither on numpy's SIMD dispatch nor on the BLAS kernel,
+which no output goes through.  A rerun this CPU cannot run is skipped.
+``calibrate`` and ``subsidy`` stay out, because ``fig2.csv`` and eps still
+take numpy's ``power`` and ``log``, whose bits follow numpy's dispatch.
+libm's own per-CPU variants are not covered at all.  On machines other
+than x86 every rerun is skipped; whether they give the golden digests is
+unverified.
 """
 
 import hashlib
@@ -53,6 +58,8 @@ COMMANDS = {
 DISPATCH_FREE = ("index", "lowess")
 # numpy's AVX-512 dispatch targets on x86
 AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# OpenBLAS kernels that an x86 CPU with the named feature runs
+OPENBLAS_KERNELS = {"Sandybridge": "AVX", "Prescott": "SSE3"}
 
 
 def _sha256(data: bytes) -> str:
@@ -69,15 +76,21 @@ def _generator():
     return sys.modules[name]
 
 
-def _avx512_features() -> list[str]:
-    """The :data:`AVX512` targets that numpy finds on this CPU and can disable
-    (those outside its build's baseline)."""
+def _rerun_env(rerun: str) -> dict | None:
+    """The environment of a rerun of :data:`DISPATCH_FREE`, or None where this
+    CPU cannot run it: ``no-avx512`` disables the :data:`AVX512` targets that
+    numpy finds and can disable (those outside its build's baseline); a name
+    in :data:`OPENBLAS_KERNELS` forces that OpenBLAS kernel."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1
         from numpy.core import _multiarray_umath as umath
-    return [feature for feature in AVX512
-            if umath.__cpu_features__.get(feature) and feature not in umath.__cpu_baseline__]
+    if rerun in OPENBLAS_KERNELS:
+        runs = umath.__cpu_features__.get(OPENBLAS_KERNELS[rerun])
+        return {"OPENBLAS_CORETYPE": rerun} if runs else None
+    features = [feature for feature in AVX512
+                if umath.__cpu_features__.get(feature) and feature not in umath.__cpu_baseline__]
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(features)} if features else None
 
 
 def run_all(directory: Path, commands=tuple(COMMANDS), env: dict | None = None) -> dict:
@@ -108,13 +121,12 @@ def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.fixture(scope="module")
-def digests_without_avx512(tmp_path_factory):
-    features = _avx512_features()
-    if not features:
-        pytest.skip("numpy has no AVX-512 kernels to disable on this CPU")
-    return run_all(tmp_path_factory.mktemp("golden-no-avx512"), DISPATCH_FREE,
-                   {"NPY_DISABLE_CPU_FEATURES": " ".join(features)})
+@pytest.fixture(scope="module", params=["no-avx512", *OPENBLAS_KERNELS])
+def rerun_digests(request, tmp_path_factory):
+    env = _rerun_env(request.param)
+    if env is None:
+        pytest.skip(f"this CPU cannot run the {request.param} rerun")
+    return run_all(tmp_path_factory.mktemp(f"golden-{request.param}"), DISPATCH_FREE, env)
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +151,11 @@ def test_outputs_and_stderr_match_the_golden_digests(digests, golden, command):
 
 
 @pytest.mark.parametrize("command", DISPATCH_FREE)
-def test_outputs_match_the_golden_digests_without_avx512(digests_without_avx512, golden,
-                                                          command):
-    if digests_without_avx512["inputs"] != golden["inputs"]:
+def test_reruns_match_the_golden_digests(rerun_digests, golden, command):
+    if rerun_digests["inputs"] != golden["inputs"]:
         pytest.fail("the generated inputs differ from the pinned ones; see "
                     "test_generated_inputs_are_pinned")
-    assert digests_without_avx512["outputs"][command] == golden["outputs"][command]
+    assert rerun_digests["outputs"][command] == golden["outputs"][command]
 
 
 if __name__ == "__main__":
