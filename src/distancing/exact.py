@@ -14,22 +14,35 @@ if TYPE_CHECKING:
 
 
 def exact_sum(values: np.ndarray | Iterable[float]) -> float:
-    """``math.fsum`` of a float array or of an iterable, but ``inf`` where
-    finite terms overflow; inf and NaN terms act as in ``math.fsum``.
+    """``math.fsum`` of a float array or of an iterable; where finite terms
+    overflow in ``fsum``, their exact total correctly rounded, or ``inf``
+    or ``-inf`` by its sign beyond the float range.  inf and NaN terms act
+    as in ``math.fsum``.
 
     The total is correctly rounded (Shewchuk 1997), so it does not depend
     on the order of the terms.  An array is one group of the kernel,
-    :func:`_group_sums`; an iterable goes to ``math.fsum`` itself.
+    :func:`_group_sums`; an iterable goes to ``math.fsum`` itself, and
+    after an overflow its terms are added as fractions.
     """
     if hasattr(values, "tolist"):
         import numpy as np
 
         values = np.asarray(values, dtype=float)
         return float(_group_sums(values, np.zeros(1, np.intp))[0]) if len(values) else 0.0
+    values = list(values)
     try:
         return math.fsum(values)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # fsum gives up at the first partial sum that overflows
+        special = [value for value in values if not math.isfinite(value)]
+        if special:
+            return math.fsum(special)
+        from fractions import Fraction
+
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
 # The kernel takes running sums below 2**1000 in magnitude, so no step of

@@ -16,8 +16,8 @@ block reader, a field at a time per block of rows; here lives only what
 a CBP value means.  :func:`build_cells` prices whole columns with numpy,
 imported at load: :mod:`~distancing.industries` imports nothing from
 here, so ``index`` without establishment inputs loads neither this
-module nor numpy.  It imputes once per covering national code and set
-of reported bins, not per cell.
+module nor numpy.  It reads each cell's sums and reported-bins bitmask
+off the rows, and imputes once per covering code and bitmask.
 
 Every employment-weighted total is an exact sum (:mod:`~distancing.exact`),
 alone or per group (:func:`group_totals`), so none depends on row order.
@@ -185,17 +185,17 @@ class NationalSizeDistribution:
                                      "employment is beyond the float range")
         return cls(table)
 
-    def mean_sizes(self, naics: Sequence[str], excluded: np.ndarray,
+    def mean_sizes(self, naics: Sequence[str], reported: np.ndarray,
                    bins: Sequence[str]) -> np.ndarray:
-        """Mean plant size of each (code, excluded bins) pair, in one grouped pass.
+        """Mean plant size of each (code, reported bins) pair, in one grouped pass.
 
         Pair ``i`` takes the distribution covering ``naics[i]`` over its
-        bins that ``excluded[i]``, a boolean row over ``bins``, does not
-        mark (bins not in ``bins`` are never excluded), or over all its
-        bins when those hold no establishments; nan where no distribution
-        covers the code or it holds no establishments.  Establishments and
-        employment are :func:`_group_sums` totals, over the pairs' bins and
-        over their codes' whole distributions.
+        bins that ``reported[i]``, a bitmask with bit ``j`` for ``bins[j]``,
+        does not set (bins not in ``bins`` are never excluded), or over all
+        its bins when those hold no establishments; nan where no
+        distribution covers the code or it holds no establishments.
+        Establishments and employment are :func:`_group_sums` totals, over
+        the pairs' bins and over their codes' whole distributions.
         """
         rows: dict[str, int] = {}
         row = np.array([rows.setdefault(code, len(rows)) for code in naics], dtype=np.intp)
@@ -209,7 +209,7 @@ class NationalSizeDistribution:
                 held[i, column[label]] = True
                 sizes[:, i, column[label]] = counts
         usable = held[row]
-        usable[:, :len(bins)] &= ~excluded
+        usable[:, :len(bins)] &= reported[:, None] >> np.arange(len(bins)) & 1 == 0
         est, emp = (_row_sums(size[row], usable) for size in sizes)
         whole = est <= 0.0
         est[whole], emp[whole] = (_row_sums(size, held)[row[whole]] for size in sizes)
@@ -238,16 +238,16 @@ def build_cells(
     employment beyond the float range raises :class:`IngestionError`
     naming the first such cell.
     Returns the cells sorted by (zcta, naics) and the dropped cells as
-    (zcta, naics, reason).  The closed midpoints are half-integers, so
-    their products add up exactly; the open bin and the imputation then
-    round once each, as a correctly rounded sum per cell would.
+    (zcta, naics, reason).  The closed bins' products are half-integers,
+    exact in any order below a cell total of 2**51 in magnitude, beyond
+    which a cell sums its rows exactly; the open bin and the imputation
+    then round once each, as a correctly rounded sum per cell would.
 
-    Records in (zcta, naics) order, as Census ZIP files and the benchmark
-    generator give them, become cells by their run boundaries alone; in any
-    other order only each run's first key is sorted (:func:`csvio.distinct`,
-    which also finds the distinct (covering code, reported bins) pairs).
-    Each NAICS label's covering national code is resolved once, and every
-    pair is priced in one :meth:`NationalSizeDistribution.mean_sizes` call.
+    Sums are bincounts over :func:`csvio.distinct`'s cell index (no sort
+    for records in (zcta, naics) order, as Census ZIP files come).  A
+    cell's reported bins are one bitmask; with its covering code it keys
+    the imputation, all priced in one :meth:`NationalSizeDistribution.mean_sizes`
+    call.  Only a cell with a negative or unknown-label row is summed per bin.
     """
     zcta_labels, naics_labels, bins = cbp.zcta.labels, cbp.naics.labels, cbp.size_bin.labels
     n_naics, n_bins = max(len(naics_labels), 1), len(bins)
@@ -255,25 +255,37 @@ def build_cells(
     zcta, naics = np.divmod(keys, n_naics)
     n = len(keys)
     withheld, reporting = cbp.suppressed, ~cbp.suppressed
-    slot = cell[reporting] * n_bins + cbp.size_bin.codes[reporting]
-    counts = np.bincount(slot, cbp.establishments[reporting], n * n_bins).reshape(n, n_bins)
-    reported = np.zeros(n * n_bins, dtype=bool)
-    reported[slot] = True
-    reported = reported.reshape(n, n_bins)
     suppressed = np.bincount(cell[withheld], cbp.establishments[withheld], n)
-
-    # einsum, not ``@`` (BLAS) nor a product then a sum (a cells x bins temporary):
-    # products and sums are multiples of 1/2, so exact in any order below 2**52
-    employment = np.einsum("ij,j->i", counts, [DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])
+    cell, label, count = (c[reporting] for c in (cell, cbp.size_bin.codes, cbp.establishments))
     known = [b for b in bins if b in DEFAULT_BIN_MIDPOINTS or b == OPEN_BIN]
-    unknown = [j for j, b in enumerate(bins) if b not in known]
-    # a bin no row reports gets exactly 0 from ``bincount``, so a negative count
-    # is a reported one and needs no ``reported &``; only the unknown bins'
-    # columns are masked, and the bad cells taken from the few bad slots
-    bad_bin = counts < 0
-    bad_bin[:, unknown] |= reported[:, unknown]
+    bit = np.array([1 << known.index(b) if b in known else 0 for b in bins], dtype=np.int64)
+    reported = np.zeros(n, dtype=np.int64)  # bit j set: the cell reports known[j]
+    np.bitwise_or.at(reported, cell, bit[label])
+
+    products = count * np.array([DEFAULT_BIN_MIDPOINTS.get(b, 0.0) for b in bins])[label]
+    employment = np.bincount(cell, products, n)
+    # products and partial sums are multiples of 1/2, so exact in any order
+    # below 2**52; a cell whose terms reach 2**51 sums its own rows exactly
+    huge = (np.bincount(cell, np.abs(products), n) >= 2.0 ** 51)[cell]
+    order = np.argsort(cell[huge])
+    owner, products = cell[huge][order], products[huge][order]  # frees the rows' products
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    employment[owner[starts]] = _group_sums(products, starts)
+
+    # a bin's rows add up before the negative check, so suspect cells sum per bin
+    at = (np.bincount(cell, (count < 0) | (bit == 0)[label], n) > 0)[cell]
+    slots, slot = csvio.distinct(cell[at] * n_bins + label[at])
+    totals = np.bincount(slot, count[at], len(slots))
+    faulty = (totals < 0) | (bit[slots % n_bins] == 0)
     bad = suppressed < 0
-    bad[np.flatnonzero(bad_bin) // n_bins] = True
+    # each bad cell's first fault: a negative suppressed count, else by bin label
+    fault = dict.fromkeys(np.flatnonzero(bad).tolist(),
+                          "suppressed establishment count cannot be negative")
+    for key, total in zip(slots[faulty].tolist(), totals[faulty].tolist()):
+        c, j = divmod(key, n_bins)
+        bad[c] = True
+        fault.setdefault(c, f"negative establishment count in bin {bins[j]!r}" if total < 0
+                         else f"unknown size bin label {bins[j]!r}")
 
     # one mean size per distinct (covering national code, reported bins), all
     # in one call; an industry no distribution covers gets nan
@@ -282,34 +294,29 @@ def build_cells(
                       for c in naics_labels], dtype=np.int64)
     covers = list(covering)
     imputing = np.flatnonzero(~bad & (suppressed > 0))
-    mask = reported[imputing][:, [bins.index(b) for b in known]] @ (1 << np.arange(len(known)))
-    pairs, pair = csvio.distinct(cover[naics[imputing]] << len(known) | mask)
+    pairs, pair = csvio.distinct(cover[naics[imputing]] << len(known) | reported[imputing])
     codes = [covers[key] for key in (pairs >> len(known)).tolist()]
     priced = np.array([code is not None for code in codes], dtype=bool)
     means = np.full(len(pairs), np.nan)
-    excluded = pairs[priced, None] >> np.arange(len(known)) & 1 == 1
-    means[priced] = national.mean_sizes([c for c in codes if c is not None], excluded, known)
+    means[priced] = national.mean_sizes([c for c in codes if c is not None],
+                                        pairs[priced] & (1 << len(known)) - 1, known)
     mean = np.zeros(n)
     mean[imputing] = means[pair]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
         if OPEN_BIN in bins:
+            opened = label == bins.index(OPEN_BIN)
             open_mean = np.array([national.open_bin_mean(c, open_bin_mean)
                                   for c in naics_labels])
-            employment = employment + counts[:, bins.index(OPEN_BIN)] * open_mean[naics]
+            employment = employment + np.bincount(cell[opened], count[opened], n) * open_mean[naics]
         imputed = suppressed * mean
         total = employment + imputed
         fraction = np.divide(imputed, total, out=np.zeros(n), where=total > 0.0)
 
     drop = bad | np.isnan(mean)
     dropped = []
-    for c in np.flatnonzero(drop).tolist():  # the first fault in bin-label order names it
-        j = int(np.argmax(bad_bin[c]))
-        reason = (
-            "suppressed establishment count cannot be negative" if suppressed[c] < 0
-            else f"negative establishment count in bin {bins[j]!r}" if bad[c] and counts[c, j] < 0
-            else f"unknown size bin label {bins[j]!r}" if bad[c]
-            else f"no national size distribution covers NAICS {naics_labels[naics[c]]!r}"
-        )
+    for c in np.flatnonzero(drop).tolist():
+        reason = fault.get(c) or ("no national size distribution covers NAICS "
+                                  f"{naics_labels[naics[c]]!r}")
         dropped.append((zcta_labels[zcta[c]], naics_labels[naics[c]], reason))
         logger.warning("cell %s/%s dropped: %s", *dropped[-1])
     keep = ~drop

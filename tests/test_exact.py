@@ -2,6 +2,7 @@
 and groups, with its overflow rule."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,12 +21,17 @@ class TestExactSum:
         assert exact_sum(values) == exact_sum(iter(values.tolist())) == expected
         assert exact_sum([]) == 0.0
 
-    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 1e308, -1e308],
-                                        np.array([1.5e308, 1e308])])
-    def test_finite_terms_that_overflow_total_inf(self, values):
+    @pytest.mark.parametrize("terms, total", [
+        ([1e308, 1e308], math.inf), ([1.5e308, 1e308], math.inf),
+        ([-1e308, -1e308], -math.inf),
+        # only a partial sum overflows: the exact total, rounded
+        ([1e308, 1e308, -1e308], 1e308), ([1e308, 1e308, -1e308, -1e308], 0.0),
+    ])
+    def test_finite_terms_that_overflow_in_fsum_total_exactly(self, terms, total):
         with pytest.raises(OverflowError):
-            math.fsum(list(values))
-        assert exact_sum(values) == math.inf
+            math.fsum(terms)
+        for values in (terms, iter(terms), np.array(terms)):
+            assert _same_float(exact_sum(values), total)
 
     def test_inf_and_nan_terms_as_in_fsum(self):
         assert exact_sum([1.0, math.inf]) == math.inf
@@ -35,13 +41,27 @@ class TestExactSum:
             exact_sum([math.inf, -math.inf])
 
 
+# The midpoint between the largest float and 2**1024: an exact total this
+# large rounds (ties to even) to inf.
+_ROUNDS_TO_INF = 2**1024 - 2**970
+
+
 def _fsum_or_error(terms):
-    """The oracle: ``math.fsum``, ``inf`` where finite terms overflow, and
-    ``ValueError`` (the class) where ``fsum`` raises it (inf minus inf)."""
+    """The oracle: ``math.fsum``; where finite terms overflow in it, their
+    exact ``Fraction`` total rounded by integer division, or inf by its sign
+    from ``_ROUNDS_TO_INF`` up (non-finite terms decide alone, as in
+    ``fsum``); and ``ValueError`` (the class) where ``fsum`` raises it (inf
+    minus inf)."""
     try:
         return math.fsum(terms)
     except OverflowError:
-        return math.inf
+        special = [term for term in terms if not math.isfinite(term)]
+        if special:
+            return _fsum_or_error(special)
+        total = sum(map(Fraction, terms))
+        if abs(total) >= _ROUNDS_TO_INF:
+            return math.inf if total > 0 else -math.inf
+        return total.numerator / total.denominator
     except ValueError:
         return ValueError
 
@@ -119,6 +139,7 @@ class TestSumKernel:
         [-0.0], [-0.0, -0.0, -0.0], [0.5, -0.5, 0.0],
         [2.0**-1074] * 5, [2.0**-1022, -(2.0**-1074), 2.0**-1074],
         [2.0**1000] * 3, [1e308, -1e308, 1e308], [1e308, 1e308, -1e308, -1e308],
+        [-1e308, -1e308], [1e308, 1e308, -1e308], [1e308, 1e308, -1e308, 1e308, -1e308],
         [1.0, math.inf, 2.0], [math.nan, 1.0, 2.0], [math.inf, -math.inf, 1.0],
     ])
     def test_edge_columns_whole_and_among_groups(self, terms):

@@ -1,7 +1,9 @@
 """Employment estimation, imputation, density normalization, exposure, lowess."""
 
+import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import fields
 from typing import Callable, NamedTuple
 from unittest import mock
@@ -18,6 +20,7 @@ from distancing.errors import IngestionError
 from distancing.geo import (
     DEFAULT_BIN_MIDPOINTS,
     OPEN_BIN,
+    CbpColumns,
     Coded,
     NationalSizeDistribution,
     build_cells,
@@ -228,6 +231,42 @@ class TestBuildCells:
             "suppressed establishment count cannot be negative",
         ]
 
+    def test_huge_counts_total_the_same_in_every_row_order(self):
+        """Products beyond 2**51 may round as they add up: the cell's rows are
+        then summed exactly, so every order gives the correctly rounded total."""
+        rows = [("z", "441100", "1-4", 10**16 + 1), ("z", "441100", "5-9", 3),
+                ("z", "441100", "10-19", 10**15 + 7)]
+        national = NationalSizeDistribution({"44": {"1-4": (100, 250)}})
+        for order in itertools.permutations(rows):
+            (cell,), dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean)
+            assert (cell.employment, dropped) == (3.950000000000012e16, [])
+
+    def test_peak_memory_does_not_grow_with_the_bin_labels(self):
+        """100 000 one-row cells over the 9 known labels, then the same cells
+        with 50 unknown labels on 50 more rows, which drop their cells: the
+        second build's traced peak is within 1.5 times the first's."""
+        n, known = 100_000, [*DEFAULT_BIN_MIDPOINTS, OPEN_BIN]
+
+        def traced_peak(extra):
+            zcta = np.concatenate([np.arange(n), np.arange(extra)])
+            bins = np.concatenate([np.arange(n) % len(known), len(known) + np.arange(extra)])
+            cbp = CbpColumns(
+                Coded([f"{z:06d}" for z in range(n)], zcta),
+                Coded(["441100"], np.zeros(n + extra, dtype=np.int64)),
+                Coded.from_codes([*known, *(f"x{j:02d}" for j in range(extra))], bins),
+                np.ones(n + extra, dtype=np.int64), np.zeros(n + extra, dtype=bool),
+            )
+            tracemalloc.start()
+            try:
+                cells, dropped = build_cells(cbp, NATIONAL, RUN.open_bin_mean)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (len(cells), len(dropped)) == (n - extra, extra)
+            return peak
+
+        assert traced_peak(50) <= 1.5 * traced_peak(0)
+
 
 # A national table with an open-bin mean for one sector and a sparse
 # detailed code under another, so cells resolve at different levels.
@@ -267,7 +306,7 @@ def mean_size(national, naics, exclude_bins=()):
     """Mean plant size over the bins not in ``exclude_bins``: one pair of
     :meth:`NationalSizeDistribution.mean_sizes`, None where that gives nan."""
     excluded = sorted(set(exclude_bins))
-    (mean,) = national.mean_sizes([naics], np.ones((1, len(excluded)), dtype=bool), excluded)
+    (mean,) = national.mean_sizes([naics], np.array([(1 << len(excluded)) - 1]), excluded)
     return None if math.isnan(mean) else float(mean)
 
 
@@ -337,10 +376,10 @@ class _CountedSizes(NationalSizeDistribution):
         super().__init__(table)
         self.calls = []
 
-    def mean_sizes(self, naics, excluded, bins):
-        self.calls.append([(code, frozenset(b for b, out in zip(bins, row) if out))
-                           for code, row in zip(naics, excluded.tolist())])
-        return super().mean_sizes(naics, excluded, bins)
+    def mean_sizes(self, naics, reported, bins):
+        self.calls.append([(code, frozenset(b for j, b in enumerate(bins) if mask >> j & 1))
+                           for code, mask in zip(naics, reported.tolist())])
+        return super().mean_sizes(naics, reported, bins)
 
 
 # Codes under "44" and under "4412" share a covering code each; "99999" and
@@ -492,9 +531,10 @@ class TestNationalSizes:
         pairs = [("441200", ["1-4"]), ("311811", []), ("99999", []),
                  ("441100", ["1-4", "5-9", "10-19", "20-49", OPEN_BIN]), ("441200", ["5-9"])]
         bins = [*DEFAULT_BIN_MIDPOINTS, OPEN_BIN]
-        excluded = np.array([[b in exclude for b in bins] for _, exclude in pairs])
+        reported = np.array([sum(1 << j for j, b in enumerate(bins) if b in exclude)
+                             for _, exclude in pairs])
         national = NationalSizeDistribution(_NATIONAL_TABLE)
-        together = national.mean_sizes([naics for naics, _ in pairs], excluded, bins).tolist()
+        together = national.mean_sizes([naics for naics, _ in pairs], reported, bins).tolist()
         alone = [mean_size(NationalSizeDistribution(_NATIONAL_TABLE), *pair) for pair in pairs]
         assert together[:2] + together[3:] == alone[:2] + alone[3:]
         assert math.isnan(together[2]) and alone[2] is None
