@@ -105,9 +105,8 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     national = geo.NationalSizeDistribution.from_csv(cfg.national_sizes)
     cbp = geo.read_cbp_csv(cfg.cbp)
     try:  # an employment beyond the float range, in a cell or a ZCTA total
-        cells, _ = geo.build_cells(cbp, national, cfg.open_bin_mean)
+        cells, _ = geo.build_cells(cbp, national, cfg.open_bin_mean, index.exclusions)
         del cbp  # the stage's largest arrays
-        cells = _drop_excluded_cells(cells, index.exclusions)
         weights = geo.region_employment(cells)
     except IngestionError as exc:
         raise IngestionError(f"{cfg.cbp}: {exc}") from None
@@ -119,24 +118,6 @@ def run_geo_stage(cfg: RunConfig, index: IndexStage) -> GeoStage:
     except IngestionError as exc:
         raise IngestionError(f"{cfg.density}: {exc}") from None
     return GeoStage(cells, densities, industries.MixResolver(index.mixes))
-
-
-def _drop_excluded_cells(cells: geo.Cells, exclusions: Sequence[str]) -> geo.Cells:
-    """Drop the establishment cells that :func:`industries.exclusion_prefixes` excludes."""
-    if not exclusions:
-        return cells
-    import numpy as np
-
-    from . import industries
-
-    prefixes = industries.exclusion_prefixes(exclusions)
-    codes = cells.industry_code
-    excluded = np.array([code.startswith(prefixes) for code in codes.labels], dtype=bool)
-    dropped = excluded[codes.codes]
-    if not dropped.any():
-        return cells
-    _logger().info("excluded sectors removed %d establishment cells", int(dropped.sum()))
-    return cells.take(~dropped)
 
 
 def run_calibration_stage(

@@ -41,7 +41,7 @@ import numpy as np
 from . import csvio
 from .errors import IngestionError
 from .exact import _group_sums, _row_sums, exact_sum
-from .industries import GROUPS, CodeTable, IndustryMix
+from .industries import GROUPS, CodeTable, IndustryMix, exclusion_prefixes
 
 logger = logging.getLogger(__name__)
 
@@ -101,8 +101,8 @@ class Coded:
 
 
 class Columns:
-    """``len()``, iteration and row selection for a dataclass of equal-length
-    columns: arrays, :class:`Coded` or None.  Iteration yields one named
+    """``len()`` and iteration for a dataclass of equal-length columns:
+    arrays, :class:`Coded` or None.  Iteration yields one named
     tuple per row, its fields the dataclass fields in order; a None column
     gives None in every row."""
 
@@ -115,10 +115,6 @@ class Columns:
     def __iter__(self) -> Iterator:
         columns = [repeat(None) if c is None else c.tolist() for c in self._columns()]
         return map(_row_type(type(self))._make, zip(*columns))
-
-    def take(self, index):
-        """The rows that ``index`` (a boolean mask or positions) selects."""
-        return type(self)(*(None if c is None else c[index] for c in self._columns()))
 
 
 @cache
@@ -225,6 +221,7 @@ def build_cells(
     cbp: CbpColumns,
     national: NationalSizeDistribution,
     open_bin_mean: float,
+    exclusions: Iterable[str],
 ) -> tuple[Cells, list[tuple[str, str, str]]]:
     """Aggregate establishment records into per-(zcta, naics) employment cells.
 
@@ -236,9 +233,12 @@ def build_cells(
     their share.  A negative suppressed or bin count, an unknown bin label
     or withheld plants no national distribution covers drop the cell; an
     employment beyond the float range raises :class:`IngestionError`
-    naming the first such cell.
-    Returns the cells sorted by (zcta, naics) and the dropped cells as
-    (zcta, naics, reason).  The closed bins' products are half-integers,
+    naming the first such cell.  After these rules, the cells whose code
+    starts with a prefix :func:`industries.exclusion_prefixes` gives for
+    ``exclusions`` are removed, their count logged: an excluded sector's
+    cell is still dropped with its warning, and still raises on overflow.
+    Returns the kept cells sorted by (zcta, naics) and the dropped cells
+    as (zcta, naics, reason).  The closed bins' products are half-integers,
     exact in any order below a cell total of 2**51 in magnitude, beyond
     which a cell sums its rows exactly; the open bin and the imputation
     then round once each, as a correctly rounded sum per cell would.
@@ -308,9 +308,12 @@ def build_cells(
             open_mean = np.array([national.open_bin_mean(c, open_bin_mean)
                                   for c in naics_labels])
             employment = employment + np.bincount(cell[opened], count[opened], n) * open_mean[naics]
+            del opened
         imputed = suppressed * mean
         total = employment + imputed
         fraction = np.divide(imputed, total, out=np.zeros(n), where=total > 0.0)
+    # the row columns go before the keep-mask gathers, which would otherwise set the peak
+    del cell, label, count, reporting, withheld, huge, at
 
     drop = bad | np.isnan(mean)
     dropped = []
@@ -325,6 +328,11 @@ def build_cells(
         c = overflow[0]
         raise IngestionError(f"cell {zcta_labels[zcta[c]]}/{naics_labels[naics[c]]}: "
                              "estimated employment is beyond the float range")
+    prefixes = exclusion_prefixes(exclusions)
+    excluded = keep & np.array([c.startswith(prefixes) for c in naics_labels], dtype=bool)[naics]
+    if excluded.any():
+        logger.info("excluded sectors removed %d establishment cells", int(excluded.sum()))
+        keep &= ~excluded
     cells = Cells(Coded(zcta_labels, zcta[keep]), Coded(naics_labels, naics[keep]),
                   total[keep], fraction[keep])
     return cells, dropped

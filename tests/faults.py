@@ -464,6 +464,16 @@ CASES = {
         ("index",), (("exclusions.txt", "write", b"# nothing excluded\n"),), 0, SAME),
     "exclusions.txt unknown code": Case(("index",), (("exclusions.txt", "write", b"99\n"),), 0,
                                         WARN + "industries: exclusion code 99 matches no industry"),
+    # a cell of an excluded sector still meets the cell build's own rules first
+    "cbp.csv cell employment overflow in an excluded sector": Case(
+        ("subsidy",), (("cbp.csv", "append", OVERFLOWS["cell"][0]),
+                       ("national_sizes.csv", "append", "44,1000+,1,1e308\n"),
+                       ("exclusions.txt", "write", b"44\n")), 1,
+        "error: {path}: " + OVERFLOWS["cell"][1]),
+    "cbp.csv negative count in an excluded sector": Case(
+        ("subsidy",), (("cbp.csv", "set", ("establishments", "-5")),
+                       ("exclusions.txt", "write", b"31\n")), 0,
+        WARN + "geo: cell 10004/311811 dropped: negative establishment count in bin '5-9'"),
     # the smoother and its flags
     "lowess too few points": Case(LOWESS, (("location-index.csv", "write", TOO_FEW),), 1,
                                   "error: {path}: lowess needs at least 10 points, got 4"),

@@ -17,7 +17,6 @@ import pytest
 
 import faults
 from distancing.cli import (
-    _drop_excluded_cells,
     _pct,
     build_parser,
     main,
@@ -25,10 +24,9 @@ from distancing.cli import (
     run_geo_stage,
     run_index_stage,
 )
-from distancing.config import RunConfig, config_hash, load_config_file, resolve_config
+from distancing.config import RunConfig, _coerce, config_hash, load_config_file, resolve_config
 from e2efixture import CBP, DENSITY, hand_expectations, write_config, write_inputs
 from faults import write_location_index
-from frames import cells_of
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -218,12 +216,6 @@ class TestSubsidy:
         locations = {r["zcta"]: r for r in read_csv(out / "location-subsidy.csv")}
         # the hospital cell's 172.5 jobs never enter the 10001 total
         assert float(locations["10001"]["employment"]) == pytest.approx(90.0)
-
-    def test_range_exclusion_drops_every_sector_in_the_range(self):
-        codes = ["441100", "451110", "461000", "622110", "621111", "311111"]
-        cells = cells_of([("10001", code, 10.0) for code in codes])
-        kept = _drop_excluded_cells(cells, ["44-45", "622"])
-        assert [cell.industry_code for cell in kept] == ["461000", "621111", "311111"]
 
     def test_sector_prefix_exclusion_drops_industries_and_cells_alike(
         self, fixture_config, tmp_path, caplog
@@ -514,6 +506,24 @@ class TestConfig:
         plain = tmp_path / "plain"
         assert main(["index", *flags, "--output-dir", str(plain)]) == 0
         assert _body(plain / "location-index.csv") != _body(out / "location-index.csv")
+
+    def test_readme_config_example_shows_every_key_and_default(self):
+        """README "Config file" shows each key once, commented out or not, and
+        each value it shows for a key with a default other than None, input
+        paths aside, is that default."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file\n", 1)[1].split("```ini\n", 1)[1].split("```")[0]
+        shown = {}
+        for line in block.splitlines():
+            key, equals, value = line.removeprefix("#").split("#", 1)[0].partition("=")
+            if equals:
+                assert key.strip() not in shown, key
+                shown[key.strip()] = value.strip()
+        assert set(shown) == {field.name for field in dataclasses.fields(RunConfig)}
+        for field in dataclasses.fields(RunConfig):
+            default = getattr(RunConfig(), field.name)
+            if field.type != "str | None" and default is not None:
+                assert _coerce(field.name, shown[field.name]) == default, field.name
 
     def test_default_config_hash_is_pinned(self):
         # every output's provenance line carries this hash

@@ -99,7 +99,7 @@ def cell_estimate(bins, suppressed=0, naics="441200", national=None):
     rows = [("z", naics, size_bin, count) for size_bin, count in bins.items()]
     if suppressed or not bins:
         rows.append(("z", naics, "", suppressed, True))
-    cells, dropped = build_cells(cbp_of(rows), national or NATIONAL, RUN.open_bin_mean)
+    cells, dropped = build_cells(cbp_of(rows), national or NATIONAL, RUN.open_bin_mean, ())
     if dropped:
         raise IngestionError(dropped[0][2])
     (cell,) = cells
@@ -202,7 +202,7 @@ class TestBuildCells:
             ("10002", "441200", "", 1, True),
             ("10009", "99999", "", 2, True),  # no national data
         ])
-        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean)
+        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean, ())
         assert [(c.zcta, c.industry_code) for c in cells] == [
             ("10001", "441100"),
             ("10002", "441200"),
@@ -223,13 +223,23 @@ class TestBuildCells:
             ("z4", "441100", "1-4", 3),
             ("z4", "441100", "1-4", -3),  # bin counts add up before the check
         ])
-        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean)
+        cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean, ())
         assert [(c.zcta, c.employment) for c in cells] == [("z4", 0.0)]
         assert [reason for _, _, reason in dropped] == [
             "negative establishment count in bin '1-4'",
             "unknown size bin label '0-3'",
             "suppressed establishment count cannot be negative",
         ]
+
+    def test_range_exclusion_drops_every_sector_in_the_range(self, caplog):
+        codes = ["441100", "451110", "461000", "622110", "621111", "311111"]
+        rows = cbp_of([("10001", code, "1-4", 4) for code in codes])
+        with caplog.at_level("INFO"):
+            cells, dropped = build_cells(rows, NATIONAL, RUN.open_bin_mean, ["44-45", "622"])
+        assert [cell.industry_code for cell in cells] == ["311111", "461000", "621111"]
+        assert dropped == []
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("distancing.geo", "excluded sectors removed 3 establishment cells")]
 
     def test_huge_counts_total_the_same_in_every_row_order(self):
         """Products beyond 2**51 may round as they add up: the cell's rows are
@@ -238,7 +248,7 @@ class TestBuildCells:
                 ("z", "441100", "10-19", 10**15 + 7)]
         national = NationalSizeDistribution({"44": {"1-4": (100, 250)}})
         for order in itertools.permutations(rows):
-            (cell,), dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean)
+            (cell,), dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean, ())
             assert (cell.employment, dropped) == (3.950000000000012e16, [])
 
     def test_peak_memory_does_not_grow_with_the_bin_labels(self):
@@ -258,7 +268,7 @@ class TestBuildCells:
             )
             tracemalloc.start()
             try:
-                cells, dropped = build_cells(cbp, NATIONAL, RUN.open_bin_mean)
+                cells, dropped = build_cells(cbp, NATIONAL, RUN.open_bin_mean, ())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -355,14 +365,14 @@ class TestBuildCellsProperties:
     @given(_CBP_ROWS, st.sampled_from([RUN.open_bin_mean, 900.0]), st.randoms())
     def test_order_free_and_equal_to_uncached_reference(self, rows, open_bin_mean, rnd):
         national = NationalSizeDistribution(_NATIONAL_TABLE)
-        cells, dropped = build_cells(cbp_of(rows), national, open_bin_mean)
+        cells, dropped = build_cells(cbp_of(rows), national, open_bin_mean, ())
         got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
         assert (got, dropped) == reference_cells(rows, open_bin_mean)
         shuffled = list(rows)
         rnd.shuffle(shuffled)
         # the same (now warm) table and a fresh one give the same bits
         for table in (national, NationalSizeDistribution(_NATIONAL_TABLE)):
-            again, again_dropped = build_cells(cbp_of(shuffled), table, open_bin_mean)
+            again, again_dropped = build_cells(cbp_of(shuffled), table, open_bin_mean, ())
             assert [
                 (c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in again
             ] == got
@@ -409,7 +419,7 @@ class TestImputationPerCoveringCode:
         want = reference_cells(rows, RUN.open_bin_mean)
         for order in (sorted(rows), shuffled):
             national = _CountedSizes(_NATIONAL_TABLE)
-            cells, dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean)
+            cells, dropped = build_cells(cbp_of(order), national, RUN.open_bin_mean, ())
             got = [(c.zcta, c.industry_code, c.employment, c.imputed_fraction) for c in cells]
             assert (got, dropped) == want
             assert len(national.calls) == 1
@@ -425,7 +435,7 @@ class TestImputationPerCoveringCode:
             ("10002", "99999", "", 1, True),
         ]
         national = _CountedSizes(_NATIONAL_TABLE)
-        cells, dropped = build_cells(cbp_of(rows), national, RUN.open_bin_mean)
+        cells, dropped = build_cells(cbp_of(rows), national, RUN.open_bin_mean, ())
         assert [sorted(call) for call in national.calls] == [
             [("44", frozenset({"1-4"})), ("44", frozenset({"5-9"}))]
         ]
@@ -465,10 +475,6 @@ class TestColumnRows:
         assert frame.regime is None and frame.subsidy is not None
         assert [row.regime for row in frame] == [None, None]
         assert [row.subsidy for row in frame] == [0.125, 0.0]
-
-    def test_rows_of_a_selection_are_its_rows(self):
-        frame = _FRAMES["cells"]
-        assert list(frame.take(np.array([False, True]))) == [list(frame)[1]]
 
 
 class TestGroupTotals:

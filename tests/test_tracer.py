@@ -63,6 +63,18 @@ def test_traced_subsidy_run_counts_the_fixture_cells(tmp_path):
     assert_reached_once(trace["functions"], *INGEST_CALLS, "calibrate.run_calibration")
 
 
+def test_excluded_cells_never_leave_the_build(tmp_path):
+    """Excluded sectors leave inside ``build_cells``: every cell it returns
+    reaches the join, and the fixture's priced cells are unchanged."""
+    config = e2efixture.write_config(tmp_path / "in", tmp_path / "out")
+    with open(tmp_path / "in" / "cbp.csv", "a") as fh:
+        fh.write("10001,622110,20-49,5,0\n")
+    (tmp_path / "in" / "exclusions.txt").write_text("622\n")
+    counters = traced(tmp_path, "subsidy", "--config", str(config))["counters"]
+    assert counters["geo.build_cells.cells"] == counters["calibrate.frame_in"]
+    assert_fixture_cells(counters)
+
+
 def test_traced_index_run_counts_the_fixture_cells(tmp_path):
     config = e2efixture.write_config(tmp_path / "in", tmp_path / "out")
     trace = traced(tmp_path, "index", "--config", str(config))
