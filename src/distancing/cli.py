@@ -1,8 +1,9 @@
 """Command-line pipeline: index, calibrate, subsidy, fig2, lowess.
 
 Subcommands compose the library modules into a deterministic pipeline.
-Rerunning any subcommand with unchanged inputs produces byte-identical
-outputs.  Exit codes: 0 success, 1 internal/data error, 2 usage or
+Each computes all its outputs, then hands them to one
+:func:`csvio.write_outputs` call.  Rerunning any subcommand with unchanged
+inputs produces byte-identical outputs.  Exit codes: 0 success, 1 internal/data error, 2 usage or
 config error.
 
 :func:`run` is the process entry point; :func:`main` runs one command and
@@ -148,7 +149,7 @@ def run_calibration_stage(
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from . import industries, occupations
+    from . import csvio, industries, occupations
     from .config import require
 
     cfg = _config_from_args(args)
@@ -156,58 +157,53 @@ def cmd_index(args: argparse.Namespace) -> int:
     if located:  # all of them or none, named before any output is written
         require(cfg, *_LOCATION_KEYS)
     out = _output_dir(cfg.output_dir)
-    stamp = _provenance(cfg)
     index = run_index_stage(cfg)
-    if located:  # before the first write, so a data error leaves no outputs
+    outputs = {
+        "occupation-index.csv": occupations.flags_table(index.profiles, index.flags),
+        "industry-index.csv": industries.industry_index_table(index.mixes),
+        "reconciliation.txt": _reconciliation_lines(index),
+    }
+    if located:
         from . import calibrate, geo
 
         geo_stage = run_geo_stage(cfg, index)
         frame = calibrate.cell_parameters(geo_stage.cells, geo_stage.resolver,
                                           geo_stage.densities)
-        exposures = geo.location_exposure(frame, index.mixes)
+        outputs["location-index.csv"] = geo.location_index_table(
+            geo.location_exposure(frame, index.mixes), geo_stage.densities
+        )
     else:
         _logger().info("no establishment/density inputs configured; location index skipped")
-    out.mkdir(parents=True, exist_ok=True)
-    occupations.write_flags_csv(out / "occupation-index.csv", index.profiles, index.flags, stamp)
-    industries.write_industry_index_csv(out / "industry-index.csv", index.mixes, stamp)
-    _write_reconciliation(out / "reconciliation.txt", index, stamp)
-    if located:
-        geo.write_location_index_csv(
-            out / "location-index.csv", exposures, geo_stage.densities, stamp
-        )
+    csvio.write_outputs(out, outputs, _provenance(cfg))
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    from . import csvio
+
     cfg = _config_from_args(args)
     out = _output_dir(cfg.output_dir)
-    stamp = _provenance(cfg)
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
     report, _ = run_calibration_stage(cfg, geo_stage)
-    _write_calibration(out, report, stamp)
+    csvio.write_outputs(out, _calibration_outputs(report), _provenance(cfg))
     return 0
 
 
 def cmd_subsidy(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from . import counterfactual, csvio
 
     cfg = _config_from_args(args)
     out = _output_dir(cfg.output_dir)
-    stamp = _provenance(cfg)
     grouping = read_region_groups(cfg.region_groups) if cfg.region_groups else None
     index = run_index_stage(cfg)
     geo_stage = run_geo_stage(cfg, index)
     report, frame = run_calibration_stage(cfg, geo_stage)
-    _write_calibration(out, report, stamp)
-
     results = counterfactual.compute_subsidies(
         frame, report.eps, report.contact_cap, telecom_cost=cfg.telecom_cost,
         nstar=report.contacts,
     )
-    average = replace(counterfactual.overall(results, report.employment), key="Average")
+    average = counterfactual.overall(results, report.employment)
     tables = [
         ("sector", "industry", "employment_thousands", 1000.0,
          counterfactual.sector_table(results) + [average]),
@@ -216,19 +212,22 @@ def cmd_subsidy(args: argparse.Namespace) -> int:
     if grouping is not None:
         tables.append(("region", "region", "employment", 1.0,
                        counterfactual.location_table(results, grouping)))
+    outputs = _calibration_outputs(report)
     for name, key, employment, unit, rows in tables:
-        csvio.write_rows(
-            out / f"{name}-subsidy.csv",
+        outputs[f"{name}-subsidy.csv"] = (
             [key, "wage_subsidy_pct", employment],
             [[r.key, _pct(r.subsidy), r.employment / unit] for r in rows],
-            comment=stamp,
         )
-    _write_fig2_from_frame(out, report, frame, cfg.telecom_cost, stamp)
+    fig2 = _fig2_from_frame(report, frame, cfg.telecom_cost)
+    if fig2 is not None:
+        outputs["fig2.csv"] = fig2
+    csvio.write_outputs(out, outputs, _provenance(cfg))
     return 0
 
 
-def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
-    """Cost-ratio curves for the employment-weighted average firm."""
+def _fig2_from_frame(report, frame, telecom_cost) -> tuple[list[str], list[list]] | None:
+    """Cost-ratio curves for the employment-weighted average firm, or None
+    (with a warning) when there is no curve to draw."""
     import numpy as np
 
     from . import counterfactual
@@ -238,37 +237,32 @@ def _write_fig2_from_frame(out, report, frame, telecom_cost, stamp) -> None:
     mean_chi = exact_sum(frame.employment * frame.chi) / report.employment
     if mean_chi <= 0.0:
         _logger().warning("mean communication share is zero; fig2 curves skipped")
-        return
+        return None
     dmin = float(frame.density.min())
     dmax = float(frame.density.max())
     if dmax <= dmin:
         _logger().warning("degenerate density range; fig2 curves skipped")
-        return
+        return None
     grid = np.geomspace(dmin, dmax, 100)
-    curves = counterfactual.cost_ratio_curves(
+    return _fig2_table(counterfactual.cost_ratio_curves(
         FirmParams(mean_chi), grid, report.contact_cap, telecom_cost, report.eps
-    )
-    _write_fig2_csv(out / "fig2.csv", curves, stamp)
+    ))
 
 
-def _write_fig2_csv(path, curves: counterfactual.CostCurves, stamp: str) -> None:
-    from . import csvio
-
-    rows = [
-        [d, dist, tele, regime.value]
-        for d, dist, tele, regime in zip(
-            curves.densities, curves.distancing, curves.telecom, curves.regimes
-        )
-    ]
-    csvio.write_rows(
-        path, ["density", "distancing_ratio", "telecom_ratio", "regime"], rows, comment=stamp
-    )
+def _fig2_table(curves: counterfactual.CostCurves) -> tuple[list[str], list[list]]:
+    """The ``fig2.csv`` table; logs each regime switch."""
     logger = _logger()
     for switch in curves.switches:
         logger.info(
             "regime switch at density %.6g: %s -> %s",
             switch.density, switch.from_regime.value, switch.to_regime.value,
         )
+    return ["density", "distancing_ratio", "telecom_ratio", "regime"], [
+        [d, dist, tele, regime.value]
+        for d, dist, tele, regime in zip(
+            curves.densities, curves.distancing, curves.telecom, curves.regimes
+        )
+    ]
 
 
 # The largest ``fig2`` grid: a few arrays of this many doubles stay far below memory.
@@ -306,7 +300,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     out = _output_dir(args.output_dir, "--output-dir")
     import numpy as np
 
-    from . import counterfactual
+    from . import counterfactual, csvio
     from .config import params_hash
     from .model import FirmParams
 
@@ -321,8 +315,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
             f"points={args.points!r}"
         )
     )
-    out.mkdir(parents=True, exist_ok=True)
-    _write_fig2_csv(out / "fig2.csv", curves, stamp)
+    csvio.write_outputs(out, {"fig2.csv": _fig2_table(curves)}, stamp)
     return 0
 
 
@@ -350,18 +343,13 @@ def cmd_lowess(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise IngestionError(f"{source}: {exc}") from None
     stamp = _provenance(cfg) + f" bandwidth:{args.bandwidth!r}"
-    out.mkdir(parents=True, exist_ok=True)
-    csvio.write_rows(
-        out / "location-lowess.csv",
-        ["log_density", *GROUPS],
-        [[g, *fits] for g, *fits in zip(grid.tolist(), *curves.tolist())],
-        comment=stamp,
-    )
+    rows = [[g, *fits] for g, *fits in zip(grid.tolist(), *curves.tolist())]
+    csvio.write_outputs(out, {"location-lowess.csv": (["log_density", *GROUPS], rows)}, stamp)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Report writers and small helpers
+# Report tables and small helpers
 # ---------------------------------------------------------------------------
 
 
@@ -385,9 +373,10 @@ def _pct(fraction: float) -> float:
 
 
 def _output_dir(path: str, name: str = "output_dir") -> Path:
-    """The output directory, which a command makes right before its first
-    write, so that a run failing before then leaves none; a usage error
-    naming ``name`` if ``path`` is blank (it would write into the working
+    """The output directory, checked before any input is read, and made
+    only by :func:`csvio.write_outputs` once every output is computed, so
+    that a run failing before then leaves none; a usage error naming
+    ``name`` if ``path`` is blank (it would write into the working
     directory) or names a file."""
     from pathlib import Path
 
@@ -407,37 +396,32 @@ def _provenance(cfg: RunConfig) -> str:
     return f"distancing {__version__} config:{config_hash(cfg)}"
 
 
-def _write_reconciliation(path: Path, index: IndexStage, stamp: str) -> None:
-    lines = [f"# {stamp}"]
-    lines.append("unknown_socs: " + (", ".join(index.build_report.unknown_socs) or "none"))
-    lines.append(
-        "skipped_industries: " + (", ".join(index.build_report.skipped_industries) or "none")
-    )
-    lines.append("excluded_sectors: " + (", ".join(index.removed_sectors) or "none"))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _reconciliation_lines(index: IndexStage) -> list[str]:
+    report = index.build_report
+    return [
+        "unknown_socs: " + (", ".join(report.unknown_socs) or "none"),
+        "skipped_industries: " + (", ".join(report.skipped_industries) or "none"),
+        "excluded_sectors: " + (", ".join(index.removed_sectors) or "none"),
+    ]
 
 
-def _write_calibration(out: Path, report: calibrate.CalibrationReport, stamp: str) -> None:
-    from . import csvio
-
-    out.mkdir(parents=True, exist_ok=True)
+def _calibration_outputs(report: calibrate.CalibrationReport) -> dict:
+    """``calibration.csv`` and ``calibration.txt``, in that order."""
     columns = {"eps": report.eps, "contact_cap": report.contact_cap,
                "slope_factor": report.slope_factor, "achieved_slope": report.achieved_slope,
                "achieved_share": report.achieved_share, "cells": report.n_cells,
                "eps_fixed": report.eps_fixed}
-    csvio.write_rows(out / "calibration.csv", list(columns), [list(columns.values())],
-                     comment=stamp)
     lines = [
-        f"# {stamp}",
         f"eps: {report.eps!r}" + (" (fixed)" if report.eps_fixed else " (calibrated)"),
         f"contact cap: {report.contact_cap!r}",
         f"slope factor k: {report.slope_factor!r}",
         f"achieved density slope: {report.achieved_slope!r}",
         f"achieved contact share: {report.achieved_share!r}",
         f"cells: {report.n_cells}",
+        *report.notes,
     ]
-    lines.extend(report.notes)
-    (out / "calibration.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {"calibration.csv": (list(columns), [list(columns.values())]),
+            "calibration.txt": lines}
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,16 @@ def _weighted_rows(keys: Coded, employment: np.ndarray, subsidy: np.ndarray) -> 
 
 
 def overall(results: CellFrame, employment: float) -> AggRow:
-    """The employment-weighted subsidy over all cells (key ``ALL``).
+    """The employment-weighted subsidy over all cells (key ``Average``).
 
     ``employment`` is the cells' total employment, the exact sum that
     :attr:`~distancing.calibrate.CalibrationReport.employment` carries.
-    Reports append the row to the sector table as the average row.
+    The sector report appends it as its last row.
     """
     if employment <= 0.0:
         raise CalibrationError("no employment in the subsidy results")
     weighted = exact_sum(results.subsidy * results.employment)
-    return AggRow(key="ALL", subsidy=weighted / employment, employment=employment)
+    return AggRow(key="Average", subsidy=weighted / employment, employment=employment)
 
 
 def sector_table(results: CellFrame) -> list[AggRow]:

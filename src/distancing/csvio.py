@@ -24,9 +24,12 @@ reads the file through the block reader, which names the fault.
 :func:`read_text_lines` reads the two inputs that are not CSV, the config
 and exclusion files: UTF-8 lines with ``#`` comments.
 
-All pipeline outputs are UTF-8 CSVs with LF line endings, a leading
-``#`` provenance comment, and floats rendered with ``repr`` (the
-shortest round-trip form), so identical runs produce identical bytes.
+:func:`write_outputs` is the one writer of a command's outputs: it makes
+the output directory and writes every file, once the command has computed
+them all.  Outputs are UTF-8 CSVs, and two text reports
+(``reconciliation.txt``, ``calibration.txt``), with LF line endings and a
+leading ``#`` provenance comment; CSV floats are rendered with ``repr``
+(the shortest round-trip form), so identical runs produce identical bytes.
 
 numpy is imported by the functions that use it, not at load: the config
 and the occupation and industry indexes read through this module and run
@@ -432,6 +435,22 @@ def _table_rows(path, labels, numbers, *, key=(), positive=()) -> list[list]:
         for column, value in zip(columns, values):
             column.append(value)
     return columns
+
+
+def write_outputs(out: Path, outputs: Mapping[str, tuple | list[str]], comment: str) -> None:
+    """Make the directory ``out`` and write ``outputs``, file name -> content,
+    in the mapping's order, each under the ``# comment`` line.
+
+    A ``(fieldnames, rows)`` pair goes through :func:`write_rows`; a list of
+    lines becomes a UTF-8 text file, one LF-ended line each.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        if isinstance(content, tuple):
+            write_rows(out / name, *content, comment)
+        else:
+            with open(out / name, "w", newline="", encoding="utf-8") as fh:
+                fh.writelines(f"{line}\n" for line in [f"# {comment}", *content])
 
 
 def write_rows(

@@ -665,16 +665,10 @@ def read_location_index_csv(path: str | Path) -> list[list[float]]:
     return columns
 
 
-def write_location_index_csv(
-    path: str | Path,
-    exposures: Mapping[str, tuple[float, Sequence[float]]],
-    densities: Mapping[str, float],
-    comment: str,
-) -> None:
-    """Write :func:`location_exposure`'s table with each ZCTA's normalized density."""
-    csvio.write_rows(
-        path,
-        ["zcta", "density", *(f"share_{group}" for group in GROUPS), "employment"],
-        [[z, densities[z], *shares, employment] for z, (employment, shares) in exposures.items()],
-        comment=comment,
-    )
+def location_index_table(
+    exposures: Mapping[str, tuple[float, Sequence[float]]], densities: Mapping[str, float]
+) -> tuple[list[str], list[list]]:
+    """:func:`location_exposure`'s table with each ZCTA's normalized density."""
+    return ["zcta", "density", *(f"share_{group}" for group in GROUPS), "employment"], [
+        [z, densities[z], *shares, employment] for z, (employment, shares) in exposures.items()
+    ]

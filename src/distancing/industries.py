@@ -228,16 +228,9 @@ def read_exclusions(path: str | Path) -> list[str]:
     return [entry for _, _, entry in lines]
 
 
-def write_industry_index_csv(
-    path: str | Path, mixes: Sequence[IndustryMix], comment: str
-) -> None:
-    """Write the per-sector exposure table (one row per industry)."""
-    csvio.write_rows(
-        path,
-        ["industry_code", "name", *(f"chi_{group}" for group in GROUPS)],
-        [
-            [mix.industry_code, mix.name, *(mix.chi[group] for group in GROUPS)]
-            for mix in sorted(mixes, key=lambda m: m.industry_code)
-        ],
-        comment=comment,
-    )
+def industry_index_table(mixes: Sequence[IndustryMix]) -> tuple[list[str], list[list]]:
+    """The per-sector exposure table, one row per industry in code order."""
+    return ["industry_code", "name", *(f"chi_{group}" for group in GROUPS)], [
+        [mix.industry_code, mix.name, *(mix.chi[group] for group in GROUPS)]
+        for mix in sorted(mixes, key=lambda m: m.industry_code)
+    ]

@@ -278,23 +278,14 @@ def read_profiles_csv(path: str | Path) -> list[OccupationProfile]:
     return profiles
 
 
-def write_flags_csv(
-    path: str | Path,
-    profiles: Iterable[OccupationProfile],
-    flags: Mapping[str, ExposureFlags],
-    comment: str,
-) -> None:
-    """Write ``soc_code,title,teamwork,customer,communication,presence`` with 0/1 flags."""
+def flags_table(
+    profiles: Iterable[OccupationProfile], flags: Mapping[str, ExposureFlags]
+) -> tuple[list[str], list[list]]:
+    """The occupation index: ``soc_code,title,teamwork,customer,communication,presence``
+    with 0/1 flags, one row per occupation in code order."""
     titles = {p.soc_code: p.title for p in profiles}
-    rows = []
-    for soc in sorted(flags):
-        f = flags[soc]
-        rows.append(
-            [soc, titles.get(soc, ""), f.teamwork, f.customer, f.communication, f.presence]
-        )
-    csvio.write_rows(
-        path,
-        ["soc_code", "title", "teamwork", "customer", "communication", "presence"],
-        rows,
-        comment=comment,
-    )
+    rows = [
+        [soc, titles.get(soc, ""), f.teamwork, f.customer, f.communication, f.presence]
+        for soc, f in sorted(flags.items())
+    ]
+    return ["soc_code", "title", "teamwork", "customer", "communication", "presence"], rows

@@ -1,6 +1,7 @@
 """Subcommand behavior: outputs, exit codes, overrides, determinism."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import gc
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import faults
+from distancing import csvio
 from distancing.cli import (
     _pct,
     build_parser,
@@ -25,6 +27,7 @@ from distancing.cli import (
     run_index_stage,
 )
 from distancing.config import RunConfig, _coerce, config_hash, load_config_file, resolve_config
+from distancing.errors import CalibrationError
 from e2efixture import CBP, DENSITY, hand_expectations, write_config, write_inputs
 from faults import write_location_index
 
@@ -357,6 +360,99 @@ class TestErrorContract:
         )
         assert proc.returncode == 0
         assert "distancing 0.1.0" in proc.stdout
+
+
+def _injected(*args, **kwargs):
+    raise CalibrationError("injected")
+
+
+def _writes(call):
+    """Whether ``call`` makes a directory or writes a file: ``mkdir``,
+    ``write_text`` or ``write_bytes``, or ``open``/``Path.open`` with a mode
+    that is not read-only (one that is not a literal counts as writing)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("mkdir", "makedirs", "write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    args = call.args[1:] if isinstance(func, ast.Name) else call.args
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), args[0] if args else None)
+    return mode is not None and not (
+        isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+        and set(mode.value) <= set("rbt"))
+
+
+@pytest.fixture()
+def fault_fixture(tmp_path):
+    """The paths :func:`_argv` fills in, over :func:`faults.write_fixture`."""
+    names = {"in": tmp_path / "in", "out": tmp_path / "out"}
+    names["config"] = faults.write_fixture(names["in"], names["out"])
+    return names
+
+
+class TestWriteOnce:
+    """Each command computes every output first, then hands them all, in one
+    order, to one :func:`csvio.write_outputs` call, the only writer."""
+
+    FIG2 = ("fig2", "--chi", "0.5", "--eps", "0.5", "--cap", "1.1", "--telecom", "0.5",
+            "--output-dir", "{out}")
+    ORDER = [
+        (("index",), ["occupation-index.csv", "industry-index.csv", "reconciliation.txt",
+                      "location-index.csv"]),
+        (("calibrate",), ["calibration.csv", "calibration.txt"]),
+        (("subsidy",), ["calibration.csv", "calibration.txt", "sector-subsidy.csv",
+                        "location-subsidy.csv", "region-subsidy.csv", "fig2.csv"]),
+        (FIG2, ["fig2.csv"]),
+        (faults.LOWESS, ["location-lowess.csv"]),
+    ]
+
+    def test_each_command_writes_its_outputs_in_one_call(self, fault_fixture, monkeypatch):
+        calls, write = [], csvio.write_outputs
+
+        def recorded(out, outputs, comment):
+            calls.append(list(outputs))
+            write(out, outputs, comment)
+
+        monkeypatch.setattr(csvio, "write_outputs", recorded)
+        for argv, names in self.ORDER:
+            calls.clear()
+            assert main(_argv(argv, fault_fixture)) == 0
+            assert calls == [names], argv[0]
+
+    @pytest.mark.parametrize("command, target", [
+        ("index", "geo.location_exposure"),
+        ("calibrate", "calibrate.run_calibration"),
+        ("subsidy", "counterfactual.compute_subsidies"),
+        ("subsidy", "counterfactual.location_table"),
+        ("subsidy", "counterfactual.cost_ratio_curves"),
+    ])
+    def test_a_failure_before_the_last_output_leaves_no_directory(
+        self, command, target, fault_fixture, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(f"distancing.{target}", _injected)
+        assert main(_argv((command,), fault_fixture)) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: injected"
+        assert not fault_fixture["out"].exists()
+
+    def test_readme_outputs_name_every_file_written(self, fault_fixture):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Outputs\n", 1)[1].split("\n## ", 1)[0]
+        for argv in (("index",), ("subsidy", "--telecom-cost", "1.5"), faults.LOWESS):
+            assert main(_argv(argv, fault_fixture)) == 0
+        written = sorted(path.name for path in fault_fixture["out"].iterdir())
+        assert len(written) == 11
+        assert [name for name in written if f"`{name}`" not in section] == []
+
+    def test_only_csvio_makes_directories_or_writes_files(self):
+        found = {}
+        for path in sorted((SRC / "distancing").glob("*.py")):
+            calls = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Call) and _writes(node)]
+            found[path.name] = [node.lineno for node in calls]
+        own = found.pop("csvio.py")
+        assert {name: lines for name, lines in found.items() if lines} == {}
+        assert len(own) == 3  # the check sees the writer's own calls
 
 
 def _cyclic_garbage(args):

@@ -424,7 +424,7 @@ def scalar_oracle(cells, share, elasticity, fixed_eps, telecom, grouping):
         "sector": _scalar_rows((c[1], c[2], s) for c, s in keyed),
         "location": _scalar_rows((c[0], c[2], s) for c, s in keyed),
         "region": _scalar_rows((grouping[c[0]], c[2], s) for c, s in keyed if c[0] in grouping),
-        "overall": _scalar_rows(("ALL", c[2], s) for c, s in keyed),
+        "overall": _scalar_rows(("Average", c[2], s) for c, s in keyed),
     }
     return eps, cap, nstar, ratio, subsidy, regimes, gaps, tables
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from distancing import csvio
 from distancing.errors import IngestionError
 from distancing.industries import (
     GROUPS,
@@ -13,9 +14,9 @@ from distancing.industries import (
     MixResolver,
     build_mix,
     exclude_sectors,
+    industry_index_table,
     read_exclusions,
     read_matrix_csv,
-    write_industry_index_csv,
 )
 from distancing.occupations import ExposureFlags
 
@@ -240,7 +241,9 @@ class TestCsv:
 
     def test_industry_index_exact_schema(self, tmp_path):
         path = tmp_path / "industry-index.csv"
-        write_industry_index_csv(path, [mix_with("44", 0.6, name="Retail trade")], "stamp")
+        csvio.write_rows(
+            path, *industry_index_table([mix_with("44", 0.6, name="Retail trade")]), "stamp"
+        )
         lines = path.read_text().splitlines()
         assert lines[0] == "# stamp"
         assert lines[1] == (

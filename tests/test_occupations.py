@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from distancing import csvio
 from distancing.errors import ClassificationError, IngestionError
 from distancing.occupations import (
     CUSTOMER_TASKS,
@@ -20,8 +21,8 @@ from distancing.occupations import (
     classify_presence,
     classify_teamwork,
     composite_index,
+    flags_table,
     read_profiles_csv,
-    write_flags_csv,
 )
 
 from frames import THRESHOLDS
@@ -242,7 +243,7 @@ class TestCsv:
 
         flags = classify_all(profiles, THRESHOLDS, lenient=False)
         out = tmp_path / "flags.csv"
-        write_flags_csv(out, profiles, flags, comment="test")
+        csvio.write_rows(out, *flags_table(profiles, flags), "test")
         text = out.read_text().splitlines()
         assert text[0] == "# test"
         assert text[1] == "soc_code,title,teamwork,customer,communication,presence"
