@@ -528,14 +528,25 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """Process entry point: run :func:`main` on ``sys.argv`` and exit with its code.
 
+    OpenBLAS starts with one thread unless the caller set
+    ``OPENBLAS_NUM_THREADS``: no computation goes through BLAS, and the
+    pool of one thread per core that numpy's bundled OpenBLAS otherwise
+    starts as it loads made numpy's import take 112 ms instead of 66 ms in
+    a ``subsidy`` process (medians of 15, 2-core x86 VM).  OpenBLAS reads
+    the variable once, when numpy loads it; importing this module loads no
+    numpy, so the variable is set in time.
+
     The cyclic collector stays off for the run: a run keeps its rows in
     arrays and tuples, not in per-row reference cycles, so a collection
     pass would find almost nothing and only traverse live objects.  What is
     still alive at the end is frozen, so interpreter shutdown need not
-    traverse it again.  :func:`main` itself leaves the collector alone.
+    traverse it again.  :func:`main` itself leaves the collector and the
+    environment alone.
     """
     import gc
+    import os
 
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         code = main()

@@ -481,6 +481,25 @@ def _write_repeated_fixture(directory, output_dir, copies):
     return config
 
 
+def _module_fig2(out, report, environ):
+    """What ``python -m distancing fig2 ...`` runs, in a child with ``environ``:
+    the words of ``report`` (a tuple expression) evaluated at exit."""
+    script = (
+        "import atexit, gc, os, runpy, sys\n"
+        f"atexit.register(lambda: print(*({report})))\n"
+        "sys.argv = ['distancing', 'fig2', '--chi', '0.5', '--eps', '0.5', '--cap', '1.1',"
+        f" '--output-dir', {str(out)!r}]\n"
+        "runpy.run_module('distancing', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "fig2.csv").is_file()
+    return proc.stdout.split()
+
+
 class TestCollectorPolicy:
     """``run`` turns the cyclic collector off for one process; ``main`` leaves it alone."""
 
@@ -508,21 +527,8 @@ class TestCollectorPolicy:
         assert _cyclic_garbage(large_args) <= _cyclic_garbage(small_args)
 
     def test_module_entry_point_disables_and_freezes(self, tmp_path):
-        # what ``python -m distancing fig2 ...`` runs, with a report of the collector at exit
-        script = (
-            "import atexit, gc, runpy, sys\n"
-            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
-            f"sys.argv = ['distancing', 'fig2', '--chi', '0.5', '--eps', '0.5', '--cap', '1.1',"
-            f" '--output-dir', {str(tmp_path)!r}]\n"
-            "runpy.run_module('distancing', run_name='__main__')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "True"]
-        assert (tmp_path / "fig2.csv").is_file()
+        report = "gc.isenabled(), gc.get_freeze_count() > 0"
+        assert _module_fig2(tmp_path, report, os.environ) == ["False", "True"]
 
     def test_module_run_writes_the_bytes_of_an_in_process_run(self, fixture_config, tmp_path):
         config, out = fixture_config
@@ -535,6 +541,63 @@ class TestCollectorPolicy:
         )
         assert proc.returncode == 0, proc.stderr
         assert snapshot(other) == snapshot(out)
+
+
+# numpy names whose float work goes through BLAS or LAPACK
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg", "lstsq",
+              "polyfit"}
+
+
+def _uses_blas(node):
+    """Whether ``node`` is a ``@``, an attribute in :data:`BLAS_NAMES`, or an
+    import of one."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in BLAS_NAMES
+    if isinstance(node, ast.ImportFrom):
+        return not BLAS_NAMES.isdisjoint((node.module or "").split("."))
+    if isinstance(node, ast.alias):
+        return not BLAS_NAMES.isdisjoint(node.name.split("."))
+    return False
+
+
+class TestBlasThreadPolicy:
+    """``run`` starts OpenBLAS with one thread unless the caller chose a count,
+    since no computation goes through BLAS; ``main`` leaves the environment alone."""
+
+    @staticmethod
+    def _environ(threads):
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        return environ if threads is None else dict(environ, OPENBLAS_NUM_THREADS=threads)
+
+    @pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")])
+    def test_module_entry_point_keeps_a_given_thread_count(self, tmp_path, given, kept):
+        report = "os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules"
+        assert _module_fig2(tmp_path, report, self._environ(given)) == [kept, "True"]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc to count threads")
+    def test_module_entry_point_runs_in_one_os_thread(self, tmp_path):
+        report = "len(os.listdir('/proc/self/task')), 'numpy' in sys.modules"
+        assert _module_fig2(tmp_path, report, self._environ(None)) == ["1", "True"]
+
+    def test_main_leaves_the_environment_alone(self, fixture_config, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        config, _ = fixture_config
+        assert main(["subsidy", "--config", str(config)]) == 0
+        assert dict(os.environ) == environ
+
+    def test_no_computation_goes_through_blas(self):
+        found = {}
+        for path in sorted((SRC / "distancing").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found[path.name] = [node.lineno for node in ast.walk(tree) if _uses_blas(node)]
+        assert {name: lines for name, lines in found.items() if lines} == {}
+        # the check sees each form it looks for
+        probe = ("a @ b\na @= b\nnp.dot(a, b)\n"
+                 "from numpy.linalg import norm\nfrom numpy import einsum\n")
+        assert sum(map(_uses_blas, ast.walk(ast.parse(probe)))) == 5
 
 
 # The kinds of RunConfig annotation the config reads, each with its values' type.

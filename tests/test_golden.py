@@ -18,11 +18,13 @@ inputs moved, the file is rewritten from the parent commit, so the
 outputs stay pinned to the code before the change.
 
 ``index`` and ``lowess`` run again with numpy's AVX-512 kernels disabled
-(``NPY_DISABLE_CPU_FEATURES``), and with OpenBLAS forced to each of its
-``Sandybridge`` and ``Prescott`` kernels (``OPENBLAS_CORETYPE``), each set
-in the children's environment only, and must give the same digests: their
-outputs may depend neither on numpy's SIMD dispatch nor on the BLAS kernel,
-which no output goes through.  A rerun this CPU cannot run is skipped.
+(``NPY_DISABLE_CPU_FEATURES``), with OpenBLAS forced to each of its
+``Sandybridge`` and ``Prescott`` kernels (``OPENBLAS_CORETYPE``), and with
+OpenBLAS started with two threads (``OPENBLAS_NUM_THREADS=2``, which the
+CLI keeps; unset, it starts one), each set in the children's environment
+only, and must give the same digests: their outputs may depend neither on
+numpy's SIMD dispatch nor on the BLAS kernel or thread count, since no
+output goes through BLAS.  A rerun this CPU cannot run is skipped.
 ``calibrate`` and ``subsidy`` stay out, because ``fig2.csv`` and eps still
 take numpy's ``power`` and ``log``, whose bits follow numpy's dispatch.
 libm's own per-CPU variants are not covered at all.  On machines other
@@ -80,7 +82,10 @@ def _rerun_env(rerun: str) -> dict | None:
     """The environment of a rerun of :data:`DISPATCH_FREE`, or None where this
     CPU cannot run it: ``no-avx512`` disables the :data:`AVX512` targets that
     numpy finds and can disable (those outside its build's baseline); a name
-    in :data:`OPENBLAS_KERNELS` forces that OpenBLAS kernel."""
+    in :data:`OPENBLAS_KERNELS` forces that OpenBLAS kernel; ``blas-threads``
+    starts OpenBLAS with two threads instead of the CLI's one."""
+    if rerun == "blas-threads":
+        return {"OPENBLAS_NUM_THREADS": "2"}
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1
@@ -121,7 +126,7 @@ def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.fixture(scope="module", params=["no-avx512", *OPENBLAS_KERNELS])
+@pytest.fixture(scope="module", params=["no-avx512", *OPENBLAS_KERNELS, "blas-threads"])
 def rerun_digests(request, tmp_path_factory):
     env = _rerun_env(request.param)
     if env is None:
